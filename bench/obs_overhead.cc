@@ -1,66 +1,23 @@
 // Hot-path observability overhead gate (DESIGN.md §14).
 //
-// Two claims are pinned here. (A) Contention: a ShardedCounter under
-// multi-threaded bumping must beat both the per-op registry lookup (mutex on
-// every bump) and a single plain Counter (one contended cache line) — that
-// ordering, not the machine-dependent absolute times, is the headline.
-// (B) End-to-end cost: the data-plane telemetry added on top of the base
-// counters (sampling profiler + per-DIP connection gauges) must cost <5% of
-// the telemetry-off packet path, measured span_overhead-style as the median
-// per-pair CPU ratio over interleaved on/off runs of the packet-level
-// auditor. Telemetry must never change sim-visible behavior.
+// The data-plane telemetry added on top of the base counters (sampling
+// profiler + per-DIP connection gauges) must cost <5% of the telemetry-off
+// packet path, measured span_overhead-style as the median per-pair CPU ratio
+// over interleaved on/off runs of the packet-level auditor. Telemetry must
+// never change sim-visible behavior.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <ctime>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/silkroad_switch.h"
 #include "lb/packet_level.h"
-#include "obs/sharded.h"
 #include "workload/flow_gen.h"
 #include "workload/update_gen.h"
 
 using namespace silkroad;
 
 namespace {
-
-// --- Part A: counter contention ---------------------------------------------
-
-constexpr std::size_t kThreads = 4;
-constexpr std::size_t kOpsPerThread = 300'000;
-constexpr int kContentionReps = 3;
-
-/// Runs `op` on kThreads threads, kOpsPerThread calls each, all released by
-/// one barrier so the contention window is shared; returns wall seconds
-/// (wall, not CPU: with true contention the threads' CPU sums stay flat
-/// while completion time grows, and completion time is what we gate).
-template <typename Op>
-double contended_seconds(Op op) {
-  std::atomic<bool> go{false};
-  std::atomic<std::size_t> ready{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      for (std::size_t i = 0; i < kOpsPerThread; ++i) op();
-    });
-  }
-  while (ready.load() != kThreads) {
-  }
-  const auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-// --- Part B: end-to-end telemetry overhead ----------------------------------
 
 constexpr int kPairs = 7;
 
@@ -136,44 +93,12 @@ RunResult run_once(const Workload& w, bool telemetry) {
 
 int main() {
   bench::print_header(
-      "hot-path observability overhead — sharded counters and the sampling "
-      "profiler",
-      "telemetry must be cheap enough to leave on: sharded beats registry "
-      "lookup under contention; total packet-path overhead <5%");
+      "hot-path observability overhead — the sampling profiler and per-DIP "
+      "telemetry",
+      "telemetry must be cheap enough to leave on: total packet-path "
+      "overhead <5%");
 
-  // (A) Three ways to bump a counter from 4 threads. Interleaved reps, min
-  // per mode (min, not median: the floor is the intrinsic cost, everything
-  // above it is scheduler noise on a loaded machine).
-  obs::MetricsRegistry registry;
-  obs::Counter* plain = registry.counter("obs_bench_plain", "");
-  obs::ShardedCounter* sharded = registry.sharded_counter("obs_bench_sharded");
-  double registry_s = 0, plain_s = 0, sharded_s = 0;
-  for (int rep = 0; rep < kContentionReps; ++rep) {
-    const double r = contended_seconds(
-        [&] { registry.counter("obs_bench_lookup")->inc(); });
-    const double p = contended_seconds([&] { plain->inc(); });
-    const double s = contended_seconds([&] { sharded->inc(); });
-    registry_s = rep == 0 ? r : std::min(registry_s, r);
-    plain_s = rep == 0 ? p : std::min(plain_s, p);
-    sharded_s = rep == 0 ? s : std::min(sharded_s, s);
-  }
-  const double total_ops =
-      static_cast<double>(kThreads * kOpsPerThread) * kContentionReps;
-  const bool counts_exact =
-      registry.counter("obs_bench_lookup")->value() == total_ops &&
-      plain->value() == total_ops &&
-      static_cast<double>(sharded->value()) == total_ops;
-
-  std::printf("\n%u threads x %zu bumps, min of %d reps:\n",
-              static_cast<unsigned>(kThreads), kOpsPerThread, kContentionReps);
-  std::printf("  %-34s %8.1f ns/op\n", "registry.counter(name)->inc()",
-              1e9 * registry_s / (kThreads * kOpsPerThread));
-  std::printf("  %-34s %8.1f ns/op\n", "plain Counter::inc (shared line)",
-              1e9 * plain_s / (kThreads * kOpsPerThread));
-  std::printf("  %-34s %8.1f ns/op\n", "ShardedCounter::inc (striped)",
-              1e9 * sharded_s / (kThreads * kOpsPerThread));
-
-  // (B) Interleaved telemetry-off/on pairs of the packet-level audit over a
+  // Interleaved telemetry-off/on pairs of the packet-level audit over a
   // SilkRoadSwitch; warm-up pair discarded; median per-pair CPU ratio.
   const Workload w = make_workload();
   (void)run_once(w, false);
@@ -212,12 +137,7 @@ int main() {
   const bool profiler_sampled = on.sampled > 0 && off.sampled == 0;
 
   // Absolute times are machine-dependent and deliberately NOT headlines; the
-  // baseline pins the orderings and the relative overhead.
-  bench::headline("sharded_beats_registry",
-                  sharded_s < registry_s ? 1.0 : 0.0,
-                  "striped bumps faster than per-op registry lookup (must be 1)");
-  bench::headline("counts_exact", counts_exact ? 1.0 : 0.0,
-                  "no bump lost under contention in any mode (must be 1)");
+  // baseline pins the relative overhead and the behavior checks.
   bench::headline("obs_overhead_pct", overhead_pct,
                   "telemetry-on CPU over telemetry-off, percent (budget: <5)");
   bench::headline("behavior_identical", behavior_identical ? 1.0 : 0.0,
@@ -226,7 +146,6 @@ int main() {
                   "sampling profiler took samples iff telemetry on (must be 1)");
   bench::emit_headlines("obs_overhead");
 
-  if (!counts_exact || !behavior_identical || !profiler_sampled) return 1;
-  if (sharded_s >= registry_s) return 1;
+  if (!behavior_identical || !profiler_sampled) return 1;
   return overhead_pct < 5.0 ? 0 : 1;
 }

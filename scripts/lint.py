@@ -3,7 +3,7 @@
 tools/srlint/ (DESIGN.md §13). This file keeps the historical entry point —
 the `lint` ctest and scripts/check.sh invoke it — and forwards everything.
 
-Run `python3 tools/srlint --list-rules` for the rule catalog R1–R14.
+Run `python3 tools/srlint --list-rules` for the rule catalog (R1–R10, R12–R14).
 """
 
 import os

@@ -32,11 +32,9 @@ std::optional<DigestCuckooTable::LookupResult> DigestCuckooTable::lookup(
       const SlotRef ref{stage, bucket, way};
       const Slot& slot = slots_[flat_index(ref)];
       if (slot.used && slot.digest == digest) {
-        if (profiler_ != nullptr) profiler_->record_lookup(stage, true);
         return LookupResult{slot.value, ref};
       }
     }
-    if (profiler_ != nullptr) profiler_->record_lookup(stage, false);
   }
   return std::nullopt;
 }

@@ -25,8 +25,7 @@
 #include "asic/sram.h"
 #include "net/hash.h"
 #include "net/five_tuple.h"
-#include "obs/sharded.h"
-#include "obs/stage_profiler.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace silkroad::check {
@@ -190,15 +189,10 @@ class DigestCuckooTable {
 
   // --- Telemetry -----------------------------------------------------------
 
-  /// Attaches per-stage lookup profiling and/or structured event tracing
-  /// (obs layer). Either pointer may be null; both must outlive the table.
-  /// Lookups then record one probe per examined stage, and inserts emit
-  /// cuckoo-insert / cuckoo-evict / cuckoo-insert-fail trace events.
-  void bind_observer(obs::StageProfiler* profiler,
-                     obs::TraceRing* trace) noexcept {
-    profiler_ = profiler;
-    trace_ = trace;
-  }
+  /// Attaches structured event tracing (obs layer); null detaches. The ring
+  /// must outlive the table. Inserts then emit cuckoo-insert / cuckoo-evict /
+  /// cuckoo-insert-fail trace events.
+  void bind_trace(obs::TraceRing* trace) noexcept { trace_ = trace; }
 
   /// Bucket index of `key` at `stage` (exposed for tests/analysis).
   std::uint32_t bucket_of(const net::FiveTuple& key, std::uint32_t stage) const;
@@ -242,10 +236,8 @@ class DigestCuckooTable {
   std::vector<net::FiveTuple> shadow_keys_;
   /// CPU shadow index: key -> current slot.
   std::unordered_map<net::FiveTuple, SlotRef, net::FiveTupleHash> index_;
-  /// Sharded (DESIGN.md §14): bumped on the per-lookup/insert hot path.
-  obs::ShardedCounter total_moves_;
-  obs::ShardedCounter failed_inserts_;
-  obs::StageProfiler* profiler_ = nullptr;
+  obs::Counter total_moves_;
+  obs::Counter failed_inserts_;
   obs::TraceRing* trace_ = nullptr;
 };
 

@@ -15,7 +15,7 @@
 
 #include "net/five_tuple.h"
 #include "net/hash.h"
-#include "obs/sharded.h"
+#include "obs/metrics.h"
 #include "sim/event_queue.h"
 
 namespace silkroad::asic {
@@ -91,11 +91,10 @@ class LearningFilter {
   std::vector<net::FiveTuple> order_;  // flush in arrival order
   sim::EventHandle timeout_event_;
   DropHook drop_hook_;
-  /// Sharded (DESIGN.md §14): learn() runs once per new-flow packet.
-  obs::ShardedCounter total_events_;
-  obs::ShardedCounter duplicate_events_;
-  obs::ShardedCounter flushes_;
-  obs::ShardedCounter dropped_events_;
+  obs::Counter total_events_;
+  obs::Counter duplicate_events_;
+  obs::Counter flushes_;
+  obs::Counter dropped_events_;
 };
 
 }  // namespace silkroad::asic

@@ -47,21 +47,17 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
       capacity_(config.capacity) {
   init_metrics();
   init_capacity();
-  conn_table_.bind_observer(&conn_profiler_, &trace_);
+  conn_table_.bind_trace(&trace_);
   cpu_.bind_metrics(metrics_, "silkroad_cpu");
 }
 
 void SilkRoadSwitch::init_metrics() {
-  // Per-packet counters are sharded (DESIGN.md §14): uncontended relaxed
-  // adds even when data-plane shards run in parallel.
-  c_.packets = metrics_.sharded_counter("silkroad_packets_total",
-                                        "packets processed by the data plane");
-  c_.conn_table_hits =
-      metrics_.sharded_counter("silkroad_conn_table_hits_total",
-                               "ConnTable lookups that matched");
-  c_.conn_table_misses =
-      metrics_.sharded_counter("silkroad_conn_table_misses_total",
-                               "ConnTable lookups that missed");
+  c_.packets = metrics_.counter("silkroad_packets_total",
+                                "packets processed by the data plane");
+  c_.conn_table_hits = metrics_.counter("silkroad_conn_table_hits_total",
+                                        "ConnTable lookups that matched");
+  c_.conn_table_misses = metrics_.counter("silkroad_conn_table_misses_total",
+                                          "ConnTable lookups that missed");
   c_.learns = metrics_.counter("silkroad_learns_total",
                                "new flows entered into the learning filter");
   c_.inserts = metrics_.counter("silkroad_inserts_total",
@@ -109,16 +105,16 @@ void SilkRoadSwitch::init_metrics() {
   c_.relearns = metrics_.counter(
       "silkroad_relearns_total",
       "pending flows re-enqueued after a lost learning notification");
-  c_.meter_green =
-      metrics_.sharded_counter("silkroad_meter_packets_total",
-                               "metered packets by color", "color=\"green\"");
-  c_.meter_yellow =
-      metrics_.sharded_counter("silkroad_meter_packets_total",
-                               "metered packets by color", "color=\"yellow\"");
-  c_.meter_red =
-      metrics_.sharded_counter("silkroad_meter_packets_total",
-                               "metered packets by color", "color=\"red\"");
-  c_.packet_latency_ns = metrics_.sharded_histogram(
+  c_.meter_green = metrics_.counter("silkroad_meter_packets_total",
+                                    "metered packets by color",
+                                    "color=\"green\"");
+  c_.meter_yellow = metrics_.counter("silkroad_meter_packets_total",
+                                     "metered packets by color",
+                                     "color=\"yellow\"");
+  c_.meter_red = metrics_.counter("silkroad_meter_packets_total",
+                                  "metered packets by color",
+                                  "color=\"red\"");
+  c_.packet_latency_ns = metrics_.histogram(
       "silkroad_packet_latency_ns",
       "per-packet added latency (pipeline + slow-path redirects)");
   c_.learn_batch_size = metrics_.histogram(
@@ -454,7 +450,7 @@ SilkRoadSwitch::DipConnHandles& SilkRoadSwitch::dip_handles(
   const std::string labels =
       "dip=\"" + dip.to_string() + "\",vip=\"" + vip.to_string() + "\"";
   DipConnHandles handles;
-  handles.new_conns = metrics_.sharded_counter(
+  handles.new_conns = metrics_.counter(
       "silkroad_dip_new_conns_total",
       "connections admitted for the DIP (learned, shed, or degraded)",
       labels);
@@ -654,7 +650,9 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
 
   const net::Endpoint vip = packet.flow.dst;
 
-  if (auto hit = conn_table_.lookup(packet.flow)) {
+  const auto hit = conn_table_.lookup(packet.flow);
+  conn_profiler_.record_lookup(hit ? hit->slot.stage : conn_profiler_.stages());
+  if (hit) {
     if (conn_table_.is_false_positive(packet.flow, hit->slot)) {
       if (packet.syn) {
         // §4.2: a SYN hitting an existing entry signals a digest collision.

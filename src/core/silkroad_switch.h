@@ -36,7 +36,6 @@
 #include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/sampling_profiler.h"
-#include "obs/sharded.h"
 #include "obs/span.h"
 #include "obs/stage_profiler.h"
 #include "obs/trace.h"
@@ -112,8 +111,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
     /// Gates the sampling packet profiler and the per-DIP active/new
     /// connection accounting. The always-on core counters (packets, table
-    /// hits/misses, ...) are sharded and stay on regardless; disabling this
-    /// removes everything that costs more than a counter bump.
+    /// hits/misses, ...) stay on regardless; disabling this removes
+    /// everything that costs more than a counter bump.
     bool data_plane_telemetry = true;
     /// Sampling profiler knobs (period, seed, histogram resolution).
     obs::SamplingProfiler::Options profiler;
@@ -289,7 +288,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// vip=..,dip=.. so TimeSeriesRecorder can derive per-VIP imbalance
   /// indices across them.
   struct DipConnHandles {
-    obs::ShardedCounter* new_conns = nullptr;
+    obs::Counter* new_conns = nullptr;
     obs::Gauge* active = nullptr;
   };
 
@@ -427,17 +426,17 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// Telemetry first: the instrumented members below bind to these.
   obs::MetricsRegistry metrics_;
   obs::TraceRing trace_;
+  /// Per-stage ConnTable hit/miss counters, recorded once per data-plane
+  /// lookup in process_packet_impl() (control-plane lookups are not packets).
   obs::StageProfiler conn_profiler_;
   /// Deterministic 1-in-N packet latency sampler (data_plane_telemetry).
   obs::SamplingProfiler packet_profiler_;
-  /// Hot-path counter handles into metrics_. The per-packet ones (packets,
-  /// table hits/misses, meter colors, packet latency) are sharded so bumps
-  /// from parallel data-plane shards never contend on a cache line
-  /// (DESIGN.md §14); control-plane counters stay plain.
+  /// Counter handles into metrics_, resolved once in init_metrics(); a bump
+  /// is one relaxed atomic add on a pre-resolved pointer.
   struct CounterHandles {
-    obs::ShardedCounter* packets = nullptr;
-    obs::ShardedCounter* conn_table_hits = nullptr;
-    obs::ShardedCounter* conn_table_misses = nullptr;
+    obs::Counter* packets = nullptr;
+    obs::Counter* conn_table_hits = nullptr;
+    obs::Counter* conn_table_misses = nullptr;
     obs::Counter* learns = nullptr;
     obs::Counter* inserts = nullptr;
     obs::Counter* insert_failures = nullptr;
@@ -456,10 +455,10 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     obs::Counter* degraded_admits = nullptr;
     obs::Counter* pending_shed = nullptr;
     obs::Counter* relearns = nullptr;
-    obs::ShardedCounter* meter_green = nullptr;
-    obs::ShardedCounter* meter_yellow = nullptr;
-    obs::ShardedCounter* meter_red = nullptr;
-    obs::ShardedHistogram* packet_latency_ns = nullptr;
+    obs::Counter* meter_green = nullptr;
+    obs::Counter* meter_yellow = nullptr;
+    obs::Counter* meter_red = nullptr;
+    obs::Histogram* packet_latency_ns = nullptr;
     obs::Histogram* learn_batch_size = nullptr;
     /// learn -> ConnTable-entry-landed, per installed connection.
     obs::Histogram* insert_latency_ns = nullptr;

@@ -17,7 +17,6 @@
 
 #include "lb/load_balancer.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "sim/event_queue.h"
 #include "workload/flow_gen.h"
 #include "workload/update_gen.h"
@@ -48,15 +47,13 @@ class PacketLevelRunner {
   PacketLevelRunner(sim::Simulator& simulator, LoadBalancer& lb,
                     const Config& config)
       : sim_(simulator), lb_(lb), config_(config) {
-    // Bumped once per materialized packet/flow: sharded (DESIGN.md §14).
-    packets_ = metrics_.sharded_counter("silkroad_packet_level_packets_total",
-                                        "packets materialized and audited");
-    flows_ = metrics_.sharded_counter("silkroad_packet_level_flows_total",
-                                      "flows that established a mapping");
-    violations_ =
-        metrics_.sharded_counter("silkroad_packet_level_violations_total",
-                                 "flows whose mapping changed mid-life");
-    unmapped_flows_ = metrics_.sharded_counter(
+    packets_ = metrics_.counter("silkroad_packet_level_packets_total",
+                                "packets materialized and audited");
+    flows_ = metrics_.counter("silkroad_packet_level_flows_total",
+                              "flows that established a mapping");
+    violations_ = metrics_.counter("silkroad_packet_level_violations_total",
+                                   "flows whose mapping changed mid-life");
+    unmapped_flows_ = metrics_.counter(
         "silkroad_packet_level_unmapped_flows_total",
         "SYNs that received no DIP");
     metrics_.register_callback(
@@ -91,10 +88,10 @@ class PacketLevelRunner {
   /// DIPs currently out of service (server-down exemption, as in Scenario).
   std::unordered_set<net::Endpoint, net::EndpointHash> down_dips_;
   obs::MetricsRegistry metrics_;
-  obs::ShardedCounter* packets_ = nullptr;
-  obs::ShardedCounter* flows_ = nullptr;
-  obs::ShardedCounter* violations_ = nullptr;
-  obs::ShardedCounter* unmapped_flows_ = nullptr;
+  obs::Counter* packets_ = nullptr;
+  obs::Counter* flows_ = nullptr;
+  obs::Counter* violations_ = nullptr;
+  obs::Counter* unmapped_flows_ = nullptr;
 };
 
 }  // namespace silkroad::lb

@@ -40,14 +40,13 @@ void SoftwareLoadBalancer::request_update(const workload::DipUpdate& update) {
 }
 
 void SoftwareLoadBalancer::bind_metrics(obs::MetricsRegistry& registry) {
-  packets_ = registry.sharded_counter("silkroad_slb_packets_total",
-                                      "packets handled in SLB software");
-  new_conns_ = registry.sharded_counter(
+  packets_ = registry.counter("silkroad_slb_packets_total",
+                              "packets handled in SLB software");
+  new_conns_ = registry.counter(
       "silkroad_slb_new_conns_total",
       "connections pinned into the SLB's software ConnTable");
-  conn_table_hits_ =
-      registry.sharded_counter("silkroad_slb_conn_table_hits_total",
-                               "packets served from an existing pin");
+  conn_table_hits_ = registry.counter("silkroad_slb_conn_table_hits_total",
+                                      "packets served from an existing pin");
 }
 
 PacketResult SoftwareLoadBalancer::process_packet(const net::Packet& packet) {

@@ -14,7 +14,6 @@
 #include "lb/load_balancer.h"
 #include "lb/maglev.h"
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "sim/distributions.h"
 #include "sim/random.h"
 
@@ -60,10 +59,9 @@ class SoftwareLoadBalancer : public LoadBalancer {
   const Config& config() const noexcept { return config_; }
 
   /// Optional telemetry: registers the SLB's packet-path counters
-  /// (silkroad_slb_*) in `registry`. Sharded — the SLB's per-packet path is
-  /// explicitly multi-threaded (worker threads share one instance), so these
-  /// bumps must not contend. Call before traffic; the registry must outlive
-  /// the balancer.
+  /// (silkroad_slb_*) in `registry`. The counters are atomic, so worker
+  /// threads sharing one instance may bump them. Call before traffic; the
+  /// registry must outlive the balancer.
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -86,11 +84,11 @@ class SoftwareLoadBalancer : public LoadBalancer {
   std::unordered_map<net::FiveTuple, net::Endpoint, net::FiveTupleHash>
       conn_table_ SR_GUARDED_BY(mu_);
   MappingRiskCallback risk_cb_;
-  /// Null until bind_metrics(); sharded, so bumps take no lock and the
+  /// Null until bind_metrics(); atomic, so bumps take no lock and the
   /// handles may be used while mu_ is held without ordering concerns.
-  obs::ShardedCounter* packets_ = nullptr;
-  obs::ShardedCounter* new_conns_ = nullptr;
-  obs::ShardedCounter* conn_table_hits_ = nullptr;
+  obs::Counter* packets_ = nullptr;
+  obs::Counter* new_conns_ = nullptr;
+  obs::Counter* conn_table_hits_ = nullptr;
 };
 
 }  // namespace silkroad::lb

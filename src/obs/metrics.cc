@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "check/sr_check.h"
-#include "obs/sharded.h"
 
 namespace silkroad::obs {
 
@@ -18,7 +17,7 @@ const char* to_string(MetricKind kind) noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// HDR bucket geometry (shared by Histogram and ShardedHistogram)
+// HDR bucket geometry
 // ---------------------------------------------------------------------------
 
 std::size_t hdr_bucket_count(unsigned log2_sub) noexcept {
@@ -53,21 +52,12 @@ std::uint64_t hdr_bucket_lower_bound(std::size_t index,
 
 Histogram::Histogram(const Options& options)
     : log2_sub_(std::min(options.log2_subdivisions, 6u)),
-      buckets_(hdr_bucket_count(log2_sub_)) {}
-
-std::size_t Histogram::bucket_index(std::uint64_t value) const noexcept {
-  return hdr_bucket_index(value, log2_sub_);
-}
-
-std::uint64_t Histogram::bucket_lower_bound(std::size_t index) const noexcept {
-  return hdr_bucket_lower_bound(index, log2_sub_);
-}
+      bucket_count_(hdr_bucket_count(log2_sub_)),
+      buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(bucket_count_)) {}
 
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
-  for (const auto& bucket : buckets_) {
-    total += bucket.load(std::memory_order_relaxed);
-  }
+  for (std::size_t i = 0; i < bucket_count_; ++i) total += bucket_value(i);
   return total;
 }
 
@@ -132,11 +122,6 @@ double Snapshot::quantile(const std::string& name, const std::string& labels,
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-// Out of line: Series holds unique_ptrs to the sharded types, which metrics.h
-// only forward-declares (sharded.h includes metrics.h, not the reverse).
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricsRegistry::Series* MetricsRegistry::find_or_create(
     const std::string& name, const std::string& labels,
     const std::string& help, MetricKind kind) {
@@ -161,12 +146,7 @@ Counter* MetricsRegistry::counter(const std::string& name,
                                   const std::string& help,
                                   const std::string& labels) {
   const sr::MutexLock lock(mu_);
-  Series* series = find_or_create(name, labels, help, MetricKind::kCounter);
-  SR_CHECKF(!series->sharded_counter,
-            "metric %s{%s} exists as a sharded counter; use sharded_counter()",
-            name.c_str(), labels.c_str());
-  series->plain_counter = true;
-  return &series->counter;
+  return &find_or_create(name, labels, help, MetricKind::kCounter)->counter;
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, const std::string& help,
@@ -181,42 +161,10 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const Histogram::Options& options) {
   const sr::MutexLock lock(mu_);
   Series* series = find_or_create(name, labels, help, MetricKind::kHistogram);
-  SR_CHECKF(
-      !series->sharded_histogram,
-      "metric %s{%s} exists as a sharded histogram; use sharded_histogram()",
-      name.c_str(), labels.c_str());
   if (!series->histogram) {
     series->histogram = std::make_unique<Histogram>(options);
   }
   return series->histogram.get();
-}
-
-ShardedCounter* MetricsRegistry::sharded_counter(const std::string& name,
-                                                 const std::string& help,
-                                                 const std::string& labels) {
-  const sr::MutexLock lock(mu_);
-  Series* series = find_or_create(name, labels, help, MetricKind::kCounter);
-  if (!series->sharded_counter) {
-    SR_CHECKF(!series->plain_counter && !series->callback,
-              "metric %s{%s} already registered as a plain counter",
-              name.c_str(), labels.c_str());
-    series->sharded_counter = std::make_unique<ShardedCounter>();
-  }
-  return series->sharded_counter.get();
-}
-
-ShardedHistogram* MetricsRegistry::sharded_histogram(
-    const std::string& name, const std::string& help,
-    const std::string& labels, const Histogram::Options& options) {
-  const sr::MutexLock lock(mu_);
-  Series* series = find_or_create(name, labels, help, MetricKind::kHistogram);
-  if (!series->sharded_histogram) {
-    SR_CHECKF(!series->histogram,
-              "metric %s{%s} already registered as a plain histogram",
-              name.c_str(), labels.c_str());
-    series->sharded_histogram = std::make_unique<ShardedHistogram>(options);
-  }
-  return series->sharded_histogram.get();
 }
 
 void MetricsRegistry::register_callback(const std::string& name,
@@ -237,10 +185,8 @@ std::size_t MetricsRegistry::series_count() const {
 
 namespace {
 
-/// Renders a histogram (plain or sharded — identical aggregated API) into a
-/// sample's cumulative bucket list.
-template <typename H>
-void render_histogram(const H& hist, MetricSample& sample) {
+/// Renders a histogram into a sample's cumulative bucket list.
+void render_histogram(const Histogram& hist, MetricSample& sample) {
   std::uint64_t cumulative = 0;
   for (std::size_t i = 0; i < hist.bucket_count(); ++i) {
     const std::uint64_t n = hist.bucket_value(i);
@@ -279,14 +225,10 @@ Snapshot MetricsRegistry::snapshot() const {
       sample.kind = series.kind;
       if (series.callback) {
         sample.value = series.callback();
-      } else if (series.sharded_counter) {
-        sample.value = static_cast<double>(series.sharded_counter->value());
       } else if (series.kind == MetricKind::kCounter) {
         sample.value = static_cast<double>(series.counter.value());
       } else if (series.kind == MetricKind::kGauge) {
         sample.value = series.gauge.value();
-      } else if (series.sharded_histogram) {
-        render_histogram(*series.sharded_histogram, sample);
       } else if (series.histogram) {
         render_histogram(*series.histogram, sample);
       }

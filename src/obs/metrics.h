@@ -37,13 +37,10 @@ enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 const char* to_string(MetricKind kind) noexcept;
 
-class ShardedCounter;    // sharded.h
-class ShardedHistogram;  // sharded.h
-
-/// Shared log-linear (HdrHistogram-style) bucket geometry used by both
-/// Histogram and ShardedHistogram: values below 2^(log2_sub+1) get exact
-/// unit buckets; each higher power-of-two range [2^e, 2^(e+1)) is split into
-/// 2^log2_sub linear buckets, covering the full 64-bit range.
+/// Log-linear (HdrHistogram-style) bucket geometry of Histogram: values
+/// below 2^(log2_sub+1) get exact unit buckets; each higher power-of-two
+/// range [2^e, 2^(e+1)) is split into 2^log2_sub linear buckets, covering the
+/// full 64-bit range.
 std::size_t hdr_bucket_count(unsigned log2_subdivisions) noexcept;
 /// Bucket holding `value`.
 std::size_t hdr_bucket_index(std::uint64_t value,
@@ -53,7 +50,8 @@ std::size_t hdr_bucket_index(std::uint64_t value,
 std::uint64_t hdr_bucket_lower_bound(std::size_t index,
                                      unsigned log2_subdivisions) noexcept;
 
-/// Monotone event count. Increments are relaxed atomics: cheap, thread-safe,
+/// Monotone event count. Increments are relaxed atomics: cheap, correct from
+/// any thread (a scrape thread may read while the simulation thread bumps),
 /// and wrap modulo 2^64.
 class Counter {
  public:
@@ -90,7 +88,7 @@ class Gauge {
 /// each power-of-two range is subdivided into 2^log2_subdivisions linear
 /// buckets, giving a bounded relative error of 1/subdivisions across the
 /// whole 64-bit range with ~256 buckets. record() is branch-light bit
-/// arithmetic plus one relaxed atomic add.
+/// arithmetic plus two relaxed atomic adds (bucket and sum).
 class Histogram {
  public:
   struct Options {
@@ -109,11 +107,15 @@ class Histogram {
   /// Bucket holding `value`. Values below the subdivision count get exact
   /// unit buckets; above, the index combines the exponent with the top
   /// `log2_subdivisions` mantissa bits.
-  std::size_t bucket_index(std::uint64_t value) const noexcept;
+  std::size_t bucket_index(std::uint64_t value) const noexcept {
+    return hdr_bucket_index(value, log2_sub_);
+  }
   /// Smallest value mapping to bucket `index` (inclusive). The bucket covers
   /// [lower_bound(i), lower_bound(i+1)).
-  std::uint64_t bucket_lower_bound(std::size_t index) const noexcept;
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
+  std::uint64_t bucket_lower_bound(std::size_t index) const noexcept {
+    return hdr_bucket_lower_bound(index, log2_sub_);
+  }
+  std::size_t bucket_count() const noexcept { return bucket_count_; }
   std::uint64_t bucket_value(std::size_t index) const noexcept {
     return buckets_[index].load(std::memory_order_relaxed);
   }
@@ -125,7 +127,8 @@ class Histogram {
 
  private:
   unsigned log2_sub_;
-  std::deque<std::atomic<std::uint64_t>> buckets_;
+  std::size_t bucket_count_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> sum_{0};
 };
 
@@ -174,8 +177,7 @@ struct Snapshot {
 
 class MetricsRegistry {
  public:
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -189,19 +191,6 @@ class MetricsRegistry {
   Histogram* histogram(const std::string& name, const std::string& help = "",
                        const std::string& labels = "",
                        const Histogram::Options& options = {});
-
-  /// Sharded hot-path variants (sharded.h, DESIGN.md §14): same (name,
-  /// labels) identity and snapshot rendering as the plain kinds, but bumps
-  /// cost one uncontended relaxed add with no shared cache line. A series is
-  /// either plain or sharded for its whole life — requesting the other
-  /// flavor for an existing pair SR_CHECK-fails.
-  ShardedCounter* sharded_counter(const std::string& name,
-                                  const std::string& help = "",
-                                  const std::string& labels = "");
-  ShardedHistogram* sharded_histogram(const std::string& name,
-                                      const std::string& help = "",
-                                      const std::string& labels = "",
-                                      const Histogram::Options& options = {});
 
   /// Registers a pull metric: `fn` is evaluated at snapshot() time. Use for
   /// values another structure already maintains (table occupancy, queue
@@ -231,13 +220,6 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     std::unique_ptr<Histogram> histogram;
-    /// Sharded flavors (mutually exclusive with the plain ones above);
-    /// `plain_counter` records that counter() already handed out &counter so
-    /// a later sharded_counter() call on the same pair fails loudly instead
-    /// of silently forking the series.
-    std::unique_ptr<ShardedCounter> sharded_counter;
-    std::unique_ptr<ShardedHistogram> sharded_histogram;
-    bool plain_counter = false;
     std::function<double()> callback;
   };
 

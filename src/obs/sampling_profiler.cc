@@ -17,18 +17,18 @@ SamplingProfiler::SamplingProfiler(MetricsRegistry& registry,
   for (const std::string& name : stage_names) {
     const std::string label = "stage=\"" + name + "\"";
     Stage stage;
-    stage.latency = registry_.sharded_histogram(
+    stage.latency = registry_.histogram(
         prefix_ + "_stage_latency_ns",
         "sampled per-packet latency at the stage, ns", label,
         histogram_options_);
-    stage.reentries = registry_.sharded_counter(
+    stage.reentries = registry_.counter(
         prefix_ + "_profiler_reentry_total",
         "nested enter() on an already-open stage scope (double-accounting "
         "avoided and counted here)",
         label);
     stages_.push_back(stage);
   }
-  sampled_packets_ = registry_.sharded_counter(
+  sampled_packets_ = registry_.counter(
       prefix_ + "_sampled_packets_total",
       "packets selected by the deterministic 1-in-N sampler");
   countdown_ = next_gap();

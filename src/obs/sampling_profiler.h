@@ -1,25 +1,23 @@
 // Deterministic 1-in-N packet latency profiler (DESIGN.md §14).
 //
-// The StageProfiler charges every packet; on a hot data path that always-on
-// cost is exactly the overhead this layer exists to avoid. SamplingProfiler
-// instead samples roughly one packet in `period`: begin_packet() is a single
-// non-atomic countdown decrement on the fast path, and only a sampled packet
-// pays for stage bookkeeping and histogram records. The gap between samples
-// is drawn uniformly from [1, 2*period) out of a seeded sim::Rng, so the
-// mean sampling rate is 1/period, periodic traffic patterns cannot alias
-// with the sampler, and two runs with the same seed sample the exact same
-// packet indices — determinism is a first-class property (tested).
+// Timing every packet is exactly the overhead a hot-path telemetry layer exists
+// to avoid, so SamplingProfiler samples roughly one packet in `period`:
+// begin_packet() is a single non-atomic countdown decrement on the fast path,
+// and only a sampled packet pays for stage bookkeeping and histogram records.
+// The gap between samples is drawn uniformly from [1, 2*period) out of a seeded
+// sim::Rng, so the mean sampling rate is 1/period, periodic traffic patterns
+// cannot alias with the sampler, and two runs with the same seed sample the
+// exact same packet indices — determinism is a first-class property (tested).
 //
 // Sampled latencies land in log-scaled HDR-style histograms
-// (`<prefix>_stage_latency_ns{stage="<name>"}`, sharded) plus optional
-// per-VIP histograms from vip_series(); /profile renders their
-// p50/p99/p999. Stage scopes carry the same re-entry guard as StageProfiler:
-// a nested enter() bumps `<prefix>_profiler_reentry_total{stage=...}` and is
-// ignored.
+// (`<prefix>_stage_latency_ns{stage="<name>"}`) plus optional per-VIP
+// histograms from vip_series(); /profile renders their p50/p99/p999. Stage
+// scopes carry a re-entry guard: a nested enter() bumps
+// `<prefix>_profiler_reentry_total{stage=...}` and is ignored.
 //
 // Thread model: one SamplingProfiler instance belongs to one data-plane
 // thread (the countdown and open flags are plain fields); the registry
-// series it writes are sharded/atomic and safe to scrape from any thread.
+// series it writes are atomic and safe to scrape from any thread.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 #include "sim/random.h"
 
 namespace silkroad::obs {
@@ -93,9 +90,8 @@ class SamplingProfiler {
   }
 
   /// Per-VIP sampled-latency histogram (`<prefix>_vip_latency_ns{vip=...}`),
-  /// registered on first use. Plain (unsharded) on purpose: it is written at
-  /// the sampling rate, not per packet. Call at VIP-add time and cache the
-  /// handle; record into it only when sampling().
+  /// registered on first use. Call at VIP-add time and cache the handle;
+  /// record into it only when sampling().
   Histogram* vip_series(const std::string& vip);
 
   std::uint64_t period() const noexcept { return period_; }
@@ -105,8 +101,8 @@ class SamplingProfiler {
 
  private:
   struct Stage {
-    ShardedHistogram* latency = nullptr;
-    ShardedCounter* reentries = nullptr;
+    Histogram* latency = nullptr;
+    Counter* reentries = nullptr;
     bool open = false;
   };
 
@@ -123,7 +119,7 @@ class SamplingProfiler {
   std::uint64_t countdown_ = 1;
   bool sampling_ = false;
   std::vector<Stage> stages_;
-  ShardedCounter* sampled_packets_ = nullptr;
+  Counter* sampled_packets_ = nullptr;
 };
 
 }  // namespace silkroad::obs

@@ -8,21 +8,16 @@ StageProfiler::StageProfiler(MetricsRegistry& registry,
   for (std::size_t i = 0; i < stages; ++i) {
     const std::string label = "stage=\"" + std::to_string(i) + "\"";
     Stage stage;
-    stage.packets =
-        registry.sharded_counter(prefix + "_stage_packets_total",
-                                 "packets examined by the stage", label);
-    stage.hits = registry.sharded_counter(prefix + "_stage_hits_total",
-                                          "table hits at the stage", label);
-    stage.misses = registry.sharded_counter(prefix + "_stage_misses_total",
-                                            "table misses at the stage", label);
-    stage.latency_ns = registry.sharded_counter(
-        prefix + "_stage_latency_ns_total",
-        "modeled processing latency charged to the stage", label);
-    stage.reentries = registry.sharded_counter(
-        prefix + "_profiler_reentry_total",
-        "nested enter() on an already-open stage scope (double-accounting "
-        "avoided and counted here)",
-        label);
+    stage.hits = registry.counter(prefix + "_stage_hits_total",
+                                  "table hits at the stage", label);
+    stage.misses = registry.counter(prefix + "_stage_misses_total",
+                                    "table misses at the stage", label);
+    registry.register_callback(
+        prefix + "_stage_packets_total", MetricKind::kCounter,
+        [hits = stage.hits, misses = stage.misses] {
+          return static_cast<double>(hits->value() + misses->value());
+        },
+        "packets examined by the stage", label);
     stages_.push_back(stage);
   }
 }

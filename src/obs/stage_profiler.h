@@ -1,87 +1,46 @@
-// Per-pipeline-stage profiling hooks (DESIGN.md §9).
+// Per-pipeline-stage lookup counters (DESIGN.md §9).
 //
-// A PISA pipeline's cost structure is per-stage: each stage sees every
-// packet, matches or misses its tables, and contributes a fixed slice of the
-// pipeline latency. The profiler materializes that as labeled registry
-// series — `<prefix>_stage_packets_total{stage="2"}` etc. — so a snapshot
-// answers "which stage is the bottleneck" directly. Handles are resolved
-// once at construction; the per-event cost is one sharded counter increment
-// (these series sit on the per-lookup data path, so they use ShardedCounter —
-// DESIGN.md §14).
-//
-// Timing scopes: enter()/exit() bracket a stage's latency charge. A nested
-// enter() on an already-open stage would double-charge the stage sum, so it
-// is counted in `<prefix>_profiler_reentry_total{stage="i"}` and ignored —
-// the open scope keeps its single charge. The open flags are plain bools:
-// a StageProfiler instance's scopes belong to one data-plane thread at a
-// time (the counters underneath remain thread-safe).
+// A PISA pipeline's cost structure is per-stage: a ConnTable lookup walks the
+// stages in order and the first stage whose table matches wins. The profiler
+// materializes that as labeled registry series —
+// `<prefix>_stage_hits_total{stage="2"}`, `<prefix>_stage_misses_total`, and
+// `<prefix>_stage_packets_total` (hits + misses, derived at snapshot time) —
+// so a snapshot answers "which stage serves the traffic" directly. Handles
+// are resolved once at construction; recording a lookup costs one counter
+// increment per stage the packet reached.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/sharded.h"
 
 namespace silkroad::obs {
 
 class StageProfiler {
  public:
-  /// Registers packets/hits/misses/latency series for `stages` stages under
-  /// `prefix` (e.g. "silkroad_conn_table") in `registry`.
+  /// Registers hits/misses/packets series for `stages` stages under `prefix`
+  /// (e.g. "silkroad_conn_table") in `registry`.
   StageProfiler(MetricsRegistry& registry, const std::string& prefix,
                 std::size_t stages);
 
   std::size_t stages() const noexcept { return stages_.size(); }
 
-  /// One lookup probe at `stage`: the stage examined the packet and hit or
-  /// missed its table.
-  void record_lookup(std::size_t stage, bool hit) noexcept {
-    if (stage >= stages_.size()) return;
-    stages_[stage].packets->inc();
-    (hit ? stages_[stage].hits : stages_[stage].misses)->inc();
-  }
-
-  /// Modeled processing latency charged to `stage`, in nanoseconds.
-  void add_latency(std::size_t stage, std::uint64_t ns) noexcept {
-    if (stage >= stages_.size()) return;
-    stages_[stage].latency_ns->inc(ns);
-  }
-
-  /// Opens a timing scope on `stage`. Returns false — and bumps the
-  /// re-entry counter — when the stage is already open (nested enter without
-  /// exit), so a buggy caller skews a diagnostic counter instead of the
-  /// stage sums.
-  bool enter(std::size_t stage) noexcept {
-    if (stage >= stages_.size()) return false;
-    Stage& s = stages_[stage];
-    if (s.open) {
-      s.reentries->inc();
-      return false;
-    }
-    s.open = true;
-    return true;
-  }
-
-  /// Closes the scope opened by enter() and charges `ns` to the stage.
-  /// An exit without a matching open scope is ignored.
-  void exit(std::size_t stage, std::uint64_t ns) noexcept {
-    if (stage >= stages_.size()) return;
-    Stage& s = stages_[stage];
-    if (!s.open) return;
-    s.open = false;
-    s.latency_ns->inc(ns);
+  /// One data-plane lookup that first matched at `hit_stage`: every earlier
+  /// stage examined the packet and missed. A `hit_stage` of stages() or more
+  /// is a full miss — every stage missed.
+  void record_lookup(std::size_t hit_stage) noexcept {
+    const std::size_t missed = std::min(hit_stage, stages_.size());
+    for (std::size_t i = 0; i < missed; ++i) stages_[i].misses->inc();
+    if (hit_stage < stages_.size()) stages_[hit_stage].hits->inc();
   }
 
  private:
   struct Stage {
-    ShardedCounter* packets = nullptr;
-    ShardedCounter* hits = nullptr;
-    ShardedCounter* misses = nullptr;
-    ShardedCounter* latency_ns = nullptr;
-    ShardedCounter* reentries = nullptr;
-    bool open = false;
+    Counter* hits = nullptr;
+    Counter* misses = nullptr;
   };
   std::vector<Stage> stages_;
 };

@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/sampling_profiler.h"
 #include "obs/scrape_server.h"
-#include "obs/sharded.h"
 #include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -166,6 +165,30 @@ TEST(Histogram, CountAndSumTrackRecords) {
   ASSERT_FALSE(sample->buckets.empty());
   // Buckets are cumulative: the last non-empty bucket holds the full count.
   EXPECT_EQ(sample->buckets.back().cumulative_count, 3u);
+}
+
+TEST(Histogram, ConcurrentRecordsAreLossless) {
+  MetricsRegistry registry;
+  Histogram* h = registry.histogram("lat");
+  std::vector<std::thread> threads;
+  constexpr std::uint64_t kPerThread = 20'000;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([h, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        h->record(static_cast<std::uint64_t>(t) * 1000 + 7);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(h->count(), 8 * kPerThread);
+  std::uint64_t expected_sum = 0;
+  for (int t = 0; t < 8; ++t) {
+    const std::uint64_t v = static_cast<std::uint64_t>(t) * 1000 + 7;
+    expected_sum += v * kPerThread;
+    // Each thread's value has a bucket of its own.
+    EXPECT_EQ(h->bucket_value(h->bucket_index(v)), kPerThread) << "value " << v;
+  }
+  EXPECT_EQ(h->sum(), expected_sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,6 +901,22 @@ TEST(SwitchTelemetry, LegacyStatsViewMatchesRegistryExactly) {
   const MetricSample* latency = snap.find("silkroad_packet_latency_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, stats.packets);
+
+  // Per-stage ConnTable counters count data-plane lookups only: with no
+  // meter attached every packet does exactly one lookup, which stage 0
+  // always examines (the CPU's insertion-time lookups are not packets).
+  EXPECT_EQ(snap.value_of("silkroad_conn_table_stage_packets_total",
+                          "stage=\"0\""),
+            snap.value_of("silkroad_packets_total"));
+  for (std::size_t stage = 0; stage < small_config().conn_table.stages;
+       ++stage) {
+    const std::string label = "stage=\"" + std::to_string(stage) + "\"";
+    EXPECT_EQ(
+        snap.value_of("silkroad_conn_table_stage_packets_total", label),
+        snap.value_of("silkroad_conn_table_stage_hits_total", label) +
+            snap.value_of("silkroad_conn_table_stage_misses_total", label))
+        << label;
+  }
 }
 
 TEST(SwitchTelemetry, RecorderCapturesInsertLatencyTailUnderChurn) {
@@ -941,82 +980,6 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
   EXPECT_GT(sw.trace().dropped(), 0u);
   EXPECT_EQ(sw.metrics().snapshot().value_of("obs_trace_dropped_total"),
             static_cast<double>(sw.trace().dropped()));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded counters and histograms (DESIGN.md §14)
-// ---------------------------------------------------------------------------
-
-TEST(ShardedCounter, MultithreadedSumIsExact) {
-  MetricsRegistry registry;
-  ShardedCounter* c = registry.sharded_counter("pkts");
-  std::vector<std::thread> threads;
-  constexpr std::uint64_t kPerThread = 50'000;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([c] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c->inc();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(c->value(), 8 * kPerThread);
-  // Snapshot renders it as a plain counter sample — scrapers cannot tell.
-  const Snapshot snap = registry.snapshot();
-  const MetricSample* sample = snap.find("pkts");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->kind, MetricKind::kCounter);
-  EXPECT_EQ(sample->value, static_cast<double>(8 * kPerThread));
-}
-
-TEST(ShardedCounter, RegistryReturnsSameHandleForSameSeries) {
-  MetricsRegistry registry;
-  ShardedCounter* a = registry.sharded_counter("pkts", "help", "vip=\"v\"");
-  ShardedCounter* b = registry.sharded_counter("pkts", "", "vip=\"v\"");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, registry.sharded_counter("pkts", "", "vip=\"w\""));
-}
-
-TEST(ShardedHistogram, MatchesPlainHistogramBucketForBucket) {
-  MetricsRegistry registry;
-  Histogram* plain = registry.histogram("plain_lat");
-  ShardedHistogram* sharded = registry.sharded_histogram("sharded_lat");
-  sim::Rng rng(42);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t v = rng.uniform_int(1'000'000);
-    plain->record(v);
-    sharded->record(v);
-  }
-  ASSERT_EQ(sharded->bucket_count(), plain->bucket_count());
-  EXPECT_EQ(sharded->count(), plain->count());
-  EXPECT_EQ(sharded->sum(), plain->sum());
-  for (std::size_t b = 0; b < plain->bucket_count(); ++b) {
-    EXPECT_EQ(sharded->bucket_value(b), plain->bucket_value(b)) << "b=" << b;
-    EXPECT_EQ(sharded->bucket_lower_bound(b), plain->bucket_lower_bound(b));
-  }
-  // Identical buckets mean identical snapshot quantiles.
-  const Snapshot snap = registry.snapshot();
-  EXPECT_DOUBLE_EQ(snap.quantile("plain_lat", "", 0.99),
-                   snap.quantile("sharded_lat", "", 0.99));
-}
-
-TEST(ShardedHistogram, ConcurrentRecordsAreLossless) {
-  MetricsRegistry registry;
-  ShardedHistogram* h = registry.sharded_histogram("lat");
-  std::vector<std::thread> threads;
-  constexpr std::uint64_t kPerThread = 20'000;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([h, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h->record(static_cast<std::uint64_t>(t) * 1000 + 7);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(h->count(), 8 * kPerThread);
-  std::uint64_t expected_sum = 0;
-  for (int t = 0; t < 8; ++t) {
-    expected_sum += (static_cast<std::uint64_t>(t) * 1000 + 7) * kPerThread;
-  }
-  EXPECT_EQ(h->sum(), expected_sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -1095,19 +1058,27 @@ TEST(SamplingProfiler, StagesAndVipSeriesAreNoOpsWhenNotSampling) {
   EXPECT_EQ(snap.find("p_vip_latency_ns", "vip=\"10.0.0.1:80\"")->count, 0u);
 }
 
-TEST(StageProfiler, EnterExitGuardsReentry) {
+TEST(StageProfiler, HitStageMissesEveryEarlierStage) {
   MetricsRegistry registry;
-  StageProfiler profiler(registry, "sp", 2);
-  EXPECT_TRUE(profiler.enter(0));
-  EXPECT_FALSE(profiler.enter(0));  // re-entry: counted, scope stays open
-  EXPECT_TRUE(profiler.enter(1));   // other stages are independent
-  profiler.exit(0, 100);
-  profiler.exit(1, 50);
-  profiler.exit(0, 100);  // unmatched — ignored
+  StageProfiler profiler(registry, "sp", 3);
+  profiler.record_lookup(0);
+  profiler.record_lookup(2);
+  profiler.record_lookup(profiler.stages());  // full miss
   const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value_of("sp_stage_latency_ns_total", "stage=\"0\""), 100.0);
-  EXPECT_EQ(snap.value_of("sp_profiler_reentry_total", "stage=\"0\""), 1.0);
-  EXPECT_EQ(snap.value_of("sp_profiler_reentry_total", "stage=\"1\""), 0.0);
+  const auto value = [&snap](const char* series, int stage) {
+    return snap.value_of(std::string("sp_stage_") + series + "_total",
+                         "stage=\"" + std::to_string(stage) + "\"");
+  };
+  EXPECT_EQ(value("hits", 0), 1.0);
+  EXPECT_EQ(value("misses", 0), 2.0);
+  EXPECT_EQ(value("hits", 1), 0.0);
+  EXPECT_EQ(value("misses", 1), 2.0);
+  EXPECT_EQ(value("hits", 2), 1.0);
+  EXPECT_EQ(value("misses", 2), 1.0);
+  // Packets are derived, never bumped: hits + misses at snapshot time.
+  EXPECT_EQ(value("packets", 0), 3.0);
+  EXPECT_EQ(value("packets", 1), 2.0);
+  EXPECT_EQ(value("packets", 2), 2.0);
 }
 
 // ---------------------------------------------------------------------------

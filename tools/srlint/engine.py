@@ -111,7 +111,7 @@ def collect_suppressions(
                     comment.line,
                     "S1",
                     f"suppression names unknown rule(s) "
-                    f"{unknown or ['<none>']} — known: sorted R1..R14",
+                    f"{unknown or ['<none>']} — known: R1..R10, R12..R14",
                 )
             )
             continue

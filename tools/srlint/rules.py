@@ -40,14 +40,9 @@ R10 no iteration over an unordered container that feeds control-channel
                                       — unordered iteration order is
                                       implementation-defined; snapshot and
                                       sort first (see fleet.cc apply_resync).
-R11 no plain registry.counter()/histogram() in src/lb/ or src/asic/ — those
-                                      directories hold the packet path, where
-                                      every bump contends on one cache line;
-                                      use sharded_counter()/sharded_histogram()
-                                      (DESIGN.md §14). Control-plane metrics
-                                      in those directories carry an
-                                      `srlint: allow(R11)` suppression or an
-                                      exemptions.json entry.
+R11 retired — it required striped counters on the packet path, which the
+                                      single-writer simulator no longer has;
+                                      the id is not reused.
 R12 no ad-hoc SRAM byte aggregation in src/ outside the capacity
                                       single-sources — folding sram_bytes()/
                                       bits_to_bytes()/..._table_bytes() results
@@ -527,43 +522,6 @@ def _first_sink(toks: list, start: int, end: int) -> str | None:
     return None
 
 
-# --- R11 --------------------------------------------------------------------
-
-# Registry factory methods whose product is a single contended cache line.
-# The sharded variants (sharded_counter, sharded_histogram) are distinct
-# identifiers and never match; `gauge` stays plain by design (CAS add is
-# rare on the packet path).
-_R11_FACTORIES = {"counter", "histogram"}
-
-
-def check_r11(model: FileModel) -> list[Violation]:
-    if _src_sub(model) not in ("lb", "asic"):
-        return []
-    out = []
-    toks = model.tokens
-    for i, t in enumerate(toks):
-        if (
-            t.kind == "ident"
-            and t.value in _R11_FACTORIES
-            and i > 0
-            and toks[i - 1].value in (".", "->")
-            and i + 1 < len(toks)
-            and toks[i + 1].value == "("
-        ):
-            out.append(
-                Violation(
-                    model.rel,
-                    t.line,
-                    "R11",
-                    f"plain registry {t.value}() on the packet path — use "
-                    f"sharded_{t.value}() (DESIGN.md §14) so per-packet bumps "
-                    "stripe across cache lines; control-plane metrics may "
-                    "suppress with 'srlint: allow(R11) <reason>'",
-                )
-            )
-    return out
-
-
 # --- R12 --------------------------------------------------------------------
 
 # Functions whose return value is an SRAM byte count. Summing or scaling
@@ -792,7 +750,6 @@ RULES: list[Rule] = [
     Rule("R8", "no wall-clock/getenv nondeterminism in src/ outside src/sim/", check_r8),
     Rule("R9", "no bare std::mutex family in src/ (use sr:: wrappers)", check_r9),
     Rule("R10", "no unordered iteration feeding channel/protocol calls", check_r10),
-    Rule("R11", "no plain counter()/histogram() in src/lb|asic (use sharded)", check_r11),
     Rule("R12", "no ad-hoc SRAM byte aggregation outside capacity sources", check_r12),
     Rule("R13", "no direct resync-machinery invocation outside the channel", check_r13),
     Rule("R14", "no ad-hoc membership-digest hashing in src/deploy|obs", check_r14),
