@@ -9,6 +9,7 @@ perf- or model-regression cannot land silently.
 Usage:
   scripts/bench_gate.py --candidate-dir /tmp/bench_out
   scripts/bench_gate.py --candidate-dir /tmp/bench_out --baseline-dir bench/baselines
+  scripts/bench_gate.py --exact --candidate-dir /tmp/bench_out
   scripts/bench_gate.py --self-test
 
 Comparison rule per metric:
@@ -20,6 +21,12 @@ Tolerances come from <baseline-dir>/tolerances.json:
     "default_abs_tol": 1e-9,
     "overrides": { "<bench>.<metric>": {"rel_tol": 0.2, "abs_tol": 1.0} }
   }
+--exact replaces default_rel_tol with EXACT_REL_TOL (1e-9) for every metric
+without an override, so a change meant to keep the seeded model bit-identical
+can prove it; overridden metrics (timing ratios, fault-exercise counters) keep
+their bands. CI keeps the tolerant default: the committed baselines come from
+another machine, and libm or compiler differences may move a last digit.
+
 Override keys are "<bench>.<metric>" where <bench> is the BENCH_<bench>.json
 stem and <metric> the sample name (labels are appended as {labels} when
 present). Missing benches or metrics on either side fail the gate: a deleted
@@ -47,6 +54,10 @@ import sys
 from pathlib import Path
 
 DEFAULT_BASELINE_DIR = Path(__file__).resolve().parent.parent / "bench" / "baselines"
+
+# Relative tolerance of a metric without an override under --exact: room for
+# the last bits of a floating-point value, nothing more.
+EXACT_REL_TOL = 1e-9
 
 # Benches that intentionally have no committed baseline. Every bench target in
 # bench/CMakeLists.txt must either have a BENCH_<name>.json baseline or an
@@ -103,17 +114,19 @@ def check_coverage(baseline_dir: Path) -> int:
     return failures
 
 
+def sample_key(sample: dict) -> str:
+    """A sample's metric key: its name, plus {labels} when it has any."""
+    key = sample["name"]
+    if sample.get("labels"):
+        key += "{" + sample["labels"] + "}"
+    return key
+
+
 def load_bench_json(path: Path) -> dict[str, float]:
     """Parses one BENCH_*.json into {metric_key: value}."""
     with path.open() as f:
         doc = json.load(f)
-    metrics = {}
-    for sample in doc.get("metrics", []):
-        key = sample["name"]
-        if sample.get("labels"):
-            key += "{" + sample["labels"] + "}"
-        metrics[key] = float(sample["value"])
-    return metrics
+    return {sample_key(s): float(s["value"]) for s in doc.get("metrics", [])}
 
 
 def load_tolerances(baseline_dir: Path) -> dict:
@@ -124,14 +137,18 @@ def load_tolerances(baseline_dir: Path) -> dict:
         return json.load(f)
 
 
-def tolerance_for(tolerances: dict, bench: str, metric: str) -> tuple[float, float]:
+def tolerance_for(tolerances: dict, bench: str, metric: str,
+                  exact: bool = False) -> tuple[float, float]:
     override = tolerances.get("overrides", {}).get(f"{bench}.{metric}", {})
-    rel = override.get("rel_tol", tolerances.get("default_rel_tol", 0.05))
+    default_rel = (EXACT_REL_TOL if exact
+                   else tolerances.get("default_rel_tol", 0.05))
+    rel = override.get("rel_tol", default_rel)
     abs_ = override.get("abs_tol", tolerances.get("default_abs_tol", 1e-9))
     return float(rel), float(abs_)
 
 
-def compare(baseline_dir: Path, candidate_dir: Path) -> int:
+def compare(baseline_dir: Path, candidate_dir: Path,
+            exact: bool = False) -> int:
     """Returns the number of failures; prints a verdict per metric drift."""
     tolerances = load_tolerances(baseline_dir)
     baseline_files = sorted(baseline_dir.glob("BENCH_*.json"))
@@ -168,7 +185,7 @@ def compare(baseline_dir: Path, candidate_dir: Path) -> int:
                 failures += 1
                 continue
             cand_value = cand[metric]
-            rel, abs_ = tolerance_for(tolerances, bench, metric)
+            rel, abs_ = tolerance_for(tolerances, bench, metric, exact)
             budget = abs_ + rel * abs(base_value)
             drift = abs(cand_value - base_value)
             if math.isnan(cand_value) or drift > budget:
@@ -182,8 +199,9 @@ def compare(baseline_dir: Path, candidate_dir: Path) -> int:
             print(f"NOTE {bench}.{metric}: in candidate but not baseline — "
                   f"re-record baselines to start gating it")
 
+    mode = " (exact)" if exact else ""
     print(f"bench_gate: {checked} metrics checked across "
-          f"{len(baseline_files)} benches, {failures} failure(s)")
+          f"{len(baseline_files)} benches{mode}, {failures} failure(s)")
     return failures
 
 
@@ -228,6 +246,36 @@ def self_test(baseline_dir: Path, tmp_root: Path) -> int:
         print("bench_gate --self-test: FAILED (perturbation not caught)",
               file=sys.stderr)
         return 1
+
+    # --exact: nudging every metric without an override by 1e-6 stays far
+    # inside the 5% default band but far outside EXACT_REL_TOL.
+    overrides = load_tolerances(baseline_dir).get("overrides", {})
+    nudged = tmp_root / "nudged"
+    if nudged.exists():
+        shutil.rmtree(nudged)
+    nudged.mkdir(parents=True)
+    for path in baseline_files:
+        doc = json.loads(path.read_text())
+        bench = path.stem.removeprefix("BENCH_")
+        for sample in doc.get("metrics", []):
+            if f"{bench}.{sample_key(sample)}" not in overrides:
+                sample["value"] = float(sample["value"]) * (1 + 1e-6)
+        (nudged / path.name).write_text(json.dumps(doc))
+    print("--- self-test: 1e-6 drift must pass by default ---")
+    if compare(baseline_dir, nudged) != 0:
+        print("bench_gate --self-test: FAILED (1e-6 drift rejected by the "
+              "default band)", file=sys.stderr)
+        return 1
+    print("--- self-test: 1e-6 drift must fail --exact ---")
+    if compare(baseline_dir, nudged, exact=True) == 0:
+        print("bench_gate --self-test: FAILED (--exact missed a 1e-6 drift)",
+              file=sys.stderr)
+        return 1
+    print("--- self-test: identical candidate must pass --exact ---")
+    if compare(baseline_dir, identical, exact=True) != 0:
+        print("bench_gate --self-test: FAILED (--exact rejected an identical "
+              "candidate)", file=sys.stderr)
+        return 1
     print("bench_gate --self-test: OK")
     return 0
 
@@ -241,6 +289,10 @@ def main() -> int:
                         help="directory holding freshly generated BENCH_*.json")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate catches an injected regression")
+    parser.add_argument("--exact", action="store_true",
+                        help=f"relative tolerance {EXACT_REL_TOL:g} for every "
+                             f"metric without an override (proves a change "
+                             f"left the seeded outputs unchanged)")
     parser.add_argument("--tmp-dir", type=Path, default=Path("/tmp/bench_gate"),
                         help="scratch space for --self-test")
     args = parser.parse_args()
@@ -253,7 +305,8 @@ def main() -> int:
         print(f"bench_gate: candidate dir {args.candidate_dir} does not exist",
               file=sys.stderr)
         return 2
-    return 1 if compare(args.baseline_dir, args.candidate_dir) else 0
+    return 1 if compare(args.baseline_dir, args.candidate_dir,
+                        args.exact) else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "asic/register_array.h"
+#include "check/sr_check.h"
 #include "net/five_tuple.h"
 #include "net/hash.h"
 
@@ -31,7 +32,8 @@ class BloomFilter {
 
   void insert(const net::FiveTuple& flow) {
     for (unsigned i = 0; i < num_hashes_; ++i) {
-      registers_.write(index_of(flow, i), 1);
+      const auto set = [](std::uint64_t) { return std::uint64_t{1}; };
+      if (registers_.update(index_of(flow, i), set) == 0) ++set_bits_;
     }
     ++inserted_;
   }
@@ -46,6 +48,7 @@ class BloomFilter {
   void clear() {
     registers_.clear();
     inserted_ = 0;
+    set_bits_ = 0;
   }
 
   std::size_t bit_count() const noexcept { return bits_; }
@@ -53,11 +56,11 @@ class BloomFilter {
   unsigned num_hashes() const noexcept { return num_hashes_; }
   std::uint64_t inserted() const noexcept { return inserted_; }
 
-  /// Fraction of set bits (diagnostic).
+  /// Fraction of set bits, from a running count (the capacity ledger polls
+  /// it every few simulated ms). Debug builds re-count every register.
   double fill_ratio() const {
-    std::size_t ones = 0;
-    for (std::size_t i = 0; i < bits_; ++i) ones += registers_.read(i);
-    return static_cast<double>(ones) / static_cast<double>(bits_);
+    SR_DCHECK(set_bits_ == count_set_bits());
+    return static_cast<double>(set_bits_) / static_cast<double>(bits_);
   }
 
   /// Classical expected false-positive probability for n inserted keys:
@@ -76,11 +79,18 @@ class BloomFilter {
         bits_);
   }
 
+  std::size_t count_set_bits() const {
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < bits_; ++i) ones += registers_.read(i);
+    return ones;
+  }
+
   std::size_t bits_;
   unsigned num_hashes_;
   std::uint64_t seed_;
   RegisterArray registers_;
   std::uint64_t inserted_ = 0;
+  std::size_t set_bits_ = 0;
 };
 
 }  // namespace silkroad::asic

@@ -117,7 +117,7 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
     place(key, value, *free);
     if (trace_ != nullptr) {
       trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope, value,
-                     0, net::FiveTupleHash{}(key));
+                     0, net::flow_id(key));
     }
     return InsertResult{true, 0};
   }
@@ -159,7 +159,7 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
           }
           place(key, value, to);
           if (trace_ != nullptr) {
-            const std::uint64_t fid = net::FiveTupleHash{}(key);
+            const std::uint64_t fid = net::flow_id(key);
             trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope,
                            value, moves, fid);
             trace_->record(obs::TraceEventKind::kCuckooEvict, obs::kNoScope,
@@ -179,7 +179,7 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
   failed_inserts_.inc();
   if (trace_ != nullptr) {
     trace_->record(obs::TraceEventKind::kCuckooInsertFail, obs::kNoScope,
-                   value, 0, net::FiveTupleHash{}(key));
+                   value, 0, net::flow_id(key));
   }
   return InsertResult{false, 0};
 }
@@ -210,15 +210,6 @@ std::vector<net::FiveTuple> DigestCuckooTable::collect_idle(
     if (slots_[flat_index(ref)].last_hit < older_than) idle.push_back(key);
   }
   return idle;
-}
-
-std::vector<DigestCuckooTable::Entry> DigestCuckooTable::entries() const {
-  std::vector<Entry> out;
-  out.reserve(index_.size());
-  for (const auto& [key, ref] : index_) {
-    out.push_back(Entry{key, slots_[flat_index(ref)].value, ref});
-  }
-  return out;
 }
 
 std::size_t DigestCuckooTable::used_slot_count() const noexcept {

@@ -154,16 +154,15 @@ class DigestCuckooTable {
     return failed_inserts_.value();
   }
 
-  /// One installed connection as the control plane sees it (shadow 5-tuple +
-  /// the entry's action data).
-  struct Entry {
-    net::FiveTuple key;
-    std::uint32_t value = 0;
-    SlotRef slot;
-  };
-  /// Snapshot of every installed entry (invariant-auditor input; order is
-  /// unspecified).
-  std::vector<Entry> entries() const;
+  /// Calls `visit(key, value)` for every installed entry as the control
+  /// plane sees it (shadow 5-tuple + action data), in place and in
+  /// unspecified order. Invariant-auditor input.
+  template <typename Visit>
+  void for_each_entry(Visit&& visit) const {
+    for (const auto& [key, ref] : index_) {
+      visit(key, slots_[flat_index(ref)].value);
+    }
+  }
 
   /// Number of physically occupied slots. Always equals size() unless the
   /// word array and the CPU shadow index have diverged — the "phantom SRAM

@@ -99,7 +99,12 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
     // Tracking must reference live versions only, every tracked flow must
     // still exist somewhere (pending or installed), and no flow may be
     // tracked under two versions at once.
+    std::size_t tracked_flows = 0;
+    for (const auto& [version, flows] : state.conns_by_version) {
+      tracked_flows += flows.size();
+    }
     std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen;
+    seen.reserve(tracked_flows);
     for (const auto& [version, flows] : state.conns_by_version) {
       if (mgr.pool(version) == nullptr) {
         out.push_back(make("refcount-match",
@@ -138,9 +143,10 @@ void InvariantAuditor::check_version_recycling(
   std::unordered_map<net::Endpoint,
                      std::unordered_set<std::uint32_t>, net::EndpointHash>
       referenced;
-  for (const auto& entry : sw_.conn_table_.entries()) {
-    referenced[entry.key.dst].insert(entry.value);
-  }
+  sw_.conn_table_.for_each_entry(
+      [&](const net::FiveTuple& key, std::uint32_t value) {
+        referenced[key.dst].insert(value);
+      });
   for (const auto& [flow, info] : sw_.pending_) {
     if (!info.dead) referenced[info.vip].insert(info.version);
   }
@@ -325,23 +331,23 @@ void InvariantAuditor::check_dip_pool_coverage(
                          vip, state.versions->current_version()));
     }
   }
-  for (const auto& entry : sw_.conn_table_.entries()) {
-    const auto* state = sw_.find_vip(entry.key.dst);
+  sw_.conn_table_.for_each_entry([&](const net::FiveTuple& key,
+                                      std::uint32_t value) {
+    const auto* state = sw_.find_vip(key.dst);
     if (state == nullptr) {
       out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(entry.key) +
+                         "ConnTable entry " + flow_str(key) +
                              " targets unknown VIP"));
-      continue;
+      return;
     }
-    if (state->versions->pool(entry.value) == nullptr) {
+    if (state->versions->pool(value) == nullptr) {
       out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(entry.key) +
-                             " resolves to version " +
-                             std::to_string(entry.value) +
+                         "ConnTable entry " + flow_str(key) +
+                             " resolves to version " + std::to_string(value) +
                              " with no DIPPoolTable pool",
-                         entry.key.dst, entry.value));
+                         key.dst, value));
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -525,7 +525,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
     // against.
     c_.transit_false_positives->inc();
     trace_.record(obs::TraceEventKind::kTransitFalsePositive, state.trace_scope,
-                  update_old_version_, net::FiveTupleHash{}(packet.flow));
+                  update_old_version_, net::flow_id(packet.flow));
     if (packet.syn && redirected_to_cpu != nullptr) {
       *redirected_to_cpu = true;
     }
@@ -540,7 +540,7 @@ void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
                                     const net::Endpoint& dip) {
   c_.learns->inc();
   trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
-                net::FiveTupleHash{}(flow));
+                net::flow_id(flow));
   learning_filter_.learn(flow, version);
   pending_.emplace(flow, PendingConn{vip, version, false, sim_.now()});
   state.versions->acquire(version);
@@ -664,7 +664,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
         trace_.record(obs::TraceEventKind::kDigestCollision,
                       state->trace_scope, hit->value,
                       conn_table_.digest_of(packet.flow),
-                      net::FiveTupleHash{}(packet.flow));
+                      net::flow_id(packet.flow));
         result.redirected_to_cpu = true;
         result.added_latency += config_.syn_redirect_delay;
         if (!conn_table_.relocate_for(packet.flow, hit->slot)) {
@@ -681,7 +681,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
             c_.software_fallback_conns->inc();
             trace_.record(obs::TraceEventKind::kSoftwareFallback,
                           state->trace_scope, version,
-                          net::FiveTupleHash{}(packet.flow));
+                          net::flow_id(packet.flow));
           }
           // A Step1 record for this flow can never resolve (it has no
           // pending insertion): drop it from the completion gate.
@@ -802,7 +802,7 @@ void SilkRoadSwitch::on_learning_flush(
     }
     // Shard by flow so multi-pipe CPUs keep per-flow operation order (§5.2).
     cpu_.enqueue([this, event] { complete_insertion(event); },
-                 net::FiveTupleHash{}(event.flow));
+                 net::flow_id(event.flow));
   }
 }
 
@@ -839,7 +839,7 @@ void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
         c_.software_fallback_conns->inc();
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
                       state->trace_scope, info.version,
-                      net::FiveTupleHash{}(event.flow));
+                      net::flow_id(event.flow));
       }
       release_conn(info.vip, event.flow, info.version);
     }
@@ -862,7 +862,7 @@ void SilkRoadSwitch::enqueue_erase(const net::FiveTuple& flow,
           release_conn(vip, flow, version);
         }
       },
-      net::FiveTupleHash{}(flow));
+      net::flow_id(flow));
 }
 
 void SilkRoadSwitch::release_conn(const net::Endpoint& vip,
@@ -1084,7 +1084,7 @@ bool SilkRoadSwitch::evict_version_for(const net::Endpoint& /*vip*/,
         c_.software_fallback_conns->inc();
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
                       state.trace_scope, *victim,
-                      net::FiveTupleHash{}(flow));
+                      net::flow_id(flow));
         // The flow leaves version tracking wholesale (no release_conn), so
         // settle its per-DIP active gauge here.
         if (config_.data_plane_telemetry) {
@@ -1128,7 +1128,7 @@ void SilkRoadSwitch::aging_sweep() {
       c_.aged_out->inc();
       if (const VipState* state = find_vip(flow.dst); state != nullptr) {
         trace_.record(obs::TraceEventKind::kAgedOut, state->trace_scope,
-                      *version, net::FiveTupleHash{}(flow));
+                      *version, net::flow_id(flow));
       }
       // The VIP is the flow's destination endpoint by construction.
       enqueue_erase(flow, flow.dst, *version);
@@ -1194,7 +1194,7 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
   if (shed) {
     c_.pending_shed->inc();
     trace_.record(obs::TraceEventKind::kInsertShed, state.trace_scope, version,
-                  net::FiveTupleHash{}(flow));
+                  net::flow_id(flow));
   } else {
     c_.degraded_admits->inc();
   }
@@ -1272,13 +1272,13 @@ void SilkRoadSwitch::relearn_sweep() {
     c_.relearns->inc();
     if (const VipState* state = find_vip(info.vip); state != nullptr) {
       trace_.record(obs::TraceEventKind::kRelearn, state->trace_scope,
-                    info.version, net::FiveTupleHash{}(flow));
+                    info.version, net::flow_id(flow));
     }
     cpu_.enqueue(
         [this, event = asic::LearnEvent{flow, info.version, info.learned_at}] {
           complete_insertion(event);
         },
-        net::FiveTupleHash{}(flow));
+        net::flow_id(flow));
   }
   if (!pending_.empty()) arm_relearn_sweep();
 }

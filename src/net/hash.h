@@ -5,9 +5,17 @@
 // them as a seeded 64-bit mixer: each seed yields an independent member of the
 // family. A software CRC32-C is also provided since ASIC digest units are
 // CRC-based; ConnTable digests can use either.
+//
+// Two kinds of hash live here (DESIGN.md §5). *Model hashes*
+// (hash_five_tuple, connection_digest, flow_id) are part of the reproduction:
+// their values pick stage buckets, digests, bloom bits and DIPs, and appear in
+// traces and exports, so they must not change. *Container hashes*
+// (FiveTupleHash, EndpointHash) only spread keys across std::unordered_*
+// buckets; they are word-wise, never exported, and free to change.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 
 #include "net/five_tuple.h"
@@ -56,20 +64,70 @@ class HashFunction {
 /// of the addressing hashes (distinct seed domain). Paper §4.2 uses 16 bits.
 std::uint32_t connection_digest(const FiveTuple& t, unsigned bits) noexcept;
 
-/// Hash functor for using FiveTuple as a key in std::unordered_map (the
-/// switch-CPU shadow state and simulator bookkeeping).
+/// A flow's stable identity: TraceRing flow ids, journeys, forensics reports
+/// and the SwitchCpu shard key. Unlike FiveTupleHash its value is fixed.
+inline std::uint64_t flow_id(const FiveTuple& t) noexcept {
+  return hash_five_tuple(t, 0xC0FFEE0DDBA11ULL);
+}
+
+namespace detail {
+
+/// wyhash's multiply-fold: the 128-bit product, high half XOR low half.
+inline std::uint64_t mum(std::uint64_t a, std::uint64_t b) noexcept {
+  const unsigned __int128 r = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(r) ^ static_cast<std::uint64_t>(r >> 64);
+}
+
+inline std::uint64_t load64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// One 16-byte address as two 8-byte words, folded into one.
+inline std::uint64_t address_word(const IpAddress& ip, std::uint64_t k0,
+                                  std::uint64_t k1) noexcept {
+  const std::uint8_t* b = ip.bytes().data();
+  return mum(load64(b) ^ k0, load64(b + 8) ^ k1);
+}
+
+inline std::uint64_t family_bits(const IpAddress& ip) noexcept {
+  return static_cast<std::uint64_t>(ip.family());
+}
+
+// wyhash's default secret.
+inline constexpr std::uint64_t kWy0 = 0xA0761D6478BD642FULL;
+inline constexpr std::uint64_t kWy1 = 0xE7037ED1A0B428DBULL;
+inline constexpr std::uint64_t kWy2 = 0x8EBC6AF09C88C6E3ULL;
+inline constexpr std::uint64_t kWy3 = 0x589965CC75374CC3ULL;
+
+}  // namespace detail
+
+/// Container hash for FiveTuple keys (switch-CPU shadow state, simulator
+/// bookkeeping). Word-wise; its values must not leave the container — use
+/// flow_id() for anything traced or exported.
 struct FiveTupleHash {
   std::size_t operator()(const FiveTuple& t) const noexcept {
-    return static_cast<std::size_t>(hash_five_tuple(t, 0xC0FFEE0DDBA11ULL));
+    using namespace detail;
+    const std::uint64_t tail = std::uint64_t{t.src.port} << 48 |
+                               std::uint64_t{t.dst.port} << 32 |
+                               static_cast<std::uint64_t>(t.proto) << 16 |
+                               family_bits(t.src.ip) << 8 |
+                               family_bits(t.dst.ip);
+    return static_cast<std::size_t>(
+        mum(address_word(t.src.ip, kWy0, kWy1) ^ tail,
+            address_word(t.dst.ip, kWy2, kWy3)));
   }
 };
 
-/// Hash functor for Endpoint keys (VIP-indexed control-plane maps).
+/// Container hash for Endpoint keys (VIP-indexed control-plane maps).
 struct EndpointHash {
   std::size_t operator()(const Endpoint& e) const noexcept {
+    using namespace detail;
+    const std::uint64_t tail =
+        std::uint64_t{e.port} << 8 | family_bits(e.ip);
     return static_cast<std::size_t>(
-        hash_bytes(std::span<const std::uint8_t>(e.ip.bytes().data(), 16),
-                   0x3D9021EULL ^ e.port));
+        mum(address_word(e.ip, kWy0, kWy1) ^ tail, kWy2));
   }
 };
 

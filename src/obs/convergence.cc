@@ -57,8 +57,11 @@ constexpr std::uint64_t kVipSalt = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kPresenceSalt = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kMemberSalt = 0x165667B19E3779F9ULL;
 
+// Every digest token starts here, so its value is part of /fleet.json and
+// must stay fixed: FNV-1a over the 16 address bytes (net::hash_bytes), seeded
+// with the port. net::EndpointHash is a container hash and free to change.
 std::uint64_t endpoint_hash(const net::Endpoint& ep) {
-  return static_cast<std::uint64_t>(net::EndpointHash{}(ep));
+  return net::hash_bytes(ep.ip.bytes(), 0x3D9021EULL ^ ep.port);
 }
 
 // Token helpers over a precomputed vip_key — the replay paths cache the

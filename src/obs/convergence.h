@@ -30,9 +30,10 @@
 // token XOR the fold of its member tokens, so an empty-but-provisioned
 // pool is distinguishable from an absent VIP, and member tokens are salted
 // with the VIP's own key so identical DIP sets under different VIPs cannot
-// cancel. All tokens come from net::mix64 over net::EndpointHash values;
-// XOR-folding makes every digest order-independent and every mutation an
-// O(1) toggle.
+// cancel. All tokens come from net::mix64 over seeded net::hash_bytes
+// endpoint hashes (fixed values, unlike the net::EndpointHash container
+// hash); XOR-folding makes every digest order-independent and every
+// mutation an O(1) toggle.
 //
 // Checkability model: in-order delivery advances a switch's contiguous
 // watermark W, while synchronous provisioning (add_vip on a live switch)

@@ -86,7 +86,8 @@ std::string span_event_line(const UpdateSpan& span, const SpanEvent& event) {
 
 ForensicsReport assemble_forensics(const TraceRing& ring,
                                    const SpanCollector* spans,
-                                   std::uint64_t flow_id, std::string reason) {
+                                   std::uint64_t flow_id, std::string reason,
+                                   std::optional<sim::Time> detected_at) {
   ForensicsReport report;
   report.reason = std::move(reason);
   report.flow_id = flow_id;
@@ -105,6 +106,10 @@ ForensicsReport assemble_forensics(const TraceRing& ring,
       report.window_first = std::min(report.window_first, event.at);
       report.window_last = std::max(report.window_last, event.at);
     }
+  }
+  if (detected_at) {
+    report.window_first = std::min(report.window_first, *detected_at);
+    report.window_last = std::max(report.window_last, *detected_at);
   }
 
   if (spans != nullptr) {

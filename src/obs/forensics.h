@@ -23,9 +23,10 @@ namespace silkroad::obs {
 
 struct ForensicsReport {
   std::string reason;
-  std::uint64_t flow_id = 0;  ///< five-tuple hash; 0 = no specific flow
+  std::uint64_t flow_id = 0;  ///< net::flow_id; 0 = no specific flow
   /// The report window: the flow journey's [first, last] when a journey was
-  /// found, otherwise the whole trace-ring range.
+  /// found, otherwise the whole trace-ring range; stretched to cover the
+  /// detection time when the caller knows it.
   sim::Time window_first = 0;
   sim::Time window_last = 0;
   std::optional<FlowJourney> journey;
@@ -71,9 +72,14 @@ struct ForensicsReport {
 /// collector. `flow_id` of 0 (no specific flow — e.g. an invariant-audit
 /// failure) widens the window to the whole ring and omits the journey.
 /// `spans` may be null (report then carries trace events only).
-ForensicsReport assemble_forensics(const TraceRing& ring,
-                                   const SpanCollector* spans,
-                                   std::uint64_t flow_id, std::string reason);
+/// `detected_at` is when the failure was detected (the PCC audit's charge
+/// time). A flow can break without a traced event of its own — one still
+/// waiting for its ConnTable insert when the VIPTable flips last appears at
+/// its learn, before the update started — so the window is stretched to
+/// reach it, and the span that broke the flow is in the report.
+ForensicsReport assemble_forensics(
+    const TraceRing& ring, const SpanCollector* spans, std::uint64_t flow_id,
+    std::string reason, std::optional<sim::Time> detected_at = std::nullopt);
 
 /// $SILKROAD_TELEMETRY_DIR, or "" when unset/empty.
 std::string telemetry_dir_from_env();

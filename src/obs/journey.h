@@ -2,7 +2,7 @@
 //
 // The TraceRing is a flat event stream; a PCC question ("did flow X keep its
 // DIP across the update?") is per-connection. Flow-identified events carry
-// the connection's 64-bit five-tuple hash in an arg slot (arg0 for
+// the connection's 64-bit net::flow_id in an arg slot (arg0 for
 // learn/fallback/aging/transit events, arg1 for ConnTable cuckoo events —
 // see trace.h); FlowJourneyTracer groups the ring by that id into
 // chronological journeys:
@@ -31,7 +31,7 @@ namespace silkroad::obs {
 
 /// One connection's event timeline plus overlapping VIP update context.
 struct FlowJourney {
-  std::uint64_t flow_id = 0;           ///< five-tuple hash, never 0
+  std::uint64_t flow_id = 0;           ///< net::flow_id, never 0
   std::uint32_t scope = kNoScope;      ///< VIP scope, first one seen
   std::uint32_t version = kNoVersion;  ///< DIP-pool version, first one seen
   sim::Time first = 0;                 ///< timestamp of the first event

@@ -110,11 +110,13 @@ void ScrapeServer::stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Unblock accept(): shutdown() wakes it on Linux; close() finishes the job.
+  // Unblock accept(): shutdown() wakes it on Linux. The serve thread reads
+  // listen_fd_ until it exits, so the fd is closed and cleared only after
+  // the join.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
 }
 
 void ScrapeServer::serve_loop() {

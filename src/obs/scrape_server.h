@@ -94,6 +94,8 @@ class ScrapeServer {
   mutable sr::Mutex mu_;
   std::map<std::string, Route> routes_ SR_GUARDED_BY(mu_);
   std::map<std::string, PrefixRoute> prefix_routes_ SR_GUARDED_BY(mu_);
+  /// Set by start() before the serve thread exists and cleared by stop()
+  /// only after joining it, so the serve loop reads it without a lock.
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};

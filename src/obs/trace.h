@@ -58,7 +58,7 @@ enum class TraceEventKind : std::uint8_t {
   kCapacityAlarmRaise,    ///< ledger level rose (arg0=level, arg1=occ bps)
   kCapacityAlarmClear,    ///< ledger level fell (arg0=level, arg1=occ bps)
 };
-// Flow-identified kinds carry the connection's 64-bit five-tuple hash in the
+// Flow-identified kinds carry the connection's 64-bit net::flow_id in the
 // noted arg slot; journey.h reconstructs per-connection timelines from it.
 
 const char* to_string(TraceEventKind kind) noexcept;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "asic/bloom_filter.h"
@@ -11,6 +12,7 @@
 #include "asic/sram.h"
 #include "asic/switch_cpu.h"
 #include "sim/event_queue.h"
+#include "sim/random.h"
 
 namespace silkroad::asic {
 namespace {
@@ -199,6 +201,54 @@ TEST(BloomFilter, ClearEmptiesFilter) {
   bloom.clear();
   EXPECT_FALSE(bloom.maybe_contains(make_flow(1)));
   EXPECT_DOUBLE_EQ(bloom.fill_ratio(), 0.0);
+}
+
+// Set bits counted from scratch: the filter's own index rule
+// (hash_five_tuple per hash unit, modulo the bit count) over every insert.
+double recount_fill(const std::vector<net::FiveTuple>& flows,
+                    std::size_t bytes, unsigned k, std::uint64_t seed) {
+  std::set<std::size_t> bits;
+  for (const auto& flow : flows) {
+    for (unsigned i = 0; i < k; ++i) {
+      bits.insert(static_cast<std::size_t>(
+          net::hash_five_tuple(flow, net::mix64(seed + 0x51F1 * (i + 1))) %
+          (bytes * 8)));
+    }
+  }
+  return static_cast<double>(bits.size()) / static_cast<double>(bytes * 8);
+}
+
+TEST(BloomFilter, FillRatioMatchesAnIndependentCount) {
+  constexpr std::size_t kBytes = 64;
+  constexpr std::uint64_t kSeed = 0x7A4517ULL;
+  BloomFilter bloom(kBytes, 3, kSeed);
+  sim::Rng rng(11);
+  std::vector<net::FiveTuple> inserted;
+  for (int i = 0; i < 120; ++i) {
+    inserted.push_back(make_flow(static_cast<std::uint32_t>(rng.next())));
+    bloom.insert(inserted.back());
+    ASSERT_DOUBLE_EQ(bloom.fill_ratio(),
+                     recount_fill(inserted, kBytes, 3, kSeed))
+        << "after " << inserted.size() << " inserts";
+  }
+  EXPECT_GT(bloom.fill_ratio(), 0.3);
+
+  // Re-inserting one flow sets no new bits.
+  bloom.clear();
+  EXPECT_DOUBLE_EQ(bloom.fill_ratio(), 0.0);
+  const double one = recount_fill({make_flow(7)}, kBytes, 3, kSeed);
+  for (int i = 0; i < 10; ++i) {
+    bloom.insert(make_flow(7));
+    EXPECT_DOUBLE_EQ(bloom.fill_ratio(), one);
+  }
+  EXPECT_EQ(bloom.inserted(), 10u);
+
+  // clear() zeroes the count along with the registers.
+  bloom.clear();
+  EXPECT_DOUBLE_EQ(bloom.fill_ratio(), 0.0);
+  bloom.insert(make_flow(8));
+  EXPECT_DOUBLE_EQ(bloom.fill_ratio(),
+                   recount_fill({make_flow(8)}, kBytes, 3, kSeed));
 }
 
 class BloomFp : public ::testing::TestWithParam<std::size_t> {};

@@ -416,8 +416,8 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
         const auto route = fleet.route_of(record.flow);
         const auto& sw = fleet.switch_at(route.value_or(0));
         auto report = obs::assemble_forensics(
-            sw.trace(), &fleet.spans(), net::FiveTupleHash{}(record.flow),
-            "chaos PCC violation");
+            sw.trace(), &fleet.spans(), net::flow_id(record.flow),
+            "chaos PCC violation", record.at);
         // Capacity section (DESIGN.md §15): was the offending switch's SRAM
         // under pressure or exhausting when the flow broke?
         report.attach_capacity(sw.capacity().to_text(),

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "net/endpoint.h"
 #include "net/five_tuple.h"
 #include "net/hash.h"
 #include "net/ip_address.h"
+#include "sim/random.h"
 
 namespace silkroad::net {
 namespace {
@@ -165,6 +169,137 @@ TEST(Hash, DigestWidthMasks) {
     }
   }
   EXPECT_LT(same, 5);
+}
+
+// --- Model-hash contract: bit-identical to the byte-by-byte definition -------
+
+// The definition of hash_five_tuple: FNV-1a (hash_bytes) over a 37-byte
+// buffer holding each address as 16 bytes (IPv4 zero-filled), both ports
+// big-endian and the protocol, with a family tag folded into the seed.
+std::uint64_t reference_hash_five_tuple(const FiveTuple& t,
+                                        std::uint64_t seed) {
+  std::array<std::uint8_t, 37> buf{};
+  std::size_t pos = 0;
+  for (const std::uint8_t b : t.src.ip.bytes()) buf[pos++] = b;
+  buf[pos++] = static_cast<std::uint8_t>(t.src.port >> 8);
+  buf[pos++] = static_cast<std::uint8_t>(t.src.port);
+  for (const std::uint8_t b : t.dst.ip.bytes()) buf[pos++] = b;
+  buf[pos++] = static_cast<std::uint8_t>(t.dst.port >> 8);
+  buf[pos++] = static_cast<std::uint8_t>(t.dst.port);
+  buf[pos++] = static_cast<std::uint8_t>(t.proto);
+  const std::uint64_t family_tag =
+      (t.src.ip.is_v6() ? 2u : 0u) | (t.dst.ip.is_v6() ? 1u : 0u);
+  return hash_bytes(std::span<const std::uint8_t>(buf),
+                    seed ^ mix64(family_tag));
+}
+
+std::uint32_t reference_digest(const FiveTuple& t, unsigned bits) {
+  const std::uint64_t h = reference_hash_five_tuple(t, 0xD16E57D0A11A5EEDULL);
+  return static_cast<std::uint32_t>(
+      bits == 32 ? h & 0xFFFFFFFFULL : h & ((1ULL << bits) - 1));
+}
+
+enum class Families { kV4, kV6, kMixed };
+
+IpAddress random_address(sim::Rng& rng, bool v6) {
+  if (!v6) return IpAddress::v4(static_cast<std::uint32_t>(rng.next()));
+  // One address in eight keeps a zero low half, so the IPv6 path also sees
+  // runs of zero bytes like the IPv4 fill.
+  const std::uint64_t hi = rng.next();
+  const std::uint64_t lo = rng.next() % 8 == 0 ? 0 : rng.next();
+  return IpAddress::v6(hi, lo);
+}
+
+FiveTuple random_tuple(sim::Rng& rng, Families families) {
+  const bool src_v6 = families == Families::kV6 ||
+                      (families == Families::kMixed && rng.next() % 2 == 0);
+  const bool dst_v6 = families == Families::kV6 ||
+                      (families == Families::kMixed && rng.next() % 2 == 0);
+  FiveTuple t;
+  t.src = {random_address(rng, src_v6),
+           static_cast<std::uint16_t>(rng.next())};
+  t.dst = {random_address(rng, dst_v6),
+           static_cast<std::uint16_t>(rng.next())};
+  t.proto = rng.next() % 2 == 0 ? Protocol::kTcp : Protocol::kUdp;
+  return t;
+}
+
+class ModelHashMatchesReference : public ::testing::TestWithParam<Families> {
+};
+
+TEST_P(ModelHashMatchesReference, OverRandomTuplesAndSeeds) {
+  sim::Rng rng(0x5EED0000ULL + static_cast<std::uint64_t>(GetParam()));
+  for (int i = 0; i < 200'000; ++i) {
+    const FiveTuple t = random_tuple(rng, GetParam());
+    const std::uint64_t seed = i % 4 == 0 ? static_cast<std::uint64_t>(i)
+                                          : rng.next();
+    ASSERT_EQ(hash_five_tuple(t, seed), reference_hash_five_tuple(t, seed))
+        << t.to_string() << " seed " << seed;
+    ASSERT_EQ(flow_id(t), reference_hash_five_tuple(t, 0xC0FFEE0DDBA11ULL))
+        << t.to_string();
+    for (const unsigned bits : {16u, 24u, 32u}) {
+      ASSERT_EQ(connection_digest(t, bits), reference_digest(t, bits))
+          << t.to_string() << " bits " << bits;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, ModelHashMatchesReference,
+                         ::testing::Values(Families::kV4, Families::kV6,
+                                           Families::kMixed));
+
+// --- Container hashes: word-wise, but every field still counts -------------
+
+TEST(ContainerHash, FamilyPortAndProtocolAllCount) {
+  const IpAddress v4 = IpAddress::v4(0x0A000001);
+  std::array<std::uint8_t, 16> raw{};
+  raw[0] = 10;
+  raw[3] = 1;
+  const IpAddress v6 = IpAddress::v6(raw);  // same leading (and all) bytes
+  ASSERT_EQ(v4.bytes(), v6.bytes());
+
+  const EndpointHash eh;
+  EXPECT_NE(eh(Endpoint{v4, 80}), eh(Endpoint{v6, 80}));
+  EXPECT_NE(eh(Endpoint{v4, 80}), eh(Endpoint{v4, 81}));
+
+  const FiveTupleHash th;
+  const FiveTuple base = make_tuple(0x0A000001, 80);
+  FiveTuple src_v6 = base;
+  src_v6.src.ip = v6;
+  FiveTuple dst_v6 = base;
+  dst_v6.dst.ip = IpAddress::v6({20, 0, 0, 1});
+  EXPECT_NE(th(base), th(src_v6));
+  EXPECT_NE(th(base), th(dst_v6));
+  FiveTuple src_port = base;
+  ++src_port.src.port;
+  FiveTuple dst_port = base;
+  ++dst_port.dst.port;
+  EXPECT_NE(th(base), th(src_port));
+  EXPECT_NE(th(base), th(dst_port));
+  EXPECT_NE(th(src_port), th(dst_port));
+  FiveTuple udp = base;
+  udp.proto = Protocol::kUdp;
+  EXPECT_NE(th(base), th(udp));
+}
+
+TEST(ContainerHash, NoCollisionsOverFlowGeneratorClientPlan) {
+  // workload::FlowGenerator's IPv4 client plan: client n is 11.0.0.0 | n on
+  // an ephemeral port in [32768, 60768), connecting to one of a few VIPs.
+  constexpr std::uint32_t kFlows = 1'000'000;
+  sim::Rng rng(17);
+  std::vector<std::size_t> hashes;
+  hashes.reserve(kFlows);
+  const FiveTupleHash th;
+  for (std::uint32_t client = 0; client < kFlows; ++client) {
+    const FiveTuple t{
+        {IpAddress::v4(0x0B000000 | (client & 0x00FFFFFF)),
+         static_cast<std::uint16_t>(32768 + rng.next() % 28000)},
+        {IpAddress::v4(0x14000001 + client % 4), 80},
+        Protocol::kTcp};
+    hashes.push_back(th(t));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
 }
 
 class DigestCollisionRate : public ::testing::TestWithParam<unsigned> {};

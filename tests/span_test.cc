@@ -292,38 +292,53 @@ TEST(SpanForensics, ForcedViolationReportInterleavesJourneyAndSpan) {
       add_update(test_dips(9)[8], sim::kSecond));
   lb::Scenario scenario(sim, fleet, scenario_config);
 
-  std::vector<net::FiveTuple> violating;
+  struct Charge {
+    net::FiveTuple flow;
+    sim::Time at = 0;
+  };
+  std::vector<Charge> violating;
   scenario.set_violation_callback(
-      [&](const net::FiveTuple& flow, sim::Time) { violating.push_back(flow); });
+      [&](const net::FiveTuple& flow, sim::Time at) {
+        violating.push_back({flow, at});
+      });
 
   const lb::ScenarioStats stats = scenario.run();
   ASSERT_GT(stats.violations, 0u)
       << "recipe failed to force a PCC violation";
   ASSERT_FALSE(violating.empty());
 
-  const std::uint64_t flow_id = net::FiveTupleHash{}(violating.front());
-  const obs::ForensicsReport report = obs::assemble_forensics(
-      fleet.switch_at(0).trace(), &fleet.spans(), flow_id,
-      "span_test: forced PCC violation");
-
-  // The report found the violating flow's journey...
-  ASSERT_TRUE(report.journey.has_value());
-  EXPECT_EQ(report.flow_id, flow_id);
-  EXPECT_FALSE(report.journey->events.empty());
-
-  // ...and at least one update span overlapping it, whose channel leg shows
-  // the injected drop and the retransmission that recovered from it.
-  ASSERT_FALSE(report.spans.empty());
-  bool saw_retransmit_leg = false;
-  for (const auto& span : report.spans) {
-    if (span.has(obs::SpanEventKind::kChannelDrop, 0) &&
-        span.has(obs::SpanEventKind::kChannelRetry, 0) &&
-        span.has(obs::SpanEventKind::kFlip, 0)) {
-      saw_retransmit_leg = true;
+  // Every violating flow's report finds its journey and at least one update
+  // span overlapping it whose channel leg shows the injected drop and the
+  // retransmission that recovered from it. Some of these flows were still
+  // waiting for their ConnTable insert at the flip, so their last traced
+  // event is the learn, before the update span opened: the window reaches
+  // the span only because it runs to the detection time.
+  const auto report_for = [&](const Charge& charge) {
+    return obs::assemble_forensics(
+        fleet.switch_at(0).trace(), &fleet.spans(), net::flow_id(charge.flow),
+        "span_test: forced PCC violation", charge.at);
+  };
+  for (const Charge& charge : violating) {
+    const obs::ForensicsReport r = report_for(charge);
+    ASSERT_TRUE(r.journey.has_value()) << charge.flow.to_string();
+    EXPECT_FALSE(r.journey->events.empty()) << charge.flow.to_string();
+    EXPECT_LE(r.window_first, charge.at);
+    EXPECT_GE(r.window_last, charge.at);
+    bool saw_retransmit_leg = false;
+    for (const auto& span : r.spans) {
+      if (span.has(obs::SpanEventKind::kChannelDrop, 0) &&
+          span.has(obs::SpanEventKind::kChannelRetry, 0) &&
+          span.has(obs::SpanEventKind::kFlip, 0)) {
+        saw_retransmit_leg = true;
+      }
     }
+    EXPECT_TRUE(saw_retransmit_leg)
+        << "no span overlapping the report of " << charge.flow.to_string()
+        << " (charged at " << charge.at << ") carries the retransmit leg";
   }
-  EXPECT_TRUE(saw_retransmit_leg)
-      << "no overlapping span carries the retransmit leg";
+
+  const obs::ForensicsReport report = report_for(violating.front());
+  EXPECT_EQ(report.flow_id, net::flow_id(violating.front().flow));
 
   // The merged timeline tells one story, ordered by sim time, with both the
   // flow's packets and the update's lifecycle in it.
