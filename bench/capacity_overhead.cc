@@ -3,7 +3,7 @@
 // off vs on — with the overhead taken as the median per-pair CPU-time ratio.
 // The ledger's contract is that it is cheap enough to leave on everywhere:
 // the per-packet cost is one uint64 compare (the poll rate limiter) and a
-// full probe sweep at most once per capacity_poll_interval. The headline
+// full probe sweep at most once per 10 ms of sim time. The headline
 // capacity_overhead_pct must stay under 5% of the untracked run, and the
 // committed baseline pins that. Sim-side numbers (flows, violations,
 // convergence) are identical across the two runs by construction — the

@@ -1,10 +1,10 @@
 // Hot-path observability overhead gate (DESIGN.md §14).
 //
-// The data-plane telemetry added on top of the base counters (sampling
-// profiler + per-DIP connection gauges) must cost <5% of the telemetry-off
-// packet path, measured span_overhead-style as the median per-pair CPU ratio
-// over interleaved on/off runs of the packet-level auditor. Telemetry must
-// never change sim-visible behavior.
+// The data-plane telemetry added on top of the base counters (per-DIP
+// new-connection counters and active-connection gauges) must cost <5% of
+// the telemetry-off packet path, measured span_overhead-style as the median
+// per-pair CPU ratio over interleaved on/off runs of the packet-level
+// auditor. Telemetry must never change sim-visible behavior.
 #include <algorithm>
 #include <ctime>
 #include <vector>
@@ -65,7 +65,10 @@ double cpu_ms() {
 struct RunResult {
   double cpu_ms = 0;
   lb::PacketLevelRunner::Stats stats;
-  std::uint64_t sampled = 0;  // profiler samples taken (0 when telemetry off)
+  /// silkroad_dip_new_conns_total series registered (0 when telemetry off)
+  /// and the connections they counted.
+  std::size_t dip_series = 0;
+  double dip_new_conns = 0;
 };
 
 RunResult run_once(const Workload& w, bool telemetry) {
@@ -82,8 +85,9 @@ RunResult run_once(const Workload& w, bool telemetry) {
   result.stats = runner.run(w.flows, w.updates);
   result.cpu_ms = cpu_ms() - start;
   for (const auto& sample : sw.metrics().snapshot().samples) {
-    if (sample.name == "silkroad_packet_sampled_packets_total") {
-      result.sampled = static_cast<std::uint64_t>(sample.value);
+    if (sample.name == "silkroad_dip_new_conns_total") {
+      ++result.dip_series;
+      result.dip_new_conns += sample.value;
     }
   }
   return result;
@@ -93,8 +97,7 @@ RunResult run_once(const Workload& w, bool telemetry) {
 
 int main() {
   bench::print_header(
-      "hot-path observability overhead — the sampling profiler and per-DIP "
-      "telemetry",
+      "hot-path observability overhead — per-DIP connection telemetry",
       "telemetry must be cheap enough to leave on: total packet-path "
       "overhead <5%");
 
@@ -123,9 +126,10 @@ int main() {
   std::printf("%-28s %12llu %12llu\n", "packets",
               static_cast<unsigned long long>(off.stats.packets),
               static_cast<unsigned long long>(on.stats.packets));
-  std::printf("%-28s %12llu %12llu\n", "profiler samples",
-              static_cast<unsigned long long>(off.sampled),
-              static_cast<unsigned long long>(on.sampled));
+  std::printf("%-28s %12zu %12zu\n", "dip_new_conns series",
+              off.dip_series, on.dip_series);
+  std::printf("%-28s %12.0f %12.0f\n", "dip_new_conns sum",
+              off.dip_new_conns, on.dip_new_conns);
   std::printf("%-28s %12.2f%%  (median of %zu interleaved pairs)\n",
               "obs_overhead_pct", overhead_pct, ratios.size());
 
@@ -134,7 +138,8 @@ int main() {
       off.stats.packets == on.stats.packets &&
       off.stats.violations == on.stats.violations &&
       off.stats.unmapped_flows == on.stats.unmapped_flows;
-  const bool profiler_sampled = on.sampled > 0 && off.sampled == 0;
+  const bool dip_conns_iff_telemetry =
+      on.dip_series > 0 && on.dip_new_conns > 0 && off.dip_series == 0;
 
   // Absolute times are machine-dependent and deliberately NOT headlines; the
   // baseline pins the relative overhead and the behavior checks.
@@ -142,10 +147,12 @@ int main() {
                   "telemetry-on CPU over telemetry-off, percent (budget: <5)");
   bench::headline("behavior_identical", behavior_identical ? 1.0 : 0.0,
                   "telemetry changed no sim-visible outcome (must be 1)");
-  bench::headline("profiler_sampled", profiler_sampled ? 1.0 : 0.0,
-                  "sampling profiler took samples iff telemetry on (must be 1)");
+  bench::headline("dip_conns_iff_telemetry",
+                  dip_conns_iff_telemetry ? 1.0 : 0.0,
+                  "silkroad_dip_new_conns_total series exist and count "
+                  "connections iff telemetry on (must be 1)");
   bench::emit_headlines("obs_overhead");
 
-  if (!behavior_identical || !profiler_sampled) return 1;
+  if (!behavior_identical || !dip_conns_iff_telemetry) return 1;
   return overhead_pct < 5.0 ? 0 : 1;
 }

@@ -51,7 +51,6 @@ class BloomFilter {
     set_bits_ = 0;
   }
 
-  std::size_t bit_count() const noexcept { return bits_; }
   std::size_t byte_count() const noexcept { return bits_ / 8; }
   unsigned num_hashes() const noexcept { return num_hashes_; }
   std::uint64_t inserted() const noexcept { return inserted_; }

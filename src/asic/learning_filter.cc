@@ -3,7 +3,6 @@
 namespace silkroad::asic {
 
 void LearningFilter::learn(const net::FiveTuple& flow, std::uint32_t value) {
-  total_events_.inc();
   if (pending_.contains(flow)) {
     duplicate_events_.inc();
     return;

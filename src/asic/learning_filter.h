@@ -73,7 +73,6 @@ class LearningFilter {
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   std::size_t pending_count() const noexcept { return pending_.size(); }
-  std::uint64_t total_events() const noexcept { return total_events_.value(); }
   std::uint64_t duplicate_events() const noexcept {
     return duplicate_events_.value();
   }
@@ -91,7 +90,6 @@ class LearningFilter {
   std::vector<net::FiveTuple> order_;  // flush in arrival order
   sim::EventHandle timeout_event_;
   DropHook drop_hook_;
-  obs::Counter total_events_;
   obs::Counter duplicate_events_;
   obs::Counter flushes_;
   obs::Counter dropped_events_;

@@ -44,21 +44,15 @@ class TwoRateThreeColorMeter {
     const double b = static_cast<double>(bytes);
     if (committed_tokens_ >= b) {
       committed_tokens_ -= b;
-      ++green_;
       return MeterColor::kGreen;
     }
     if (excess_tokens_ >= b) {
       excess_tokens_ -= b;
-      ++yellow_;
       return MeterColor::kYellow;
     }
-    ++red_;
     return MeterColor::kRed;
   }
 
-  std::uint64_t green_packets() const noexcept { return green_; }
-  std::uint64_t yellow_packets() const noexcept { return yellow_; }
-  std::uint64_t red_packets() const noexcept { return red_; }
   const Config& config() const noexcept { return config_; }
 
   /// SRAM bits one meter instance occupies (two 32-bit token counters, two
@@ -84,9 +78,6 @@ class TwoRateThreeColorMeter {
   double committed_tokens_;
   double excess_tokens_;
   sim::Time last_update_ = 0;
-  std::uint64_t green_ = 0;
-  std::uint64_t yellow_ = 0;
-  std::uint64_t red_ = 0;
 };
 
 }  // namespace silkroad::asic

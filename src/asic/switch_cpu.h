@@ -93,7 +93,6 @@ class SwitchCpu {
     const sr::MutexLock lock(mu_);
     return completed_;
   }
-  sim::Time service_time() const noexcept { return service_time_; }
   std::size_t pipe_count() const noexcept {
     // pipes_ never resizes after construction; only element state is guarded.
     const sr::MutexLock lock(mu_);

@@ -97,7 +97,6 @@ class HybridLoadBalancer : public lb::LoadBalancer {
     return remaining_budget_;
   }
   const SilkRoadSwitch& switch_tier() const { return *switch_tier_; }
-  const lb::SoftwareLoadBalancer& slb_tier() const { return *slb_tier_; }
 
  private:
   lb::LoadBalancer& tier_of(const net::Endpoint& vip) {

@@ -35,16 +35,13 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
       trace_(4096, [this] { return sim_.now(); }),
       conn_profiler_(metrics_, "silkroad_conn_table",
                      config.conn_table.stages),
-      packet_profiler_(metrics_, "silkroad_packet",
-                       {"pipeline", "slow_path"}, config.profiler),
       conn_table_(config.conn_table),
       learning_filter_(simulator, config.learning,
                        [this](const std::vector<asic::LearnEvent>& batch) {
                          on_learning_flush(batch);
                        }),
       cpu_(simulator, config.cpu),
-      transit_(config.transit_table_bytes, config.transit_hashes),
-      capacity_(config.capacity) {
+      transit_(config.transit_table_bytes, config.transit_hashes) {
   init_metrics();
   init_capacity();
   conn_table_.bind_trace(&trace_);
@@ -389,7 +386,7 @@ void SilkRoadSwitch::poll_capacity() {
   if (!config_.capacity_telemetry) return;
   const sim::Time now = sim_.now();
   if (capacity_polled_ &&
-      now - capacity_last_poll_ < config_.capacity_poll_interval) {
+      now - capacity_last_poll_ < kCapacityPollInterval) {
     return;
   }
   capacity_polled_ = true;
@@ -408,7 +405,6 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   state.trace_scope = trace_.intern(vip.to_string());
   state.versions->bind_trace(&trace_, state.trace_scope);
   if (config_.data_plane_telemetry) {
-    state.sampled_latency = packet_profiler_.vip_series(vip.to_string());
     // Pre-register the initial DIPs so the imbalance denominators exist at
     // zero before any traffic (gauges count from the first sample).
     for (const net::Endpoint& dip : dips) dip_handles(state, vip, dip);
@@ -583,36 +579,14 @@ void SilkRoadSwitch::resolve_digest_conflicts(const net::FiveTuple& inserted) {
 }
 
 lb::PacketResult SilkRoadSwitch::process_packet(const net::Packet& packet) {
-  // Telemetry off: the sampler costs nothing; on: one countdown decrement
-  // per packet, full stage/VIP recording only for the 1-in-N sampled ones.
-  const bool sampled =
-      config_.data_plane_telemetry && packet_profiler_.begin_packet();
   const lb::PacketResult result = process_packet_impl(packet);
   // Capacity-ledger poll: one time comparison per packet, full sampling at
-  // most once per capacity_poll_interval of sim time.
+  // most once per kCapacityPollInterval of sim time.
   poll_capacity();
   // Unknown-VIP packets return a zero result; everything else was charged at
   // least the pipeline latency, so this records exactly the counted packets.
   if (result.added_latency > 0) {
     c_.packet_latency_ns->record(result.added_latency);
-    if (sampled) {
-      // Split the charge into the fixed pipeline slice and the slow-path
-      // remainder (SYN redirects), matching the modeled cost structure.
-      const std::uint64_t total =
-          static_cast<std::uint64_t>(result.added_latency);
-      const std::uint64_t pipeline = std::min(
-          total, static_cast<std::uint64_t>(config_.pipeline_latency));
-      packet_profiler_.enter(kStagePipeline);
-      packet_profiler_.exit(kStagePipeline, pipeline);
-      if (total > pipeline) {
-        packet_profiler_.enter(kStageSlowPath);
-        packet_profiler_.exit(kStageSlowPath, total - pipeline);
-      }
-      if (const VipState* state = find_vip(packet.flow.dst);
-          state != nullptr && state->sampled_latency != nullptr) {
-        state->sampled_latency->record(total);
-      }
-    }
   }
   return result;
 }

@@ -35,7 +35,6 @@
 #include "lb/load_balancer.h"
 #include "obs/capacity.h"
 #include "obs/metrics.h"
-#include "obs/sampling_profiler.h"
 #include "obs/span.h"
 #include "obs/stage_profiler.h"
 #include "obs/trace.h"
@@ -109,13 +108,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
     // --- Data-plane performance telemetry (DESIGN.md §14) -------------------
 
-    /// Gates the sampling packet profiler and the per-DIP active/new
-    /// connection accounting. The always-on core counters (packets, table
-    /// hits/misses, ...) stay on regardless; disabling this removes
-    /// everything that costs more than a counter bump.
+    /// Gates the per-DIP active/new connection accounting. The always-on
+    /// core counters and the exact silkroad_packet_latency_ns histogram
+    /// stay on regardless; disabling this removes everything that costs
+    /// more than a counter bump or a histogram record.
     bool data_plane_telemetry = true;
-    /// Sampling profiler knobs (period, seed, histogram resolution).
-    obs::SamplingProfiler::Options profiler;
 
     // --- SRAM capacity ledger (DESIGN.md §15) -------------------------------
 
@@ -124,11 +121,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// (/capacity, /capacity.json). Disabling removes table registration and
     /// polling entirely (bench/capacity_overhead prices the difference).
     bool capacity_telemetry = true;
-    /// Minimum sim time between ledger polls from packet/insert call sites;
-    /// bounds the alarm + forecast sampling cost on the hot path.
-    sim::Time capacity_poll_interval = 10 * sim::kMillisecond;
-    /// Ledger knobs (alarm thresholds, forecast window).
-    obs::ResourceLedger::Options capacity;
   };
 
   /// Sizes a ConnTable geometry for `connections` at `occupancy` packing
@@ -302,8 +294,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     bool meter_enforce = false;
     /// Interned VIP name in the switch's TraceRing.
     std::uint32_t trace_scope = obs::kNoScope;
-    /// Sampled per-VIP packet-latency histogram (null when telemetry off).
-    obs::Histogram* sampled_latency = nullptr;
     /// Per-DIP telemetry handles, registered lazily on first connection.
     std::unordered_map<net::Endpoint, DipConnHandles, net::EndpointHash>
         dip_conns;
@@ -346,7 +336,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// init_metrics().
   void init_capacity();
   /// Rate-limited ledger poll (alarm state machine + forecast history);
-  /// at most one poll per Config::capacity_poll_interval of sim time.
+  /// at most one poll per kCapacityPollInterval of sim time.
   void poll_capacity();
 
   /// Picks the version a ConnTable-missing packet of `vip` should use,
@@ -416,10 +406,9 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// DIP mappings in the software table.
   bool evict_version_for(const net::Endpoint& vip, VipState& state);
 
-  /// Sampling-profiler stage indices (stage labels "pipeline" and
-  /// "slow_path" on silkroad_packet_stage_latency_ns).
-  static constexpr std::size_t kStagePipeline = 0;
-  static constexpr std::size_t kStageSlowPath = 1;
+  /// Minimum sim time between ledger polls from packet/insert call sites;
+  /// bounds the alarm + forecast sampling cost on the hot path.
+  static constexpr sim::Time kCapacityPollInterval = 10 * sim::kMillisecond;
 
   sim::Simulator& sim_;
   Config config_;
@@ -429,8 +418,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// Per-stage ConnTable hit/miss counters, recorded once per data-plane
   /// lookup in process_packet_impl() (control-plane lookups are not packets).
   obs::StageProfiler conn_profiler_;
-  /// Deterministic 1-in-N packet latency sampler (data_plane_telemetry).
-  obs::SamplingProfiler packet_profiler_;
   /// Counter handles into metrics_, resolved once in init_metrics(); a bump
   /// is one relaxed atomic add on a pre-resolved pointer.
   struct CounterHandles {

@@ -60,8 +60,7 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
         });
   }
   if (sync_.observe_convergence) {
-    observer_ =
-        std::make_unique<obs::FleetObserver>(replicas, sync_.observer);
+    observer_ = std::make_unique<obs::FleetObserver>(replicas);
     observer_->bind_metrics(fleet_metrics_);
     observer_->set_divergence_callback(
         [this](const obs::DivergenceFinding& finding) {

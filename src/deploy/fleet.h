@@ -48,8 +48,6 @@ struct SyncConfig {
   /// Feed the convergence observatory (DESIGN.md §17): watermark-lag SLO,
   /// digest divergence detection, /fleet scrape data.
   bool observe_convergence = true;
-  /// Observer tuning (lag hysteresis, SLO target, digest history).
-  obs::FleetObserver::Options observer;
 };
 
 class SilkRoadFleet : public lb::LoadBalancer {

@@ -37,7 +37,6 @@ class HashRing {
   std::optional<net::Endpoint> select(const net::FiveTuple& flow) const;
 
   std::size_t backends() const noexcept { return backend_count_; }
-  std::size_t ring_size() const noexcept { return ring_.size(); }
 
   /// Fraction of the keyspace owned by each backend (balance diagnostic),
   /// estimated over `samples` random points.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 
 #include "check/sr_check.h"
@@ -12,33 +11,21 @@ namespace silkroad::obs {
 
 namespace {
 
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-double enter_threshold(const CapacityThresholds& t, CapacityLevel level) {
+double enter_threshold(CapacityLevel level) {
   switch (level) {
-    case CapacityLevel::kWatch: return t.watch_enter;
-    case CapacityLevel::kPressure: return t.pressure_enter;
-    case CapacityLevel::kCritical: return t.critical_enter;
+    case CapacityLevel::kWatch: return ResourceLedger::kWatchEnter;
+    case CapacityLevel::kPressure: return ResourceLedger::kPressureEnter;
+    case CapacityLevel::kCritical: return ResourceLedger::kCriticalEnter;
     case CapacityLevel::kOk: break;
   }
   return 0;
 }
 
-double exit_threshold(const CapacityThresholds& t, CapacityLevel level) {
+double exit_threshold(CapacityLevel level) {
   switch (level) {
-    case CapacityLevel::kWatch: return t.watch_exit;
-    case CapacityLevel::kPressure: return t.pressure_exit;
-    case CapacityLevel::kCritical: return t.critical_exit;
+    case CapacityLevel::kWatch: return ResourceLedger::kWatchExit;
+    case CapacityLevel::kPressure: return ResourceLedger::kPressureExit;
+    case CapacityLevel::kCritical: return ResourceLedger::kCriticalExit;
     case CapacityLevel::kOk: break;
   }
   return 0;
@@ -54,16 +41,6 @@ const char* to_string(CapacityLevel level) noexcept {
     case CapacityLevel::kCritical: return "critical";
   }
   return "unknown";
-}
-
-ResourceLedger::ResourceLedger(Options options) : options_(options) {
-  SR_CHECK(options_.history >= 2);
-  const CapacityThresholds& t = options_.thresholds;
-  SR_CHECK(t.watch_exit < t.watch_enter);
-  SR_CHECK(t.pressure_exit < t.pressure_enter);
-  SR_CHECK(t.critical_exit < t.critical_enter);
-  SR_CHECK(t.watch_enter < t.pressure_enter);
-  SR_CHECK(t.pressure_enter < t.critical_enter);
 }
 
 const ResourceLedger::Table* ResourceLedger::find_table(
@@ -92,19 +69,11 @@ std::size_t ResourceLedger::register_table(const std::string& name,
   Table table;
   table.name = name;
   table.probe = std::move(probe);
-  table.thresholds = options_.thresholds;
   if (trace_ != nullptr) table.trace_scope = trace_->intern(name);
   tables_.push_back(std::move(table));
   const std::size_t index = tables_.size() - 1;
   if (registry_ != nullptr) publish_table_metrics(index);
   return index;
-}
-
-void ResourceLedger::set_thresholds(const std::string& name,
-                                    const CapacityThresholds& thresholds) {
-  Table* table = find_table(name);
-  SR_CHECKF(table != nullptr, "capacity: unknown table '%s'", name.c_str());
-  table->thresholds = thresholds;
 }
 
 void ResourceLedger::add_pressure(const std::string& table_name,
@@ -177,7 +146,7 @@ void ResourceLedger::run_alarm(Table& table, double occupancy) {
   while (table.level < CapacityLevel::kCritical) {
     const auto next =
         static_cast<CapacityLevel>(static_cast<std::uint8_t>(table.level) + 1);
-    if (occupancy < enter_threshold(table.thresholds, next)) break;
+    if (occupancy < enter_threshold(next)) break;
     table.level = next;
     ++table.transitions;
     ++transitions_;
@@ -188,7 +157,7 @@ void ResourceLedger::run_alarm(Table& table, double occupancy) {
     }
   }
   while (table.level > CapacityLevel::kOk &&
-         occupancy <= exit_threshold(table.thresholds, table.level)) {
+         occupancy <= exit_threshold(table.level)) {
     table.level =
         static_cast<CapacityLevel>(static_cast<std::uint8_t>(table.level) - 1);
     ++table.transitions;
@@ -209,7 +178,7 @@ void ResourceLedger::poll(sim::Time now) {
       table.history.back().second = occupancy;
     } else {
       table.history.emplace_back(now, occupancy);
-      while (table.history.size() > options_.history) {
+      while (table.history.size() > kHistory) {
         table.history.pop_front();
       }
     }
@@ -244,7 +213,7 @@ CapacityForecast ResourceLedger::forecast(const std::string& name) const {
   SR_CHECKF(table != nullptr, "capacity: unknown table '%s'", name.c_str());
   const std::vector<std::pair<sim::Time, double>> points(
       table->history.begin(), table->history.end());
-  return linear_forecast(points, options_.forecast_min_samples);
+  return linear_forecast(points, kForecastMinSamples);
 }
 
 CapacityForecast ResourceLedger::linear_forecast(
@@ -352,7 +321,7 @@ void ResourceLedger::publish_table_metrics(std::size_t index) {
         const std::vector<std::pair<sim::Time, double>> points(
             tables_[index].history.begin(), tables_[index].history.end());
         const CapacityForecast f =
-            linear_forecast(points, options_.forecast_min_samples);
+            linear_forecast(points, kForecastMinSamples);
         return f.valid ? f.seconds_to_full : -1.0;
       },
       "Straight-line seconds until the table is full (-1 = not filling)",
@@ -392,7 +361,7 @@ std::string ResourceLedger::to_text() const {
     const std::vector<std::pair<sim::Time, double>> points(
         table.history.begin(), table.history.end());
     const CapacityForecast forecast =
-        linear_forecast(points, options_.forecast_min_samples);
+        linear_forecast(points, kForecastMinSamples);
     char used_cap[32];
     if (capacity > 0) {
       std::snprintf(used_cap, sizeof used_cap, "%" PRIu64 "/%" PRIu64, entries,
@@ -457,7 +426,7 @@ std::string ResourceLedger::to_json() const {
     const std::vector<std::pair<sim::Time, double>> points(
         table.history.begin(), table.history.end());
     const CapacityForecast forecast =
-        linear_forecast(points, options_.forecast_min_samples);
+        linear_forecast(points, kForecastMinSamples);
     append(out,
            "\n  {\"name\":\"%s\",\"level\":\"%s\",\"occupancy\":%s,"
            "\"entries\":%" PRIu64 ",\"capacity_entries\":%" PRIu64

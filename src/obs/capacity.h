@@ -55,18 +55,6 @@ enum class CapacityLevel : std::uint8_t {
 
 const char* to_string(CapacityLevel level) noexcept;
 
-/// Enter/exit occupancy fractions per raised level. enter > exit for every
-/// level (hysteresis band); levels must be ordered kWatch < kPressure <
-/// kCritical on both edges.
-struct CapacityThresholds {
-  double watch_enter = 0.70;
-  double watch_exit = 0.65;
-  double pressure_enter = 0.85;
-  double pressure_exit = 0.80;
-  double critical_enter = 0.95;
-  double critical_exit = 0.90;
-};
-
 /// Straight-line fill forecast from the occupancy history window.
 struct CapacityForecast {
   bool valid = false;           ///< enough history and a meaningful trend
@@ -97,24 +85,29 @@ class ResourceLedger {
     std::function<std::vector<StageUsage>()> stages;    ///< optional
   };
 
-  struct Options {
-    CapacityThresholds thresholds;
-    /// Occupancy samples retained per table for the forecast window.
-    std::size_t history = 64;
-    /// Minimum samples before a forecast is offered.
-    std::size_t forecast_min_samples = 8;
-  };
-
-  ResourceLedger() : ResourceLedger(Options{}) {}
-  explicit ResourceLedger(Options options);
+  /// Alarm thresholds, as occupancy fractions: a raised level is entered
+  /// at its enter value and left only at or below its lower exit value.
+  static constexpr double kWatchEnter = 0.70;
+  static constexpr double kWatchExit = 0.65;
+  static constexpr double kPressureEnter = 0.85;
+  static constexpr double kPressureExit = 0.80;
+  static constexpr double kCriticalEnter = 0.95;
+  static constexpr double kCriticalExit = 0.90;
+  static_assert(kWatchExit < kWatchEnter && kPressureExit < kPressureEnter &&
+                    kCriticalExit < kCriticalEnter,
+                "every level needs a hysteresis band");
+  static_assert(kWatchEnter < kPressureEnter && kPressureEnter < kCriticalEnter,
+                "levels are ordered kWatch < kPressure < kCritical");
+  /// Occupancy samples retained per table for the forecast window.
+  static constexpr std::size_t kHistory = 64;
+  /// Minimum samples before a forecast is offered.
+  static constexpr std::size_t kForecastMinSamples = 8;
+  static_assert(kForecastMinSamples >= 2 && kForecastMinSamples <= kHistory);
 
   /// Registers a table under `name` (unique; re-registering replaces the
   /// probes but keeps alarm state and history — a reconfigured owner does
   /// not reset its trend). Returns the table index.
   std::size_t register_table(const std::string& name, TableProbe probe);
-  /// Per-table threshold override (e.g. a bloom that should alarm earlier).
-  void set_thresholds(const std::string& name,
-                      const CapacityThresholds& thresholds);
 
   /// Adds a named pressure probe under a registered table: a monotonic
   /// counter the insertion machinery exposes (kick chains, failed inserts,
@@ -143,7 +136,7 @@ class ResourceLedger {
   /// Samples every table: appends to the occupancy history (at most one
   /// sample per distinct `now`) and runs the alarm state machine. Cheap
   /// enough to call from control-plane paths; hot paths should rate-limit
-  /// (SilkRoadSwitch polls at most once per Config::capacity_poll_interval).
+  /// (SilkRoadSwitch polls at most once per 10 ms of sim time).
   void poll(sim::Time now);
 
   // --- introspection (all reflect the last poll) ---------------------------
@@ -175,7 +168,6 @@ class ResourceLedger {
   struct Table {
     std::string name;
     TableProbe probe;
-    CapacityThresholds thresholds;
     std::vector<Pressure> pressures;
     CapacityLevel level = CapacityLevel::kOk;
     std::uint64_t transitions = 0;
@@ -198,7 +190,6 @@ class ResourceLedger {
   void publish_vip_metrics(std::size_t index);
   static double fragmentation_of(const std::vector<StageUsage>& stages);
 
-  Options options_;
   std::vector<Table> tables_;
   std::vector<Vip> vips_;
   TraceRing* trace_ = nullptr;

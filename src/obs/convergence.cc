@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 
@@ -12,18 +11,6 @@
 namespace silkroad::obs {
 
 namespace {
-
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
 
 const char* state_name(FleetObserver::SwitchState s) {
   switch (s) {
@@ -277,19 +264,13 @@ std::string DivergenceFinding::to_json() const {
 // --- FleetObserver -----------------------------------------------------------
 
 FleetObserver::FleetObserver(std::size_t switches)
-    : FleetObserver(switches, Options()) {}
-
-FleetObserver::FleetObserver(std::size_t switches, const Options& options)
-    : switch_count_(switches), options_(options) {
-  SR_CHECKF(options_.lag_exit <= options_.lag_enter,
-            "SLO hysteresis requires lag_exit <= lag_enter");
+    : switch_count_(switches) {
   const sr::MutexLock lock(mu_);
   cells_.resize(switches);
-  selfcheck_countdown_ = options_.selfcheck_every;
-  eval_countdown_ = options_.eval_every;
-  drain_batch_ = std::max<std::size_t>(1, options_.drain_every);
-  pending_.reserve(drain_batch_);
-  history_.resize(std::max<std::size_t>(1, options_.digest_history));
+  selfcheck_countdown_ = kSelfcheckEvery;
+  eval_countdown_ = kEvalEvery;
+  pending_.reserve(kDrainEvery);
+  history_.resize(kDigestHistory);
 }
 
 // --- Feed journal ------------------------------------------------------------
@@ -344,7 +325,7 @@ void FleetObserver::drain_locked() {
         // comparison (a history-ring lookup per switch) runs on the
         // evaluation cadence, all switches at once, instead of per
         // delivery. Detection latency for a delivery-path divergence is
-        // therefore bounded by eval_every feed events on top of the drain
+        // therefore bounded by kEvalEvery feed events on top of the drain
         // batching; out-of-band mutations, lifecycle edges, and explicit
         // evaluate() still check immediately (DESIGN.md §17).
         ++feed_events_;
@@ -494,7 +475,7 @@ void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
     if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
     cell.active_session = session_id;
     cell.sessions.push_back({session_id, 0, now, 0});
-    while (cell.sessions.size() > options_.session_history) {
+    while (cell.sessions.size() > kSessionHistory) {
       cell.sessions.pop_front();
     }
     fired = std::exchange(unfired_, {});
@@ -514,7 +495,7 @@ void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
     if (cell.sessions.empty() ||
         cell.sessions.back().session_id != session_id) {
       cell.sessions.push_back({session_id, static_cast<int>(kind), now, 0});
-      while (cell.sessions.size() > options_.session_history) {
+      while (cell.sessions.size() > kSessionHistory) {
         cell.sessions.pop_front();
       }
     } else {
@@ -718,9 +699,9 @@ void FleetObserver::evaluate_locked(sim::Time now) {
       cell.cached_age = now > entry.appended_at ? now - entry.appended_at : 0;
     }
     if (cell.lagging) {
-      if (lag <= options_.lag_exit) cell.lagging = false;
+      if (lag <= kLagExit) cell.lagging = false;
     } else {
-      if (lag > options_.lag_enter) cell.lagging = true;
+      if (lag > kLagEnter) cell.lagging = true;
     }
     if (cell.lagging) ++lagging;
     if (h_lag_ != nullptr) h_lag_->record(lag);
@@ -731,7 +712,7 @@ void FleetObserver::evaluate_locked(sim::Time now) {
   const bool ok =
       live == 0 ||
       (static_cast<double>(live - lagging) / static_cast<double>(live)) >=
-          options_.slo_target;
+          kSloTarget;
   if (!slo_ok_ && now > last_eval_) slo_burn_ns_ += now - last_eval_;
   if (ok != slo_ok_) ++slo_transitions_;
   slo_ok_ = ok;
@@ -739,11 +720,8 @@ void FleetObserver::evaluate_locked(sim::Time now) {
 }
 
 void FleetObserver::maybe_selfcheck_locked() {
-  if (options_.selfcheck_every == 0 || cells_.empty() ||
-      --selfcheck_countdown_ != 0) {
-    return;
-  }
-  selfcheck_countdown_ = options_.selfcheck_every;
+  if (cells_.empty() || --selfcheck_countdown_ != 0) return;
+  selfcheck_countdown_ = kSelfcheckEvery;
   // Round-robin one switch (plus the desired mirror) per cadence hit —
   // bounded work per drain, full coverage over time.
   ++selfchecks_;
@@ -763,8 +741,8 @@ void FleetObserver::maybe_selfcheck_locked() {
 }
 
 bool FleetObserver::eval_due_locked() {
-  if (options_.eval_every == 0 || --eval_countdown_ == 0) {
-    eval_countdown_ = options_.eval_every;
+  if (--eval_countdown_ == 0) {
+    eval_countdown_ = kEvalEvery;
     return true;
   }
   return false;
@@ -1036,42 +1014,47 @@ void FleetObserver::bind_metrics(MetricsRegistry& registry) {
 
 // --- Rendering ---------------------------------------------------------------
 
+FleetObserver::LagSummary FleetObserver::lag_summary_locked() const {
+  LagSummary out;
+  std::vector<std::uint64_t> lags;
+  for (const SwitchCell& cell : cells_) {
+    if (cell.state == SwitchState::kDown) continue;
+    ++out.live;
+    lags.push_back(cell.cached_lag);
+    if (cell.lagging) ++out.lagging;
+  }
+  if (lags.empty()) return out;
+  std::sort(lags.begin(), lags.end());
+  const auto quantile = [&lags](double q) {
+    const std::size_t idx = static_cast<std::size_t>(
+        q * static_cast<double>(lags.size() - 1) + 0.5);
+    return lags[std::min(idx, lags.size() - 1)];
+  };
+  out.p50 = quantile(0.50);
+  out.p99 = quantile(0.99);
+  out.max = lags.back();
+  return out;
+}
+
 std::string FleetObserver::to_text() {
   // Render surface: may run on the scrape thread, so it must not touch the
   // simulation-thread-only feed journal. It renders the last drained fold
-  // (staleness bounded by drain_every — header concurrency contract).
+  // (staleness bounded by kDrainEvery — header concurrency contract).
   const sr::MutexLock lock(mu_);
   std::string out;
   out += "=== fleet convergence observatory (DESIGN.md \xC2\xA7"
          "17) ===\n";
   append(out, "journal head: %" PRIu64 "\n", head_);
-  // Lag distribution over the current cells (order statistics, not the
-  // bound histogram, so the text view needs no registry).
-  std::vector<std::uint64_t> lags;
-  std::size_t live = 0, lagging = 0;
-  for (const SwitchCell& cell : cells_) {
-    if (cell.state == SwitchState::kDown) continue;
-    ++live;
-    lags.push_back(cell.cached_lag);
-    if (cell.lagging) ++lagging;
-  }
-  std::sort(lags.begin(), lags.end());
-  const auto quantile = [&lags](double q) -> std::uint64_t {
-    if (lags.empty()) return 0;
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(lags.size() - 1) + 0.5);
-    return lags[std::min(idx, lags.size() - 1)];
-  };
+  const LagSummary lag = lag_summary_locked();
   append(out,
          "lag positions: p50=%" PRIu64 " p99=%" PRIu64 " max=%" PRIu64
          " (over %zu live switches)\n",
-         quantile(0.50), quantile(0.99), lags.empty() ? 0 : lags.back(),
-         live);
+         lag.p50, lag.p99, lag.max, lag.live);
   append(out,
          "slo: %s (target %.2f%% within enter=%" PRIu64 "/exit=%" PRIu64
          " positions; lagging %zu/%zu)\n",
-         slo_ok_ ? "ok" : "VIOLATED", 100.0 * options_.slo_target,
-         options_.lag_enter, options_.lag_exit, lagging, live);
+         slo_ok_ ? "ok" : "VIOLATED", 100.0 * kSloTarget, kLagEnter,
+         kLagExit, lag.lagging, lag.live);
   append(out, "slo burn: %.6f s over %" PRIu64 " transition(s)\n",
          sim::to_seconds(slo_burn_ns_), slo_transitions_);
   append(out,
@@ -1111,33 +1094,17 @@ std::string FleetObserver::to_json() {
   const sr::MutexLock lock(mu_);
   std::string out;
   append(out, "{\"journal_head\":%" PRIu64, head_);
-  std::vector<std::uint64_t> lags;
-  std::size_t live = 0, lagging = 0;
-  for (const SwitchCell& cell : cells_) {
-    if (cell.state == SwitchState::kDown) continue;
-    ++live;
-    lags.push_back(cell.cached_lag);
-    if (cell.lagging) ++lagging;
-  }
-  std::sort(lags.begin(), lags.end());
-  const auto quantile = [&lags](double q) -> std::uint64_t {
-    if (lags.empty()) return 0;
-    const std::size_t idx = static_cast<std::size_t>(
-        q * static_cast<double>(lags.size() - 1) + 0.5);
-    return lags[std::min(idx, lags.size() - 1)];
-  };
+  const LagSummary lag = lag_summary_locked();
   append(out,
          ",\"lag\":{\"p50\":%" PRIu64 ",\"p99\":%" PRIu64 ",\"max\":%" PRIu64
          ",\"live\":%zu,\"lagging\":%zu}",
-         quantile(0.50), quantile(0.99), lags.empty() ? 0 : lags.back(), live,
-         lagging);
+         lag.p50, lag.p99, lag.max, lag.live, lag.lagging);
   append(out,
          ",\"slo\":{\"ok\":%s,\"target\":%s,\"lag_enter\":%" PRIu64
          ",\"lag_exit\":%" PRIu64 ",\"burn_ns\":%" PRIu64
          ",\"transitions\":%" PRIu64 "}",
-         slo_ok_ ? "true" : "false",
-         format_number(options_.slo_target).c_str(), options_.lag_enter,
-         options_.lag_exit, slo_burn_ns_, slo_transitions_);
+         slo_ok_ ? "true" : "false", format_number(kSloTarget).c_str(),
+         kLagEnter, kLagExit, slo_burn_ns_, slo_transitions_);
   append(out,
          ",\"digest\":{\"desired\":\"0x%016" PRIx64
          "\",\"selfchecks\":%" PRIu64 ",\"selfcheck_failures\":%" PRIu64

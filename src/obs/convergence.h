@@ -8,8 +8,8 @@
 //
 //   1. "How far behind is each replica?" — per-switch watermark lag in
 //      journal positions and in sim-time age, folded into a fleet lag
-//      histogram and a hysteretic convergence SLO ("at least `slo_target`
-//      of the live switches within `lag_enter` positions of the journal
+//      histogram and a hysteretic convergence SLO ("at least `kSloTarget`
+//      of the live switches within `kLagEnter` positions of the journal
 //      head"). SLO burn is exported as a counter so the existing
 //      TimeSeriesRecorder derives burn rate for free.
 //
@@ -51,13 +51,13 @@
 // do not fold state synchronously. Each appends one compact FeedEvent to a
 // feed journal and returns; the journal is simulation-thread-only, so the
 // buffered fast path is a plain sequential store and a threshold test —
-// no lock, no hashing, no fold. Once the buffer reaches `drain_every`
+// no lock, no hashing, no fold. Once the buffer reaches `kDrainEvery`
 // events the fold replays it in one batched drain under the mutex, which
 // keeps the observer's working set cache-resident instead of re-faulting
 // it on every feed between the fleet's own work. Replay applies events in
 // feed order with their recorded timestamps, so the result is
 // bit-identical to the synchronous fold; the only observable difference is
-// detection latency, bounded by `drain_every` feed events. Configuration,
+// detection latency, bounded by `kDrainEvery` feed events. Configuration,
 // lifecycle, and resync-session feeds drain first and then apply
 // synchronously (they are rare and order-sensitive); every
 // simulation-thread query — evaluate(), verify_digests(), the getters —
@@ -69,7 +69,7 @@
 // observer's sr::Mutex; the feed journal does not — it belongs to the
 // simulation thread alone, which is what makes the buffered feed lock-free.
 // The scrape surface therefore renders the last drained fold rather than
-// draining itself: its staleness is bounded by `drain_every` feed events,
+// draining itself: its staleness is bounded by `kDrainEvery` feed events,
 // the same bound the detection latency already carries. The divergence
 // callback is invoked after the mutex is released, and only from
 // simulation-thread entry points (feeds, evaluate(), verify_digests(),
@@ -157,33 +157,35 @@ struct DivergenceFinding {
 
 class FleetObserver {
  public:
-  struct Options {
-    /// Hysteresis: a switch becomes "lagging" above `lag_enter` positions
-    /// and stops lagging at or below `lag_exit`.
-    std::uint64_t lag_enter = 64;
-    std::uint64_t lag_exit = 16;
-    /// SLO: fraction of live switches that must not be lagging.
-    double slo_target = 0.99;
-    /// Desired-digest history retained, in journal positions; a switch
-    /// whose effective watermark fell off the ring is unverifiable until
-    /// it catches up.
-    std::size_t digest_history = 4096;
-    /// Full-recompute digest self-check cadence, in feed events (0 = off).
-    std::size_t selfcheck_every = 1024;
-    /// Lag/SLO re-evaluation cadence, in feed events. Divergence checks run
-    /// alongside every evaluation; explicit evaluate() and switch-lifecycle
-    /// edges always re-evaluate.
-    std::size_t eval_every = 64;
-    /// Feed-journal drain threshold, in buffered hot-path feed events (see
-    /// the cost model above; 1 = fold synchronously). Detection latency for
-    /// a delivery-path divergence is bounded by this many feed events;
-    /// simulation-thread queries always drain first, while the scrape
-    /// surface renders the last drained fold (staleness bounded by the same
-    /// threshold).
-    std::size_t drain_every = 256;
-    /// Resync-session records retained per switch for forensics.
-    std::size_t session_history = 16;
-  };
+  /// Hysteresis: a switch becomes "lagging" above `kLagEnter` positions
+  /// and stops lagging at or below `kLagExit`.
+  static constexpr std::uint64_t kLagEnter = 64;
+  static constexpr std::uint64_t kLagExit = 16;
+  static_assert(kLagExit <= kLagEnter,
+                "SLO hysteresis requires kLagExit <= kLagEnter");
+  /// SLO: fraction of live switches that must not be lagging.
+  static constexpr double kSloTarget = 0.99;
+  /// Desired-digest history retained, in journal positions; a switch whose
+  /// effective watermark fell off the ring is unverifiable until it
+  /// catches up.
+  static constexpr std::size_t kDigestHistory = 4096;
+  /// Full-recompute digest self-check cadence, in feed events.
+  static constexpr std::size_t kSelfcheckEvery = 1024;
+  /// Lag/SLO re-evaluation cadence, in feed events. Divergence checks run
+  /// alongside every evaluation; explicit evaluate() and switch-lifecycle
+  /// edges always re-evaluate.
+  static constexpr std::size_t kEvalEvery = 64;
+  /// Feed-journal drain threshold, in buffered hot-path feed events (see
+  /// the cost model above). Detection latency for a delivery-path
+  /// divergence is bounded by this many feed events; simulation-thread
+  /// queries always drain first, while the scrape surface renders the last
+  /// drained fold (staleness bounded by the same threshold).
+  static constexpr std::size_t kDrainEvery = 256;
+  /// Resync-session records retained per switch for forensics.
+  static constexpr std::size_t kSessionHistory = 16;
+  static_assert(kDigestHistory > 0 && kSelfcheckEvery > 0 && kEvalEvery > 0 &&
+                    kDrainEvery > 0,
+                "the history ring and the cadence countdowns need sizes > 0");
 
   enum class ResyncKind { kEmpty = 0, kDelta = 1, kFull = 2 };
   enum class SwitchState { kLive = 0, kDown = 1, kRestoring = 2,
@@ -192,7 +194,6 @@ class FleetObserver {
   using DivergenceCallback = std::function<void(const DivergenceFinding&)>;
 
   explicit FleetObserver(std::size_t switches);
-  FleetObserver(std::size_t switches, const Options& options);
 
   // --- Feed: controller journal appends --------------------------------------
 
@@ -271,7 +272,7 @@ class FleetObserver {
 
   /// Full-recompute self-check of every incrementally-maintained digest
   /// (all switches + desired). Returns false (and counts a failure) on any
-  /// mismatch. Also invoked round-robin every `selfcheck_every` feeds.
+  /// mismatch. Also invoked round-robin every `kSelfcheckEvery` feeds.
   bool verify_digests();
 
   // --- Introspection ----------------------------------------------------------
@@ -385,7 +386,7 @@ class FleetObserver {
   /// costs no out-of-line call.
   void enqueue(const FeedEvent& ev) {
     pending_.push_back(ev);
-    if (pending_.size() < drain_batch_) return;
+    if (pending_.size() < kDrainEvery) return;
     std::vector<DivergenceFinding> fired;
     {
       const sr::MutexLock lock(mu_);
@@ -462,20 +463,29 @@ class FleetObserver {
       SR_REQUIRES(mu_);
   void fire(std::vector<DivergenceFinding> findings);
 
-  const std::size_t switch_count_;
-  const Options options_;
+  /// Lag distribution over the non-down switches, from the cached lags
+  /// (order statistics, not the bound histogram, so rendering needs no
+  /// registry). Shared by to_text() and to_json().
+  struct LagSummary {
+    std::uint64_t p50 = 0;
+    std::uint64_t p99 = 0;
+    std::uint64_t max = 0;
+    std::size_t live = 0;
+    std::size_t lagging = 0;
+  };
+  LagSummary lag_summary_locked() const SR_REQUIRES(mu_);
 
-  // Hot fields first: a buffered feed touches only pending_ and
-  // drain_batch_ — adjacent so the fast path faults at most one line of
-  // the object plus the sequential event store.
+  const std::size_t switch_count_;
+
+  // Hot field first: a buffered feed touches only pending_, so the fast
+  // path faults at most one line of the object plus the sequential event
+  // store.
   /// Feed journal. Simulation-thread-only (deliberately NOT guarded by
   /// mu_): written by the inline feeds without a lock, consumed by
   /// drain_locked() from simulation-thread entry points. The scrape thread
   /// never touches it — to_text()/to_json()/bound metrics render the last
   /// drained fold instead.
   std::vector<FeedEvent> pending_;
-  /// max(1, options_.drain_every), cached beside pending_.
-  std::size_t drain_batch_ = 1;
   mutable sr::Mutex mu_;
   /// Findings detected under the lock and not yet delivered: fired by the
   /// next feed-path/evaluate entry point (never by queries — DESIGN.md §13
@@ -511,7 +521,7 @@ class FleetObserver {
   std::uint64_t selfcheck_failures_ SR_GUARDED_BY(mu_) = 0;
   std::uint64_t unverifiable_ SR_GUARDED_BY(mu_) = 0;
   std::uint64_t feed_events_ SR_GUARDED_BY(mu_) = 0;
-  /// Cadence countdowns (reloaded from Options): a decrement-and-test per
+  /// Cadence countdowns (reloaded from the constants): a decrement-and-test per
   /// feed instead of two 64-bit modulo ops on the replay path.
   std::size_t selfcheck_countdown_ SR_GUARDED_BY(mu_) = 0;
   std::size_t eval_countdown_ SR_GUARDED_BY(mu_) = 0;

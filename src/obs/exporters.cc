@@ -10,18 +10,6 @@ namespace silkroad::obs {
 
 namespace {
 
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
-
 std::string series_name(const MetricSample& sample, const char* suffix = "",
                         const std::string& extra_label = "") {
   std::string out = sample.name;
@@ -40,6 +28,15 @@ std::string series_name(const MetricSample& sample, const char* suffix = "",
 }
 
 }  // namespace
+
+void append(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  out += buf;
+}
 
 std::string format_number(double v) {
   char buf[64];
@@ -132,10 +129,6 @@ std::string to_json(const Snapshot& snapshot) {
 }
 
 std::string to_profile_json(const Snapshot& snapshot) {
-  const auto ends_with = [](const std::string& s, std::string_view suffix) {
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-  };
   std::string out = "{\"histograms\":[";
   bool first = true;
   for (const auto& sample : snapshot.samples) {
@@ -157,21 +150,6 @@ std::string to_profile_json(const Snapshot& snapshot) {
              format_number(histogram_quantile(sample, q)).c_str());
     }
     out += "}";
-  }
-  out += "\n],\"sampling\":[";
-  first = true;
-  for (const auto& sample : snapshot.samples) {
-    if (sample.kind != MetricKind::kCounter ||
-        (!ends_with(sample.name, "_sampled_packets_total") &&
-         !ends_with(sample.name, "_profiler_reentry_total"))) {
-      continue;
-    }
-    if (!first) out += ",";
-    first = false;
-    append(out, "\n  {\"name\":\"%s\",\"labels\":\"%s\",\"value\":%s}",
-           json_escape(sample.name).c_str(),
-           json_escape(sample.labels).c_str(),
-           format_number(sample.value).c_str());
   }
   out += "\n]}\n";
   return out;

@@ -28,6 +28,11 @@ std::string format_number(double v);
 /// Minimal JSON string escaping (quotes, backslash, newline, tab).
 std::string json_escape(std::string_view s);
 
+/// Appends printf-formatted text to `out`; one call renders at most 511
+/// bytes. Shared by the obs text and JSON renderers.
+void append(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// Prometheus exposition text format (version 0.0.4): "# HELP"/"# TYPE"
 /// headers per metric family, histograms as cumulative `_bucket{le=...}`
 /// series plus `_sum` and `_count`.
@@ -39,9 +44,9 @@ std::string to_json(const Snapshot& snapshot);
 
 /// Latency-profile summary served as /profile: every non-empty histogram
 /// series rendered as {"name","labels","count","sum","mean","p50","p90",
-/// "p99","p999"}, plus a "sampling" array of the sampling-profiler counters
-/// (*_sampled_packets_total, *_profiler_reentry_total) so the sampled
-/// population and any re-entry anomalies are visible next to the quantiles.
+/// "p99","p999"} — among them the exact per-packet
+/// silkroad_packet_latency_ns and the learn-to-install
+/// silkroad_insert_latency_ns.
 std::string to_profile_json(const Snapshot& snapshot);
 
 /// Chrome trace-event JSON. The 3-step PCC protocol renders as duration

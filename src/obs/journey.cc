@@ -1,7 +1,6 @@
 #include "obs/journey.h"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <unordered_map>
 
@@ -15,18 +14,6 @@ bool is_update_step(TraceEventKind kind) noexcept {
   return kind == TraceEventKind::kUpdateStep1Open ||
          kind == TraceEventKind::kUpdateFlip ||
          kind == TraceEventKind::kUpdateFinish;
-}
-
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
 }
 
 std::string track_name(const TraceRing& ring, const FlowJourney& journey) {

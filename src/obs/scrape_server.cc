@@ -12,6 +12,10 @@ namespace silkroad::obs {
 
 namespace {
 
+/// Pending-connection queue of the listening socket: one scraper at a time
+/// is the expected load, so a small queue is plenty.
+constexpr int kBacklog = 8;
+
 /// "GET /path HTTP/1.0" -> "/path" (query strings stripped); empty on
 /// anything that is not a GET request line.
 std::string parse_get_path(const std::string& request) {
@@ -89,7 +93,7 @@ bool ScrapeServer::start() {
   addr.sin_port = htons(options_.port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
           0 ||
-      ::listen(listen_fd_, options_.backlog) < 0) {
+      ::listen(listen_fd_, kBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return false;

@@ -35,7 +35,6 @@ class ScrapeServer {
 
   struct Options {
     std::uint16_t port = 0;  ///< 0 = ephemeral (query via port())
-    int backlog = 8;
   };
 
   explicit ScrapeServer(const Options& options);

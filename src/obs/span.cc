@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,22 +10,6 @@
 #include "obs/exporters.h"
 
 namespace silkroad::obs {
-
-namespace {
-
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-}  // namespace
 
 const char* to_string(SpanEventKind kind) noexcept {
   switch (kind) {

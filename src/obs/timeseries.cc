@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "obs/exporters.h"
 
@@ -10,12 +9,10 @@ namespace silkroad::obs {
 
 namespace {
 
-/// ":p50"-style suffix for a derived quantile series (q in [0,1]).
-std::string quantile_suffix(double q) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, ":p%g", q * 100.0);
-  return buf;
-}
+/// Interval-local quantiles derived from every histogram series, with
+/// their series-name suffixes.
+constexpr std::pair<double, const char*> kQuantiles[] = {{0.50, ":p50"},
+                                                         {0.99, ":p99"}};
 
 /// Cumulative count of `buckets` at inclusive bound `upper` (the count of
 /// recorded values <= upper).
@@ -124,8 +121,8 @@ void TimeSeriesRecorder::sample(sim::Time at) {
       prev_bound = bucket.upper_bound;
       have_prev_bound = true;
     }
-    for (const double q : {options_.quantile_lo, options_.quantile_hi}) {
-      push({sample.name + quantile_suffix(q), sample.labels}, at,
+    for (const auto& [q, suffix] : kQuantiles) {
+      push({sample.name + suffix, sample.labels}, at,
            histogram_quantile(delta, q));
     }
   }
@@ -138,7 +135,7 @@ void TimeSeriesRecorder::sample(sim::Time at) {
 
 void TimeSeriesRecorder::compute_imbalance(const Snapshot& snap, sim::Time at,
                                            bool derive) {
-  for (const std::string& metric : options_.imbalance_metrics) {
+  for (const std::string metric : kImbalanceMetrics) {
     // Group the metric's per-DIP samples by VIP. Gauges contribute their
     // level; counters the per-interval delta (so the index describes this
     // interval's arrivals, not since-boot totals).
@@ -303,7 +300,7 @@ std::string TimeSeriesRecorder::imbalance_json() const {
   out += std::to_string(options_.interval);
   out += ",\"metrics\":[";
   bool first_metric = true;
-  for (const std::string& metric : options_.imbalance_metrics) {
+  for (const std::string metric : kImbalanceMetrics) {
     if (!first_metric) out += ",";
     first_metric = false;
     out += "\n  {\"metric\":\"";

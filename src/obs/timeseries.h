@@ -8,8 +8,7 @@
 //
 //   <name>            raw counter/gauge value at each sample
 //   <name>:rate       counter delta per second over the last interval
-//   <name>:pNN        histogram quantile of values recorded in the interval
-//                     (NN from Options::quantile_lo/hi, default p50 and p99)
+//   <name>:p50, :p99  histogram quantiles of values recorded in the interval
 //   <name>:mean       mean of values recorded in the interval
 //   <name>:count_rate histogram recordings per second over the interval
 //
@@ -23,6 +22,7 @@
 // ScrapeServer thread may export while the simulation thread samples.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -47,19 +47,18 @@ class TimeSeriesRecorder {
   struct Options {
     sim::Time interval = sim::kSecond;  ///< sampling period (sim time)
     std::size_t capacity = 1024;        ///< max points retained per series
-    double quantile_lo = 0.50;          ///< lower derived quantile (":p50")
-    double quantile_hi = 0.99;          ///< upper derived quantile (":p99")
-    /// Metrics carrying per-DIP series labeled vip="..",dip=".." whose
-    /// cross-DIP spread is summarized per VIP at each sample: gauges
-    /// contribute their level, counters their per-interval delta. Each
-    /// (metric, vip) with a nonzero mean yields two derived series —
-    /// `<name>:imbalance_maxmean{vip=...}` (max/mean across DIPs, 1.0 =
-    /// perfectly balanced) and `<name>:imbalance_cv{vip=...}` (coefficient
-    /// of variation, 0.0 = perfectly balanced) — plus the latest stats in
-    /// imbalance_json().
-    std::vector<std::string> imbalance_metrics = {
-        "silkroad_dip_active_conns", "silkroad_dip_new_conns_total"};
   };
+
+  /// Metrics carrying per-DIP series labeled vip="..",dip=".." whose
+  /// cross-DIP spread is summarized per VIP at each sample: gauges
+  /// contribute their level, counters their per-interval delta. Each
+  /// (metric, vip) with a nonzero mean yields two derived series —
+  /// `<name>:imbalance_maxmean{vip=...}` (max/mean across DIPs, 1.0 =
+  /// perfectly balanced) and `<name>:imbalance_cv{vip=...}` (coefficient
+  /// of variation, 0.0 = perfectly balanced) — plus the latest stats in
+  /// imbalance_json().
+  static constexpr std::array<const char*, 2> kImbalanceMetrics = {
+      "silkroad_dip_active_conns", "silkroad_dip_new_conns_total"};
 
   /// One (time, value) observation. Times are sim-time nanoseconds.
   struct Point {
@@ -76,7 +75,7 @@ class TimeSeriesRecorder {
   };
 
   /// Latest per-(metric, vip) load-imbalance summary across that VIP's DIPs
-  /// (Options::imbalance_metrics).
+  /// (kImbalanceMetrics).
   struct ImbalanceStat {
     sim::Time at = 0;
     std::size_t dips = 0;   ///< DIP series contributing to the sample

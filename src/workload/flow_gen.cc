@@ -73,7 +73,6 @@ void FlowGenerator::schedule_next_arrival(std::size_t vip_index) {
   if (at >= horizon_) return;
   sim_.schedule_at(at, [this, vip_index] {
     const Flow flow = synthesize(vip_index);
-    ++flows_generated_;
     if (on_start_) on_start_(flow);
     sim_.schedule_at(flow.end, [this, flow] {
       if (on_end_) on_end_(flow);

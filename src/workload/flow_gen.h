@@ -83,8 +83,6 @@ class FlowGenerator {
     modulation_ = std::move(modulation);
   }
 
-  std::uint64_t flows_generated() const noexcept { return flows_generated_; }
-
  private:
   void schedule_next_arrival(std::size_t vip_index);
   Flow synthesize(std::size_t vip_index);
@@ -98,7 +96,6 @@ class FlowGenerator {
   FlowCallback on_start_;
   FlowCallback on_end_;
   RateModulation modulation_;
-  std::uint64_t flows_generated_ = 0;
   std::uint32_t next_client_id_ = 1;
 };
 

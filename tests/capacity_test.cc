@@ -248,9 +248,7 @@ TEST(CapacityLedger, ForecastFlatAndShortWindows) {
 }
 
 TEST(CapacityLedger, ForecastThroughPolledHistory) {
-  obs::ResourceLedger::Options options;
-  options.forecast_min_samples = 4;
-  obs::ResourceLedger ledger(options);
+  obs::ResourceLedger ledger;
 
   double occ = 0;
   obs::ResourceLedger::TableProbe probe;
@@ -259,7 +257,10 @@ TEST(CapacityLedger, ForecastThroughPolledHistory) {
   probe.occupancy = [&occ] { return occ; };
   ledger.register_table("ramp", probe);
 
+  static_assert(obs::ResourceLedger::kForecastMinSamples == 8);
   for (int i = 0; i < 8; ++i) {
+    // No forecast until the eighth sample lands.
+    EXPECT_FALSE(ledger.forecast("ramp").valid) << "after " << i << " samples";
     occ = 0.10 * i;
     ledger.poll(static_cast<sim::Time>(i) * sim::kSecond);
   }

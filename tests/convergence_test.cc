@@ -101,40 +101,52 @@ TEST(FleetObserver, EffectiveWatermarkExtendsThroughOutOfBandPositions) {
 }
 
 TEST(FleetObserver, SloHysteresisEntersExitsAndBurns) {
-  FleetObserver::Options options;
-  options.lag_enter = 4;
-  options.lag_exit = 1;
-  FleetObserver observer(1, options);
-  const auto dips = make_dips(8);
+  FleetObserver observer(1);
+  // One position past the enter threshold makes the only switch lagging.
+  constexpr std::uint64_t kHead = FleetObserver::kLagEnter + 1;
+  const auto dips = make_dips(static_cast<std::uint32_t>(kHead));
   sim::Time now = 0;
-  for (std::uint64_t pos = 1; pos <= 8; ++pos) {
+  for (std::uint64_t pos = 1; pos <= kHead; ++pos) {
     now += 100;
     observer.on_append_update(pos, now, vip_ep(), dips[pos - 1], true);
   }
   observer.evaluate(now);
-  EXPECT_EQ(observer.lag_positions(0), 8u);
+  EXPECT_EQ(observer.lag_positions(0), kHead);
   EXPECT_GT(observer.lag_age(0), 0u);
   EXPECT_FALSE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 1u);
   // Burn accrues while violated.
   observer.evaluate(now + 1000);
   EXPECT_GE(observer.slo_burn_ns(), 1000u);
+  const auto deliver_through = [&](std::uint64_t from, std::uint64_t to,
+                                   sim::Time at) {
+    for (std::uint64_t pos = from; pos <= to; ++pos) {
+      observer.on_mirror_update(0, vip_ep(), dips[pos - 1], true, pos, at);
+      observer.on_watermark(0, pos, at);
+    }
+  };
+  // Catching up to one position above lag_exit keeps the latch set.
+  constexpr std::uint64_t kHeld = kHead - FleetObserver::kLagExit - 1;
+  deliver_through(1, kHeld, now + 1500);
+  observer.evaluate(now + 1500);
+  EXPECT_EQ(observer.lag_positions(0), FleetObserver::kLagExit + 1);
+  EXPECT_FALSE(observer.slo_ok());
   // Catching up past lag_exit clears the latch and the violation.
-  for (std::uint64_t pos = 1; pos <= 8; ++pos) {
-    observer.on_mirror_update(0, vip_ep(), dips[pos - 1], true, pos,
-                              now + 2000);
-    observer.on_watermark(0, pos, now + 2000);
-  }
+  deliver_through(kHeld + 1, kHead, now + 2000);
   observer.evaluate(now + 2000);
   EXPECT_EQ(observer.lag_positions(0), 0u);
   EXPECT_TRUE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 2u);
   EXPECT_EQ(observer.divergences(), 0u);
   // Hysteresis: a lag between exit and enter does not re-enter lagging.
-  observer.on_append_update(9, now + 3000, vip_ep(), dip_ep(50), true);
-  observer.on_append_update(10, now + 3000, vip_ep(), dip_ep(51), true);
+  constexpr std::uint64_t kBehind = FleetObserver::kLagExit + 1;
+  for (std::uint64_t pos = kHead + 1; pos <= kHead + kBehind; ++pos) {
+    observer.on_append_update(pos, now + 3000, vip_ep(),
+                              dip_ep(static_cast<std::uint32_t>(1000 + pos)),
+                              true);
+  }
   observer.evaluate(now + 3000);
-  EXPECT_EQ(observer.lag_positions(0), 2u);
+  EXPECT_EQ(observer.lag_positions(0), kBehind);
   EXPECT_TRUE(observer.slo_ok());
 }
 
@@ -226,15 +238,16 @@ TEST(FleetObserver, ChecksAreSuspendedDuringResyncSessions) {
 }
 
 TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
-  FleetObserver::Options options;
-  options.digest_history = 2;
-  FleetObserver observer(1, options);
-  for (std::uint64_t pos = 1; pos <= 10; ++pos) {
-    observer.on_append_update(pos, pos * 10, vip_ep(), dip_ep(pos), true);
+  FleetObserver observer(1);
+  constexpr std::uint64_t kHead = FleetObserver::kDigestHistory + 10;
+  for (std::uint64_t pos = 1; pos <= kHead; ++pos) {
+    observer.on_append_update(pos, pos * 10, vip_ep(),
+                              dip_ep(static_cast<std::uint32_t>(pos)), true);
   }
-  // Watermark 5 fell off the 2-entry history ring: the check is counted as
-  // unverifiable instead of comparing against the wrong reference.
-  observer.on_watermark(0, 5, 200);
+  // Watermark 5 fell off the history ring (it retains the newest
+  // kDigestHistory positions): the check is counted as unverifiable
+  // instead of comparing against the wrong reference.
+  observer.on_watermark(0, 5, kHead * 10);
   EXPECT_GE(observer.unverifiable_checks(), 1u);
   EXPECT_EQ(observer.divergences(), 0u);
 }

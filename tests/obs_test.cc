@@ -16,7 +16,6 @@
 #include "obs/exporters.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
-#include "obs/sampling_profiler.h"
 #include "obs/scrape_server.h"
 #include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
@@ -982,82 +981,6 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
             static_cast<double>(sw.trace().dropped()));
 }
 
-// ---------------------------------------------------------------------------
-// SamplingProfiler
-// ---------------------------------------------------------------------------
-
-std::vector<std::size_t> sampled_indices(SamplingProfiler& profiler,
-                                         std::size_t packets) {
-  std::vector<std::size_t> sampled;
-  for (std::size_t i = 0; i < packets; ++i) {
-    if (profiler.begin_packet()) sampled.push_back(i);
-  }
-  return sampled;
-}
-
-TEST(SamplingProfiler, SameSeedSamplesTheSamePackets) {
-  MetricsRegistry ra;
-  MetricsRegistry rb;
-  SamplingProfiler a(ra, "p", {"s"});
-  SamplingProfiler b(rb, "p", {"s"});
-  const auto ia = sampled_indices(a, 100'000);
-  const auto ib = sampled_indices(b, 100'000);
-  EXPECT_EQ(ia, ib);  // determinism is a first-class property
-  EXPECT_EQ(a.sampled_packets(), ia.size());
-  // The gap draw is uniform on [1, 2*period), so the rate is ~1/period.
-  const double expected = 100'000.0 / static_cast<double>(a.period());
-  EXPECT_NEAR(static_cast<double>(ia.size()), expected, 0.2 * expected);
-
-  MetricsRegistry rc;
-  SamplingProfiler::Options reseeded;
-  reseeded.seed = 0xD1FFULL;
-  SamplingProfiler c(rc, "p", {"s"}, reseeded);
-  EXPECT_NE(sampled_indices(c, 100'000), ia);  // the seed is the stream
-}
-
-TEST(SamplingProfiler, PeriodOneSamplesEveryPacket) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options every_packet;
-  every_packet.period = 1;
-  SamplingProfiler profiler(registry, "p", {"s"}, every_packet);
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(profiler.begin_packet());
-  EXPECT_EQ(profiler.sampled_packets(), 100u);
-}
-
-TEST(SamplingProfiler, ReentryIsCountedAndScopeRecordsOnce) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options every_packet;
-  every_packet.period = 1;
-  SamplingProfiler profiler(registry, "p", {"pipe"}, every_packet);
-  ASSERT_TRUE(profiler.begin_packet());
-  EXPECT_TRUE(profiler.enter(0));
-  EXPECT_FALSE(profiler.enter(0));  // nested — counted, not charged
-  profiler.exit(0, 500);
-  profiler.exit(0, 500);  // unmatched — ignored
-  const Snapshot snap = registry.snapshot();
-  const MetricSample* lat = snap.find("p_stage_latency_ns", "stage=\"pipe\"");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_EQ(lat->count, 1u);  // single charge despite the nested enter
-  EXPECT_EQ(snap.value_of("p_profiler_reentry_total", "stage=\"pipe\""), 1.0);
-}
-
-TEST(SamplingProfiler, StagesAndVipSeriesAreNoOpsWhenNotSampling) {
-  MetricsRegistry registry;
-  SamplingProfiler::Options sparse;
-  sparse.period = 1'000'000;
-  SamplingProfiler profiler(registry, "p", {"pipe"}, sparse);
-  Histogram* vip = profiler.vip_series("10.0.0.1:80");
-  ASSERT_NE(vip, nullptr);
-  for (int i = 0; i < 100; ++i) {
-    if (profiler.begin_packet()) continue;  // expect: never sampled
-    EXPECT_FALSE(profiler.enter(0));
-    if (profiler.sampling()) vip->record(1);
-  }
-  const Snapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.find("p_stage_latency_ns", "stage=\"pipe\"")->count, 0u);
-  EXPECT_EQ(snap.find("p_vip_latency_ns", "vip=\"10.0.0.1:80\"")->count, 0u);
-}
-
 TEST(StageProfiler, HitStageMissesEveryEarlierStage) {
   MetricsRegistry registry;
   StageProfiler profiler(registry, "sp", 3);
@@ -1167,28 +1090,24 @@ TEST(TimeSeriesRecorder, ImbalanceJsonRendersLatestAndWindow) {
 // /profile exporter
 // ---------------------------------------------------------------------------
 
-TEST(Exporters, ProfileJsonHasQuantilesAndSamplingCounters) {
+TEST(Exporters, ProfileJsonHasQuantilesOfNonEmptyHistograms) {
   MetricsRegistry registry;
-  Histogram* lat = registry.histogram("p_stage_latency_ns", "", "stage=\"s\"");
+  Histogram* lat = registry.histogram("p_latency_ns", "", "stage=\"s\"");
   for (std::uint64_t v = 1; v <= 1000; ++v) lat->record(v);
   registry.histogram("empty_lat");  // count 0 — must be skipped
-  registry.counter("p_sampled_packets_total")->inc(10);
-  registry.counter("p_profiler_reentry_total", "", "stage=\"s\"")->inc(2);
   registry.counter("unrelated_total")->inc(5);
 
   const std::string json = to_profile_json(registry.snapshot());
-  EXPECT_NE(json.find("\"name\":\"p_stage_latency_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"p_latency_ns\""), std::string::npos);
   for (const char* q : {"\"p50\":", "\"p90\":", "\"p99\":", "\"p999\":"}) {
     EXPECT_NE(json.find(q), std::string::npos) << q;
   }
   EXPECT_EQ(json.find("empty_lat"), std::string::npos);
-  EXPECT_NE(json.find("\"p_sampled_packets_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"p_profiler_reentry_total\""), std::string::npos);
   EXPECT_EQ(json.find("unrelated_total"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Switch integration: per-DIP telemetry and the sampling profiler
+// Switch integration: per-DIP telemetry and /profile
 // ---------------------------------------------------------------------------
 
 TEST(SwitchTelemetry, PerDipCountersTrackLearnsAndFinsDrainGauges) {
@@ -1228,32 +1147,38 @@ TEST(SwitchTelemetry, PerDipCountersTrackLearnsAndFinsDrainGauges) {
             static_cast<double>(kFlows));
 }
 
-TEST(SwitchTelemetry, SamplingProfilerRecordsStageAndVipLatency) {
+TEST(SwitchTelemetry, ProfileJsonServesExactPacketLatency) {
   sim::Simulator sim;
-  auto config = small_config();
-  config.profiler.period = 8;  // dense sampling so a small test sees samples
+  const auto config = small_config();
   core::SilkRoadSwitch sw(sim, config);
   sw.add_vip(vip_ep(), make_dips(4));
-  constexpr std::uint32_t kPackets = 400;
-  for (std::uint32_t i = 0; i < kPackets; ++i) {
-    sw.process_packet(packet_of(i % 50, i < 50));
+  constexpr std::uint32_t kFlows = 50;
+  constexpr std::uint32_t kRounds = 8;  // one SYN round, then data packets
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    for (std::uint32_t i = 0; i < kFlows; ++i) {
+      sw.process_packet(packet_of(i, round == 0));
+    }
     sim.run();
   }
 
   const Snapshot snap = sw.metrics().snapshot();
-  const double sampled =
-      snap.value_of("silkroad_packet_sampled_packets_total");
-  EXPECT_GT(sampled, 0.0);
-  EXPECT_LT(sampled, kPackets);
-  const MetricSample* stage =
-      snap.find("silkroad_packet_stage_latency_ns", "stage=\"pipeline\"");
-  ASSERT_NE(stage, nullptr);
-  EXPECT_GT(stage->count, 0u);
-  EXPECT_LE(stage->count, static_cast<std::uint64_t>(sampled));
-  const MetricSample* vip = snap.find("silkroad_packet_vip_latency_ns",
-                                      "vip=\"" + vip_ep().to_string() + "\"");
-  ASSERT_NE(vip, nullptr);
-  EXPECT_EQ(vip->count, static_cast<std::uint64_t>(sampled));
+  // Nothing took the redirect path, so every packet was charged exactly
+  // the pipeline latency.
+  ASSERT_EQ(snap.value_of("silkroad_syn_false_positives_total"), 0.0);
+  ASSERT_EQ(snap.value_of("silkroad_transit_false_positives_total"), 0.0);
+  ASSERT_EQ(snap.value_of("silkroad_software_fallback_total"), 0.0);
+  const double packets = snap.value_of("silkroad_packets_total");
+  ASSERT_EQ(packets, static_cast<double>(kFlows * kRounds));
+  const double pipeline_ns = static_cast<double>(config.pipeline_latency);
+  ASSERT_EQ(pipeline_ns, 400.0);
+
+  const std::string json = to_profile_json(snap);
+  const std::string entry =
+      "{\"name\":\"silkroad_packet_latency_ns\",\"labels\":\"\",\"count\":" +
+      format_number(packets) + ",\"sum\":" +
+      format_number(packets * pipeline_ns) + ",\"mean\":400,";
+  EXPECT_NE(json.find(entry), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"sampling\""), std::string::npos);
 }
 
 TEST(SwitchTelemetry, TelemetryOffLeavesDataPlaneSeriesSilent) {
@@ -1268,7 +1193,6 @@ TEST(SwitchTelemetry, TelemetryOffLeavesDataPlaneSeriesSilent) {
   sim.run();
 
   const Snapshot snap = sw.metrics().snapshot();
-  EXPECT_EQ(snap.value_of("silkroad_packet_sampled_packets_total"), 0.0);
   for (const auto& sample : snap.samples) {
     EXPECT_NE(sample.name, "silkroad_dip_new_conns_total");
     EXPECT_NE(sample.name, "silkroad_dip_active_conns");

@@ -258,7 +258,9 @@ TEST(SilkRoadFleet, ResyncChunksSufferLossAndRetriesWithoutReEscalating) {
   EXPECT_EQ(chunk_spans, 3u);  // three journal records at one per chunk
   EXPECT_TRUE(saw_lossy_chunk);
   for (const auto* span : fleet.spans().all()) {
-    if (span->chunk) EXPECT_EQ(span->parent_id, session->id);
+    if (span->chunk) {
+      EXPECT_EQ(span->parent_id, session->id);
+    }
   }
   EXPECT_TRUE(fleet.spans().audit_complete().empty());
 }
