@@ -1,9 +1,33 @@
 #include "lb/packet_level.h"
 
+#include "check/sr_check.h"
+
 namespace silkroad::lb {
 
-void PacketLevelRunner::send_packet(const workload::Flow& flow, bool syn,
-                                    bool fin) {
+PacketLevelRunner::PacketLevelRunner(sim::Simulator& simulator,
+                                     LoadBalancer& lb, const Config& config)
+    : sim_(simulator), lb_(lb), config_(config) {
+  // A zero interval would send a flow's mid-flow packets forever.
+  SR_CHECKF(config_.packet_interval > 0,
+            "packet_interval must be positive (got %llu ns)",
+            static_cast<unsigned long long>(config_.packet_interval));
+  packets_ = metrics_.counter("silkroad_packet_level_packets_total",
+                              "packets materialized and audited");
+  flows_ = metrics_.counter("silkroad_packet_level_flows_total",
+                            "flows that established a mapping");
+  violations_ = metrics_.counter("silkroad_packet_level_violations_total",
+                                 "flows whose mapping changed mid-life");
+  unmapped_flows_ = metrics_.counter(
+      "silkroad_packet_level_unmapped_flows_total",
+      "SYNs that received no DIP");
+  metrics_.register_callback(
+      "silkroad_packet_level_active_flows", obs::MetricKind::kGauge,
+      [this] { return static_cast<double>(open_flows_); },
+      "flows currently in their packet train");
+}
+
+void PacketLevelRunner::send_packet(std::size_t index, bool syn, bool fin) {
+  const workload::Flow& flow = (*run_flows_)[index];
   net::Packet packet;
   packet.flow = flow.tuple;
   packet.syn = syn;
@@ -12,18 +36,35 @@ void PacketLevelRunner::send_packet(const workload::Flow& flow, bool syn,
   const auto result = lb_.process_packet(packet);
   packets_->inc();
 
+  // The train is chained: each packet schedules the flow's next one, so an
+  // open flow holds exactly one pending event. Every flow sends its whole
+  // train, established or not. The closures capture 16 bytes, which
+  // std::function stores without allocating.
+  if (!fin) {
+    const sim::Time next = sim_.now() + config_.packet_interval;
+    if (next < flow.end) {
+      sim_.schedule_at(next, [this, index] {
+        send_packet(index, /*syn=*/false, /*fin=*/false);
+      });
+    } else {
+      sim_.schedule_at(flow.end, [this, index] {
+        send_packet(index, /*syn=*/false, /*fin=*/true);
+      });
+    }
+  }
+
+  FlowState& state = states_[index];
   if (syn) {
     if (!result.dip) {
       unmapped_flows_->inc();
       return;
     }
     flows_->inc();
-    active_.emplace(flow.tuple, FlowState{*result.dip, false});
+    state = FlowState{*result.dip, true, false};
+    ++open_flows_;
     return;
   }
-  const auto it = active_.find(flow.tuple);
-  if (it == active_.end()) return;  // never established
-  FlowState& state = it->second;
+  if (!state.established) return;
   if (!state.violated && down_dips_.contains(state.first_dip)) {
     // Server-down exemption: the connection is dead regardless of the LB.
     state.violated = true;  // stop auditing without counting
@@ -32,7 +73,7 @@ void PacketLevelRunner::send_packet(const workload::Flow& flow, bool syn,
     state.violated = true;
     violations_->inc();
   }
-  if (fin) active_.erase(it);
+  if (fin) --open_flows_;
 }
 
 PacketLevelRunner::Stats PacketLevelRunner::run(
@@ -48,23 +89,15 @@ PacketLevelRunner::Stats PacketLevelRunner::run(
       lb_.request_update(update);
     });
   }
-  for (const auto& flow : flows) {
-    sim_.schedule_at(flow.start, [this, flow] {
-      send_packet(flow, /*syn=*/true, /*fin=*/false);
-      // Schedule the packet train: one packet per interval until the flow
-      // ends, then the FIN.
-      for (sim::Time t = flow.start + config_.packet_interval; t < flow.end;
-           t += config_.packet_interval) {
-        sim_.schedule_at(t, [this, flow] {
-          send_packet(flow, /*syn=*/false, /*fin=*/false);
-        });
-      }
-      sim_.schedule_at(flow.end, [this, flow] {
-        send_packet(flow, /*syn=*/false, /*fin=*/true);
-      });
+  run_flows_ = &flows;
+  states_.assign(flows.size(), FlowState{});
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    sim_.schedule_at(flows[i].start, [this, i] {
+      send_packet(i, /*syn=*/true, /*fin=*/false);
     });
   }
   sim_.run();
+  run_flows_ = nullptr;
   Stats stats;
   stats.flows = flows_->value();
   stats.packets = packets_->value();

@@ -10,8 +10,8 @@
 // not to replace them (see PacketLevelAgreement tests).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -44,23 +44,9 @@ class PacketLevelRunner {
     double violation_fraction = 0;
   };
 
+  /// `config.packet_interval` must be positive.
   PacketLevelRunner(sim::Simulator& simulator, LoadBalancer& lb,
-                    const Config& config)
-      : sim_(simulator), lb_(lb), config_(config) {
-    packets_ = metrics_.counter("silkroad_packet_level_packets_total",
-                                "packets materialized and audited");
-    flows_ = metrics_.counter("silkroad_packet_level_flows_total",
-                              "flows that established a mapping");
-    violations_ = metrics_.counter("silkroad_packet_level_violations_total",
-                                   "flows whose mapping changed mid-life");
-    unmapped_flows_ = metrics_.counter(
-        "silkroad_packet_level_unmapped_flows_total",
-        "SYNs that received no DIP");
-    metrics_.register_callback(
-        "silkroad_packet_level_active_flows", obs::MetricKind::kGauge,
-        [this] { return static_cast<double>(active_.size()); },
-        "flows currently in their packet train");
-  }
+                    const Config& config);
 
   PacketLevelRunner(const PacketLevelRunner&) = delete;
   PacketLevelRunner& operator=(const PacketLevelRunner&) = delete;
@@ -74,17 +60,25 @@ class PacketLevelRunner {
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
  private:
+  /// One flow's audit state, indexed like the flows passed to run().
   struct FlowState {
     net::Endpoint first_dip;
+    bool established = false;  // the SYN got a DIP
     bool violated = false;
   };
 
-  void send_packet(const workload::Flow& flow, bool syn, bool fin);
+  /// Sends flow `index`'s packet that is due now, audits it, and schedules
+  /// the flow's next packet: one per interval strictly before the flow's
+  /// end, then the FIN at its end.
+  void send_packet(std::size_t index, bool syn, bool fin);
 
   sim::Simulator& sim_;
   LoadBalancer& lb_;
   Config config_;
-  std::unordered_map<net::FiveTuple, FlowState, net::FiveTupleHash> active_;
+  /// The flows of the current run() and their audit state.
+  const std::vector<workload::Flow>* run_flows_ = nullptr;
+  std::vector<FlowState> states_;
+  std::size_t open_flows_ = 0;  // established, FIN not yet sent
   /// DIPs currently out of service (server-down exemption, as in Scenario).
   std::unordered_set<net::Endpoint, net::EndpointHash> down_dips_;
   obs::MetricsRegistry metrics_;

@@ -92,9 +92,11 @@ ScenarioStats Scenario::run() {
         [this](const workload::Flow& f) { on_flow_start(f); },
         [this](const workload::Flow& f) { on_flow_end(f); });
   } else {
+    // config_ outlives the run, so the events point into it rather than
+    // copy the flow.
     for (const auto& flow : config_.replay_flows) {
-      sim_.schedule_at(flow.start, [this, flow] { on_flow_start(flow); });
-      sim_.schedule_at(flow.end, [this, flow] { on_flow_end(flow); });
+      sim_.schedule_at(flow.start, [this, &flow] { on_flow_start(flow); });
+      sim_.schedule_at(flow.end, [this, &flow] { on_flow_end(flow); });
     }
   }
   sim_.run();

@@ -105,7 +105,8 @@ class TimeSeriesRecorder {
   /// Samples immediately at sim.now(), then re-samples every interval until
   /// `until` (inclusive bound on sample times). With the default unbounded
   /// `until` the recorder keeps one event pending forever: drive the sim with
-  /// run_until(), not run(), and detach() when done.
+  /// run_until(), not run(), and detach() when done. `sim` must outlive the
+  /// recorder, whose destructor detaches.
   void attach(sim::Simulator& sim, sim::Time until = sim::kTimeInfinity);
 
   /// Cancels the pending self-scheduled sample, if any. Idempotent.

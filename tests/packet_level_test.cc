@@ -3,6 +3,10 @@
 // mapping-risk events is exact" assumption (DESIGN.md §6).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/silkroad_switch.h"
 #include "lb/duet.h"
 #include "lb/ecmp_lb.h"
@@ -129,24 +133,118 @@ TEST(PacketLevelAgreement, SlbCleanAtPacketGranularity) {
   EXPECT_EQ(packet.violations, 0u);
 }
 
+/// Forwards to an inner balancer and logs every packet it is handed.
+class RecordingBalancer : public LoadBalancer {
+ public:
+  struct Seen {
+    sim::Time at;
+    bool syn;
+    bool fin;
+  };
+
+  RecordingBalancer(const sim::Simulator& sim, LoadBalancer& inner)
+      : sim_(sim), inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  void add_vip(const net::Endpoint& vip,
+               const std::vector<net::Endpoint>& dips) override {
+    inner_.add_vip(vip, dips);
+  }
+  void request_update(const workload::DipUpdate& update) override {
+    inner_.request_update(update);
+  }
+  PacketResult process_packet(const net::Packet& packet) override {
+    seen_[packet.flow.src.port].push_back(
+        {sim_.now(), packet.syn, packet.fin});
+    return inner_.process_packet(packet);
+  }
+  void set_mapping_risk_callback(MappingRiskCallback cb) override {
+    inner_.set_mapping_risk_callback(std::move(cb));
+  }
+  bool vip_at_slb(const net::Endpoint& vip) const override {
+    return inner_.vip_at_slb(vip);
+  }
+
+  /// Packet times of the flow whose client port is `port`, checking that
+  /// the first is the flow's only SYN and the last its only FIN.
+  std::vector<sim::Time> train(std::uint16_t port) const {
+    std::vector<sim::Time> times;
+    const auto it = seen_.find(port);
+    if (it == seen_.end()) return times;
+    const std::vector<Seen>& packets = it->second;
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      EXPECT_EQ(packets[i].syn, i == 0) << "port " << port << " packet " << i;
+      EXPECT_EQ(packets[i].fin, i + 1 == packets.size())
+          << "port " << port << " packet " << i;
+      times.push_back(packets[i].at);
+    }
+    return times;
+  }
+
+ private:
+  const sim::Simulator& sim_;
+  LoadBalancer& inner_;
+  std::map<std::uint16_t, std::vector<Seen>> seen_;
+};
+
 TEST(PacketLevelRunner, CountsPacketsAndFlows) {
+  constexpr sim::Time kMs = sim::kMillisecond;
+  const net::Endpoint unknown_vip{net::IpAddress::v4(0x14000002), 80};
+  const auto flow_of = [](std::uint16_t port, const net::Endpoint& vip,
+                          sim::Time start, sim::Time end) {
+    workload::Flow flow;
+    flow.tuple = net::FiveTuple{{net::IpAddress::v4(0x0B000001), port}, vip,
+                                net::Protocol::kTcp};
+    flow.start = start;
+    flow.end = end;
+    return flow;
+  };
   Workload w;
-  workload::Flow flow;
-  flow.tuple = net::FiveTuple{{net::IpAddress::v4(0x0B000001), 1234}, vip_ep(),
-                              net::Protocol::kTcp};
-  flow.start = 0;
-  flow.end = sim::kSecond;
-  w.flows.push_back(flow);
+  // Durations against the 100 ms interval: an exact multiple, not a
+  // multiple, and zero; then a flow to a VIP the balancer does not serve.
+  w.flows.push_back(flow_of(1, vip_ep(), 0, sim::kSecond));
+  w.flows.push_back(flow_of(2, vip_ep(), 30 * kMs, 280 * kMs));
+  w.flows.push_back(flow_of(3, vip_ep(), 70 * kMs, 70 * kMs));
+  w.flows.push_back(flow_of(4, unknown_vip, 10 * kMs, 210 * kMs));
   sim::Simulator sim;
   SoftwareLoadBalancer slb;
   slb.add_vip(vip_ep(), make_dips(4));
-  PacketLevelRunner runner(sim, slb,
+  RecordingBalancer recorder(sim, slb);
+  PacketLevelRunner runner(sim, recorder,
                            {.packet_interval = 100 * sim::kMillisecond});
   const auto stats = runner.run(w.flows, {});
-  EXPECT_EQ(stats.flows, 1u);
-  // SYN + 9 mid-flow packets + FIN.
-  EXPECT_EQ(stats.packets, 11u);
+  EXPECT_EQ(stats.flows, 3u);
+  EXPECT_EQ(stats.unmapped_flows, 1u);
+  // 11 + 4 + 2 + 3: each flow sends its SYN at its start, one packet per
+  // interval strictly before its end, and its FIN at its end.
+  EXPECT_EQ(stats.packets, 20u);
   EXPECT_EQ(stats.violations, 0u);
+  std::vector<sim::Time> one_per_interval;
+  for (sim::Time t = 0; t <= sim::kSecond; t += 100 * kMs) {
+    one_per_interval.push_back(t);
+  }
+  EXPECT_EQ(recorder.train(1), one_per_interval);
+  EXPECT_EQ(recorder.train(2),
+            (std::vector<sim::Time>{30 * kMs, 130 * kMs, 230 * kMs, 280 * kMs}));
+  EXPECT_EQ(recorder.train(3), (std::vector<sim::Time>{70 * kMs, 70 * kMs}));
+  // An unmapped SYN does not stop the train.
+  EXPECT_EQ(recorder.train(4),
+            (std::vector<sim::Time>{10 * kMs, 110 * kMs, 210 * kMs}));
+
+  bool gauge_found = false;
+  for (const auto& sample : runner.metrics().snapshot().samples) {
+    if (sample.name != "silkroad_packet_level_active_flows") continue;
+    gauge_found = true;
+    EXPECT_EQ(sample.value, 0.0);
+  }
+  EXPECT_TRUE(gauge_found);
+}
+
+TEST(PacketLevelRunnerDeathTest, RejectsZeroPacketInterval) {
+  sim::Simulator sim;
+  SoftwareLoadBalancer slb;
+  EXPECT_DEATH(PacketLevelRunner(sim, slb, {.packet_interval = 0}),
+               "packet_interval must be positive");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "sim/distributions.h"
@@ -91,6 +92,73 @@ TEST(Simulator, RunUntilSkipsCanceledHeadBeyondDeadline) {
   canceled.cancel();
   sim.run_until(50);
   EXPECT_EQ(fired, 0);  // the 100-event must NOT run early
+}
+
+// Handles point into the simulator's slot table, so it must stay put.
+static_assert(!std::is_copy_constructible_v<Simulator> &&
+              !std::is_move_constructible_v<Simulator> &&
+              !std::is_copy_assignable_v<Simulator> &&
+              !std::is_move_assignable_v<Simulator>);
+
+TEST(Simulator, StaleHandleDoesNotCancelSlotsNextEvent) {
+  Simulator sim;
+  int first = 0;
+  int second = 0;
+  const auto stale = sim.schedule_at(1, [&] { ++first; });
+  sim.run();
+  // The fired event freed the only slot; the next event reuses it.
+  sim.schedule_at(2, [&] { ++second; });
+  stale.cancel();
+  sim.run();
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+}
+
+TEST(Simulator, EventCancelingItselfSparesItsSuccessor) {
+  Simulator sim;
+  int fired = 0;
+  EventHandle self;
+  self = sim.schedule_at(1, [&] {
+    self.cancel();  // already running: a no-op
+    // Takes the running event's slot, then the stale handle is tried again.
+    sim.schedule_at(2, [&] { ++fired; });
+    self.cancel();
+  });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.executed_events(), 2u);
+}
+
+TEST(Simulator, CallbackReadsCapturesAfterSlotTableGrows) {
+  Simulator sim;
+  struct Context {
+    Simulator* sim;
+    int scheduled = 0;
+    int seen_tag = 0;
+  } context{&sim};
+  // 16 bytes of captures: std::function keeps them inside the slot, so the
+  // loop below reallocates the storage this closure was first placed in.
+  sim.schedule_at(1, [ctx = &context, tag = 42] {
+    for (int i = 0; i < 1000; ++i) {
+      ctx->sim->schedule_at(2, [ctx] { ++ctx->scheduled; });
+    }
+    ctx->seen_tag = tag;
+  });
+  sim.run();
+  EXPECT_EQ(context.seen_tag, 42);
+  EXPECT_EQ(context.scheduled, 1000);
+}
+
+TEST(Simulator, CanceledEventLeavesClockAndCountAlone) {
+  Simulator sim;
+  sim.schedule_at(5, [] {});
+  const auto handle = sim.schedule_at(10, [] {});
+  handle.cancel();
+  EXPECT_EQ(sim.pending_events(), 2u);  // counted until popped
+  sim.run();
+  EXPECT_EQ(sim.executed_events(), 1u);
+  EXPECT_EQ(sim.now(), 5u);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
