@@ -12,7 +12,8 @@
 // median), but a real regression raises the entire distribution and
 // therefore both. Hard <5% budget enforced by the exit code. The observer
 // must never change sim-visible behavior, its incremental digests must
-// survive a full recompute, and a fault-free storm must end with zero
+// survive a full recompute — at the end and in every round-robin
+// self-check of every run — and a fault-free storm must end with zero
 // silent divergences and a met convergence SLO.
 #include <algorithm>
 #include <ctime>
@@ -68,6 +69,7 @@ struct RunResult {
   bool digests_ok = true;
   std::uint64_t divergences = 0;
   std::uint64_t selfchecks = 0;
+  std::uint64_t selfcheck_failures = 0;
   bool slo_ok = true;
 };
 
@@ -117,6 +119,7 @@ RunResult run_once(bool observe) {
     result.digests_ok = observer->verify_digests();
     result.divergences = observer->divergences();
     result.selfchecks = observer->selfchecks();
+    result.selfcheck_failures = observer->selfcheck_failures();
     result.slo_ok = observer->slo_ok();
   }
   return result;
@@ -130,8 +133,8 @@ int main() {
       "the FleetObserver's incremental digests + lag accounting must cost "
       "<5% of the observer-off update-heavy control path and change nothing");
 
-  (void)run_once(false);  // warm-up pair discarded
-  (void)run_once(true);
+  (void)run_once(false);  // warm-up pair discarded, except its self-checks
+  std::uint64_t selfcheck_failures = run_once(true).selfcheck_failures;
   RunResult off;
   RunResult on;
   std::vector<double> ratios;
@@ -141,6 +144,7 @@ int main() {
     if (rep == 0 || u.cpu_ms < off.cpu_ms) off = u;
     if (rep == 0 || t.cpu_ms < on.cpu_ms) on = t;
     if (u.cpu_ms > 0) ratios.push_back(t.cpu_ms / u.cpu_ms);
+    selfcheck_failures += t.selfcheck_failures;
   }
   std::sort(ratios.begin(), ratios.end());
   const double median_pct =
@@ -159,6 +163,8 @@ int main() {
               static_cast<unsigned long long>(on.journal_head));
   std::printf("%-28s %12llu %12llu\n", "digest selfchecks", 0ULL,
               static_cast<unsigned long long>(on.selfchecks));
+  std::printf("%-28s %12llu %12llu  (all runs)\n", "digest selfcheck failures",
+              0ULL, static_cast<unsigned long long>(selfcheck_failures));
   std::printf("%-28s %12.2f%%  (median of %zu interleaved pairs)\n",
               "fleet_obs_overhead_median_pct", median_pct, ratios.size());
   std::printf("%-28s %12.2f%%  (ratio of best-of-run CPU minima)\n",
@@ -190,7 +196,7 @@ int main() {
   bench::emit_headlines("fleet_obs_overhead");
 
   if (!behavior_identical || !on.digests_ok || on.divergences != 0 ||
-      !on.slo_ok) {
+      !on.slo_ok || selfcheck_failures != 0) {
     return 1;
   }
   return overhead_pct < 5.0 ? 0 : 1;

@@ -186,15 +186,22 @@ int main() {
     sim.run();
   }
   sim.run();
-  fleet.observer()->evaluate(sim.now());
+  obs::FleetObserver& observer = *fleet.observer();
+  observer.evaluate(sim.now());
+  const bool fleet_converged = fleet.converged();
+  const bool digests_ok = observer.verify_digests();
   std::printf("\nfleet: %zu/%zu live, converged=%d; observer: head=%llu "
               "slo_ok=%d divergences=%llu (digest self-check %s)\n",
-              fleet.live_count(), fleet.size(), fleet.converged() ? 1 : 0,
-              static_cast<unsigned long long>(fleet.observer()->head()),
-              fleet.observer()->slo_ok() ? 1 : 0,
-              static_cast<unsigned long long>(
-                  fleet.observer()->divergences()),
-              fleet.observer()->verify_digests() ? "ok" : "FAILED");
+              fleet.live_count(), fleet.size(), fleet_converged ? 1 : 0,
+              static_cast<unsigned long long>(observer.head()),
+              observer.slo_ok() ? 1 : 0,
+              static_cast<unsigned long long>(observer.divergences()),
+              digests_ok ? "ok" : "FAILED");
+  // The exit code carries the fleet check: after the churn, the crash and
+  // the restore, the fleet must converge with no silent divergence, a met
+  // SLO, and digests that survive a full recompute.
+  const bool fleet_ok = fleet_converged && observer.divergences() == 0 &&
+                        observer.slo_ok() && digests_ok;
 
   // With SILKROAD_TELEMETRY_DIR set, dump all three telemetry formats: the
   // Prometheus text and JSON snapshot of every metric, and the trace ring as
@@ -274,5 +281,5 @@ int main() {
     std::printf("scrape server served %llu requests\n",
                 static_cast<unsigned long long>(server.requests_served()));
   }
-  return 0;
+  return fleet_ok ? 0 : 1;
 }

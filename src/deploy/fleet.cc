@@ -60,7 +60,8 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
         });
   }
   if (sync_.observe_convergence) {
-    observer_ = std::make_unique<obs::FleetObserver>(replicas);
+    const obs::FleetObserver::Source& source = *this;
+    observer_ = std::make_unique<obs::FleetObserver>(replicas, source);
     observer_->bind_metrics(fleet_metrics_);
     observer_->set_divergence_callback(
         [this](const obs::DivergenceFinding& finding) {
@@ -149,22 +150,23 @@ void SilkRoadFleet::add_vip(const net::Endpoint& vip,
     if (!membership_.contains(vip)) vip_order_.push_back(vip);
     membership_[vip] = dips;
     pos = journal_.append(fault::VipConfig{vip, dips});
-    for (std::size_t i = 0; i < switches_.size(); ++i) {
-      if (!alive_[i]) continue;
+  }
+  if (observer_ != nullptr) observer_->on_append_config(pos, sim_.now());
+  // Each switch's mirror is fed right after it changes: the observer reads
+  // mirrors back, and must never find one ahead of what it was told.
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    if (!alive_[i]) continue;
+    {
+      const sr::MutexLock lock(mu_);
       applied_[i][vip] = DipSet(dips.begin(), dips.end());
       // The synchronous config does not advance the watermark — a delta
       // session replays the VipConfig record and the diff no-ops — so the
       // cadence checkpoint below is what makes it durable.
       note_applied_locked(i);
     }
-  }
-  if (observer_ != nullptr) {
-    observer_->on_append_config(pos, sim_.now(), vip, dips);
     // The synchronous application lands at an out-of-band journal position:
-    // the observer extends each switch's effective watermark through it.
-    for (std::size_t i = 0; i < switches_.size(); ++i) {
-      if (alive_[i]) observer_->on_mirror_config(i, vip, dips, pos, sim_.now());
-    }
+    // the observer extends the switch's effective watermark through it.
+    if (observer_ != nullptr) observer_->on_mirror_config(i, pos, sim_.now());
   }
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     if (alive_[i]) switches_[i]->add_vip(vip, dips);
@@ -173,16 +175,22 @@ void SilkRoadFleet::add_vip(const net::Endpoint& vip,
 
 void SilkRoadFleet::request_update(const workload::DipUpdate& update) {
   std::uint64_t pos = 0;
+  bool changed = false;
   {
     const sr::MutexLock lock(mu_);
-    auto& members = membership_[update.vip];
-    if (update.action == workload::UpdateAction::kAddDip) {
-      if (std::find(members.begin(), members.end(), update.dip) ==
-          members.end()) {
-        members.push_back(update.dip);
-      }
-    } else {
-      members.erase(std::remove(members.begin(), members.end(), update.dip),
+    const auto it = membership_.find(update.vip);
+    // A VIP that was never provisioned: every switch would abandon the
+    // update (as SilkRoadSwitch does), so drop it before it gets a journal
+    // position, a span, or a channel send.
+    if (it == membership_.end()) return;
+    auto& members = it->second;
+    const auto found = std::find(members.begin(), members.end(), update.dip);
+    const bool add = update.action == workload::UpdateAction::kAddDip;
+    changed = add == (found == members.end());
+    if (changed && add) {
+      members.push_back(update.dip);
+    } else if (changed) {
+      members.erase(std::remove(found, members.end(), update.dip),
                     members.end());
     }
     // Journal the intent under its fleet log position; the journaled copy is
@@ -193,9 +201,8 @@ void SilkRoadFleet::request_update(const workload::DipUpdate& update) {
     pos = journal_.append(std::move(journaled));
   }
   if (observer_ != nullptr) {
-    observer_->on_append_update(
-        pos, sim_.now(), update.vip, update.dip,
-        update.action == workload::UpdateAction::kAddDip);
+    observer_->on_append_update(pos, sim_.now(), update.vip, update.dip,
+                                changed);
   }
   // Mint the intent span; the stamped id rides in every channel copy and
   // survives retransmits, duplicates, and resync escalation. Sends happen
@@ -268,19 +275,14 @@ void SilkRoadFleet::deliver_to(std::size_t index,
   }
   if (observer_ != nullptr) {
     // Mirror mutation and watermark advance as one fused feed: the digest
-    // check at the new position sees the state that position produced.
-    if (!duplicate && update.log_pos != 0) {
-      observer_->on_delivery(index, update.vip, update.dip,
-                             update.action == workload::UpdateAction::kAddDip,
+    // check at the new position sees the state that position produced. A
+    // content-deduped duplicate still confirms the position.
+    if (update.log_pos != 0) {
+      observer_->on_delivery(index, update.vip, update.dip, !duplicate,
                              update.log_pos, sim_.now());
     } else if (!duplicate) {
-      observer_->on_mirror_update(
-          index, update.vip, update.dip,
-          update.action == workload::UpdateAction::kAddDip, update.log_pos,
-          sim_.now());
-    } else if (update.log_pos != 0) {
-      // Content-deduped duplicate: still confirms the position.
-      observer_->on_watermark(index, update.log_pos, sim_.now());
+      observer_->on_mirror_update(index, update.vip, update.dip,
+                                  /*changed=*/true, sim_.now());
     }
   }
   if (duplicate) {
@@ -310,9 +312,9 @@ void SilkRoadFleet::begin_resync_session(std::size_t index) {
       // one synthetic config record per VIP, still chunked and lossy.
       full = true;
       records.reserve(vip_order_.size());
-      for (const auto& vip : vip_order_) {
+      for (auto& entry : desired_locked()) {
         fault::JournalRecord record;
-        record.mutation = fault::VipConfig{vip, membership_.at(vip)};
+        record.mutation = fault::VipConfig{entry.vip, std::move(entry.dips)};
         records.push_back(std::move(record));
       }
     }
@@ -420,10 +422,7 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
       applied_[index][config.vip] =
           DipSet(config.dips.begin(), config.dips.end());
     }
-    if (observer_ != nullptr) {
-      observer_->on_mirror_config(index, config.vip, config.dips, 0,
-                                  sim_.now());
-    }
+    if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
     sw.add_vip(config.vip, config.dips);
     return;
   }
@@ -466,9 +465,7 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
     }
     have = want;
   }
-  if (observer_ != nullptr) {
-    observer_->on_mirror_config(index, config.vip, config.dips, 0, sim_.now());
-  }
+  if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
   for (auto& update : deltas) {
     spans_.begin_update(update, sim_.now(), parent_id);
     sw.request_update(update);
@@ -496,9 +493,8 @@ void SilkRoadFleet::apply_journaled_update(std::size_t index,
   // replay is idempotent, nothing to re-execute.
   if (duplicate) return;
   if (observer_ != nullptr) {
-    observer_->on_mirror_update(
-        index, update.vip, update.dip,
-        update.action == workload::UpdateAction::kAddDip, 0, sim_.now());
+    observer_->on_mirror_update(index, update.vip, update.dip,
+                                /*changed=*/true, sim_.now());
   }
   workload::DipUpdate replay = update;
   replay.at = sim_.now();
@@ -517,20 +513,44 @@ void SilkRoadFleet::note_applied_locked(std::size_t index) {
 void SilkRoadFleet::checkpoint_switch_locked(std::size_t index) {
   SwitchSnapshot snapshot;
   snapshot.watermark = applied_through_[index];
-  snapshot.vips.reserve(applied_[index].size());
+  snapshot.vips = applied_locked(index);
+  snapshots_.checkpoint(index, std::move(snapshot));
+  since_checkpoint_[index] = 0;
+}
+
+std::vector<net::VipMembers> SilkRoadFleet::applied_locked(
+    std::size_t index) const {
+  std::vector<net::VipMembers> out;
+  out.reserve(applied_[index].size());
   for (const auto& vip : vip_order_) {
     const auto it = applied_[index].find(vip);
     if (it == applied_[index].end()) continue;
-    VipMembers members;
+    net::VipMembers members;
     members.vip = vip;
     // The mirror is an unordered set (R10): sort so the checkpoint — and the
     // restore-time add_vip replay it drives — is deterministic.
     members.dips.assign(it->second.begin(), it->second.end());
     std::sort(members.dips.begin(), members.dips.end());
-    snapshot.vips.push_back(std::move(members));
+    out.push_back(std::move(members));
   }
-  snapshots_.checkpoint(index, std::move(snapshot));
-  since_checkpoint_[index] = 0;
+  return out;
+}
+
+std::vector<net::VipMembers> SilkRoadFleet::desired_locked() const {
+  std::vector<net::VipMembers> out;
+  out.reserve(vip_order_.size());
+  for (const auto& vip : vip_order_) out.push_back({vip, membership_.at(vip)});
+  return out;
+}
+
+std::vector<net::VipMembers> SilkRoadFleet::applied(std::size_t index) const {
+  const sr::MutexLock lock(mu_);
+  return applied_locked(index);
+}
+
+std::vector<net::VipMembers> SilkRoadFleet::desired() const {
+  const sr::MutexLock lock(mu_);
+  return desired_locked();
 }
 
 void SilkRoadFleet::set_mapping_risk_callback(MappingRiskCallback cb) {
@@ -608,17 +628,20 @@ void SilkRoadFleet::restore_switch(std::size_t index) {
     const sr::MutexLock lock(mu_);
     snapshot = snapshots_.at(index);
     applied_[index].clear();
-    for (const auto& entry : snapshot.vips) {
-      applied_[index][entry.vip] = DipSet(entry.dips.begin(), entry.dips.end());
-    }
     applied_through_[index] = snapshot.watermark;
     since_checkpoint_[index] = 0;
   }
   if (observer_ != nullptr) {
     observer_->on_restore_begin(index, snapshot.watermark, sim_.now());
-    for (const auto& entry : snapshot.vips) {
-      observer_->on_mirror_config(index, entry.vip, entry.dips, 0, sim_.now());
+  }
+  // The snapshot's VIPs land in the mirror one at a time, each fed to the
+  // observer right after it lands (see add_vip).
+  for (const auto& entry : snapshot.vips) {
+    {
+      const sr::MutexLock lock(mu_);
+      applied_[index][entry.vip] = DipSet(entry.dips.begin(), entry.dips.end());
     }
+    if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
   }
   for (const auto& entry : snapshot.vips) {
     switches_[index]->add_vip(entry.vip, entry.dips);
@@ -751,17 +774,16 @@ void SilkRoadFleet::inject_mirror_corruption(std::size_t index,
                                              const net::Endpoint& vip,
                                              const net::Endpoint& dip,
                                              bool add) {
+  bool changed = false;
   {
     const sr::MutexLock lock(mu_);
-    auto& dips = applied_.at(index)[vip];
-    if (add) {
-      dips.insert(dip);
-    } else {
-      dips.erase(dip);
-    }
+    const auto it = applied_.at(index).find(vip);
+    SR_CHECKF(it != applied_[index].end(),
+              "mirror corruption needs a VIP switch %zu holds", index);
+    changed = add ? it->second.insert(dip).second : it->second.erase(dip) != 0;
   }
   if (observer_ != nullptr) {
-    observer_->on_mirror_update(index, vip, dip, add, 0, sim_.now());
+    observer_->on_mirror_update(index, vip, dip, changed, sim_.now());
   }
 }
 

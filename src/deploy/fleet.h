@@ -50,7 +50,8 @@ struct SyncConfig {
   bool observe_convergence = true;
 };
 
-class SilkRoadFleet : public lb::LoadBalancer {
+class SilkRoadFleet : public lb::LoadBalancer,
+                      private obs::FleetObserver::Source {
  public:
   using SyncConfig = deploy::SyncConfig;
 
@@ -201,10 +202,10 @@ class SilkRoadFleet : public lb::LoadBalancer {
     return divergence_reports_;
   }
 
-  /// Test hook: mutates switch `index`'s applied mirror out of band,
-  /// modeling a buggy apply path. The mutation is fed to the observer the
-  /// same way a real (buggy) apply would be — which is exactly what lets
-  /// the digest comparison catch it as silent divergence.
+  /// Test hook: mutates switch `index`'s applied mirror of a VIP it holds
+  /// out of band, modeling a buggy apply path. The mutation is fed to the
+  /// observer the same way a real (buggy) apply would be — which is exactly
+  /// what lets the digest comparison catch it as silent divergence.
   void inject_mirror_corruption(std::size_t index, const net::Endpoint& vip,
                                 const net::Endpoint& dip, bool add);
 
@@ -237,6 +238,18 @@ class SilkRoadFleet : public lb::LoadBalancer {
   void note_applied_locked(std::size_t index) SR_REQUIRES(mu_);
   /// Captures switch `index`'s mirror + watermark into the snapshot store.
   void checkpoint_switch_locked(std::size_t index) SR_REQUIRES(mu_);
+  /// Switch `index`'s mirror: VIPs in provisioning order, DIPs sorted.
+  std::vector<net::VipMembers> applied_locked(std::size_t index) const
+      SR_REQUIRES(mu_);
+  /// The desired membership, VIPs in provisioning order.
+  std::vector<net::VipMembers> desired_locked() const SR_REQUIRES(mu_);
+
+  // obs::FleetObserver::Source: the observer's cold-path view of applied_
+  // and membership_. Takes mu_, so the observer calls it under its own
+  // mutex and the fleet feeds the observer only outside mu_.
+  std::vector<net::VipMembers> applied(std::size_t index) const override
+      SR_EXCLUDES(mu_);
+  std::vector<net::VipMembers> desired() const override SR_EXCLUDES(mu_);
 
   sim::Simulator& sim_;
   /// Declared before the switches/channels that hold raw pointers into it,
@@ -290,8 +303,11 @@ class SilkRoadFleet : public lb::LoadBalancer {
   obs::Histogram* h_resync_duration_ = nullptr;
   MappingRiskCallback risk_cb_;
   MembershipCallback membership_cb_;
-  /// Convergence observatory (simulation-thread fed, own internal mutex;
-  /// always called outside mu_, after the guarded mutation it mirrors).
+  /// Convergence observatory: keeps digests only and reads applied_ and
+  /// membership_ through this fleet's Source view, so it is declared after
+  /// them and destroyed first. Simulation-thread fed, own internal mutex;
+  /// lock order is its mutex, then mu_, so every feed is called outside
+  /// mu_, right after the one guarded mutation it reports.
   std::unique_ptr<obs::FleetObserver> observer_;
   /// One report per detected silent-divergence episode (sim-thread-only).
   std::vector<obs::ForensicsReport> divergence_reports_;

@@ -21,18 +21,12 @@
 
 namespace silkroad::deploy {
 
-/// One VIP's checkpointed member set (DIPs sorted for run-to-run and
-/// platform determinism — srlint R10).
-struct VipMembers {
-  net::Endpoint vip;
-  std::vector<net::Endpoint> dips;
-};
-
 struct SwitchSnapshot {
   /// Journal position this state is applied through.
   std::uint64_t watermark = 0;
-  /// Per-VIP membership in provisioning order.
-  std::vector<VipMembers> vips;
+  /// Per-VIP membership in provisioning order, DIPs sorted for run-to-run
+  /// and platform determinism (srlint R10).
+  std::vector<net::VipMembers> vips;
 
   bool empty() const noexcept { return watermark == 0 && vips.empty(); }
   /// Modeled serialized size (same wire model as fault/sync_wire.h).

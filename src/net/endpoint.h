@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/ip_address.h"
 
@@ -28,6 +29,13 @@ struct Endpoint {
 
   friend constexpr auto operator<=>(const Endpoint&, const Endpoint&) noexcept = default;
   friend constexpr bool operator==(const Endpoint&, const Endpoint&) noexcept = default;
+};
+
+/// One VIP and its DIP pool: a switch snapshot's entries, and the membership
+/// listings the fleet hands the convergence observer.
+struct VipMembers {
+  Endpoint vip;
+  std::vector<Endpoint> dips;
 };
 
 }  // namespace silkroad::net

@@ -68,6 +68,10 @@ std::uint64_t hash_bytes(std::span<const std::uint8_t> data,
   return mix64(h);
 }
 
+std::uint64_t hash_address(const IpAddress& ip, std::uint64_t seed) noexcept {
+  return mix64(fnv_address(kFnvOffset ^ mix64(seed), ip));
+}
+
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed) noexcept {
   const auto& table = crc32c_table();

@@ -7,9 +7,10 @@
 // CRC-based; ConnTable digests can use either.
 //
 // Two kinds of hash live here (DESIGN.md §5). *Model hashes*
-// (hash_five_tuple, connection_digest, flow_id) are part of the reproduction:
-// their values pick stage buckets, digests, bloom bits and DIPs, and appear in
-// traces and exports, so they must not change. *Container hashes*
+// (hash_five_tuple, connection_digest, flow_id, and hash_address under the
+// fleet membership digests) are part of the reproduction: their values pick
+// stage buckets, digests, bloom bits and DIPs, and appear in traces and
+// exports, so they must not change. *Container hashes*
 // (FiveTupleHash, EndpointHash) only spread keys across std::unordered_*
 // buckets; they are word-wise, never exported, and free to change.
 #pragma once
@@ -33,6 +34,10 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
 /// Seeded hash over raw bytes (FNV-1a accumulation + SplitMix64 finalize).
 std::uint64_t hash_bytes(std::span<const std::uint8_t> data,
                          std::uint64_t seed) noexcept;
+
+/// hash_bytes(ip.bytes(), seed), bit for bit, with an IPv4 address's twelve
+/// zero fill bytes folded into one multiply.
+std::uint64_t hash_address(const IpAddress& ip, std::uint64_t seed) noexcept;
 
 /// CRC32-C (Castagnoli) of raw bytes — software table-driven implementation.
 std::uint32_t crc32c(std::span<const std::uint8_t> data,

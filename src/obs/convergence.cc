@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <iterator>
+#include <map>
+#include <utility>
 
 #include "check/sr_check.h"
 #include "obs/exporters.h"
@@ -45,14 +47,13 @@ constexpr std::uint64_t kPresenceSalt = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kMemberSalt = 0x165667B19E3779F9ULL;
 
 // Every digest token starts here, so its value is part of /fleet.json and
-// must stay fixed: FNV-1a over the 16 address bytes (net::hash_bytes), seeded
-// with the port. net::EndpointHash is a container hash and free to change.
+// must stay fixed: FNV-1a over the 16 address bytes (net::hash_address,
+// equal to net::hash_bytes over ip.bytes()), seeded with the port.
+// net::EndpointHash is a container hash and free to change.
 std::uint64_t endpoint_hash(const net::Endpoint& ep) {
-  return net::hash_bytes(ep.ip.bytes(), 0x3D9021EULL ^ ep.port);
+  return net::hash_address(ep.ip, 0x3D9021EULL ^ ep.port);
 }
 
-// Token helpers over a precomputed vip_key — the replay paths cache the
-// key in VipMirror so per-mutation tokens cost one endpoint hash, not two.
 std::uint64_t keyed_presence_token(std::uint64_t vip_key) {
   return net::mix64(vip_key ^ kPresenceSalt);
 }
@@ -62,107 +63,30 @@ std::uint64_t keyed_member_token(std::uint64_t vip_key,
   return net::mix64(vip_key ^ net::mix64(endpoint_hash(dip) ^ kMemberSalt));
 }
 
-// Bucket key for the per-mirror slot index: two word loads, one multiply.
-// This is NOT a membership digest (those are the salted VipDigest tokens,
-// srlint R14) — it only has to spread DIPs across the power-of-two bucket
-// array; full Endpoint equality confirms every probe hit.
-std::uint64_t slot_key(const net::Endpoint& dip) {
-  const std::uint8_t* p = dip.ip.bytes().data();
-  std::uint64_t w0;
-  std::uint64_t w1;
-  std::memcpy(&w0, p, sizeof w0);
-  std::memcpy(&w1, p + 8, sizeof w1);
-  const std::uint64_t h =
-      (w0 ^ (w1 + 0x9E3779B97F4A7C15ULL) ^ dip.port) * 0xBF58476D1CE4E5B9ULL;
-  return h ^ (h >> 32);
+// Membership is a set, but a listing may repeat a DIP (the fleet stores an
+// add_vip list verbatim): sort and dedupe before folding or diffing.
+std::vector<net::Endpoint>& as_set(std::vector<net::Endpoint>& dips) {
+  std::sort(dips.begin(), dips.end());
+  dips.erase(std::unique(dips.begin(), dips.end()), dips.end());
+  return dips;
+}
+
+// XOR-fold of the VIP digests of one membership listing.
+std::uint64_t fold(std::vector<net::VipMembers> vips) {
+  std::uint64_t digest = 0;
+  for (auto& [vip, dips] : vips) digest ^= VipDigest::of(vip, as_set(dips));
+  return digest;
+}
+
+// A listing as VIP -> member set, ordered by VIP (attribution order).
+std::map<net::Endpoint, std::vector<net::Endpoint>> by_vip(
+    std::vector<net::VipMembers> vips) {
+  std::map<net::Endpoint, std::vector<net::Endpoint>> out;
+  for (auto& [vip, dips] : vips) out[vip] = std::move(as_set(dips));
+  return out;
 }
 
 }  // namespace
-
-// --- Flat-table helpers ------------------------------------------------------
-
-FleetObserver::VipMirror* FleetObserver::find_mirror(VipTable& table,
-                                                     const net::Endpoint& vip) {
-  for (auto& [ep, mirror] : table) {
-    if (ep == vip) return &mirror;
-  }
-  return nullptr;
-}
-
-const FleetObserver::VipMirror* FleetObserver::find_mirror(
-    const VipTable& table, const net::Endpoint& vip) {
-  for (const auto& [ep, mirror] : table) {
-    if (ep == vip) return &mirror;
-  }
-  return nullptr;
-}
-
-void FleetObserver::rebuild_index(VipMirror& mirror) {
-  std::size_t cap = 8;
-  while (cap < mirror.members.size() * 2) cap <<= 1;
-  mirror.buckets.assign(cap, 0);
-  const std::size_t mask = cap - 1;
-  for (std::size_t i = 0; i < mirror.members.size(); ++i) {
-    std::size_t b = slot_key(mirror.members[i].dip) & mask;
-    while (mirror.buckets[b] != 0) b = (b + 1) & mask;
-    mirror.buckets[b] = static_cast<std::uint32_t>(i + 1);
-  }
-}
-
-bool FleetObserver::toggle_cached(VipMirror& mirror, const net::Endpoint& dip,
-                                  bool add, std::uint64_t* token) {
-  // One probe of the slot index, token read from the slot: the member token
-  // (an out-of-line FNV pass over the 16 address bytes plus two mix rounds)
-  // is computed exactly once per (vip, dip) — on first insertion — and
-  // cached forever after. Churn re-adds the same DIPs, so the steady-state
-  // toggle is a probe, a flag flip, and a cached-token read; binary search
-  // (ordering branches mispredict on random keys) and linear scans both
-  // measured slower on realistic pools.
-  std::size_t b = 0;
-  if (!mirror.buckets.empty()) {
-    const std::size_t mask = mirror.buckets.size() - 1;
-    b = slot_key(dip) & mask;
-    for (std::uint32_t slot; (slot = mirror.buckets[b]) != 0;
-         b = (b + 1) & mask) {
-      Member& m = mirror.members[slot - 1];
-      if (m.dip == dip) {
-        *token = m.token;
-        if (m.present == add) return false;
-        m.present = add;
-        return true;
-      }
-    }
-  }
-  if (!add) {
-    *token = 0;  // Unused: membership did not change.
-    return false;
-  }
-  const std::uint64_t tok = keyed_member_token(mirror.key, dip);
-  *token = tok;
-  mirror.members.push_back({dip, tok, true});
-  if (mirror.members.size() * 2 > mirror.buckets.size()) {
-    rebuild_index(mirror);  // Also places the slot just appended.
-  } else {
-    mirror.buckets[b] = static_cast<std::uint32_t>(mirror.members.size());
-  }
-  return true;
-}
-
-void FleetObserver::assign_members(VipMirror& mirror,
-                                   const std::vector<net::Endpoint>& dips) {
-  for (Member& m : mirror.members) m.present = false;
-  std::uint64_t token = 0;
-  for (const net::Endpoint& dip : dips) toggle_cached(mirror, dip, true, &token);
-}
-
-std::vector<net::Endpoint> FleetObserver::present_members(
-    const VipMirror& mirror) {
-  std::vector<net::Endpoint> out;
-  for (const Member& m : mirror.members) {
-    if (m.present) out.push_back(m.dip);
-  }
-  return out;
-}
 
 // --- VipDigest ---------------------------------------------------------------
 
@@ -177,6 +101,14 @@ std::uint64_t VipDigest::presence_token(const net::Endpoint& vip) {
 std::uint64_t VipDigest::member_token(const net::Endpoint& vip,
                                       const net::Endpoint& dip) {
   return keyed_member_token(vip_key(vip), dip);
+}
+
+std::uint64_t VipDigest::of(const net::Endpoint& vip,
+                            std::span<const net::Endpoint> dips) {
+  const std::uint64_t key = vip_key(vip);
+  std::uint64_t digest = keyed_presence_token(key);
+  for (const net::Endpoint& dip : dips) digest ^= keyed_member_token(key, dip);
+  return digest;
 }
 
 // --- DivergenceFinding -------------------------------------------------------
@@ -263,8 +195,8 @@ std::string DivergenceFinding::to_json() const {
 
 // --- FleetObserver -----------------------------------------------------------
 
-FleetObserver::FleetObserver(std::size_t switches)
-    : switch_count_(switches) {
+FleetObserver::FleetObserver(std::size_t switches, const Source& source)
+    : switch_count_(switches), source_(source) {
   const sr::MutexLock lock(mu_);
   cells_.resize(switches);
   selfcheck_countdown_ = kSelfcheckEvery;
@@ -275,7 +207,7 @@ FleetObserver::FleetObserver(std::size_t switches)
 
 // --- Feed journal ------------------------------------------------------------
 
-void FleetObserver::drain_locked() {
+void FleetObserver::replay_locked() {
   // Replay in feed order with each event's recorded timestamp: the fold is
   // bit-identical to having applied every feed synchronously, only batched
   // so the observer's working set stays cache-resident (header cost model).
@@ -284,41 +216,25 @@ void FleetObserver::drain_locked() {
       case FeedEvent::Kind::kAppendUpdate: {
         SR_DCHECKF(ev.pos > head_, "journal positions are monotone");
         head_ = ev.pos;
-        VipMirror* mirror = find_mirror(desired_, ev.vip);
-        if (mirror == nullptr && ev.add) {
-          // First sighting of this VIP through an update (configs normally
-          // precede traffic): it exists now, so account its presence token.
-          desired_.push_back({ev.vip, VipMirror{}});
-          mirror = &desired_.back().second;
-          mirror->key = VipDigest::vip_key(ev.vip);
-          mirror->digest = keyed_presence_token(mirror->key);
-          desired_digest_ ^= mirror->digest;
-        }
-        if (mirror != nullptr) {
-          std::uint64_t token = 0;
-          if (toggle_cached(*mirror, ev.dip, ev.add, &token)) {
-            mirror->digest ^= token;
-            desired_digest_ ^= token;
-          }
+        if (ev.changed) {
+          desired_digest_ ^= VipDigest::member_token(ev.vip, ev.dip);
         }
         append_history_locked(ev.at);
         tick_locked(ev.at, kNoSwitch);
         break;
       }
       case FeedEvent::Kind::kMirrorUpdate: {
-        toggle_member_locked(cells_[ev.sw], ev.vip, ev.dip, ev.add);
-        // A journaled delivery (pos != 0) is immediately followed — same
-        // feed order, no intervening event — by on_watermark(pos) (or
-        // arrives fused as kDelivery), which runs the digest check at the
-        // advanced position. Out-of-band mutations (pos == 0: resync
-        // replays, fault injection) are checked right away against the
-        // unchanged effective watermark.
-        tick_locked(ev.at, ev.pos == 0 ? ev.sw : kNoSwitch);
+        if (ev.changed) {
+          cells_[ev.sw].digest ^= VipDigest::member_token(ev.vip, ev.dip);
+        }
+        // Out-of-band mutations (resync replays, fault injection) are
+        // checked right away against the unchanged effective watermark.
+        tick_locked(ev.at, ev.sw);
         break;
       }
       case FeedEvent::Kind::kDelivery: {
         SwitchCell& cell = cells_[ev.sw];
-        toggle_member_locked(cell, ev.vip, ev.dip, ev.add);
+        cell.digest ^= VipDigest::member_token(ev.vip, ev.dip);
         if (ev.pos > cell.watermark) cell.watermark = ev.pos;
         if (!cell.oob.empty()) drain_oob_locked(cell);
         // Lean tail for the update-heavy delivery stream: the digest
@@ -328,8 +244,7 @@ void FleetObserver::drain_locked() {
         // therefore bounded by kEvalEvery feed events on top of the drain
         // batching; out-of-band mutations, lifecycle edges, and explicit
         // evaluate() still check immediately (DESIGN.md §17).
-        ++feed_events_;
-        maybe_selfcheck_locked();
+        count_selfcheck_locked();
         if (eval_due_locked()) {
           evaluate_locked(ev.at);
           check_switches_locked(ev.at, kAllSwitches);
@@ -348,79 +263,62 @@ void FleetObserver::drain_locked() {
   pending_.clear();
 }
 
-// --- Feed: appends -----------------------------------------------------------
+std::vector<DivergenceFinding> FleetObserver::settle_locked() {
+  // Every caller has emptied the feed journal and applied its own feed, so
+  // the Source and the digests agree again: only now may a self-check read
+  // the Source. Each checks the next switch and the desired state.
+  for (; selfchecks_due_ > 0; --selfchecks_due_) {
+    ++selfchecks_;
+    const std::size_t sw = selfcheck_cursor_;
+    selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
+    if (fold(source_.applied(sw)) != cells_[sw].digest ||
+        fold(source_.desired()) != desired_digest_) {
+      ++selfcheck_failures_;
+    }
+  }
+  return std::exchange(unfired_, {});
+}
 
-void FleetObserver::on_append_config(std::uint64_t pos, sim::Time now,
-                                     const net::Endpoint& vip,
-                                     const std::vector<net::Endpoint>& dips) {
+void FleetObserver::drain() {
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
+    fired = settle_locked();
+  }
+  fire(std::move(fired));
+}
+
+// --- Feed: configs -----------------------------------------------------------
+
+void FleetObserver::on_append_config(std::uint64_t pos, sim::Time now) {
+  std::vector<DivergenceFinding> fired;
+  {
+    const sr::MutexLock lock(mu_);
+    replay_locked();
     SR_DCHECKF(pos > head_, "journal positions are monotone");
     head_ = pos;
-    VipMirror* mirror = find_mirror(desired_, vip);
-    if (mirror == nullptr) {
-      desired_.push_back({vip, VipMirror{}});
-      mirror = &desired_.back().second;
-      mirror->key = VipDigest::vip_key(vip);
-    }
-    desired_digest_ ^= mirror->digest;
-    assign_members(*mirror, dips);
-    mirror->digest = VipDigest::of(vip, present_members(*mirror));
-    desired_digest_ ^= mirror->digest;
+    desired_digest_ = fold(source_.desired());
     append_history_locked(now);
     tick_locked(now, kNoSwitch);
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
 
-// --- Feed: mirrors -----------------------------------------------------------
-
-void FleetObserver::on_mirror_config(std::size_t sw, const net::Endpoint& vip,
-                                     const std::vector<net::Endpoint>& dips,
-                                     std::uint64_t pos, sim::Time now) {
+void FleetObserver::on_mirror_config(std::size_t sw, std::uint64_t pos,
+                                     sim::Time now) {
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     SwitchCell& cell = cells_.at(sw);
-    VipMirror* mirror = find_mirror(cell.vips, vip);
-    if (mirror == nullptr) {
-      cell.vips.push_back({vip, VipMirror{}});
-      mirror = &cell.vips.back().second;
-      mirror->key = VipDigest::vip_key(vip);
-    }
-    cell.digest ^= mirror->digest;
-    assign_members(*mirror, dips);
-    mirror->digest = VipDigest::of(vip, present_members(*mirror));
-    cell.digest ^= mirror->digest;
+    cell.digest = fold(source_.applied(sw));
     if (pos != 0 && pos > cell.watermark) cell.oob.insert(pos);
     tick_locked(now, sw);
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
-}
-
-void FleetObserver::toggle_member_locked(SwitchCell& cell,
-                                         const net::Endpoint& vip,
-                                         const net::Endpoint& dip, bool add) {
-  VipMirror* mirror = find_mirror(cell.vips, vip);
-  if (mirror == nullptr && add) {
-    cell.vips.push_back({vip, VipMirror{}});
-    mirror = &cell.vips.back().second;
-    mirror->key = VipDigest::vip_key(vip);
-    mirror->digest = keyed_presence_token(mirror->key);
-    cell.digest ^= mirror->digest;
-  }
-  if (mirror != nullptr) {
-    std::uint64_t token = 0;
-    if (toggle_cached(*mirror, dip, add, &token)) {
-      mirror->digest ^= token;
-      cell.digest ^= token;
-    }
-  }
 }
 
 // --- Feed: lifecycle ---------------------------------------------------------
@@ -429,18 +327,17 @@ void FleetObserver::on_switch_down(std::size_t sw, sim::Time now) {
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     SwitchCell& cell = cells_.at(sw);
     cell.state = SwitchState::kDown;
     cell.active_session = 0;
-    cell.vips.clear();
     cell.digest = 0;
     cell.oob.clear();
     cell.watermark = 0;
     cell.divergent = false;
     cell.lagging = false;
     tick_locked(now, kAllSwitches);  // Live set changed: re-evaluate.
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
@@ -451,16 +348,15 @@ void FleetObserver::on_restore_begin(std::size_t sw,
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     SwitchCell& cell = cells_.at(sw);
     cell.state = SwitchState::kRestoring;
-    cell.vips.clear();
-    cell.digest = 0;
+    cell.digest = fold(source_.applied(sw));
     cell.oob.clear();
     cell.watermark = snapshot_watermark;
     cell.divergent = false;
     tick_locked(now, kAllSwitches);  // Live set changed: re-evaluate.
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
@@ -470,7 +366,7 @@ void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();  // Deliveries that preceded the wipe stay ordered.
+    replay_locked();  // Deliveries that preceded the wipe stay ordered.
     SwitchCell& cell = cells_.at(sw);
     if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
     cell.active_session = session_id;
@@ -478,7 +374,7 @@ void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
     while (cell.sessions.size() > kSessionHistory) {
       cell.sessions.pop_front();
     }
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
@@ -488,7 +384,7 @@ void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     SwitchCell& cell = cells_.at(sw);
     if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
     cell.active_session = session_id;
@@ -501,7 +397,7 @@ void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
     } else {
       cell.sessions.back().kind = static_cast<int>(kind);
     }
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
@@ -511,12 +407,12 @@ void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     SwitchCell& cell = cells_.at(sw);
     if (cell.active_session != session_id) {
       // A newer session won; the replayed backlog still gets its findings
       // delivered.
-      fired = std::exchange(unfired_, {});
+      fired = settle_locked();
     } else {
       cell.active_session = 0;
       cell.state = SwitchState::kLive;
@@ -528,7 +424,7 @@ void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
         }
       }
       tick_locked(now, sw);
-      fired = std::exchange(unfired_, {});
+      fired = settle_locked();
     }
   }
   fire(std::move(fired));
@@ -620,49 +516,38 @@ bool FleetObserver::check_switch_locked(std::size_t sw, sim::Time now,
   finding->expected_digest = expected;
   finding->actual_digest = cell.digest;
   finding->at = now;
-  attribute_locked(cell, finding);
+  attribute_locked(sw, finding);
   finding->sessions.assign(cell.sessions.begin(), cell.sessions.end());
   findings_.push_back(*finding);
   return true;
 }
 
-void FleetObserver::attribute_locked(const SwitchCell& cell,
+void FleetObserver::attribute_locked(std::size_t sw,
                                      DivergenceFinding* finding) const {
-  // Diff the switch mirror against the *current* desired state. At
-  // quiescence (where the chaos harness asserts) the two references are the
-  // same; mid-stream the attribution may include in-flight churn and is
-  // labeled approximate (§17).
-  std::vector<net::Endpoint> vips;
-  for (const auto& [vip, mirror] : desired_) vips.push_back(vip);
-  for (const auto& [vip, mirror] : cell.vips) {
-    if (find_mirror(desired_, vip) == nullptr) vips.push_back(vip);
-  }
-  std::sort(vips.begin(), vips.end());
+  // Diff the switch's applied membership against the *current* desired
+  // state. At quiescence (where the chaos harness asserts) the two
+  // references are the same; mid-stream — including a finding made inside
+  // a replay, when the Source is ahead of the digests — the attribution may
+  // include in-flight churn and is labeled approximate (§17).
+  const auto want = by_vip(source_.desired());
+  const auto have = by_vip(source_.applied(sw));
+  std::set<net::Endpoint> vips;
+  for (const auto& [vip, dips] : want) vips.insert(vip);
+  for (const auto& [vip, dips] : have) vips.insert(vip);
+  const std::vector<net::Endpoint> none;
   for (const auto& vip : vips) {
-    const VipMirror* want_m = find_mirror(desired_, vip);
-    const VipMirror* have_m = find_mirror(cell.vips, vip);
-    const std::vector<net::Endpoint> want =
-        want_m == nullptr ? std::vector<net::Endpoint>{}
-                          : present_members(*want_m);
-    const std::vector<net::Endpoint> have =
-        have_m == nullptr ? std::vector<net::Endpoint>{}
-                          : present_members(*have_m);
+    const auto want_it = want.find(vip);
+    const auto have_it = have.find(vip);
+    const auto& want_dips = want_it == want.end() ? none : want_it->second;
+    const auto& have_dips = have_it == have.end() ? none : have_it->second;
     DivergenceFinding::VipDelta delta;
     delta.vip = vip;
-    for (const auto& dip : want) {
-      if (std::find(have.begin(), have.end(), dip) == have.end()) {
-        delta.missing.push_back(dip);
-      }
-    }
-    for (const auto& dip : have) {
-      if (std::find(want.begin(), want.end(), dip) == want.end()) {
-        delta.extra.push_back(dip);
-      }
-    }
-    std::sort(delta.missing.begin(), delta.missing.end());
-    std::sort(delta.extra.begin(), delta.extra.end());
+    std::set_difference(want_dips.begin(), want_dips.end(), have_dips.begin(),
+                        have_dips.end(), std::back_inserter(delta.missing));
+    std::set_difference(have_dips.begin(), have_dips.end(), want_dips.begin(),
+                        want_dips.end(), std::back_inserter(delta.extra));
     delta.presence_only = delta.missing.empty() && delta.extra.empty() &&
-                          (want_m == nullptr) != (have_m == nullptr);
+                          (want_it == want.end()) != (have_it == have.end());
     if (!delta.missing.empty() || !delta.extra.empty() ||
         delta.presence_only) {
       finding->deltas.push_back(std::move(delta));
@@ -719,25 +604,13 @@ void FleetObserver::evaluate_locked(sim::Time now) {
   last_eval_ = std::max(last_eval_, now);
 }
 
-void FleetObserver::maybe_selfcheck_locked() {
+void FleetObserver::count_selfcheck_locked() {
   if (cells_.empty() || --selfcheck_countdown_ != 0) return;
   selfcheck_countdown_ = kSelfcheckEvery;
-  // Round-robin one switch (plus the desired mirror) per cadence hit —
-  // bounded work per drain, full coverage over time.
-  ++selfchecks_;
-  const SwitchCell& cell = cells_[selfcheck_cursor_ % cells_.size()];
-  selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
-  std::uint64_t recomputed = 0;
-  for (const auto& [vip, mirror] : cell.vips) {
-    recomputed ^= VipDigest::of(vip, present_members(mirror));
-  }
-  std::uint64_t desired = 0;
-  for (const auto& [vip, mirror] : desired_) {
-    desired ^= VipDigest::of(vip, present_members(mirror));
-  }
-  if (recomputed != cell.digest || desired != desired_digest_) {
-    ++selfcheck_failures_;
-  }
+  // Round-robin one switch (plus the desired digest) per cadence hit —
+  // bounded work per drain, full coverage over time. It reads the Source,
+  // so it waits for settle_locked().
+  ++selfchecks_due_;
 }
 
 bool FleetObserver::eval_due_locked() {
@@ -760,8 +633,7 @@ void FleetObserver::check_switches_locked(sim::Time now, std::size_t touched) {
 }
 
 void FleetObserver::tick_locked(sim::Time now, std::size_t touched) {
-  ++feed_events_;
-  maybe_selfcheck_locked();
+  count_selfcheck_locked();
   // The O(switches) lag/SLO recompute is amortized over the feed stream;
   // explicit evaluate() and lifecycle edges (kAllSwitches) always run it.
   if (eval_due_locked() || touched == kAllSwitches) {
@@ -779,9 +651,9 @@ void FleetObserver::evaluate(sim::Time now) {
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
+    replay_locked();
     tick_locked(now, kAllSwitches);
-    fired = std::exchange(unfired_, {});
+    fired = settle_locked();
   }
   fire(std::move(fired));
 }
@@ -791,42 +663,20 @@ bool FleetObserver::verify_digests() {
   std::vector<DivergenceFinding> fired;
   {
     const sr::MutexLock lock(mu_);
-    drain_locked();
-    for (const SwitchCell& cell : cells_) {
-      std::uint64_t recomputed = 0;
-      for (const auto& [vip, mirror] : cell.vips) {
-        std::uint64_t vip_digest = VipDigest::of(vip, present_members(mirror));
-        if (vip_digest != mirror.digest) ok = false;
-        recomputed ^= vip_digest;
-      }
-      if (recomputed != cell.digest) ok = false;
+    replay_locked();
+    fired = settle_locked();
+    for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
+      if (fold(source_.applied(sw)) != cells_[sw].digest) ok = false;
     }
-    std::uint64_t desired = 0;
-    for (const auto& [vip, mirror] : desired_) {
-      std::uint64_t vip_digest = VipDigest::of(vip, present_members(mirror));
-      if (vip_digest != mirror.digest) ok = false;
-      desired ^= vip_digest;
-    }
-    if (desired != desired_digest_) ok = false;
+    if (fold(source_.desired()) != desired_digest_) ok = false;
     ++selfchecks_;
     if (!ok) ++selfcheck_failures_;
-    fired = std::exchange(unfired_, {});
   }
   fire(std::move(fired));
   return ok;
 }
 
 // --- Introspection -----------------------------------------------------------
-
-void FleetObserver::drain() {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    drain_locked();
-    fired = std::exchange(unfired_, {});
-  }
-  fire(std::move(fired));
-}
 
 std::uint64_t FleetObserver::head() {
   drain();

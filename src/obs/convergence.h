@@ -14,9 +14,9 @@
 //      TimeSeriesRecorder derives burn rate for free.
 //
 //   2. "Do two switches silently disagree?" — an order-independent 64-bit
-//      digest of each switch's applied VIP→DIP mirror, maintained
-//      incrementally (XOR-fold of per-VIP digests, O(changed VIPs) per
-//      mutation, with a periodic full-recompute self-check), compared
+//      digest of each switch's applied VIP→DIP membership, maintained
+//      incrementally (one member-token XOR per membership change the fleet
+//      reports, with a periodic full-recompute self-check), compared
 //      against the controller's desired-state digest *at the switch's
 //      effective watermark*. A digest mismatch at an equal position is
 //      silent divergence: the replica confirmed the same history the
@@ -24,16 +24,22 @@
 //      produces a DivergenceFinding with per-VIP attribution of the
 //      differing memberships, ready to be embedded in a ForensicsReport.
 //
+// The observer keeps digests, never memberships: the fleet holds the only
+// copy of every switch's applied membership and of the desired one, and
+// the observer reads them through the read-only Source on cold paths only
+// (config and restore feeds, divergence attribution, verify_digests(), the
+// round-robin self-check).
+//
 // Digest scheme (the only sanctioned membership-digest implementation —
 // srlint R14 bans ad-hoc hashing of membership vectors elsewhere in
 // src/deploy and src/obs): each provisioned VIP contributes a presence
 // token XOR the fold of its member tokens, so an empty-but-provisioned
 // pool is distinguishable from an absent VIP, and member tokens are salted
 // with the VIP's own key so identical DIP sets under different VIPs cannot
-// cancel. All tokens come from net::mix64 over seeded net::hash_bytes
+// cancel. All tokens come from net::mix64 over seeded net::hash_address
 // endpoint hashes (fixed values, unlike the net::EndpointHash container
 // hash); XOR-folding makes every digest order-independent and every
-// mutation an O(1) toggle.
+// membership change one token toggle, hashed when the change is folded.
 //
 // Checkability model: in-order delivery advances a switch's contiguous
 // watermark W, while synchronous provisioning (add_vip on a live switch)
@@ -46,46 +52,43 @@
 // resyncing, or gapped — is reported as unverifiable-at-the-moment rather
 // than checked against the wrong reference.
 //
-// Hot-path cost model (the <5% bench budget): the four update-heavy feeds
-// — journal append, in-order delivery, mirror toggle, watermark advance —
-// do not fold state synchronously. Each appends one compact FeedEvent to a
-// feed journal and returns; the journal is simulation-thread-only, so the
-// buffered fast path is a plain sequential store and a threshold test —
-// no lock, no hashing, no fold. Once the buffer reaches `kDrainEvery`
-// events the fold replays it in one batched drain under the mutex, which
-// keeps the observer's working set cache-resident instead of re-faulting
-// it on every feed between the fleet's own work. Replay applies events in
-// feed order with their recorded timestamps, so the result is
-// bit-identical to the synchronous fold; the only observable difference is
-// detection latency, bounded by `kDrainEvery` feed events. Configuration,
-// lifecycle, and resync-session feeds drain first and then apply
-// synchronously (they are rare and order-sensitive); every
-// simulation-thread query — evaluate(), verify_digests(), the getters —
-// also drains first, so nothing read on the feeding thread is ever stale.
+// Hot-path cost model (the <5% bench budget, DESIGN.md §17): the four
+// update-heavy feeds — journal append, in-order delivery, member toggle,
+// watermark advance — append one FeedEvent carrying (vip, dip, changed) to
+// a simulation-thread-only feed journal and return: no lock, no hashing.
+// Every `kDrainEvery` events one batched drain replays the journal in feed
+// order with the recorded timestamps under the mutex, bit-identical to a
+// synchronous fold; only detection latency grows, by at most `kDrainEvery`
+// feed events. Cold feeds and every simulation-thread query drain first.
+//
+// Reading the Source: it is live state, so while the feed journal holds
+// events it is ahead of the digests. The observer reads it only with the
+// journal empty and every fleet mutation reported: cold feeds drain first,
+// and a round-robin self-check that falls due inside a replay runs only
+// after the feed that triggered the drain has been applied. Attribution
+// of a divergence found mid-drain reads live state, which the
+// approximate-until-quiescence contract of DivergenceFinding::deltas
+// already allows.
 //
 // Concurrency (DESIGN.md §13): the observer is fed and queried from the
 // simulation thread; the scrape thread pulls the bound metric callbacks
-// and renders to_text()/to_json(). The folded state lives behind the
-// observer's sr::Mutex; the feed journal does not — it belongs to the
-// simulation thread alone, which is what makes the buffered feed lock-free.
-// The scrape surface therefore renders the last drained fold rather than
-// draining itself: its staleness is bounded by `kDrainEvery` feed events,
-// the same bound the detection latency already carries. The divergence
-// callback is invoked after the mutex is released, and only from
-// simulation-thread entry points (feeds, evaluate(), verify_digests(),
-// getters) — findings detected during a drain triggered elsewhere are
-// queued and delivered at the next such entry. The observer never calls
-// back into the fleet while holding mu_.
+// and renders to_text()/to_json(). The digests live behind the observer's
+// sr::Mutex; the feed journal belongs to the simulation thread alone. The
+// scrape surface renders the last drained fold, so it is at most
+// `kDrainEvery` feed events stale, and never calls the Source. Lock order
+// is the observer's mutex, then the fleet's: the Source takes the fleet's
+// lock under the observer's, so the fleet calls a feed only after
+// releasing its own. The divergence callback runs after the mutex is
+// released, only from simulation-thread entry points; findings detected
+// in a drain triggered elsewhere wait for the next such entry.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "check/thread_annotations.h"
@@ -108,13 +111,10 @@ struct VipDigest {
   /// the VIP key so equal DIP sets under different VIPs cannot cancel.
   static std::uint64_t member_token(const net::Endpoint& vip,
                                     const net::Endpoint& dip);
-  /// From-scratch digest of one VIP's pool: presence XOR member fold.
-  template <typename Container>
-  static std::uint64_t of(const net::Endpoint& vip, const Container& dips) {
-    std::uint64_t digest = presence_token(vip);
-    for (const auto& dip : dips) digest ^= member_token(vip, dip);
-    return digest;
-  }
+  /// From-scratch digest of one VIP's pool: presence XOR member fold, with
+  /// the VIP key computed once. A repeated DIP toggles its token twice.
+  static std::uint64_t of(const net::Endpoint& vip,
+                          std::span<const net::Endpoint> dips);
 };
 
 /// One detected silent divergence: switch `switch_index`'s applied mirror
@@ -175,11 +175,8 @@ class FleetObserver {
   /// alongside every evaluation; explicit evaluate() and switch-lifecycle
   /// edges always re-evaluate.
   static constexpr std::size_t kEvalEvery = 64;
-  /// Feed-journal drain threshold, in buffered hot-path feed events (see
-  /// the cost model above). Detection latency for a delivery-path
-  /// divergence is bounded by this many feed events; simulation-thread
-  /// queries always drain first, while the scrape surface renders the last
-  /// drained fold (staleness bounded by the same threshold).
+  /// Feed-journal drain threshold, in buffered hot-path feed events: it
+  /// bounds detection latency and scrape staleness (cost model above).
   static constexpr std::size_t kDrainEvery = 256;
   /// Resync-session records retained per switch for forensics.
   static constexpr std::size_t kSessionHistory = 16;
@@ -191,49 +188,68 @@ class FleetObserver {
   enum class SwitchState { kLive = 0, kDown = 1, kRestoring = 2,
                            kResyncing = 3 };
 
+  /// Read-only view of the memberships the digests summarize, implemented
+  /// by the fleet that holds them (never deleted through this base). Called
+  /// under the observer's mutex, only with the feed journal empty (see
+  /// "Reading the Source" above).
+  class Source {
+   public:
+    /// Switch `sw`'s applied membership: VIPs in provisioning order, DIPs
+    /// sorted.
+    virtual std::vector<net::VipMembers> applied(std::size_t sw) const = 0;
+    /// The controller's desired membership, VIPs in provisioning order. A
+    /// DIP list may repeat a DIP; the observer counts it once.
+    virtual std::vector<net::VipMembers> desired() const = 0;
+  };
+
   using DivergenceCallback = std::function<void(const DivergenceFinding&)>;
 
-  explicit FleetObserver(std::size_t switches);
+  /// `source` must outlive the observer.
+  FleetObserver(std::size_t switches, const Source& source);
 
   // --- Feed: controller journal appends --------------------------------------
 
-  /// A VipConfig was journaled at `pos` (desired state now provisions `vip`
-  /// with exactly `dips`).
-  void on_append_config(std::uint64_t pos, sim::Time now,
-                        const net::Endpoint& vip,
-                        const std::vector<net::Endpoint>& dips);
-  /// A DipUpdate was journaled at `pos`. Hot path: deferred via the feed
-  /// journal.
+  /// A VipConfig was journaled at `pos`; the desired digest is recomputed
+  /// from the Source.
+  void on_append_config(std::uint64_t pos, sim::Time now);
+  /// A DipUpdate was journaled at `pos`. `changed` is false when it left
+  /// the desired membership as it was (adding a member, removing a
+  /// non-member). Hot path: deferred via the feed journal.
   void on_append_update(std::uint64_t pos, sim::Time now,
                         const net::Endpoint& vip, const net::Endpoint& dip,
-                        bool add) {
-    enqueue({FeedEvent::Kind::kAppendUpdate, add, 0, pos, now, vip, dip});
+                        bool changed) {
+    enqueue({FeedEvent::Kind::kAppendUpdate, changed, 0, pos, now, vip, dip});
   }
 
-  // --- Feed: per-switch mirror mutations --------------------------------------
+  // --- Feed: per-switch applied membership -----------------------------------
 
-  /// Switch `sw`'s applied mirror now holds exactly `dips` for `vip`.
-  /// `pos` != 0 marks a synchronous out-of-band provisioning at that journal
-  /// position (does not advance the contiguous watermark); 0 means a resync
-  /// replay or restore preload whose position lands via on_watermark.
-  void on_mirror_config(std::size_t sw, const net::Endpoint& vip,
-                        const std::vector<net::Endpoint>& dips,
-                        std::uint64_t pos, sim::Time now);
-  /// One member toggled in switch `sw`'s mirror. `pos` != 0 for in-order
-  /// journaled deliveries; 0 for resync replays and fault injection. Hot
-  /// path: deferred via the feed journal.
+  /// One VIP of switch `sw` was (re)configured wholesale; the switch digest
+  /// is recomputed from the Source. `pos` != 0 marks a synchronous
+  /// out-of-band provisioning at that journal position (does not advance
+  /// the contiguous watermark); 0 means a resync replay or restore preload
+  /// whose position lands via on_watermark.
+  void on_mirror_config(std::size_t sw, std::uint64_t pos, sim::Time now);
+  /// One member of switch `sw` toggled out of band (resync replay, fault
+  /// injection); `changed` is false when the toggle was a no-op. Hot path:
+  /// deferred via the feed journal.
   void on_mirror_update(std::size_t sw, const net::Endpoint& vip,
-                        const net::Endpoint& dip, bool add, std::uint64_t pos,
+                        const net::Endpoint& dip, bool changed,
                         sim::Time now) {
-    enqueue({FeedEvent::Kind::kMirrorUpdate, add,
-             static_cast<std::uint32_t>(sw), pos, now, vip, dip});
+    enqueue({FeedEvent::Kind::kMirrorUpdate, changed,
+             static_cast<std::uint32_t>(sw), 0, now, vip, dip});
   }
-  /// Fusion of on_mirror_update(pos) + on_watermark(pos): one journaled
-  /// in-order delivery, applied and confirmed, as a single feed event.
+  /// Switch `sw` applied journal position `pos` in order: the member
+  /// toggle and the watermark advance as one feed event. A duplicate the
+  /// switch had already applied (`changed` false) only confirms the
+  /// position. Hot path: deferred via the feed journal.
   void on_delivery(std::size_t sw, const net::Endpoint& vip,
-                   const net::Endpoint& dip, bool add, std::uint64_t pos,
+                   const net::Endpoint& dip, bool changed, std::uint64_t pos,
                    sim::Time now) {
-    enqueue({FeedEvent::Kind::kDelivery, add, static_cast<std::uint32_t>(sw),
+    if (!changed) {
+      on_watermark(sw, pos, now);
+      return;
+    }
+    enqueue({FeedEvent::Kind::kDelivery, true, static_cast<std::uint32_t>(sw),
              pos, now, vip, dip});
   }
   /// Switch `sw` confirmed the in-order stream (or a chunk boundary)
@@ -247,9 +263,9 @@ class FleetObserver {
   // --- Feed: switch / resync-session lifecycle --------------------------------
 
   void on_switch_down(std::size_t sw, sim::Time now);
-  /// Restore began: mirror reset to the snapshot, contiguous watermark
-  /// rewound to the snapshot's. The preloaded VIPs arrive as
-  /// on_mirror_config(pos=0) calls after this.
+  /// Restore began: the switch's applied membership was cleared (digest
+  /// recomputed from the Source) and its contiguous watermark rewound to
+  /// the snapshot's. One on_mirror_config(pos=0) per snapshot VIP follows.
   void on_restore_begin(std::size_t sw, std::uint64_t snapshot_watermark,
                         sim::Time now);
   /// A resync session opened on `sw`'s channel (the window-wipe edge, fed
@@ -270,9 +286,9 @@ class FleetObserver {
   /// before asserting.
   void evaluate(sim::Time now);
 
-  /// Full-recompute self-check of every incrementally-maintained digest
-  /// (all switches + desired). Returns false (and counts a failure) on any
-  /// mismatch. Also invoked round-robin every `kSelfcheckEvery` feeds.
+  /// Checks every incremental digest (all switches + desired) against a
+  /// recompute from the Source; false (and a counted failure) on any
+  /// mismatch. A round-robin slice runs every `kSelfcheckEvery` feeds.
   bool verify_digests();
 
   // --- Introspection ----------------------------------------------------------
@@ -313,8 +329,8 @@ class FleetObserver {
 
  private:
   /// One deferred hot-path feed (see the cost model above): the four
-  /// update-heavy feeds buffer one of these and return; drain_locked()
-  /// replays them in order with their recorded timestamps.
+  /// update-heavy feeds buffer one of these and return; replay_locked()
+  /// applies them in order with their recorded timestamps.
   struct FeedEvent {
     enum class Kind : std::uint8_t {
       kAppendUpdate = 0,
@@ -323,49 +339,18 @@ class FleetObserver {
       kWatermark = 3,
     };
     Kind kind;
-    bool add;
+    bool changed;       ///< Membership changed: toggle the member token.
     std::uint32_t sw;   ///< Unused for kAppendUpdate.
     std::uint64_t pos;  ///< Journal position (kWatermark: the watermark).
     sim::Time at;
     net::Endpoint vip;  ///< Unused for kWatermark.
     net::Endpoint dip;  ///< Unused for kWatermark.
   };
-  /// One DIP slot in a mirror. Slots are never removed, only tombstoned
-  /// (`present = false`): churn re-adds the same DIPs, so a steady-state
-  /// toggle costs one probe of the mirror's open-addressed slot index, a
-  /// flag flip, and an XOR of the token cached in the slot — the
-  /// member-token hash is paid once per (vip, dip) at first insertion,
-  /// never on the toggle path. Slots keep first-insertion order; the
-  /// XOR-fold digests are order-independent and the cold paths sort what
-  /// they render.
-  struct Member {
-    net::Endpoint dip;
-    std::uint64_t token = 0;  ///< Cached VipDigest::member_token.
-    bool present = false;
-  };
-  struct VipMirror {
-    std::uint64_t key = 0;  ///< Cached VipDigest::vip_key (hot-path tokens).
-    std::uint64_t digest = 0;
-    /// Flat storage: pools are small (tens of DIPs), so a flat vector
-    /// beats node-based sets on the feed path. Membership = entries with
-    /// `present` set.
-    std::vector<Member> members;
-    /// Open-addressed DIP→slot index over `members` (entry = slot + 1,
-    /// 0 = empty; power-of-two capacity, load kept at or below 1/2, linear
-    /// probing, no deletions). A toggle probes this instead of comparing
-    /// endpoints: one word-mix of the address, one load, usually one hit.
-    std::vector<std::uint32_t> buckets;
-  };
-  /// Flat VIP table for the same reason: deployments track a handful of
-  /// VIPs, and a linear scan over inline pairs beats hashing the endpoint
-  /// on every feed.
-  using VipTable = std::vector<std::pair<net::Endpoint, VipMirror>>;
   struct SwitchCell {
     SwitchState state = SwitchState::kLive;
     std::uint64_t watermark = 0;      ///< Contiguous, from on_watermark.
     std::set<std::uint64_t> oob;      ///< Out-of-band applied positions > W.
-    std::uint64_t digest = 0;         ///< XOR-fold of vips[*].digest.
-    VipTable vips;
+    std::uint64_t digest = 0;         ///< XOR-fold of its VIP digests.
     std::uint64_t active_session = 0;
     std::deque<DivergenceFinding::SessionRecord> sessions;
     /// Dedup latch: one finding per divergence episode; re-arms when the
@@ -386,49 +371,24 @@ class FleetObserver {
   /// costs no out-of-line call.
   void enqueue(const FeedEvent& ev) {
     pending_.push_back(ev);
-    if (pending_.size() < kDrainEvery) return;
-    std::vector<DivergenceFinding> fired;
-    {
-      const sr::MutexLock lock(mu_);
-      drain_locked();
-      fired = std::exchange(unfired_, {});
-    }
-    if (!fired.empty()) fire(std::move(fired));
+    if (pending_.size() >= kDrainEvery) drain();
   }
-  /// Replays every buffered feed event in order (recorded timestamps) and
-  /// clears the buffer. Simulation thread only (it consumes pending_);
-  /// detected findings land in unfired_.
-  void drain_locked() SR_REQUIRES(mu_);
-  /// Locks, drains, and delivers pending findings — the getter prologue.
+  /// Applies and clears the buffered feed events, in order with their
+  /// recorded timestamps. Simulation thread only (it consumes pending_).
+  void replay_locked() SR_REQUIRES(mu_);
+  /// The tail of every entry point, once the fleet's state and the digests
+  /// agree again: runs the self-checks that fell due and hands back the
+  /// findings to deliver.
+  std::vector<DivergenceFinding> settle_locked() SR_REQUIRES(mu_);
+  /// Locks, replays, settles, and delivers findings — the hot-path drain
+  /// and the getter prologue.
   void drain() SR_EXCLUDES(mu_);
 
-  /// Linear lookup in a flat VIP table (nullptr when absent).
-  static VipMirror* find_mirror(VipTable& table, const net::Endpoint& vip);
-  static const VipMirror* find_mirror(const VipTable& table,
-                                      const net::Endpoint& vip);
-  /// Set-semantics membership toggle using the cached-token slots; stores
-  /// the toggled member token in `*token` and reports whether membership
-  /// actually changed.
-  static bool toggle_cached(VipMirror& mirror, const net::Endpoint& dip,
-                            bool add, std::uint64_t* token);
-  /// (Re)builds `mirror.buckets` over all current slots (insertion path).
-  static void rebuild_index(VipMirror& mirror);
-  /// Declarative reset of a mirror's membership (config / snapshot paths).
-  static void assign_members(VipMirror& mirror,
-                             const std::vector<net::Endpoint>& dips);
-  /// The present DIPs of a mirror (cold paths: recompute, attribution).
-  static std::vector<net::Endpoint> present_members(const VipMirror& mirror);
-  /// Shared mirror mutation of the delivery/mirror-update replay: toggles
-  /// `dip` in `cell`'s mirror for `vip`, maintaining both digests
-  /// incrementally.
-  void toggle_member_locked(SwitchCell& cell, const net::Endpoint& vip,
-                            const net::Endpoint& dip, bool add)
-      SR_REQUIRES(mu_);
   void drain_oob_locked(SwitchCell& cell) SR_REQUIRES(mu_);
   std::uint64_t effective_locked(const SwitchCell& cell) const
       SR_REQUIRES(mu_);
-  /// True when `cell`'s mirror must equal desired state at exactly
-  /// effective_locked(cell).
+  /// True when `cell`'s applied membership must equal desired state at
+  /// exactly effective_locked(cell).
   bool checkable_locked(const SwitchCell& cell) const SR_REQUIRES(mu_);
   /// Desired digest at `pos` from the history ring; false when compacted
   /// out of the retained window.
@@ -442,8 +402,8 @@ class FleetObserver {
   /// `finding` and returns true on a fresh mismatch.
   bool check_switch_locked(std::size_t sw, sim::Time now,
                            DivergenceFinding* finding) SR_REQUIRES(mu_);
-  void attribute_locked(const SwitchCell& cell, DivergenceFinding* finding)
-      const SR_REQUIRES(mu_);
+  void attribute_locked(std::size_t sw, DivergenceFinding* finding) const
+      SR_REQUIRES(mu_);
   void evaluate_locked(sim::Time now) SR_REQUIRES(mu_);
   /// Shared tail of every replayed/synchronous feed: self-check cadence +
   /// evaluation + divergence checks (into unfired_). `touched` bounds the
@@ -453,8 +413,9 @@ class FleetObserver {
   static constexpr std::size_t kAllSwitches = static_cast<std::size_t>(-1);
   static constexpr std::size_t kNoSwitch = static_cast<std::size_t>(-2);
   void tick_locked(sim::Time now, std::size_t touched) SR_REQUIRES(mu_);
-  /// Round-robin full-recompute self-check when its countdown expires.
-  void maybe_selfcheck_locked() SR_REQUIRES(mu_);
+  /// Counts one feed toward the round-robin self-check; when the countdown
+  /// expires the check falls due and settle_locked() runs it.
+  void count_selfcheck_locked() SR_REQUIRES(mu_);
   /// Decrements the evaluation countdown; true when it expired (reloads).
   bool eval_due_locked() SR_REQUIRES(mu_);
   /// Digest comparisons for the switches selected by `touched`; fresh
@@ -482,20 +443,19 @@ class FleetObserver {
   // store.
   /// Feed journal. Simulation-thread-only (deliberately NOT guarded by
   /// mu_): written by the inline feeds without a lock, consumed by
-  /// drain_locked() from simulation-thread entry points. The scrape thread
+  /// replay_locked() from simulation-thread entry points. The scrape thread
   /// never touches it — to_text()/to_json()/bound metrics render the last
   /// drained fold instead.
   std::vector<FeedEvent> pending_;
   mutable sr::Mutex mu_;
+  /// The fleet's memberships (read on cold paths only, under mu_).
+  const Source& source_;
   /// Findings detected under the lock and not yet delivered: fired by the
   /// next feed-path/evaluate entry point (never by queries — DESIGN.md §13
   /// keeps the divergence callback on the simulation thread).
   std::vector<DivergenceFinding> unfired_ SR_GUARDED_BY(mu_);
 
   std::vector<SwitchCell> cells_ SR_GUARDED_BY(mu_);
-  /// Controller desired state mirror + digest.
-  VipTable desired_
-      SR_GUARDED_BY(mu_);
   std::uint64_t desired_digest_ SR_GUARDED_BY(mu_) = 0;
   std::uint64_t head_ SR_GUARDED_BY(mu_) = 0;
   /// Digest history ring (fixed flat storage — no per-append allocation or
@@ -520,12 +480,13 @@ class FleetObserver {
   std::uint64_t selfchecks_ SR_GUARDED_BY(mu_) = 0;
   std::uint64_t selfcheck_failures_ SR_GUARDED_BY(mu_) = 0;
   std::uint64_t unverifiable_ SR_GUARDED_BY(mu_) = 0;
-  std::uint64_t feed_events_ SR_GUARDED_BY(mu_) = 0;
   /// Cadence countdowns (reloaded from the constants): a decrement-and-test per
   /// feed instead of two 64-bit modulo ops on the replay path.
   std::size_t selfcheck_countdown_ SR_GUARDED_BY(mu_) = 0;
   std::size_t eval_countdown_ SR_GUARDED_BY(mu_) = 0;
   std::size_t selfcheck_cursor_ SR_GUARDED_BY(mu_) = 0;
+  /// Round-robin self-checks fallen due and not yet run (settle_locked).
+  std::size_t selfchecks_due_ SR_GUARDED_BY(mu_) = 0;
 
   Histogram* h_lag_ = nullptr;  ///< Bound fleet lag histogram (positions).
   DivergenceCallback divergence_cb_;

@@ -5,7 +5,11 @@
 // interleavings of updates, crashes, and restores through a real fleet.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <random>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "deploy/fleet.h"
@@ -44,6 +48,81 @@ workload::DipUpdate update_of(const net::Endpoint& vip,
   update.cause = workload::UpdateCause::kServiceUpgrade;
   return update;
 }
+
+/// An observer over a fake fleet. Like SilkRoadFleet, every helper changes
+/// the fake's memberships first and then feeds the observer what changed,
+/// so the observer's Source never runs ahead of what it was told.
+class ObservedFleet final : public FleetObserver::Source {
+ public:
+  explicit ObservedFleet(std::size_t switches)
+      : applied_(switches), observer(switches, *this) {}
+
+  std::vector<net::VipMembers> applied(std::size_t sw) const override {
+    return listing(applied_.at(sw));
+  }
+  std::vector<net::VipMembers> desired() const override {
+    return listing(desired_);
+  }
+
+  /// Journals a VipConfig at `pos`.
+  void config(std::uint64_t pos, sim::Time now, const net::Endpoint& vip,
+              const std::vector<net::Endpoint>& dips) {
+    desired_[vip] = {dips.begin(), dips.end()};
+    observer.on_append_config(pos, now);
+  }
+  /// Provisions switch `sw` synchronously at `pos` (0: out of the journal).
+  void provision(std::size_t sw, const net::Endpoint& vip,
+                 const std::vector<net::Endpoint>& dips, std::uint64_t pos,
+                 sim::Time now) {
+    applied_.at(sw)[vip] = {dips.begin(), dips.end()};
+    observer.on_mirror_config(sw, pos, now);
+  }
+  /// Journals a DipUpdate at `pos`.
+  void append(std::uint64_t pos, sim::Time now, const net::Endpoint& vip,
+              const net::Endpoint& dip, bool add) {
+    observer.on_append_update(pos, now, vip, dip,
+                              toggle(desired_, vip, dip, add));
+  }
+  /// Delivers journal position `pos` to switch `sw` in order.
+  void deliver(std::size_t sw, const net::Endpoint& vip,
+               const net::Endpoint& dip, bool add, std::uint64_t pos,
+               sim::Time now) {
+    observer.on_delivery(sw, vip, dip, toggle(applied_.at(sw), vip, dip, add),
+                         pos, now);
+  }
+  /// Toggles a member of switch `sw` out of band (a buggy apply path).
+  void corrupt(std::size_t sw, const net::Endpoint& vip,
+               const net::Endpoint& dip, bool add, sim::Time now) {
+    observer.on_mirror_update(sw, vip, dip,
+                              toggle(applied_.at(sw), vip, dip, add), now);
+  }
+
+ private:
+  using Memberships = std::map<net::Endpoint, std::set<net::Endpoint>>;
+
+  static bool toggle(Memberships& m, const net::Endpoint& vip,
+                     const net::Endpoint& dip, bool add) {
+    const auto it = m.find(vip);
+    if (it == m.end()) {
+      ADD_FAILURE() << "updates need a provisioned VIP";
+      return false;
+    }
+    return add ? it->second.insert(dip).second : it->second.erase(dip) != 0;
+  }
+  static std::vector<net::VipMembers> listing(const Memberships& m) {
+    std::vector<net::VipMembers> out;
+    for (const auto& [vip, dips] : m) {
+      out.push_back({vip, {dips.begin(), dips.end()}});
+    }
+    return out;
+  }
+
+  std::vector<Memberships> applied_;
+  Memberships desired_;
+
+ public:
+  FleetObserver observer;  ///< Declared last: it reads the memberships.
+};
 
 // --- VipDigest token algebra -------------------------------------------------
 
@@ -84,34 +163,40 @@ TEST(VipDigest, MembershipIsAnO1Toggle) {
 // --- Watermarks, lag, and the hysteretic SLO --------------------------------
 
 TEST(FleetObserver, EffectiveWatermarkExtendsThroughOutOfBandPositions) {
-  FleetObserver observer(1);
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
   const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
+  fleet.config(1, 10, vip_ep(), dips);
+  fleet.provision(0, vip_ep(), dips, 1, 10);
   EXPECT_EQ(observer.watermark(0), 0u);
   EXPECT_EQ(observer.effective_watermark(0), 1u);
   EXPECT_EQ(observer.lag_positions(0), 0u);
   // A later in-order delivery folds the out-of-band run into the watermark.
-  observer.on_append_update(2, 20, vip_ep(), dip_ep(9), true);
-  observer.on_mirror_update(0, vip_ep(), dip_ep(9), true, 2, 20);
-  observer.on_watermark(0, 2, 20);
+  fleet.append(2, 20, vip_ep(), dip_ep(9), true);
+  fleet.deliver(0, vip_ep(), dip_ep(9), true, 2, 20);
   EXPECT_EQ(observer.watermark(0), 2u);
   EXPECT_EQ(observer.effective_watermark(0), 2u);
   EXPECT_EQ(observer.divergences(), 0u);
+  EXPECT_TRUE(observer.verify_digests());
 }
 
 TEST(FleetObserver, SloHysteresisEntersExitsAndBurns) {
-  FleetObserver observer(1);
-  // One position past the enter threshold makes the only switch lagging.
-  constexpr std::uint64_t kHead = FleetObserver::kLagEnter + 1;
-  const auto dips = make_dips(static_cast<std::uint32_t>(kHead));
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
+  // Position 1 provisions an empty pool everywhere; position 1 + i adds
+  // dips[i - 1]. One update past the enter threshold makes the only switch
+  // lagging.
+  fleet.config(1, 0, vip_ep(), {});
+  fleet.provision(0, vip_ep(), {}, 1, 0);
+  constexpr std::uint64_t kBehind = FleetObserver::kLagEnter + 1;
+  const auto dips = make_dips(static_cast<std::uint32_t>(kBehind));
   sim::Time now = 0;
-  for (std::uint64_t pos = 1; pos <= kHead; ++pos) {
+  for (std::uint64_t i = 1; i <= kBehind; ++i) {
     now += 100;
-    observer.on_append_update(pos, now, vip_ep(), dips[pos - 1], true);
+    fleet.append(1 + i, now, vip_ep(), dips[i - 1], true);
   }
   observer.evaluate(now);
-  EXPECT_EQ(observer.lag_positions(0), kHead);
+  EXPECT_EQ(observer.lag_positions(0), kBehind);
   EXPECT_GT(observer.lag_age(0), 0u);
   EXPECT_FALSE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 1u);
@@ -120,53 +205,53 @@ TEST(FleetObserver, SloHysteresisEntersExitsAndBurns) {
   EXPECT_GE(observer.slo_burn_ns(), 1000u);
   const auto deliver_through = [&](std::uint64_t from, std::uint64_t to,
                                    sim::Time at) {
-    for (std::uint64_t pos = from; pos <= to; ++pos) {
-      observer.on_mirror_update(0, vip_ep(), dips[pos - 1], true, pos, at);
-      observer.on_watermark(0, pos, at);
+    for (std::uint64_t i = from; i <= to; ++i) {
+      fleet.deliver(0, vip_ep(), dips[i - 1], true, 1 + i, at);
     }
   };
   // Catching up to one position above lag_exit keeps the latch set.
-  constexpr std::uint64_t kHeld = kHead - FleetObserver::kLagExit - 1;
+  constexpr std::uint64_t kHeld = kBehind - FleetObserver::kLagExit - 1;
   deliver_through(1, kHeld, now + 1500);
   observer.evaluate(now + 1500);
   EXPECT_EQ(observer.lag_positions(0), FleetObserver::kLagExit + 1);
   EXPECT_FALSE(observer.slo_ok());
   // Catching up past lag_exit clears the latch and the violation.
-  deliver_through(kHeld + 1, kHead, now + 2000);
+  deliver_through(kHeld + 1, kBehind, now + 2000);
   observer.evaluate(now + 2000);
   EXPECT_EQ(observer.lag_positions(0), 0u);
   EXPECT_TRUE(observer.slo_ok());
   EXPECT_EQ(observer.slo_transitions(), 2u);
   EXPECT_EQ(observer.divergences(), 0u);
   // Hysteresis: a lag between exit and enter does not re-enter lagging.
-  constexpr std::uint64_t kBehind = FleetObserver::kLagExit + 1;
-  for (std::uint64_t pos = kHead + 1; pos <= kHead + kBehind; ++pos) {
-    observer.on_append_update(pos, now + 3000, vip_ep(),
-                              dip_ep(static_cast<std::uint32_t>(1000 + pos)),
-                              true);
+  constexpr std::uint64_t kBetween = FleetObserver::kLagExit + 1;
+  for (std::uint64_t i = 1; i <= kBetween; ++i) {
+    fleet.append(1 + kBehind + i, now + 3000, vip_ep(),
+                 dip_ep(static_cast<std::uint32_t>(1000 + i)), true);
   }
   observer.evaluate(now + 3000);
-  EXPECT_EQ(observer.lag_positions(0), kBehind);
+  EXPECT_EQ(observer.lag_positions(0), kBetween);
   EXPECT_TRUE(observer.slo_ok());
+  EXPECT_TRUE(observer.verify_digests());
 }
 
 // --- Divergence detection ----------------------------------------------------
 
 TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
-  FleetObserver observer(2);
+  ObservedFleet fleet(2);
+  FleetObserver& observer = fleet.observer;
   std::vector<DivergenceFinding> fired;
   observer.set_divergence_callback(
       [&fired](const DivergenceFinding& finding) { fired.push_back(finding); });
   const auto dips = make_dips(3);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  observer.on_mirror_config(1, vip_ep(), dips, 1, 10);
+  fleet.config(1, 10, vip_ep(), dips);
+  fleet.provision(0, vip_ep(), dips, 1, 10);
+  fleet.provision(1, vip_ep(), dips, 1, 10);
   observer.evaluate(20);
   EXPECT_EQ(observer.divergences(), 0u);
 
   // Switch 1's apply path silently loses a member: the check fires on that
   // very feed, attributing the missing DIP.
-  observer.on_mirror_update(1, vip_ep(), dips[2], false, 0, 30);
+  fleet.corrupt(1, vip_ep(), dips[2], false, 30);
   EXPECT_EQ(observer.divergences(), 1u);
   ASSERT_EQ(fired.size(), 1u);
   EXPECT_EQ(fired[0].switch_index, 1u);
@@ -181,8 +266,8 @@ TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
 
   // Heal, then gain a stray member instead: a fresh episode attributes the
   // extra DIP.
-  observer.on_mirror_update(1, vip_ep(), dips[2], true, 0, 40);
-  observer.on_mirror_update(1, vip_ep(), dip_ep(99), true, 0, 41);
+  fleet.corrupt(1, vip_ep(), dips[2], true, 40);
+  fleet.corrupt(1, vip_ep(), dip_ep(99), true, 41);
   EXPECT_EQ(observer.divergences(), 2u);
   findings = observer.findings();
   ASSERT_EQ(findings.size(), 2u);
@@ -196,39 +281,41 @@ TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
 }
 
 TEST(FleetObserver, EpisodeLatchDedupsUntilDigestsAgreeAgain) {
-  FleetObserver observer(1);
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
   const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
-  observer.on_mirror_update(0, vip_ep(), dips[0], false, 0, 20);
+  fleet.config(1, 10, vip_ep(), dips);
+  fleet.provision(0, vip_ep(), dips, 1, 10);
+  fleet.corrupt(0, vip_ep(), dips[0], false, 20);
   EXPECT_EQ(observer.divergences(), 1u);
   // Still diverged: repeated evaluation reports the same episode once.
   observer.evaluate(30);
   observer.evaluate(40);
   EXPECT_EQ(observer.divergences(), 1u);
   // Heal, then diverge again: a fresh episode is counted.
-  observer.on_mirror_update(0, vip_ep(), dips[0], true, 0, 50);
+  fleet.corrupt(0, vip_ep(), dips[0], true, 50);
   EXPECT_EQ(observer.divergences(), 1u);
-  observer.on_mirror_update(0, vip_ep(), dips[1], false, 0, 60);
+  fleet.corrupt(0, vip_ep(), dips[1], false, 60);
   EXPECT_EQ(observer.divergences(), 2u);
 }
 
 TEST(FleetObserver, ChecksAreSuspendedDuringResyncSessions) {
-  FleetObserver observer(1);
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
   const auto dips = make_dips(2);
-  observer.on_append_config(1, 10, vip_ep(), dips);
-  observer.on_mirror_config(0, vip_ep(), dips, 1, 10);
+  fleet.config(1, 10, vip_ep(), dips);
+  fleet.provision(0, vip_ep(), dips, 1, 10);
   // A session opens (window-wipe edge): the switch stops being checkable,
   // so mid-resync mirror churn is not misread as divergence.
   observer.on_session_open(0, 77, 20);
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kResyncing);
-  observer.on_mirror_update(0, vip_ep(), dips[0], false, 0, 21);
+  fleet.corrupt(0, vip_ep(), dips[0], false, 21);
   observer.evaluate(22);
   EXPECT_EQ(observer.divergences(), 0u);
   // The replay heals the mirror before the session closes; the close makes
   // the switch checkable again and finds it consistent.
   observer.on_resync_begin(0, 77, FleetObserver::ResyncKind::kDelta, 23);
-  observer.on_mirror_update(0, vip_ep(), dips[0], true, 0, 24);
+  fleet.corrupt(0, vip_ep(), dips[0], true, 24);
   observer.on_resync_end(0, 77, 25);
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kLive);
   observer.evaluate(26);
@@ -238,11 +325,13 @@ TEST(FleetObserver, ChecksAreSuspendedDuringResyncSessions) {
 }
 
 TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
-  FleetObserver observer(1);
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
   constexpr std::uint64_t kHead = FleetObserver::kDigestHistory + 10;
-  for (std::uint64_t pos = 1; pos <= kHead; ++pos) {
-    observer.on_append_update(pos, pos * 10, vip_ep(),
-                              dip_ep(static_cast<std::uint32_t>(pos)), true);
+  fleet.config(1, 10, vip_ep(), {});
+  for (std::uint64_t pos = 2; pos <= kHead; ++pos) {
+    fleet.append(pos, pos * 10, vip_ep(),
+                 dip_ep(static_cast<std::uint32_t>(pos)), true);
   }
   // Watermark 5 fell off the history ring (it retains the newest
   // kDigestHistory positions): the check is counted as unverifiable
@@ -250,6 +339,11 @@ TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
   observer.on_watermark(0, 5, kHead * 10);
   EXPECT_GE(observer.unverifiable_checks(), 1u);
   EXPECT_EQ(observer.divergences(), 0u);
+  // Over kSelfcheckEvery feeds, so round-robin self-checks fell due inside
+  // replays while the fake fleet was already ahead of the journal; they
+  // must have waited for the drain to finish.
+  EXPECT_GT(observer.selfchecks(), 0u);
+  EXPECT_EQ(observer.selfcheck_failures(), 0u);
 }
 
 // --- Through a real fleet ----------------------------------------------------
@@ -353,6 +447,115 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
           << "seed " << seed << " switch " << i;
     }
   }
+}
+
+TEST(FleetConvergence, UpdateForUnknownVipIsDroppedBeforeTheJournal) {
+  // Every switch abandons an update for a VIP it was never given, so the
+  // controller must not journal one either: folded into the desired digest
+  // it reads as a silent divergence on every switch of a converged fleet.
+  sim::Simulator sim;
+  deploy::SilkRoadFleet fleet(sim, small_config(), 3);
+  fleet.add_vip(vip_ep(1), make_dips(4));
+  sim.run();
+  const std::uint64_t head = fleet.journal_head();
+  const std::size_t spans = fleet.spans().size();
+  fleet.request_update(update_of(vip_ep(2), dip_ep(7), true));
+  EXPECT_EQ(fleet.journal_head(), head);
+  EXPECT_EQ(fleet.spans().size(), spans);
+  EXPECT_EQ(fleet.ctrl_outstanding(), 0u);
+  fleet.request_update(update_of(vip_ep(1), dip_ep(8), true));
+  sim.run();
+  EXPECT_TRUE(fleet.converged());
+  FleetObserver& observer = *fleet.observer();
+  observer.evaluate(sim.now());
+  for (std::size_t sw = 0; sw < fleet.size(); ++sw) {
+    EXPECT_EQ(observer.lag_positions(sw), 0u) << "switch " << sw;
+  }
+  EXPECT_EQ(observer.divergences(), 0u);
+  EXPECT_TRUE(observer.verify_digests());
+}
+
+TEST(FleetConvergence, UpdateStormSelfChecksAllPass) {
+  // bench/fleet_obs_overhead's geometry over 50 batches: 3 switches, 2 VIPs
+  // x 16 DIPs, paired remove/add updates. The round-robin self-checks fall
+  // due inside replays while the journal still holds later events; they
+  // must wait for the drain, or the fleet's state (the Source) is ahead of
+  // the digests they recompute and they fail.
+  sim::Simulator sim;
+  fault::ControlChannel::Config channel;
+  channel.base_delay = 100 * sim::kMicrosecond;
+  channel.jitter = 50 * sim::kMicrosecond;
+  channel.seed = 0x0B57ULL;
+  deploy::SilkRoadFleet fleet(sim, small_config(), 3, 0xFEE7ULL, channel);
+  constexpr std::uint32_t kDipsPerVip = 16;
+  const auto dip_of = [](std::uint32_t v, std::uint32_t i) {
+    return dip_ep(v * 256 + i);
+  };
+  for (std::uint32_t v = 0; v < 2; ++v) {
+    std::vector<net::Endpoint> dips;
+    for (std::uint32_t i = 0; i < kDipsPerVip; ++i) {
+      dips.push_back(dip_of(v, i));
+    }
+    fleet.add_vip(vip_ep(1 + v), dips);
+  }
+  sim.run();
+  std::mt19937_64 rng(0x51172D17ULL);
+  for (int batch = 0; batch < 50; ++batch) {
+    for (int i = 0; i < 50; ++i) {
+      const auto v = static_cast<std::uint32_t>(rng() % 2);
+      const net::Endpoint dip =
+          dip_of(v, static_cast<std::uint32_t>(rng() % kDipsPerVip));
+      fleet.request_update(update_of(vip_ep(1 + v), dip, i % 2 != 0));
+    }
+    sim.run();
+  }
+  ASSERT_TRUE(fleet.converged());
+  FleetObserver& observer = *fleet.observer();
+  observer.evaluate(sim.now());
+  EXPECT_GE(observer.selfchecks(), 8u);
+  EXPECT_EQ(observer.selfcheck_failures(), 0u);
+  EXPECT_EQ(observer.divergences(), 0u);
+  EXPECT_TRUE(observer.verify_digests());
+}
+
+TEST(FleetConvergence, RendersFromAnotherThreadWhileFed) {
+  // The /fleet scrape routes render on the scrape thread while the
+  // simulation thread feeds the observer (run under TSan in CI). Only the
+  // observer renders there: the fleet's own counters are simulation-thread
+  // state.
+  sim::Simulator sim;
+  fault::ControlChannel::Config channel;
+  channel.base_delay = 100 * sim::kMicrosecond;
+  channel.drop_probability = 0.05;
+  deploy::SilkRoadFleet fleet(sim, small_config(), 3, 0xFEE7ULL, channel);
+  const auto dips = make_dips(6);
+  fleet.add_vip(vip_ep(), dips);
+  sim.run();
+  FleetObserver& observer = *fleet.observer();
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> renders{0};
+  std::thread renderer([&observer, &stop, &renders] {
+    while (!stop.load()) {
+      const std::string body = observer.to_json() + observer.to_text();
+      if (!body.empty()) renders.fetch_add(1);
+    }
+  });
+  for (int round = 0; round < 40; ++round) {
+    const net::Endpoint& dip = dips[static_cast<std::size_t>(round) % 6];
+    fleet.request_update(update_of(vip_ep(), dip, false));
+    fleet.request_update(update_of(vip_ep(), dip, true));
+    if (round == 10) fleet.fail_switch(2);
+    if (round == 20) fleet.restore_switch(2);
+    sim.run();
+  }
+  fleet.inject_mirror_corruption(1, vip_ep(), dips[0], /*add=*/false);
+  observer.evaluate(sim.now());
+  while (renders.load() < 2) std::this_thread::yield();
+  stop.store(true);
+  renderer.join();
+  EXPECT_EQ(observer.divergences(), 1u);
+  EXPECT_TRUE(observer.verify_digests());
+  EXPECT_EQ(observer.selfcheck_failures(), 0u);
 }
 
 TEST(FleetConvergence, RenderingsCarryTheHeadline) {

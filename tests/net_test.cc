@@ -248,6 +248,20 @@ INSTANTIATE_TEST_SUITE_P(Families, ModelHashMatchesReference,
                          ::testing::Values(Families::kV4, Families::kV6,
                                            Families::kMixed));
 
+// hash_address is the membership digests' endpoint hash (obs::VipDigest):
+// its IPv4 fast path must equal hash_bytes over the 16 address bytes.
+TEST(AddressHash, MatchesHashBytesOverRandomAddressesAndSeeds) {
+  sim::Rng rng(0x5EEDADD5ULL);
+  for (int i = 0; i < 400'000; ++i) {
+    const IpAddress ip = random_address(rng, i % 2 == 0);
+    const std::uint64_t seed = i % 4 < 2 ? static_cast<std::uint64_t>(i / 4)
+                                         : rng.next();
+    ASSERT_EQ(hash_address(ip, seed),
+              hash_bytes(std::span<const std::uint8_t>(ip.bytes()), seed))
+        << ip.to_string() << " seed " << seed;
+  }
+}
+
 // --- Container hashes: word-wise, but every field still counts -------------
 
 TEST(ContainerHash, FamilyPortAndProtocolAllCount) {
