@@ -51,16 +51,16 @@ bool DigestCuckooTable::contains(const net::FiveTuple& key) const {
 
 std::optional<std::uint32_t> DigestCuckooTable::exact_value(
     const net::FiveTuple& key) const {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return slots_[flat_index(it->second)].value;
+  const std::uint32_t* slot = index_.find(key);
+  if (slot == nullptr) return std::nullopt;
+  return slots_[*slot].value;
 }
 
 bool DigestCuckooTable::update_value(const net::FiveTuple& key,
                                      std::uint32_t value) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  slots_[flat_index(it->second)].value = value;
+  const std::uint32_t* slot = index_.find(key);
+  if (slot == nullptr) return false;
+  slots_[*slot].value = value;
   return true;
 }
 
@@ -70,7 +70,8 @@ void DigestCuckooTable::place(const net::FiveTuple& key, std::uint32_t value,
   SR_DCHECK(!slots_[idx].used);
   slots_[idx] = Slot{true, digest_of(key), value};
   shadow_keys_[idx] = key;
-  index_[key] = ref;
+  const auto slot = static_cast<std::uint32_t>(idx);
+  index_.try_emplace(slot, slot);
 }
 
 void DigestCuckooTable::move_entry(const SlotRef& from, const SlotRef& to) {
@@ -80,7 +81,10 @@ void DigestCuckooTable::move_entry(const SlotRef& from, const SlotRef& to) {
   slots_[dst] = slots_[src];
   shadow_keys_[dst] = shadow_keys_[src];
   slots_[src].used = false;
-  index_[shadow_keys_[dst]] = to;
+  // Re-key the index: its entry names the slot.
+  index_.erase(static_cast<std::uint32_t>(src));
+  index_.try_emplace(static_cast<std::uint32_t>(dst),
+                     static_cast<std::uint32_t>(dst));
   total_moves_.inc();
 }
 
@@ -107,9 +111,9 @@ struct BfsNode {
 
 DigestCuckooTable::InsertResult DigestCuckooTable::insert(
     const net::FiveTuple& key, std::uint32_t value) {
-  if (index_.contains(key)) {
+  if (const std::uint32_t* slot = index_.find(key)) {
     // Re-learn of an existing connection: refresh action data.
-    update_value(key, value);
+    slots_[*slot].value = value;
     return InsertResult{true, 0};
   }
   // Fast path: a free way in one of the key's buckets.
@@ -185,10 +189,11 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
 }
 
 bool DigestCuckooTable::erase(const net::FiveTuple& key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  slots_[flat_index(it->second)].used = false;
-  index_.erase(it);
+  const std::uint32_t* found = index_.find(key);
+  if (found == nullptr) return false;
+  const std::uint32_t slot = *found;
+  slots_[slot].used = false;
+  index_.erase(slot);
   return true;
 }
 
@@ -199,15 +204,18 @@ void DigestCuckooTable::touch(const SlotRef& slot, std::uint64_t stamp) {
 
 void DigestCuckooTable::touch_exact(const net::FiveTuple& key,
                                     std::uint64_t stamp) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) touch(it->second, stamp);
+  if (const std::uint32_t* slot = index_.find(key)) {
+    if (slots_[*slot].used) slots_[*slot].last_hit = stamp;
+  }
 }
 
 std::vector<net::FiveTuple> DigestCuckooTable::collect_idle(
     std::uint64_t older_than) const {
   std::vector<net::FiveTuple> idle;
-  for (const auto& [key, ref] : index_) {
-    if (slots_[flat_index(ref)].last_hit < older_than) idle.push_back(key);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].used && slots_[i].last_hit < older_than) {
+      idle.push_back(shadow_keys_[i]);
+    }
   }
   return idle;
 }

@@ -19,12 +19,12 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "asic/sram.h"
-#include "net/hash.h"
 #include "net/five_tuple.h"
+#include "net/flat_map.h"
+#include "net/hash.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -67,6 +67,9 @@ struct SlotRef {
 class DigestCuckooTable {
  public:
   explicit DigestCuckooTable(const CuckooConfig& config);
+  /// The shadow index points into shadow_keys_.
+  DigestCuckooTable(const DigestCuckooTable&) = delete;
+  DigestCuckooTable& operator=(const DigestCuckooTable&) = delete;
 
   struct LookupResult {
     std::uint32_t value = 0;
@@ -127,7 +130,7 @@ class DigestCuckooTable {
   void touch_exact(const net::FiveTuple& key, std::uint64_t stamp);
 
   /// Collects the keys of entries whose last activity stamp is strictly
-  /// older than `older_than` (the CPU's aging sweep).
+  /// older than `older_than` (the CPU's aging sweep), in physical slot order.
   std::vector<net::FiveTuple> collect_idle(std::uint64_t older_than) const;
 
   // --- Introspection -------------------------------------------------------
@@ -159,8 +162,8 @@ class DigestCuckooTable {
   /// unspecified order. Invariant-auditor input.
   template <typename Visit>
   void for_each_entry(Visit&& visit) const {
-    for (const auto& [key, ref] : index_) {
-      visit(key, slots_[flat_index(ref)].value);
+    for (const auto& entry : index_) {
+      visit(shadow_keys_[entry.key], slots_[entry.key].value);
     }
   }
 
@@ -233,8 +236,30 @@ class DigestCuckooTable {
   std::vector<Slot> slots_;
   /// CPU shadow: full 5-tuple per occupied slot (parallel to slots_).
   std::vector<net::FiveTuple> shadow_keys_;
-  /// CPU shadow index: key -> current slot.
-  std::unordered_map<net::FiveTuple, SlotRef, net::FiveTupleHash> index_;
+  /// CPU shadow index: key -> the flat index of its slot. It keys on slot
+  /// indices and is searched by 5-tuple through shadow_keys_, so it holds
+  /// no copy of the tuple.
+  struct ShadowHash {
+    const std::vector<net::FiveTuple>* keys;
+    std::size_t operator()(const net::FiveTuple& key) const noexcept {
+      return net::FiveTupleHash{}(key);
+    }
+    std::size_t operator()(std::uint32_t slot) const noexcept {
+      return (*this)((*keys)[slot]);
+    }
+  };
+  struct ShadowEq {
+    const std::vector<net::FiveTuple>* keys;
+    bool operator()(std::uint32_t slot,
+                    const net::FiveTuple& key) const noexcept {
+      return (*keys)[slot] == key;
+    }
+    bool operator()(std::uint32_t a, std::uint32_t b) const noexcept {
+      return a == b;
+    }
+  };
+  net::FlatMap<std::uint32_t, std::uint32_t, ShadowHash, ShadowEq> index_{
+      ShadowHash{&shadow_keys_}, ShadowEq{&shadow_keys_}};
   obs::Counter total_moves_;
   obs::Counter failed_inserts_;
   obs::TraceRing* trace_ = nullptr;

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/five_tuple.h"
+#include "net/flat_map.h"
 #include "net/hash.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -38,7 +38,8 @@ class LearningFilter {
     sim::Time timeout = 1 * sim::kMillisecond;
   };
 
-  using FlushSink = std::function<void(std::vector<LearnEvent>)>;
+  /// Receives each flushed batch; the vector is reused after the call.
+  using FlushSink = std::function<void(const std::vector<LearnEvent>&)>;
 
   /// Fault-injection hook: returns true to lose this event at flush time.
   /// The filter still clears its own state (the hardware did notify; the
@@ -72,7 +73,7 @@ class LearningFilter {
 
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
-  std::size_t pending_count() const noexcept { return pending_.size(); }
+  std::size_t pending_count() const noexcept { return events_.size(); }
   std::uint64_t duplicate_events() const noexcept {
     return duplicate_events_.value();
   }
@@ -86,8 +87,12 @@ class LearningFilter {
   sim::Simulator& sim_;
   Config config_;
   FlushSink sink_;
-  std::unordered_map<net::FiveTuple, LearnEvent, net::FiveTupleHash> pending_;
-  std::vector<net::FiveTuple> order_;  // flush in arrival order
+  /// Buffered events in arrival order, the order they flush in.
+  std::vector<LearnEvent> events_;
+  /// Dedup index: flow -> its position in events_.
+  net::FlatMap<net::FiveTuple, std::uint32_t, net::FiveTupleHash> pending_;
+  /// The batch handed to the sink; kept to reuse its capacity.
+  std::vector<LearnEvent> batch_;
   sim::EventHandle timeout_event_;
   DropHook drop_hook_;
   obs::Counter duplicate_events_;

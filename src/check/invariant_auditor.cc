@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "asic/sram.h"
 #include "check/sr_check.h"
+#include "net/flat_map.h"
 #include "obs/forensics.h"
 #include "obs/trace.h"
 
@@ -45,47 +44,55 @@ std::vector<Violation> InvariantAuditor::audit() const {
 
 void InvariantAuditor::check_version_liveness(
     std::vector<Violation>& out) const {
-  for (const auto& [flow, info] : sw_.pending_) {
-    if (info.dead) continue;  // eviction may have destroyed its version
-    const auto* state = sw_.find_vip(info.vip);
-    if (state == nullptr) {
-      out.push_back(make("version-liveness",
-                         "pending flow " + flow_str(flow) +
-                             " references unknown VIP " + info.vip.to_string(),
-                         info.vip));
-      continue;
-    }
-    if (state->versions->pool(info.version) == nullptr) {
-      out.push_back(make("version-liveness",
-                         "pending flow " + flow_str(flow) + " holds version " +
-                             std::to_string(info.version) +
-                             " which has no live pool",
-                         info.vip, info.version));
-    }
-  }
-  for (const auto& [flow, conn] : sw_.degraded_flows_) {
-    const auto* state = sw_.find_vip(conn.vip);
-    if (state == nullptr ||
-        state->versions->pool(conn.version) == nullptr) {
-      out.push_back(make("version-liveness",
-                         "degraded flow " + flow_str(flow) +
-                             " is pinned to version " +
-                             std::to_string(conn.version) +
-                             " which has no live pool",
-                         conn.vip, conn.version));
+  using FlowState = SilkRoadSwitch::FlowState;
+  for (const auto& record : sw_.records_) {
+    const net::FiveTuple& flow = record.flow;
+    const net::Endpoint& vip = flow.dst;
+    if (record.state == FlowState::kPending) {
+      if (record.dead) continue;  // eviction may have destroyed its version
+      const auto* state = sw_.find_vip(vip);
+      if (state == nullptr) {
+        out.push_back(make("version-liveness",
+                           "pending flow " + flow_str(flow) +
+                               " references unknown VIP " + vip.to_string(),
+                           vip));
+        continue;
+      }
+      if (state->versions->pool(record.version) == nullptr) {
+        out.push_back(make("version-liveness",
+                           "pending flow " + flow_str(flow) +
+                               " holds version " +
+                               std::to_string(record.version) +
+                               " which has no live pool",
+                           vip, record.version));
+      }
+    } else if (record.state == FlowState::kDegraded) {
+      const auto* state = sw_.find_vip(vip);
+      if (state == nullptr ||
+          state->versions->pool(record.version) == nullptr) {
+        out.push_back(make("version-liveness",
+                           "degraded flow " + flow_str(flow) +
+                               " is pinned to version " +
+                               std::to_string(record.version) +
+                               " which has no live pool",
+                           vip, record.version));
+      }
     }
   }
 }
 
 void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
+  using FlowState = SilkRoadSwitch::FlowState;
+  // Each record is stamped the first time a version list reaches it, so a
+  // second visit in the same audit finds it tracked twice.
+  const std::uint32_t stamp = ++sw_.audit_epoch_;
   for (const auto& [vip, state] : sw_.vips_) {
     const auto& mgr = *state.versions;
+    const auto& lists = state.conns_by_version;
     for (const std::uint32_t version : mgr.live_versions()) {
-      const auto it = state.conns_by_version.find(version);
       const std::int64_t tracked =
-          it == state.conns_by_version.end()
-              ? 0
-              : static_cast<std::int64_t>(it->second.size());
+          version < lists.size() ? static_cast<std::int64_t>(lists[version].size())
+                                 : 0;
       const std::int64_t counted = mgr.refcount(version);
       if (counted != tracked) {
         out.push_back(make(
@@ -97,33 +104,45 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
       }
     }
     // Tracking must reference live versions only, every tracked flow must
-    // still exist somewhere (pending or installed), and no flow may be
-    // tracked under two versions at once.
-    std::size_t tracked_flows = 0;
-    for (const auto& [version, flows] : state.conns_by_version) {
-      tracked_flows += flows.size();
-    }
-    std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen;
-    seen.reserve(tracked_flows);
-    for (const auto& [version, flows] : state.conns_by_version) {
+    // still exist somewhere (pending, installed or degraded), and no flow may
+    // be tracked under two versions at once.
+    for (std::uint32_t version = 0; version < lists.size(); ++version) {
+      const auto& members = lists[version];
+      if (members.empty()) continue;
       if (mgr.pool(version) == nullptr) {
         out.push_back(make("refcount-match",
                            "vip " + vip.to_string() + " tracks " +
-                               std::to_string(flows.size()) +
+                               std::to_string(members.size()) +
                                " connections under dead version " +
                                std::to_string(version),
                            vip, version));
       }
-      for (const auto& flow : flows) {
-        if (!seen.insert(flow).second) {
+      for (std::size_t pos = 0; pos < members.size(); ++pos) {
+        const auto& record = sw_.records_[members[pos]];
+        const net::FiveTuple& flow = record.flow;
+        if (record.audit_stamp == stamp) {
           out.push_back(make("refcount-match",
                              "flow " + flow_str(flow) +
                                  " tracked under two versions of vip " +
                                  vip.to_string(),
                              vip));
+          continue;
         }
-        if (!sw_.pending_.contains(flow) && !sw_.conn_table_.contains(flow) &&
-            !sw_.degraded_flows_.contains(flow)) {
+        record.audit_stamp = stamp;
+        if (record.version != version || record.member_pos != pos) {
+          out.push_back(make("refcount-match",
+                             "flow " + flow_str(flow) + " listed under version " +
+                                 std::to_string(version) + " at " +
+                                 std::to_string(pos) + " but its record says " +
+                                 std::to_string(record.version) + " at " +
+                                 std::to_string(record.member_pos),
+                             vip, version));
+        }
+        // Installed means present in the ConnTable's exact index, whatever
+        // the record claims.
+        if (record.state != FlowState::kPending &&
+            record.state != FlowState::kDegraded &&
+            !sw_.conn_table_.contains(flow)) {
           out.push_back(make(
               "refcount-match",
               "tracked flow " + flow_str(flow) + " (version " +
@@ -138,21 +157,31 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
 
 void InvariantAuditor::check_version_recycling(
     std::vector<Violation>& out) const {
-  // Versions referenced anywhere, keyed by VIP: ConnTable entries, non-dead
-  // pending connections, and the CPU's per-version tracking.
-  std::unordered_map<net::Endpoint,
-                     std::unordered_set<std::uint32_t>, net::EndpointHash>
+  using FlowState = SilkRoadSwitch::FlowState;
+  // Versions referenced anywhere, one bit per version number of each VIP:
+  // ConnTable entries, non-dead pending connections, and the CPU's
+  // per-version tracking.
+  net::FlatMap<net::Endpoint, std::vector<std::uint64_t>, net::EndpointHash>
       referenced;
+  const auto reference = [&referenced](const net::Endpoint& vip,
+                                       std::uint32_t version) {
+    auto& bits = referenced[vip];
+    if (bits.size() <= version / 64) bits.resize(version / 64 + 1);
+    bits[version / 64] |= std::uint64_t{1} << (version % 64);
+  };
   sw_.conn_table_.for_each_entry(
       [&](const net::FiveTuple& key, std::uint32_t value) {
-        referenced[key.dst].insert(value);
+        reference(key.dst, value);
       });
-  for (const auto& [flow, info] : sw_.pending_) {
-    if (!info.dead) referenced[info.vip].insert(info.version);
+  for (const auto& record : sw_.records_) {
+    if (record.state == FlowState::kPending && !record.dead) {
+      reference(record.flow.dst, record.version);
+    }
   }
   for (const auto& [vip, state] : sw_.vips_) {
-    for (const auto& [version, flows] : state.conns_by_version) {
-      if (!flows.empty()) referenced[vip].insert(version);
+    for (std::uint32_t version = 0; version < state.conns_by_version.size();
+         ++version) {
+      if (!state.conns_by_version[version].empty()) reference(vip, version);
     }
   }
 
@@ -187,15 +216,16 @@ void InvariantAuditor::check_version_recycling(
           vip));
     }
     // §4.4: a recycled version must never still be referenced.
-    if (const auto it = referenced.find(vip); it != referenced.end()) {
-      for (const std::uint32_t version : it->second) {
-        if (std::binary_search(free.begin(), free.end(), version)) {
-          out.push_back(make("version-recycling",
-                             "recycled version " + std::to_string(version) +
-                                 " of vip " + vip.to_string() +
-                                 " is still referenced",
-                             vip, version));
-        }
+    const auto* bits = referenced.find(vip);
+    if (bits == nullptr) continue;
+    for (std::uint32_t version = 0; version < bits->size() * 64; ++version) {
+      if (((*bits)[version / 64] >> (version % 64) & 1) == 0) continue;
+      if (std::binary_search(free.begin(), free.end(), version)) {
+        out.push_back(make("version-recycling",
+                           "recycled version " + std::to_string(version) +
+                               " of vip " + vip.to_string() +
+                               " is still referenced",
+                           vip, version));
       }
     }
   }
@@ -203,6 +233,14 @@ void InvariantAuditor::check_version_recycling(
 
 void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
   using Phase = SilkRoadSwitch::Phase;
+  using FlowState = SilkRoadSwitch::FlowState;
+  // S and S2 as flagged on the records, against the gates' running counts.
+  std::size_t awaiting = 0;
+  std::size_t members = 0;
+  for (const auto& record : sw_.records_) {
+    awaiting += record.awaiting_pre ? 1 : 0;
+    members += record.transit_member ? 1 : 0;
+  }
   if (sw_.phase_ == Phase::kIdle) {
     if (sw_.transit_.inserted() != 0 || sw_.transit_.fill_ratio() > 0.0) {
       out.push_back(make("transit-window",
@@ -210,15 +248,25 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
                              std::to_string(sw_.transit_.inserted()) +
                              " inserts)"));
     }
-    if (!sw_.transit_members_.empty()) {
+    if (members != 0 || sw_.transit_member_count_ != 0) {
       out.push_back(make("transit-window",
                          "transit member set non-empty while idle"));
     }
-    if (!sw_.awaiting_pre_.empty()) {
+    if (awaiting != 0 || sw_.awaiting_pre_count_ != 0) {
       out.push_back(make("transit-window",
                          "pre-update wait set non-empty while idle"));
     }
     return;
+  }
+  if (members != sw_.transit_member_count_ ||
+      awaiting != sw_.awaiting_pre_count_) {
+    out.push_back(make("transit-window",
+                       "completion gates count " +
+                           std::to_string(sw_.awaiting_pre_count_) + " + " +
+                           std::to_string(sw_.transit_member_count_) +
+                           " flows but " + std::to_string(awaiting) + " + " +
+                           std::to_string(members) + " are flagged",
+                       sw_.update_vip_));
   }
 
   const auto* state = sw_.find_vip(sw_.update_vip_);
@@ -250,8 +298,7 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
                              std::to_string(sw_.update_new_version_),
                          sw_.update_vip_, sw_.update_new_version_));
     }
-    if (!sw_.transit_members_.empty() &&
-        mgr.pool(sw_.update_old_version_) == nullptr) {
+    if (members != 0 && mgr.pool(sw_.update_old_version_) == nullptr) {
       out.push_back(make("transit-window",
                          "flows pinned to old version " +
                              std::to_string(sw_.update_old_version_) +
@@ -259,18 +306,17 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
                          sw_.update_vip_, sw_.update_old_version_));
     }
   }
-  for (const auto& flow : sw_.transit_members_) {
-    if (!sw_.pending_.contains(flow)) {
+  for (const auto& record : sw_.records_) {
+    if (record.state == FlowState::kPending) continue;
+    if (record.transit_member) {
       out.push_back(make("transit-window",
-                         "transit member " + flow_str(flow) +
+                         "transit member " + flow_str(record.flow) +
                              " has no pending insertion and cannot resolve",
                          sw_.update_vip_));
     }
-  }
-  for (const auto& flow : sw_.awaiting_pre_) {
-    if (!sw_.pending_.contains(flow)) {
+    if (record.awaiting_pre) {
       out.push_back(make("transit-window",
-                         "pre-update flow " + flow_str(flow) +
+                         "pre-update flow " + flow_str(record.flow) +
                              " has no pending insertion and cannot resolve",
                          sw_.update_vip_));
     }
@@ -382,6 +428,48 @@ void TestingHooks::corrupt_slot_accounting(core::SilkRoadSwitch& sw) {
 void TestingHooks::pollute_transit(core::SilkRoadSwitch& sw,
                                    const net::FiveTuple& flow) {
   sw.transit_.insert(flow);
+}
+
+void TestingHooks::track_under_second_version(core::SilkRoadSwitch& sw,
+                                              const net::FiveTuple& flow) {
+  const auto* id = sw.flow_index_.find(flow);
+  SR_CHECK(id != nullptr);
+  auto& lists = sw.find_vip(flow.dst)->conns_by_version;
+  const std::uint32_t other = sw.records_[*id].version + 1;
+  if (lists.size() <= other) lists.resize(other + 1);
+  lists[other].push_back(*id);
+}
+
+void TestingHooks::drop_conn_entry(core::SilkRoadSwitch& sw,
+                                   const net::FiveTuple& flow) {
+  const auto* record = sw.find_record(flow);
+  SR_CHECK(record != nullptr &&
+           record->state == SilkRoadSwitch::FlowState::kInstalled);
+  sw.conn_table_.erase(flow);
+}
+
+void TestingHooks::flag_unresolvable(core::SilkRoadSwitch& sw,
+                                     const net::FiveTuple& flow,
+                                     bool transit_member) {
+  auto* record = sw.find_record(flow);
+  SR_CHECK(record != nullptr &&
+           record->state != SilkRoadSwitch::FlowState::kPending);
+  if (transit_member) {
+    record->transit_member = true;
+    ++sw.transit_member_count_;
+  } else {
+    record->awaiting_pre = true;
+    ++sw.awaiting_pre_count_;
+  }
+}
+
+void TestingHooks::repin_pending(core::SilkRoadSwitch& sw,
+                                 const net::FiveTuple& flow,
+                                 std::uint32_t version) {
+  auto* record = sw.find_record(flow);
+  SR_CHECK(record != nullptr &&
+           record->state == SilkRoadSwitch::FlowState::kPending);
+  record->version = version;
 }
 
 }  // namespace silkroad::check

@@ -99,6 +99,28 @@ struct TestingHooks {
   /// Inserts `flow` into the TransitTable while no update window is open.
   static void pollute_transit(core::SilkRoadSwitch& sw,
                               const net::FiveTuple& flow);
+
+  /// Also lists `flow`'s record under the next version number of its VIP:
+  /// a flow tracked under two versions.
+  static void track_under_second_version(core::SilkRoadSwitch& sw,
+                                         const net::FiveTuple& flow);
+
+  /// Erases an installed flow's ConnTable entry behind the switch's back:
+  /// its record still says installed and stays tracked, so only the
+  /// ConnTable's exact index shows that the flow is gone.
+  static void drop_conn_entry(core::SilkRoadSwitch& sw,
+                              const net::FiveTuple& flow);
+
+  /// Puts a flow that has no pending insertion in S2 (`transit_member`) or
+  /// in S, the pre-update wait set.
+  static void flag_unresolvable(core::SilkRoadSwitch& sw,
+                                const net::FiveTuple& flow,
+                                bool transit_member);
+
+  /// Points a pending flow's record at `version` (pass a free one) while it
+  /// stays listed under its old version.
+  static void repin_pending(core::SilkRoadSwitch& sw,
+                            const net::FiveTuple& flow, std::uint32_t version);
 };
 
 }  // namespace silkroad::check

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "check/sr_check.h"
 #include "obs/exporters.h"
@@ -131,15 +132,15 @@ void SilkRoadSwitch::init_metrics() {
       "entries resident in the ConnTable");
   metrics_.register_callback(
       "silkroad_connections_pending", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(pending_.size()); },
+      [this] { return static_cast<double>(pending_insertions()); },
       "flows awaiting CPU insertion");
   metrics_.register_callback(
       "silkroad_connections_software", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(software_table_.size()); },
+      [this] { return static_cast<double>(software_flows()); },
       "flows served from the slow-path exact table");
   metrics_.register_callback(
       "silkroad_connections_degraded", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(degraded_flows_.size()); },
+      [this] { return static_cast<double>(degraded_flows()); },
       "flows version-pinned by shed/degraded admission");
   metrics_.register_callback(
       "silkroad_degraded_mode", obs::MetricKind::kGauge,
@@ -420,8 +421,8 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
       const VipState* vip_state = find_vip(vip);
       if (vip_state == nullptr) return std::uint64_t{0};
       std::uint64_t entries = 0;
-      for (const auto& [version, flows] : vip_state->conns_by_version) {
-        entries += flows.size();
+      for (const auto& members : vip_state->conns_by_version) {
+        entries += members.size();
       }
       return entries;
     };
@@ -456,10 +457,9 @@ SilkRoadSwitch::DipConnHandles& SilkRoadSwitch::dip_handles(
   return state.dip_conns.emplace(dip, handles).first->second;
 }
 
-void SilkRoadSwitch::release_dip_conn(VipState& state, const net::Endpoint&,
-                                      std::uint32_t version,
-                                      const net::FiveTuple& flow) {
-  const auto dip = state.versions->select(version, flow);
+void SilkRoadSwitch::release_dip_conn(VipState& state,
+                                      const FlowRecord& record) {
+  const auto dip = state.versions->select(record.version, record.flow);
   if (!dip) return;
   const auto it = state.dip_conns.find(*dip);
   if (it != state.dip_conns.end()) it->second.active->add(-1.0);
@@ -487,9 +487,12 @@ const VipVersionManager* SilkRoadSwitch::version_manager(
 std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
                                                VipState& state,
                                                const net::Packet& packet,
+                                               FlowRecord* record,
                                                bool* redirected_to_cpu) {
   const std::uint32_t current = state.versions->current_version();
   if (phase_ == Phase::kIdle || !(update_vip_ == vip)) return current;
+  const bool pending =
+      record != nullptr && record->state == FlowState::kPending;
 
   if (phase_ == Phase::kStep1) {
     // Write-only phase: remember every ConnTable-missing flow of this VIP so
@@ -498,10 +501,9 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
       transit_.insert(packet.flow);
       // The CPU-side completion gate only tracks flows that will resolve via
       // a pending insertion: a FIN of an untracked flow still lands in the
-      // bloom (the ASIC cannot tell), but it must not wedge Step2.
-      if (!packet.fin || pending_.contains(packet.flow)) {
-        transit_members_.insert(packet.flow);
-      }
+      // bloom (the ASIC cannot tell), but it must not wedge Step2. A
+      // brand-new flow joins S2 once learn_new_flow() has its record.
+      if (pending) add_transit_member(*record);
     }
     return current;  // still the old version
   }
@@ -509,8 +511,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
   // Step 2 (read-only): the flip is done, `current` is the new version.
   if (!config_.use_transit_table) return current;
   if (transit_.maybe_contains(packet.flow)) {
-    if (transit_members_.contains(packet.flow) ||
-        pending_.contains(packet.flow)) {
+    if (pending) {
       return update_old_version_;  // genuine member: pinned to the old pool
     }
     // Bloom false positive: a brand-new flow matched the filter and is
@@ -537,37 +538,133 @@ void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
   c_.learns->inc();
   trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
                 net::flow_id(flow));
+  // The record comes first: a full filter flushes inside learn(), and the
+  // flush hands the CPU this flow's handle.
+  const FlowId id = new_record(flow, FlowState::kPending);
+  FlowRecord& record = records_[id];
+  record.version = version;
+  record.learned_at = sim_.now();
+  if (recording_transit(vip)) add_transit_member(record);
+  track(state, id);
   learning_filter_.learn(flow, version);
-  pending_.emplace(flow, PendingConn{vip, version, false, sim_.now()});
-  state.versions->acquire(version);
-  state.conns_by_version[version].insert(flow);
   if (config_.data_plane_telemetry) {
     DipConnHandles& handles = dip_handles(state, vip, dip);
     handles.new_conns->inc();
     handles.active->add(1.0);
   }
-  track_digest(flow);
+  track_digest(id);
   arm_relearn_sweep();
 }
 
-void SilkRoadSwitch::track_digest(const net::FiveTuple& flow) {
-  digest_groups_[conn_table_.digest_of(flow)].push_back(flow);
+void SilkRoadSwitch::add_transit_member(FlowRecord& record) {
+  if (record.transit_member) return;
+  record.transit_member = true;
+  ++transit_member_count_;
 }
 
-void SilkRoadSwitch::untrack_digest(const net::FiveTuple& flow) {
-  const auto it = digest_groups_.find(conn_table_.digest_of(flow));
-  if (it == digest_groups_.end()) return;
-  auto& group = it->second;
-  group.erase(std::remove(group.begin(), group.end(), flow), group.end());
-  if (group.empty()) digest_groups_.erase(it);
+SilkRoadSwitch::FlowRecord* SilkRoadSwitch::find_record(
+    const net::FiveTuple& flow) {
+  const FlowId* id = flow_index_.find(flow);
+  return id == nullptr ? nullptr : &records_[*id];
 }
 
-void SilkRoadSwitch::resolve_digest_conflicts(const net::FiveTuple& inserted) {
-  const auto it = digest_groups_.find(conn_table_.digest_of(inserted));
-  if (it == digest_groups_.end()) return;
+SilkRoadSwitch::FlowId SilkRoadSwitch::new_record(const net::FiveTuple& flow,
+                                                  FlowState state) {
+  FlowId id = kNoFlow;
+  if (free_ids_.empty()) {
+    id = static_cast<FlowId>(records_.size());
+    records_.emplace_back();
+    ++state_counts_[static_cast<std::size_t>(FlowState::kFree)];
+  } else {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  }
+  FlowRecord& record = records_[id];
+  record.flow = flow;
+  set_state(record, state);
+  const bool indexed = flow_index_.try_emplace(id, id).second;
+  SR_DCHECKF(indexed, "flow %s already has a record", flow.to_string().c_str());
+  return id;
+}
+
+void SilkRoadSwitch::set_state(FlowRecord& record, FlowState state) {
+  --state_counts_[static_cast<std::size_t>(record.state)];
+  ++state_counts_[static_cast<std::size_t>(state)];
+  if (record.state == FlowState::kPending && state != FlowState::kPending) {
+    // A resolved flow leaves S and S2.
+    if (record.awaiting_pre) --awaiting_pre_count_;
+    if (record.transit_member) --transit_member_count_;
+    record.awaiting_pre = false;
+    record.transit_member = false;
+  }
+  record.state = state;
+}
+
+void SilkRoadSwitch::free_record(FlowId id) {
+  FlowRecord& record = records_[id];
+  flow_index_.erase(record.flow);
+  set_state(record, FlowState::kFree);
+  const std::uint32_t generation = record.generation + 1;
+  record = FlowRecord{};
+  record.generation = generation;
+  free_ids_.push_back(id);
+}
+
+SilkRoadSwitch::FlowRecord* SilkRoadSwitch::live(FlowHandle handle) noexcept {
+  if (handle.id >= records_.size()) return nullptr;
+  // free_record() bumps the generation, so a freed record never matches.
+  FlowRecord& record = records_[handle.id];
+  return record.generation == handle.generation ? &record : nullptr;
+}
+
+void SilkRoadSwitch::track(VipState& state, FlowId id) {
+  FlowRecord& record = records_[id];
+  state.versions->acquire(record.version);
+  if (record.version >= state.conns_by_version.size()) {
+    state.conns_by_version.resize(record.version + 1);
+  }
+  auto& members = state.conns_by_version[record.version];
+  record.member_pos = static_cast<std::uint32_t>(members.size());
+  members.push_back(id);
+}
+
+void SilkRoadSwitch::track_digest(FlowId id) {
+  FlowRecord& record = records_[id];
+  record.digest = conn_table_.digest_of(record.flow);
+  DigestChain& chain = digest_chains_[record.digest];
+  record.digest_prev = chain.tail;
+  record.digest_next = kNoFlow;
+  if (chain.tail == kNoFlow) {
+    chain.head = id;
+  } else {
+    records_[chain.tail].digest_next = id;
+  }
+  chain.tail = id;
+}
+
+void SilkRoadSwitch::untrack_digest(FlowId id) {
+  FlowRecord& record = records_[id];
+  DigestChain* chain = digest_chains_.find(record.digest);
+  SR_DCHECK(chain != nullptr &&
+            (record.digest_prev != kNoFlow || chain->head == id));
+  (record.digest_prev == kNoFlow ? chain->head
+                                 : records_[record.digest_prev].digest_next) =
+      record.digest_next;
+  (record.digest_next == kNoFlow ? chain->tail
+                                 : records_[record.digest_next].digest_prev) =
+      record.digest_prev;
+  record.digest_prev = kNoFlow;
+  record.digest_next = kNoFlow;
+  if (chain->head == kNoFlow) digest_chains_.erase(record.digest);
+}
+
+void SilkRoadSwitch::resolve_digest_conflicts(FlowId inserted) {
+  const DigestChain* chain = digest_chains_.find(records_[inserted].digest);
+  if (chain == nullptr) return;
   // Digest collisions are rare (~1e-4 of flows at 16 bits), so this loop is
   // almost always a single iteration over the inserted flow itself.
-  for (const auto& flow : it->second) {
+  for (FlowId id = chain->head; id != kNoFlow; id = records_[id].digest_next) {
+    const net::FiveTuple& flow = records_[id].flow;
     const auto hit = conn_table_.lookup(flow);
     if (hit && conn_table_.is_false_positive(flow, hit->slot)) {
       if (!conn_table_.relocate_for(flow, hit->slot)) {
@@ -646,20 +743,19 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
           trace_.record(obs::TraceEventKind::kRelocationFail,
                         state->trace_scope);
           // No conflict-free placement: pin the new flow in the slow-path
-          // exact table instead.
+          // exact table instead. A flow that already has a record keeps it.
+          FlowRecord* record = find_record(packet.flow);
           const std::uint32_t version =
-              version_for_miss(vip, *state, packet, nullptr);
+              version_for_miss(vip, *state, packet, record, nullptr);
           const auto dip = state->versions->select(version, packet.flow);
-          if (dip) {
-            software_table_[packet.flow] = *dip;
+          if (dip && record == nullptr) {
+            records_[new_record(packet.flow, FlowState::kSoftware)]
+                .software_dip = *dip;
             c_.software_fallback_conns->inc();
             trace_.record(obs::TraceEventKind::kSoftwareFallback,
                           state->trace_scope, version,
                           net::flow_id(packet.flow));
           }
-          // A Step1 record for this flow can never resolve (it has no
-          // pending insertion): drop it from the completion gate.
-          transit_members_.erase(packet.flow);
           result.dip = dip;
           return result;
         }
@@ -675,8 +771,9 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
                                         packet.flow);
         }
         if (packet.fin) {
-          if (const auto p = pending_.find(packet.flow); p != pending_.end()) {
-            p->second.dead = true;
+          if (FlowRecord* record = find_record(packet.flow);
+              record != nullptr && record->state == FlowState::kPending) {
+            record->dead = true;
           }
         }
         result.dip = dip;
@@ -686,7 +783,12 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
       c_.conn_table_hits->inc();
       conn_table_.touch(hit->slot, sim_.now());  // hardware hit bit
       result.dip = state->versions->select(hit->value, packet.flow);
-      if (packet.fin) enqueue_erase(packet.flow, vip, hit->value);
+      if (packet.fin) {
+        if (const FlowId* id = flow_index_.find(packet.flow)) {
+          records_[*id].dead = true;
+          enqueue_erase(*id);
+        }
+      }
       return result;
     }
   }
@@ -694,41 +796,41 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   // --- ConnTable miss --------------------------------------------------------
   c_.conn_table_misses->inc();
 
-  if (const auto sw = software_table_.find(packet.flow);
-      sw != software_table_.end()) {
-    result.dip = sw->second;
+  const FlowId* id = flow_index_.find(packet.flow);
+  FlowRecord* record = id == nullptr ? nullptr : &records_[*id];
+  if (record != nullptr && record->state == FlowState::kSoftware) {
+    result.dip = record->software_dip;
     result.redirected_to_cpu = true;  // slow-path flow: every packet via CPU
     result.added_latency += config_.syn_redirect_delay;
-    if (packet.fin) software_table_.erase(sw);
+    if (packet.fin) free_record(*id);
     return result;
   }
 
-  if (const auto dg = degraded_flows_.find(packet.flow);
-      dg != degraded_flows_.end()) {
+  if (record != nullptr && record->state == FlowState::kDegraded) {
     // Shed/degraded admission under kPinVersion: served version-routed from
     // the pinned admission-time version, no ConnTable entry.
-    result.dip = state->versions->select(dg->second.version, packet.flow);
+    result.dip = state->versions->select(record->version, packet.flow);
     if (packet.fin) {
-      const DegradedConn conn = dg->second;
-      degraded_flows_.erase(dg);
-      release_conn(conn.vip, packet.flow, conn.version);
+      release_conn(*state, *id);
+      free_record(*id);
     }
     return result;
   }
 
-  if (packet.fin || pending_.contains(packet.flow)) {
+  // A pending flow, or (rarely) an installed one whose SYN was shadowed by a
+  // colliding entry that the code above just relocated.
+  if (packet.fin || record != nullptr) {
     const bool was_redirected = result.redirected_to_cpu;
-    const std::uint32_t version =
-        version_for_miss(vip, *state, packet, &result.redirected_to_cpu);
+    const std::uint32_t version = version_for_miss(
+        vip, *state, packet, record, &result.redirected_to_cpu);
     if (result.redirected_to_cpu && !was_redirected) {
       result.added_latency += config_.syn_redirect_delay;
     }
     result.dip = state->versions->select(version, packet.flow);
-    if (packet.fin) {
+    if (packet.fin && record != nullptr &&
+        record->state == FlowState::kPending) {
       // Flow ended before its entry landed: cancel the pending insertion.
-      if (const auto p = pending_.find(packet.flow); p != pending_.end()) {
-        p->second.dead = true;
-      }
+      record->dead = true;
     }
     return result;
   }
@@ -738,7 +840,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   // would have no pending insertion to drain it back out).
   maybe_update_degraded();
   const bool queue_full = config_.max_pending_inserts > 0 &&
-                          pending_.size() >= config_.max_pending_inserts;
+                          pending_insertions() >= config_.max_pending_inserts;
   if (degraded_ || queue_full) {
     result.dip = admit_without_insert(vip, *state, packet.flow,
                                       /*shed=*/queue_full && !degraded_);
@@ -746,18 +848,13 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   }
 
   const bool was_redirected = result.redirected_to_cpu;
-  const std::uint32_t version =
-      version_for_miss(vip, *state, packet, &result.redirected_to_cpu);
+  const std::uint32_t version = version_for_miss(
+      vip, *state, packet, nullptr, &result.redirected_to_cpu);
   if (result.redirected_to_cpu && !was_redirected) {
     result.added_latency += config_.syn_redirect_delay;
   }
   const auto dip = state->versions->select(version, packet.flow);
-  if (!dip) {
-    // Empty pool: the flow is not learned, so its Step1 record (if any) must
-    // not gate the in-flight update's completion.
-    transit_members_.erase(packet.flow);
-    return result;
-  }
+  if (!dip) return result;  // empty pool: the flow is not learned
   result.dip = dip;
   learn_new_flow(vip, *state, packet.flow, version, *dip);
   return result;
@@ -771,90 +868,113 @@ void SilkRoadSwitch::on_learning_flush(
     const std::vector<asic::LearnEvent>& batch) {
   c_.learn_batch_size->record(batch.size());
   for (const auto& event : batch) {
-    if (const auto p = pending_.find(event.flow); p != pending_.end()) {
-      p->second.enqueued = true;  // notification survived the channel
+    FlowHandle handle;
+    if (const FlowId* id = flow_index_.find(event.flow)) {
+      FlowRecord& record = records_[*id];
+      if (record.state == FlowState::kPending) {
+        record.enqueued = true;  // notification survived the channel
+      }
+      handle = handle_of(*id);
     }
-    // Shard by flow so multi-pipe CPUs keep per-flow operation order (§5.2).
-    cpu_.enqueue([this, event] { complete_insertion(event); },
-                 net::flow_id(event.flow));
+    enqueue_insertion(handle, event.flow);
   }
 }
 
-void SilkRoadSwitch::complete_insertion(const asic::LearnEvent& event) {
-  const auto p = pending_.find(event.flow);
-  if (p == pending_.end()) return;  // already resolved (evicted / duplicate)
-  const PendingConn info = p->second;
-  pending_.erase(p);
-  VipState* state = find_vip(info.vip);
-  if (state == nullptr) return;
+void SilkRoadSwitch::enqueue_insertion(FlowHandle handle,
+                                       const net::FiveTuple& flow) {
+  auto task = [this, handle] { complete_insertion(handle); };
+  static_assert(sizeof(task) <= 16 && std::is_trivially_copyable_v<decltype(task)>,
+                "CPU tasks must fit std::function's inline buffer");
+  // Shard by flow so multi-pipe CPUs keep per-flow operation order (§5.2).
+  cpu_.enqueue(task, net::flow_id(flow));
+}
 
-  if (info.dead) {
+void SilkRoadSwitch::complete_insertion(FlowHandle handle) {
+  FlowRecord* record = live(handle);
+  // Already resolved, evicted, or the record now holds another flow.
+  if (record == nullptr || record->state != FlowState::kPending) return;
+  const FlowId id = handle.id;
+  const net::Endpoint vip = record->flow.dst;
+  VipState* state = find_vip(vip);
+  SR_DCHECK(state != nullptr);  // records never outlive their VIP
+
+  if (record->dead) {
     // The flow finished while queued; nothing to install.
-    untrack_digest(event.flow);
-    release_conn(info.vip, event.flow, info.version);
+    untrack_digest(id);
+    release_conn(*state, id);
+    free_record(id);
   } else {
     // The insert-fail fault hook forces the BFS-budget-exhausted outcome so
     // chaos runs exercise the software-fallback path deterministically.
-    const auto res = (insert_fail_hook_ && insert_fail_hook_(event.flow))
+    const auto res = (insert_fail_hook_ && insert_fail_hook_(record->flow))
                          ? asic::DigestCuckooTable::InsertResult{}
-                         : conn_table_.insert(event.flow, info.version);
+                         : conn_table_.insert(record->flow, record->version);
     if (res.inserted) {
+      set_state(*record, FlowState::kInstalled);
       c_.inserts->inc();
-      c_.insert_latency_ns->record(sim_.now() - info.learned_at);
-      conn_table_.touch_exact(event.flow, sim_.now());
-      resolve_digest_conflicts(event.flow);
+      c_.insert_latency_ns->record(sim_.now() - record->learned_at);
+      conn_table_.touch_exact(record->flow, sim_.now());
+      resolve_digest_conflicts(id);
       arm_aging_sweep();
     } else {
       c_.insert_failures->inc();
-      untrack_digest(event.flow);
-      const auto dip = state->versions->select(info.version, event.flow);
+      untrack_digest(id);
+      const auto dip = state->versions->select(record->version, record->flow);
       if (dip) {
-        software_table_[event.flow] = *dip;
         c_.software_fallback_conns->inc();
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
-                      state->trace_scope, info.version,
-                      net::flow_id(event.flow));
+                      state->trace_scope, record->version,
+                      net::flow_id(record->flow));
       }
-      release_conn(info.vip, event.flow, info.version);
+      release_conn(*state, id);
+      if (dip) {
+        set_state(*record, FlowState::kSoftware);
+        record->software_dip = *dip;
+      } else {
+        free_record(id);
+      }
     }
   }
-  note_pending_resolved(info.vip, event.flow);
+  note_pending_resolved(vip);
   // Insertions move occupancy without a packet in flight (sim.run() drains);
   // keep the ledger's fill-trend history sampled through such bursts.
   poll_capacity();
 }
 
-void SilkRoadSwitch::enqueue_erase(const net::FiveTuple& flow,
-                                   const net::Endpoint& vip,
-                                   std::uint32_t version) {
-  cpu_.enqueue(
-      [this, flow, vip, version] {
-        aging_queue_.erase(flow);
-        if (conn_table_.erase(flow)) {
-          c_.erases->inc();
-          untrack_digest(flow);
-          release_conn(vip, flow, version);
-        }
-      },
-      net::flow_id(flow));
+void SilkRoadSwitch::enqueue_erase(FlowId id) {
+  auto task = [this, handle = handle_of(id)] { erase_installed(handle); };
+  static_assert(sizeof(task) <= 16 && std::is_trivially_copyable_v<decltype(task)>,
+                "CPU tasks must fit std::function's inline buffer");
+  cpu_.enqueue(task, net::flow_id(records_[id].flow));
 }
 
-void SilkRoadSwitch::release_conn(const net::Endpoint& vip,
-                                  const net::FiveTuple& flow,
-                                  std::uint32_t version) {
-  VipState* state = find_vip(vip);
-  if (state == nullptr) return;
+void SilkRoadSwitch::erase_installed(FlowHandle handle) {
+  FlowRecord* record = live(handle);
+  if (record == nullptr) return;
+  record->aging_queued = false;
+  if (record->state != FlowState::kInstalled ||
+      !conn_table_.erase(record->flow)) {
+    return;
+  }
+  c_.erases->inc();
+  untrack_digest(handle.id);
+  VipState* state = find_vip(record->flow.dst);
+  SR_DCHECK(state != nullptr);
+  release_conn(*state, handle.id);
+  free_record(handle.id);
+}
+
+void SilkRoadSwitch::release_conn(VipState& state, FlowId id) {
+  const FlowRecord& record = records_[id];
   // Before release(): the (version, flow) -> DIP mapping must still be live
   // to attribute the departure to the right DIP gauge.
-  if (config_.data_plane_telemetry) {
-    release_dip_conn(*state, vip, version, flow);
-  }
-  state->versions->release(version);
-  const auto it = state->conns_by_version.find(version);
-  if (it != state->conns_by_version.end()) {
-    it->second.erase(flow);
-    if (it->second.empty()) state->conns_by_version.erase(it);
-  }
+  if (config_.data_plane_telemetry) release_dip_conn(state, record);
+  state.versions->release(record.version);
+  auto& members = state.conns_by_version[record.version];
+  const FlowId moved = members.back();
+  members[record.member_pos] = moved;
+  records_[moved].member_pos = record.member_pos;
+  members.pop_back();
 }
 
 // ---------------------------------------------------------------------------
@@ -899,7 +1019,7 @@ void SilkRoadSwitch::try_start_next_update() {
     if (!staged) {
       // Version-number exhaustion: evict the least-used version by moving
       // its flows to exact DIP mappings (§4.2 fallback), then retry.
-      if (evict_version_for(update.vip, *state)) {
+      if (evict_version_for(*state)) {
         staged = state->versions->stage_update_batch(batch);
       }
       if (!staged) {
@@ -969,12 +1089,17 @@ void SilkRoadSwitch::try_start_next_update() {
                   update_new_version_);
     span_batch_event(obs::SpanEventKind::kStep1Open, update_old_version_,
                      update_new_version_);
-    awaiting_pre_.clear();
-    transit_members_.clear();
-    for (const auto& [flow, info] : pending_) {
-      if (info.vip == update.vip && !info.dead) awaiting_pre_.insert(flow);
+    SR_DCHECK(awaiting_pre_count_ == 0 && transit_member_count_ == 0);
+    for (const auto& members : state->conns_by_version) {
+      for (const FlowId id : members) {
+        FlowRecord& record = records_[id];
+        if (record.state == FlowState::kPending && !record.dead) {
+          record.awaiting_pre = true;
+          ++awaiting_pre_count_;
+        }
+      }
     }
-    if (awaiting_pre_.empty()) {
+    if (awaiting_pre_count_ == 0) {
       execute_flip();
       // execute_flip may already finish the update (no transit members), in
       // which case phase_ is Idle again and the loop continues naturally.
@@ -995,13 +1120,12 @@ void SilkRoadSwitch::execute_flip() {
   span_batch_event(obs::SpanEventKind::kCommit, update_old_version_,
                    update_new_version_);
   if (risk_cb_) risk_cb_(update_vip_);
-  if (transit_members_.empty()) finish_update();
+  if (transit_member_count_ == 0) finish_update();
 }
 
 void SilkRoadSwitch::finish_update() {
+  SR_DCHECK(awaiting_pre_count_ == 0 && transit_member_count_ == 0);
   transit_.clear();
-  transit_members_.clear();
-  awaiting_pre_.clear();
   phase_ = Phase::kIdle;
   c_.updates_completed->inc();
   c_.update_duration_ns->record(sim_.now() - update_started_at_);
@@ -1032,52 +1156,59 @@ void SilkRoadSwitch::span_batch_event(obs::SpanEventKind kind,
   for (const std::uint64_t id : span_batch_) span_event(id, kind, arg0, arg1);
 }
 
-void SilkRoadSwitch::note_pending_resolved(const net::Endpoint& vip,
-                                           const net::FiveTuple& flow) {
+void SilkRoadSwitch::note_pending_resolved(const net::Endpoint& vip) {
+  // The resolved flow already left S and S2 (set_state).
   if (phase_ == Phase::kIdle || !(update_vip_ == vip)) return;
   if (phase_ == Phase::kStep1) {
-    transit_members_.erase(flow);
-    awaiting_pre_.erase(flow);
-    if (awaiting_pre_.empty()) execute_flip();
-  } else {
-    transit_members_.erase(flow);
-    if (transit_members_.empty()) finish_update();
+    if (awaiting_pre_count_ == 0) execute_flip();
+  } else if (transit_member_count_ == 0) {
+    finish_update();
   }
 }
 
-bool SilkRoadSwitch::evict_version_for(const net::Endpoint& /*vip*/,
-                                       VipState& state) {
+bool SilkRoadSwitch::evict_version_for(VipState& state) {
   const auto victim = state.versions->eviction_candidate();
   if (!victim) return false;
-  const auto it = state.conns_by_version.find(*victim);
-  if (it != state.conns_by_version.end()) {
-    for (const auto& flow : it->second) {
-      const auto dip = state.versions->select(*victim, flow);
-      if (dip) {
-        software_table_[flow] = *dip;
+  if (*victim < state.conns_by_version.size()) {
+    // Updates stage only while idle, so no evicted flow is in S or S2.
+    auto& members = state.conns_by_version[*victim];
+    for (const FlowId id : members) {
+      FlowRecord& record = records_[id];
+      const auto dip = state.versions->select(*victim, record.flow);
+      // A flow that already sent its FIN is dropped, not pinned: nothing
+      // would ever remove its software entry.
+      const bool pin = dip.has_value() && !record.dead;
+      if (pin) {
         c_.software_fallback_conns->inc();
         trace_.record(obs::TraceEventKind::kSoftwareFallback,
-                      state.trace_scope, *victim,
-                      net::flow_id(flow));
-        // The flow leaves version tracking wholesale (no release_conn), so
-        // settle its per-DIP active gauge here.
-        if (config_.data_plane_telemetry) {
-          const auto handles = state.dip_conns.find(*dip);
-          if (handles != state.dip_conns.end()) {
-            handles->second.active->add(-1.0);
-          }
+                      state.trace_scope, *victim, net::flow_id(record.flow));
+      }
+      // The flow leaves version tracking wholesale (no release_conn), so
+      // settle its per-DIP active gauge here.
+      if (dip && config_.data_plane_telemetry) {
+        const auto handles = state.dip_conns.find(*dip);
+        if (handles != state.dip_conns.end()) {
+          handles->second.active->add(-1.0);
         }
       }
-      if (conn_table_.erase(flow)) {
+      if (record.state == FlowState::kInstalled &&
+          conn_table_.erase(record.flow)) {
         c_.erases->inc();
-        untrack_digest(flow);
       }
-      if (const auto p = pending_.find(flow); p != pending_.end()) {
-        p->second.dead = true;  // insertion will be skipped
+      if (record.state == FlowState::kPending ||
+          record.state == FlowState::kInstalled) {
+        untrack_digest(id);
       }
-      degraded_flows_.erase(flow);  // now exact-pinned, not version-pinned
+      // A pending flow's queued insertion finds the record no longer
+      // pending and does nothing, so the victim is never released again.
+      if (pin) {
+        set_state(record, FlowState::kSoftware);
+        record.software_dip = *dip;
+      } else {
+        free_record(id);
+      }
     }
-    state.conns_by_version.erase(it);
+    members.clear();
   }
   state.versions->force_destroy(*victim);
   c_.versions_evicted->inc();
@@ -1096,19 +1227,20 @@ void SilkRoadSwitch::aging_sweep() {
   if (now > config_.idle_timeout) {
     const sim::Time cutoff = now - config_.idle_timeout;
     for (const auto& flow : conn_table_.collect_idle(cutoff)) {
-      if (!aging_queue_.insert(flow).second) continue;  // erase already queued
-      const auto version = conn_table_.exact_value(flow);
-      if (!version) continue;
+      const FlowId* id = flow_index_.find(flow);
+      if (id == nullptr) continue;
+      FlowRecord& record = records_[*id];
+      if (record.aging_queued) continue;  // erase already queued
+      record.aging_queued = true;
       c_.aged_out->inc();
       if (const VipState* state = find_vip(flow.dst); state != nullptr) {
         trace_.record(obs::TraceEventKind::kAgedOut, state->trace_scope,
-                      *version, net::flow_id(flow));
+                      record.version, net::flow_id(flow));
       }
-      // The VIP is the flow's destination endpoint by construction.
-      enqueue_erase(flow, flow.dst, *version);
+      enqueue_erase(*id);
     }
   }
-  if (conn_table_.size() > 0 || !pending_.empty()) {
+  if (conn_table_.size() > 0 || pending_insertions() > 0) {
     arm_aging_sweep();
   }
 }
@@ -1156,9 +1288,9 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
   const auto dip = state.versions->select(version, flow);
   if (!dip) return std::nullopt;
   if (config_.shed_policy == ShedPolicy::kPinVersion) {
-    degraded_flows_.emplace(flow, DegradedConn{vip, version});
-    state.versions->acquire(version);
-    state.conns_by_version[version].insert(flow);
+    const FlowId id = new_record(flow, FlowState::kDegraded);
+    records_[id].version = version;
+    track(state, id);
     if (config_.data_plane_telemetry) {
       DipConnHandles& handles = dip_handles(state, vip, *dip);
       handles.new_conns->inc();
@@ -1190,7 +1322,7 @@ void SilkRoadSwitch::maybe_update_degraded() {
       degraded_ = true;
       c_.degraded_transitions->inc();
       trace_.record(obs::TraceEventKind::kDegradedEnter, obs::kNoScope,
-                    obs::kNoVersion, backlog, pending_.size());
+                    obs::kNoVersion, backlog, pending_insertions());
       arm_degraded_poll();
     }
     return;
@@ -1203,7 +1335,7 @@ void SilkRoadSwitch::maybe_update_degraded() {
     degraded_ = false;
     c_.degraded_transitions->inc();
     trace_.record(obs::TraceEventKind::kDegradedExit, obs::kNoScope,
-                  obs::kNoVersion, backlog, pending_.size());
+                  obs::kNoVersion, backlog, pending_insertions());
   }
 }
 
@@ -1233,28 +1365,31 @@ void SilkRoadSwitch::relearn_sweep() {
   const sim::Time now = sim_.now();
   const sim::Time cutoff =
       now >= config_.relearn_timeout ? now - config_.relearn_timeout : 0;
-  for (auto& [flow, info] : pending_) {
+  // Slab order, so the CPU sees the re-enqueued insertions in an order that
+  // does not depend on a hash.
+  for (FlowId id = 0; id < records_.size(); ++id) {
+    FlowRecord& record = records_[id];
     // Dead entries are re-enqueued too: a flow that FINs after its
     // notification was dropped still needs complete_insertion to release its
     // version refcount and drain the update completion gate.
-    if (info.enqueued || info.learned_at > cutoff) continue;
-    if (learning_filter_.pending(flow)) continue;  // still buffered, not lost
+    if (record.state != FlowState::kPending || record.enqueued ||
+        record.learned_at > cutoff) {
+      continue;
+    }
+    // Still buffered, not lost.
+    if (learning_filter_.pending(record.flow)) continue;
     // The notification was dropped between the filter and the CPU (the
     // filter clears its own state at flush time): re-enqueue the insertion
     // directly from the CPU's shadow record.
-    info.enqueued = true;
+    record.enqueued = true;
     c_.relearns->inc();
-    if (const VipState* state = find_vip(info.vip); state != nullptr) {
+    if (const VipState* state = find_vip(record.flow.dst); state != nullptr) {
       trace_.record(obs::TraceEventKind::kRelearn, state->trace_scope,
-                    info.version, net::flow_id(flow));
+                    record.version, net::flow_id(record.flow));
     }
-    cpu_.enqueue(
-        [this, event = asic::LearnEvent{flow, info.version, info.learned_at}] {
-          complete_insertion(event);
-        },
-        net::flow_id(flow));
+    enqueue_insertion(handle_of(id), record.flow);
   }
-  if (!pending_.empty()) arm_relearn_sweep();
+  if (pending_insertions() > 0) arm_relearn_sweep();
 }
 
 void SilkRoadSwitch::reset() {
@@ -1275,29 +1410,43 @@ void SilkRoadSwitch::reset() {
     for (auto& [dip, handles] : state.dip_conns) handles.active->set(0.0);
   }
   vips_.clear();
-  pending_.clear();
-  software_table_.clear();
-  degraded_flows_.clear();
-  digest_groups_.clear();
-  aging_queue_.clear();
+  // Every record is freed with a new generation, so CPU tasks queued before
+  // the crash find their handles stale.
+  free_ids_.clear();
+  for (FlowId id = static_cast<FlowId>(records_.size()); id-- > 0;) {
+    FlowRecord& record = records_[id];
+    if (record.state != FlowState::kFree) {
+      const std::uint32_t generation = record.generation + 1;
+      record = FlowRecord{};
+      record.generation = generation;
+    }
+    free_ids_.push_back(id);
+  }
+  state_counts_ = {};
+  state_counts_[static_cast<std::size_t>(FlowState::kFree)] = records_.size();
+  flow_index_.clear();
+  digest_chains_.clear();
   update_queue_.clear();
-  awaiting_pre_.clear();
-  transit_members_.clear();
+  awaiting_pre_count_ = 0;
+  transit_member_count_ = 0;
   phase_ = Phase::kIdle;
   degraded_ = false;
 }
 
 std::vector<net::FiveTuple> SilkRoadSwitch::failover_blast_radius() const {
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> flows;
-  for (const auto& [vip, state] : vips_) {
-    const std::uint32_t current = state.versions->current_version();
-    for (const auto& [version, conns] : state.conns_by_version) {
-      if (version == current) continue;
-      flows.insert(conns.begin(), conns.end());
+  std::vector<net::FiveTuple> flows;
+  for (const FlowRecord& record : records_) {
+    if (record.state == FlowState::kFree) continue;
+    if (record.state != FlowState::kSoftware) {
+      const VipState* state = find_vip(record.flow.dst);
+      if (state == nullptr ||
+          record.version == state->versions->current_version()) {
+        continue;
+      }
     }
+    flows.push_back(record.flow);
   }
-  for (const auto& [flow, dip] : software_table_) flows.insert(flow);
-  return {flows.begin(), flows.end()};
+  return flows;
 }
 
 std::string SilkRoadSwitch::debug_report() const {
@@ -1309,7 +1458,7 @@ std::string SilkRoadSwitch::debug_report() const {
                 "(%.1f%% of %zu slots), %zu pending, %zu software\n",
                 vips_.size(), conn_table_.size(),
                 100.0 * conn_table_.occupancy(), conn_table_.capacity(),
-                pending_.size(), software_table_.size());
+                pending_insertions(), software_flows());
   out += buf;
   std::snprintf(buf, sizeof buf,
                 "memory: ConnTable %.2f MB, DIPPoolTable %.1f KB, "
@@ -1404,9 +1553,9 @@ std::string SilkRoadSwitch::tables_json() const {
     out += "]}";
   }
   out += "\n]},\"pending\":";
-  out += std::to_string(pending_.size());
+  out += std::to_string(pending_insertions());
   out += ",\"software_table\":";
-  out += std::to_string(software_table_.size());
+  out += std::to_string(software_flows());
   out += ",\"transit_table_bytes\":";
   out += std::to_string(transit_.byte_count());
   out += ",\"vips\":";

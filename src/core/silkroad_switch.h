@@ -18,13 +18,13 @@
 // updates, and read the statistics the paper's evaluation reports.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "asic/bloom_filter.h"
 #include "asic/cuckoo_table.h"
@@ -33,6 +33,7 @@
 #include "asic/switch_cpu.h"
 #include "core/version_manager.h"
 #include "lb/load_balancer.h"
+#include "net/flat_map.h"
 #include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -244,7 +245,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   MemoryUsage memory_usage() const;
 
   std::size_t active_connections() const noexcept {
-    return conn_table_.size() + pending_.size() + software_table_.size();
+    return conn_table_.size() + pending_insertions() + software_flows();
   }
   const asic::DigestCuckooTable& conn_table() const noexcept {
     return conn_table_;
@@ -252,9 +253,15 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   const VipVersionManager* version_manager(const net::Endpoint& vip) const;
   bool update_in_flight() const noexcept { return phase_ != Phase::kIdle; }
   std::size_t queued_updates() const noexcept { return update_queue_.size(); }
-  std::size_t pending_insertions() const noexcept { return pending_.size(); }
-  std::size_t software_flows() const noexcept { return software_table_.size(); }
-  std::size_t degraded_flows() const noexcept { return degraded_flows_.size(); }
+  std::size_t pending_insertions() const noexcept {
+    return flows_in(FlowState::kPending);
+  }
+  std::size_t software_flows() const noexcept {
+    return flows_in(FlowState::kSoftware);
+  }
+  std::size_t degraded_flows() const noexcept {
+    return flows_in(FlowState::kDegraded);
+  }
   bool in_degraded_mode() const noexcept { return degraded_; }
 
   /// Human-readable operational snapshot: table occupancies, per-VIP version
@@ -284,12 +291,97 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     obs::Gauge* active = nullptr;
   };
 
+  /// Index of a flow record in records_.
+  using FlowId = std::uint32_t;
+  static constexpr FlowId kNoFlow = ~FlowId{0};
+
+  /// The one structure a flow's record stands for (DESIGN.md §5, "Per-flow
+  /// host state"). kFree records wait on the free list.
+  enum class FlowState : std::uint8_t {
+    kFree,
+    kPending,    ///< learned; its ConnTable insertion is queued at the CPU
+    kInstalled,  ///< its ConnTable entry has landed
+    kSoftware,   ///< exact DIP in the slow-path "small table" (§4.2/§7)
+    kDegraded,   ///< version-pinned without an entry (ShedPolicy::kPinVersion)
+  };
+
+  /// One connection's control-plane state: what the switch CPU shadows for a
+  /// pending, installed, software or degraded flow.
+  struct FlowRecord {
+    net::FiveTuple flow;  ///< flow.dst is the VIP
+    FlowState state = FlowState::kFree;
+    /// FIN seen: a pending flow skips its insertion, an evicted flow is
+    /// dropped instead of pinned.
+    bool dead = false;
+    /// The learning notification reached the CPU queue. False past
+    /// relearn_timeout means the notification was lost (see relearn_sweep).
+    bool enqueued = false;
+    /// An aging erase is queued at the CPU.
+    bool aging_queued = false;
+    /// In S, the flows pending at t_req of the in-flight update (they must
+    /// land before the flip), or in S2, the flows recorded in the
+    /// TransitTable during Step1 (they must land before the filter clears).
+    /// Only pending records carry these.
+    bool awaiting_pre = false;
+    bool transit_member = false;
+    /// When the flow entered the learning filter; the insert-latency
+    /// histogram records install-time minus this.
+    sim::Time learned_at = 0;
+    /// Pool version the flow is tracked under (pending, installed, degraded).
+    std::uint32_t version = 0;
+    /// Counts the reuses of this record; a FlowHandle naming an older
+    /// generation is stale.
+    std::uint32_t generation = 0;
+    /// Position in its VIP's conns_by_version[version].
+    std::uint32_t member_pos = 0;
+    /// ConnTable digest and the links of its digest chain (pending and
+    /// installed flows only).
+    std::uint32_t digest = 0;
+    FlowId digest_prev = kNoFlow;
+    FlowId digest_next = kNoFlow;
+    /// The last audit that visited this record (InvariantAuditor).
+    mutable std::uint32_t audit_stamp = 0;
+    net::Endpoint software_dip;  ///< kSoftware only
+  };
+
+  /// flow_index_ keys on record ids and is searched by 5-tuple, so it holds
+  /// no copy of the tuple.
+  struct RecordHash {
+    const std::deque<FlowRecord>* records;
+    std::size_t operator()(const net::FiveTuple& flow) const noexcept {
+      return net::FiveTupleHash{}(flow);
+    }
+    std::size_t operator()(FlowId id) const noexcept {
+      return (*this)((*records)[id].flow);
+    }
+  };
+  struct RecordEq {
+    const std::deque<FlowRecord>* records;
+    bool operator()(FlowId id, const net::FiveTuple& flow) const noexcept {
+      return (*records)[id].flow == flow;
+    }
+    bool operator()(FlowId a, FlowId b) const noexcept { return a == b; }
+  };
+
+  /// What a CPU task holds instead of a copy of the flow. With `this` it
+  /// makes a 16-byte closure that fits std::function's inline buffer. A task
+  /// whose handle is stale does nothing.
+  struct FlowHandle {
+    FlowId id = kNoFlow;
+    std::uint32_t generation = 0;
+  };
+
+  /// A digest chain's ends; the chain runs in tracking order.
+  struct DigestChain {
+    FlowId head = kNoFlow;
+    FlowId tail = kNoFlow;
+  };
+
   struct VipState {
     std::unique_ptr<VipVersionManager> versions;
-    /// CPU-side connection-to-pool tracking (§4.2): version -> flows.
-    std::unordered_map<std::uint32_t,
-                       std::unordered_set<net::FiveTuple, net::FiveTupleHash>>
-        conns_by_version;
+    /// CPU-side connection-to-pool tracking (§4.2): per version number, the
+    /// records of its pending, installed and degraded flows.
+    std::vector<std::vector<FlowId>> conns_by_version;
     std::optional<asic::TwoRateThreeColorMeter> meter;
     bool meter_enforce = false;
     /// Interned VIP name in the switch's TraceRing.
@@ -297,26 +389,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// Per-DIP telemetry handles, registered lazily on first connection.
     std::unordered_map<net::Endpoint, DipConnHandles, net::EndpointHash>
         dip_conns;
-  };
-
-  struct PendingConn {
-    net::Endpoint vip;
-    std::uint32_t version = 0;
-    /// FIN observed before the entry landed: skip the insertion.
-    bool dead = false;
-    /// When the flow entered the learning filter; the insert-latency
-    /// histogram records install-time minus this.
-    sim::Time learned_at = 0;
-    /// The learning notification reached the CPU queue. False past
-    /// relearn_timeout means the notification was lost (see relearn_sweep).
-    bool enqueued = false;
-  };
-
-  /// A flow admitted without a ConnTable entry under ShedPolicy::kPinVersion:
-  /// served version-routed, pinned to its admission-time version.
-  struct DegradedConn {
-    net::Endpoint vip;
-    std::uint32_t version = 0;
   };
 
   VipState* find_vip(const net::Endpoint& vip);
@@ -341,9 +413,32 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
   /// Picks the version a ConnTable-missing packet of `vip` should use,
   /// applying the Step1/Step2 TransitTable logic when `vip` is under update.
+  /// `record` is the packet's flow record, if it has one.
   std::uint32_t version_for_miss(const net::Endpoint& vip, VipState& state,
-                                 const net::Packet& packet,
+                                 const net::Packet& packet, FlowRecord* record,
                                  bool* redirected_to_cpu);
+  /// True while Step1 of an update of `vip` records flows in S2.
+  bool recording_transit(const net::Endpoint& vip) const noexcept {
+    return phase_ == Phase::kStep1 && update_vip_ == vip &&
+           config_.use_transit_table;
+  }
+  void add_transit_member(FlowRecord& record);
+
+  // Flow records.
+  std::size_t flows_in(FlowState state) const noexcept {
+    return state_counts_[static_cast<std::size_t>(state)];
+  }
+  FlowRecord* find_record(const net::FiveTuple& flow);
+  /// Takes a record off the free list (or grows the slab) for `flow`.
+  FlowId new_record(const net::FiveTuple& flow, FlowState state);
+  /// Moves a record between states; leaving kPending drops it from S and S2.
+  void set_state(FlowRecord& record, FlowState state);
+  void free_record(FlowId id);
+  FlowHandle handle_of(FlowId id) const noexcept {
+    return {id, records_[id].generation};
+  }
+  /// The record `handle` names, or nullptr when the handle is stale.
+  FlowRecord* live(FlowHandle handle) noexcept;
 
   void learn_new_flow(const net::Endpoint& vip, VipState& state,
                       const net::FiveTuple& flow, std::uint32_t version,
@@ -356,8 +451,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// recomputed from (version, flow), which PCC keeps stable for the flow's
   /// lifetime (a post-release mark_dip_down can drift a gauge by the flows
   /// that die after the DIP — acceptable for telemetry).
-  void release_dip_conn(VipState& state, const net::Endpoint& vip,
-                        std::uint32_t version, const net::FiveTuple& flow);
+  void release_dip_conn(VipState& state, const FlowRecord& record);
   /// Serves a brand-new flow without learning it (pending queue full, or
   /// degraded mode). Returns the chosen DIP.
   std::optional<net::Endpoint> admit_without_insert(const net::Endpoint& vip,
@@ -371,24 +465,29 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   void arm_relearn_sweep();
   void relearn_sweep();
   void on_learning_flush(const std::vector<asic::LearnEvent>& batch);
-  void complete_insertion(const asic::LearnEvent& event);
+  /// Queues the insertion of the record `handle` names, sharded by `flow`.
+  void enqueue_insertion(FlowHandle handle, const net::FiveTuple& flow);
+  void complete_insertion(FlowHandle handle);
   /// Control-plane digest-collision repair at insertion time: the switch
   /// software knows every pending/installed flow's 5-tuple, so after placing
   /// an entry it relocates any entry that would shadow a colliding flow's
   /// lookups (generalizing the §4.2 SYN-time resolution to flows already in
   /// flight).
-  void resolve_digest_conflicts(const net::FiveTuple& inserted);
-  void track_digest(const net::FiveTuple& flow);
-  void untrack_digest(const net::FiveTuple& flow);
+  void resolve_digest_conflicts(FlowId inserted);
+  void track_digest(FlowId id);
+  void untrack_digest(FlowId id);
   /// Arms the aging sweep if idle_timeout is configured and it is not
   /// already pending; the sweep disarms itself when the table drains so an
   /// idle switch leaves the event queue empty.
   void arm_aging_sweep();
   void aging_sweep();
-  void enqueue_erase(const net::FiveTuple& flow, const net::Endpoint& vip,
-                     std::uint32_t version);
-  void release_conn(const net::Endpoint& vip, const net::FiveTuple& flow,
-                    std::uint32_t version);
+  void enqueue_erase(FlowId id);
+  /// The erase task: removes the flow's ConnTable entry and its record.
+  void erase_installed(FlowHandle handle);
+  /// Acquires the record's version and lists the record under it.
+  void track(VipState& state, FlowId id);
+  /// Undoes track() and settles the per-DIP active gauge.
+  void release_conn(VipState& state, FlowId id);
 
   // 3-step update machinery (global: one update in flight, queue behind it).
   void try_start_next_update();
@@ -400,11 +499,12 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// Records `kind` on every span of the in-flight coalesced batch.
   void span_batch_event(obs::SpanEventKind kind, std::uint64_t arg0 = 0,
                         std::uint64_t arg1 = 0);
-  void note_pending_resolved(const net::Endpoint& vip,
-                             const net::FiveTuple& flow);
+  /// Runs the Step1/Step2 completion gates after a pending flow of `vip`
+  /// resolved.
+  void note_pending_resolved(const net::Endpoint& vip);
   /// Frees a version number by migrating a victim version's flows to exact
   /// DIP mappings in the software table.
-  bool evict_version_for(const net::Endpoint& vip, VipState& state);
+  bool evict_version_for(VipState& state);
 
   /// Minimum sim time between ledger polls from packet/insert call sites;
   /// bounds the alarm + forecast sampling cost on the hot path.
@@ -463,21 +563,20 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   bool capacity_polled_ = false;
 
   std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_;
-  std::unordered_map<net::FiveTuple, PendingConn, net::FiveTupleHash> pending_;
-  /// Exact-mapping fallback (insert failures, evicted versions): the
-  /// slow-path "small table" of §4.2/§7.
-  std::unordered_map<net::FiveTuple, net::Endpoint, net::FiveTupleHash>
-      software_table_;
-  /// kPinVersion shed/degraded admissions: flow -> pinned (vip, version).
-  std::unordered_map<net::FiveTuple, DegradedConn, net::FiveTupleHash>
-      degraded_flows_;
+  /// One record per pending, installed, software or degraded flow, found
+  /// through flow_index_. Freed ids are reused from free_ids_. A deque
+  /// grows without copying the records or holding two arrays at once.
+  std::deque<FlowRecord> records_;
+  std::vector<FlowId> free_ids_;
+  net::FlatMap<FlowId, FlowId, RecordHash, RecordEq> flow_index_{
+      RecordHash{&records_}, RecordEq{&records_}};
+  std::array<std::size_t, 5> state_counts_{};
   /// CPU-side digest index over pending+installed flows, used to detect
   /// lookup shadowing among digest-colliding flows at insertion time.
-  std::unordered_map<std::uint32_t, std::vector<net::FiveTuple>>
-      digest_groups_;
-  /// Flows with an aging-erase already queued at the CPU (prevents duplicate
-  /// work when sweeps outpace the CPU).
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> aging_queue_;
+  net::FlatMap<std::uint32_t, DigestChain, std::hash<std::uint32_t>>
+      digest_chains_;
+  /// Audit stamp for FlowRecord::audit_stamp (InvariantAuditor).
+  mutable std::uint32_t audit_epoch_ = 0;
 
   /// Fleet-level span collector (optional) and this switch's leg index.
   obs::SpanCollector* spans_ = nullptr;
@@ -493,11 +592,10 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   std::uint32_t update_new_version_ = 0;
   /// When the in-flight update was staged (update-duration histogram).
   sim::Time update_started_at_ = 0;
-  /// S: flows pending at t_req (must land before the flip).
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> awaiting_pre_;
-  /// S2: flows recorded in the TransitTable during Step1 (must land before
-  /// the filter clears).
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> transit_members_;
+  /// Sizes of S and S2 (FlowRecord::awaiting_pre, transit_member): the
+  /// Step1 and Step2 completion gates.
+  std::size_t awaiting_pre_count_ = 0;
+  std::size_t transit_member_count_ = 0;
 
   lb::LoadBalancer::MappingRiskCallback risk_cb_;
   bool aging_armed_ = false;

@@ -5,17 +5,15 @@ namespace silkroad::lb {
 void PccTracker::flow_started(const net::FiveTuple& flow,
                               const net::Endpoint& dip, sim::Time /*now*/) {
   ++flows_seen_;
-  active_.emplace(flow, FlowState{dip, false});
+  active_.try_emplace(flow, FlowState{dip, false, false});
 }
 
 void PccTracker::observe(const net::FiveTuple& flow, const net::Endpoint& dip,
                          sim::Time now) {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return;
-  FlowState& state = it->second;
-  if (state.exempt) return;
-  if (!state.violated && !(state.dip == dip)) {
-    state.violated = true;
+  FlowState* state = active_.find(flow);
+  if (state == nullptr || state->exempt) return;
+  if (!state->violated && !(state->dip == dip)) {
+    state->violated = true;
     ++violations_;
     violation_times_.push_back(now);
     violation_records_.push_back({flow, now});
@@ -23,12 +21,10 @@ void PccTracker::observe(const net::FiveTuple& flow, const net::Endpoint& dip,
 }
 
 void PccTracker::observe_unmapped(const net::FiveTuple& flow, sim::Time now) {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return;
-  FlowState& state = it->second;
-  if (state.exempt) return;
-  if (!state.violated) {
-    state.violated = true;
+  FlowState* state = active_.find(flow);
+  if (state == nullptr || state->exempt) return;
+  if (!state->violated) {
+    state->violated = true;
     ++violations_;
     violation_times_.push_back(now);
     violation_records_.push_back({flow, now});
@@ -40,15 +36,14 @@ void PccTracker::flow_finished(const net::FiveTuple& flow) {
 }
 
 void PccTracker::exempt_flow(const net::FiveTuple& flow) {
-  const auto it = active_.find(flow);
-  if (it != active_.end()) it->second.exempt = true;
+  if (FlowState* state = active_.find(flow)) state->exempt = true;
 }
 
 std::optional<net::Endpoint> PccTracker::assigned_dip(
     const net::FiveTuple& flow) const {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return std::nullopt;
-  return it->second.dip;
+  const FlowState* state = active_.find(flow);
+  if (state == nullptr) return std::nullopt;
+  return state->dip;
 }
 
 }  // namespace silkroad::lb

@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/endpoint.h"
 #include "net/five_tuple.h"
+#include "net/flat_map.h"
 #include "net/hash.h"
 #include "sim/time.h"
 
@@ -79,7 +79,7 @@ class PccTracker {
     bool exempt = false;
   };
 
-  std::unordered_map<net::FiveTuple, FlowState, net::FiveTupleHash> active_;
+  net::FlatMap<net::FiveTuple, FlowState, net::FiveTupleHash> active_;
   std::uint64_t flows_seen_ = 0;
   std::uint64_t violations_ = 0;
   std::vector<sim::Time> violation_times_;

@@ -123,17 +123,17 @@ ScenarioStats Scenario::run() {
 std::vector<net::FiveTuple> Scenario::active_flows() const {
   std::vector<net::FiveTuple> out;
   for (const auto& [vip, reg] : registry_) {
-    for (const auto& [tuple, info] : reg.flows) out.push_back(tuple);
+    for (const auto& entry : reg.flows) out.push_back(entry.key);
   }
   return out;
 }
 
 void Scenario::exempt_flows_on_dip(const net::Endpoint& dip) {
   for (const auto& [vip, reg] : registry_) {
-    for (const auto& [tuple, info] : reg.flows) {
-      if (const auto assigned = tracker_.assigned_dip(tuple);
+    for (const auto& entry : reg.flows) {
+      if (const auto assigned = tracker_.assigned_dip(entry.key);
           assigned && *assigned == dip) {
-        tracker_.exempt_flow(tuple);
+        tracker_.exempt_flow(entry.key);
       }
     }
   }
@@ -154,7 +154,7 @@ void Scenario::on_flow_start(const workload::Flow& flow) {
   flows_started_->inc();
   tracker_.flow_started(flow.tuple, *result.dip, sim_.now());
   auto& vip_reg = registry_[flow.tuple.dst];
-  vip_reg.flows.emplace(flow.tuple, ActiveFlow{flow.rate_bps});
+  vip_reg.flows.try_emplace(flow.tuple, ActiveFlow{flow.rate_bps});
   vip_reg.rate_bps += flow.rate_bps;
   vip_reg.at_slb = lb_.vip_at_slb(flow.tuple.dst);
   total_rate_bps_ += flow.rate_bps;
@@ -163,15 +163,15 @@ void Scenario::on_flow_start(const workload::Flow& flow) {
 
 void Scenario::on_flow_end(const workload::Flow& flow) {
   auto& vip_reg = registry_[flow.tuple.dst];
-  const auto it = vip_reg.flows.find(flow.tuple);
-  if (it == vip_reg.flows.end()) return;  // Was never established.
+  const ActiveFlow* active = vip_reg.flows.find(flow.tuple);
+  if (active == nullptr) return;  // Was never established.
   settle_volume();
   // Deregister before delivering the FIN: the FIN may trigger a mapping-risk
   // event inside the balancer (e.g., Duet migrating back when the last
   // blocking flow ends), and the probe sweep must not synthesize a packet
   // for a connection that has already sent its final one.
-  const double rate_bps = it->second.rate_bps;
-  vip_reg.flows.erase(it);
+  const double rate_bps = active->rate_bps;
+  vip_reg.flows.erase(flow.tuple);
   vip_reg.rate_bps -= rate_bps;
   total_rate_bps_ -= rate_bps;
   if (vip_reg.at_slb) slb_rate_bps_ -= rate_bps;
@@ -213,13 +213,13 @@ void Scenario::on_mapping_risk(const net::Endpoint& vip) {
   VipRegistry& vip_reg = reg_it->second;
   settle_volume();
   // Probe every active flow of this VIP: its next packet's mapping.
-  for (const auto& [tuple, info] : vip_reg.flows) {
+  for (const auto& entry : vip_reg.flows) {
     net::Packet probe;
-    probe.flow = tuple;
+    probe.flow = entry.key;
     probe.size_bytes = 1000;
     const PacketResult result = lb_.process_packet(probe);
     if (result.redirected_to_cpu) cpu_redirects_->inc();
-    audit(tuple, result.dip);
+    audit(entry.key, result.dip);
   }
   // The event may mark a mode flip (e.g., Duet migration): re-split rates.
   const bool now_at_slb = lb_.vip_at_slb(vip);

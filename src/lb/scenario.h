@@ -19,6 +19,7 @@
 
 #include "lb/load_balancer.h"
 #include "lb/pcc_tracker.h"
+#include "net/flat_map.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "workload/flow_gen.h"
@@ -109,7 +110,7 @@ class Scenario {
     double rate_bps = 0;
   };
   struct VipRegistry {
-    std::unordered_map<net::FiveTuple, ActiveFlow, net::FiveTupleHash> flows;
+    net::FlatMap<net::FiveTuple, ActiveFlow, net::FiveTupleHash> flows;
     double rate_bps = 0;
     bool at_slb = false;
   };

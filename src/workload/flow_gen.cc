@@ -74,8 +74,19 @@ void FlowGenerator::schedule_next_arrival(std::size_t vip_index) {
   sim_.schedule_at(at, [this, vip_index] {
     const Flow flow = synthesize(vip_index);
     if (on_start_) on_start_(flow);
-    sim_.schedule_at(flow.end, [this, flow] {
-      if (on_end_) on_end_(flow);
+    std::uint32_t slot = 0;
+    if (free_slots_.empty()) {
+      slot = static_cast<std::uint32_t>(open_.size());
+      open_.push_back(flow);
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      open_[slot] = flow;
+    }
+    sim_.schedule_at(flow.end, [this, slot] {
+      const Flow ended = open_[slot];
+      free_slots_.push_back(slot);
+      if (on_end_) on_end_(ended);
     });
     schedule_next_arrival(vip_index);
   });

@@ -97,6 +97,9 @@ class FlowGenerator {
   FlowCallback on_end_;
   RateModulation modulation_;
   std::uint32_t next_client_id_ = 1;
+  /// Started flows awaiting their end event, which captures only the slot.
+  std::vector<Flow> open_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace silkroad::workload

@@ -132,6 +132,87 @@ TEST_F(CheckTest, DetectsTransitStateOutsideUpdateWindow) {
   EXPECT_TRUE(std::count(families.begin(), families.end(), "transit-window"));
 }
 
+/// Violations of one family whose detail contains `text`.
+std::size_t count_reports(const core::SilkRoadSwitch& sw, const char* family,
+                          const char* text) {
+  const check::InvariantAuditor auditor(sw);
+  std::size_t n = 0;
+  for (const auto& violation : auditor.audit()) {
+    if (violation.invariant == family &&
+        violation.detail.find(text) != std::string::npos) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST_F(CheckTest, DetectsFlowTrackedUnderTwoVersions) {
+  establish(10);
+  check::TestingHooks::track_under_second_version(sw_, make_flow(3));
+  EXPECT_EQ(count_reports(sw_, "refcount-match", "tracked under two versions"),
+            1u);
+}
+
+TEST_F(CheckTest, DetectsTrackedFlowMissingFromTheConnTable) {
+  // The record still says installed: only the ConnTable's exact index shows
+  // the flow is gone.
+  establish(10);
+  check::TestingHooks::drop_conn_entry(sw_, make_flow(4));
+  EXPECT_EQ(count_reports(sw_, "refcount-match",
+                          "is neither pending, installed, nor degraded"),
+            1u);
+}
+
+TEST_F(CheckTest, DetectsGateMembersWhileIdle) {
+  establish(10);
+  check::TestingHooks::flag_unresolvable(sw_, make_flow(5),
+                                         /*transit_member=*/true);
+  EXPECT_EQ(count_reports(sw_, "transit-window",
+                          "transit member set non-empty while idle"),
+            1u);
+  check::TestingHooks::flag_unresolvable(sw_, make_flow(6),
+                                         /*transit_member=*/false);
+  EXPECT_EQ(count_reports(sw_, "transit-window",
+                          "pre-update wait set non-empty while idle"),
+            1u);
+}
+
+TEST_F(CheckTest, DetectsGateMembersWithoutPendingInsertion) {
+  // Inside an update window each flagged flow is named. A flow still
+  // pending at t_req holds the window in Step1.
+  establish(10);
+  net::Packet syn;
+  syn.flow = make_flow(500);
+  syn.syn = true;
+  sw_.process_packet(syn);
+  workload::DipUpdate update;
+  update.at = sim_.now();
+  update.vip = vip_ep();
+  update.dip = {net::IpAddress::v4(0x0A0000FF), 20};
+  update.action = workload::UpdateAction::kAddDip;
+  sw_.request_update(update);
+  sim_.run_until(sim_.now());
+  ASSERT_TRUE(sw_.update_in_flight());
+  check::TestingHooks::flag_unresolvable(sw_, make_flow(5),
+                                         /*transit_member=*/true);
+  check::TestingHooks::flag_unresolvable(sw_, make_flow(6),
+                                         /*transit_member=*/false);
+  EXPECT_EQ(count_reports(sw_, "transit-window", "has no pending insertion"),
+            2u);
+}
+
+TEST_F(CheckTest, DetectsPendingFlowOnDeadVersion) {
+  net::Packet syn;
+  syn.flow = make_flow(7);
+  syn.syn = true;
+  sw_.process_packet(syn);  // pending: the learning filter has not flushed
+  const auto free = sw_.version_manager(vip_ep())->free_versions();
+  ASSERT_FALSE(free.empty());
+  check::TestingHooks::repin_pending(sw_, make_flow(7), free.front());
+  EXPECT_EQ(count_reports(sw_, "version-liveness", "which has no live pool"),
+            1u);
+}
+
 TEST_F(CheckTest, AuditStaysCleanAcrossAnUpdate) {
   establish(30);
   workload::DipUpdate update;

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <map>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "net/endpoint.h"
 #include "net/five_tuple.h"
+#include "net/flat_map.h"
 #include "net/hash.h"
 #include "net/ip_address.h"
 #include "sim/random.h"
@@ -339,6 +342,103 @@ TEST_P(DigestCollisionRate, MatchesBirthdayExpectation) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, DigestCollisionRate,
                          ::testing::Values(12u, 16u, 20u, 24u, 28u, 32u));
+
+/// Hashes a key to itself modulo 8, so probe runs are long and a key's home
+/// slot is chosen by the test.
+struct ClusteringHash {
+  std::size_t operator()(std::uint32_t key) const noexcept { return key % 8 + 8; }
+};
+
+using ClusterMap = FlatMap<std::uint32_t, std::uint32_t, ClusteringHash>;
+
+void expect_same(const ClusterMap& flat,
+                 const std::unordered_map<std::uint32_t, std::uint32_t>& ref) {
+  ASSERT_EQ(flat.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    const std::uint32_t* found = flat.find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    EXPECT_EQ(*found, value) << "key " << key;
+  }
+  // Iteration visits each key exactly once.
+  std::map<std::uint32_t, std::uint32_t> visited;
+  for (const auto& entry : flat) {
+    EXPECT_TRUE(visited.emplace(entry.key, entry.value).second)
+        << "key " << entry.key << " visited twice";
+  }
+  EXPECT_EQ(visited.size(), ref.size());
+}
+
+TEST(FlatMap, ErasureWrapsPastTheEnd) {
+  // Capacity 16 (the first allocation); homes 8..15 put every run at the
+  // end of the table, so runs wrap to slot 0 and erasures shift across it.
+  ClusterMap flat;
+  std::unordered_map<std::uint32_t, std::uint32_t> ref;
+  for (std::uint32_t key : {7u, 15u, 23u, 31u, 6u, 14u, 39u, 5u}) {
+    flat[key] = key * 3;
+    ref[key] = key * 3;
+  }
+  ASSERT_EQ(flat.capacity(), 16u);
+  for (std::uint32_t key : {7u, 14u, 31u}) {
+    EXPECT_TRUE(flat.erase(key));
+    ref.erase(key);
+    expect_same(flat, ref);
+  }
+  EXPECT_FALSE(flat.erase(7u));
+  EXPECT_FALSE(flat.contains(14u));
+}
+
+TEST(FlatMap, MatchesUnorderedMapUnderRandomOperations) {
+  sim::Rng rng(17);
+  ClusterMap flat;
+  std::unordered_map<std::uint32_t, std::uint32_t> ref;
+  for (int op = 0; op < 20'000; ++op) {
+    // A small key space keeps erases and re-inserts of live keys frequent.
+    const auto key = static_cast<std::uint32_t>(rng.next() % 96);
+    switch (rng.next() % 3) {
+      case 0: {
+        const auto value = static_cast<std::uint32_t>(op);
+        const bool inserted = flat.try_emplace(key, value).second;
+        EXPECT_EQ(inserted, ref.emplace(key, value).second);
+        break;
+      }
+      case 1:
+        EXPECT_EQ(flat.erase(key), ref.erase(key) == 1);
+        break;
+      default:
+        EXPECT_EQ(flat.contains(key), ref.contains(key));
+        break;
+    }
+    if (op % 997 == 0) expect_same(flat, ref);
+  }
+  expect_same(flat, ref);
+}
+
+TEST(FlatMap, GrowsOnDemandAndClears) {
+  FlatMap<FiveTuple, std::uint32_t, FiveTupleHash> flat;
+  EXPECT_EQ(flat.capacity(), 0u);  // nothing allocated before the first insert
+  EXPECT_EQ(flat.find(make_tuple(1, 1)), nullptr);
+  for (std::uint32_t i = 0; i < 10'000; ++i) flat[make_tuple(i, 2)] = i;
+  EXPECT_EQ(flat.size(), 10'000u);
+  EXPECT_LE(flat.size() * 4, flat.capacity() * 3);
+  for (std::uint32_t i = 0; i < 10'000; i += 2) {
+    ASSERT_TRUE(flat.erase(make_tuple(i, 2)));
+  }
+  for (std::uint32_t i = 0; i < 10'000; ++i) {
+    const std::uint32_t* value = flat.find(make_tuple(i, 2));
+    if (i % 2 == 0) {
+      EXPECT_EQ(value, nullptr);
+    } else {
+      ASSERT_NE(value, nullptr);
+      EXPECT_EQ(*value, i);
+    }
+  }
+  const std::size_t capacity = flat.capacity();
+  flat.clear();
+  EXPECT_TRUE(flat.empty());
+  EXPECT_EQ(flat.capacity(), capacity);
+  EXPECT_EQ(flat.begin(), flat.end());
+  EXPECT_FALSE(flat.contains(make_tuple(1, 2)));
+}
 
 }  // namespace
 }  // namespace silkroad::net

@@ -271,6 +271,58 @@ TEST(SilkRoadSwitch, TableOverflowFallsBackToSoftware) {
   }
 }
 
+// Evicts the version whose only flow, A, is still pending. A's queued
+// insertion must not release the evicted number again: by then it belongs
+// to the next pool. If A already sent its FIN it must not stay pinned in the
+// software table either.
+void evict_version_of_pending_flow(bool use_transit_table, bool fin_first) {
+  sim::Simulator sim;
+  auto config = small_config();
+  config.version_bits = 2;  // versions 0..3
+  config.enable_version_reuse = false;
+  config.use_transit_table = use_transit_table;
+  SilkRoadSwitch sw(sim, config);
+  const auto dips = make_dips(16);
+  sw.add_vip(vip_ep(), dips);
+  std::vector<std::uint32_t> open;
+  const auto land_two = [&] {
+    for (int i = 0; i < 2; ++i) {
+      open.push_back(static_cast<std::uint32_t>(open.size()));
+      sw.process_packet(packet_of(open.back(), true));
+    }
+    sim.run();
+  };
+  land_two();  // pins v0
+  sw.request_update(remove_update(dips[0], 1, 1));
+  sim.run();
+  land_two();  // pins v1
+  sw.request_update(remove_update(dips[1], 1, 2));
+  sim.run();
+  // A arrives on v2; its entry has not landed when the updates run.
+  const std::uint32_t a = 100;
+  sw.process_packet(packet_of(a, true));
+  if (fin_first) {
+    sw.process_packet(packet_of(a, false, true));
+  } else {
+    open.push_back(a);
+  }
+  // The first update takes v3; the second finds the ring empty and evicts
+  // v2, the least-used version, then allocates it again.
+  sw.request_update(remove_update(dips[2], 1, 3));
+  sw.request_update(remove_update(dips[3], 1, 4));
+  sim.run();
+  EXPECT_EQ(sw.stats().updates_completed, 4u);
+  EXPECT_EQ(sw.stats().versions_evicted, 1u);
+  EXPECT_EQ(sw.software_flows(), fin_first ? 0u : 1u);
+  sw.self_check();
+  for (const std::uint32_t client : open) {
+    sw.process_packet(packet_of(client, false, true));
+  }
+  sim.run();
+  sw.self_check();
+  EXPECT_EQ(sw.active_connections(), 0u);
+}
+
 TEST(SilkRoadSwitch, VersionExhaustionEvictsAndContinues) {
   sim::Simulator sim;
   auto config = small_config();
@@ -292,6 +344,45 @@ TEST(SilkRoadSwitch, VersionExhaustionEvictsAndContinues) {
   EXPECT_GT(sw.stats().versions_evicted, 0u);
   // Evicted flows still map consistently (exact software mappings).
   EXPECT_GT(sw.stats().software_fallback_conns, 0u);
+
+  {
+    SCOPED_TRACE("pending flow that sent its FIN, TransitTable on");
+    evict_version_of_pending_flow(/*use_transit_table=*/true,
+                                  /*fin_first=*/true);
+  }
+  {
+    // Without the TransitTable the flip does not wait for pending flows, so
+    // a live one can be evicted too.
+    SCOPED_TRACE("live pending flow, TransitTable off");
+    evict_version_of_pending_flow(/*use_transit_table=*/false,
+                                  /*fin_first=*/false);
+  }
+}
+
+TEST(SilkRoadSwitch, StaleInsertionTaskDoesNothing) {
+  // The CPU queue outlives reset(). A task queued before the crash holds
+  // the handle of a record that reset() frees; the record is then reused by
+  // the same 5-tuple. The stale task must not install it early.
+  sim::Simulator sim;
+  SilkRoadSwitch sw(sim, small_config());
+  SilkRoadSwitch::FaultHooks hooks;
+  hooks.cpu_delay = [](sim::Time) { return 10 * sim::kMillisecond; };
+  sw.set_fault_hooks(std::move(hooks));
+  sw.add_vip(vip_ep(), make_dips(4));
+  sw.process_packet(packet_of(1, true));  // flushed at 1 ms, runs at 11 ms
+  sim.run_until(2 * sim::kMillisecond);
+  sw.reset();
+  sw.add_vip(vip_ep(), make_dips(4));
+  sw.process_packet(packet_of(1, true));  // flushed at 3 ms, runs at 21 ms
+  sim.run_until(15 * sim::kMillisecond);  // the stale task has run
+  EXPECT_EQ(sw.stats().inserts, 0u);
+  EXPECT_EQ(sw.pending_insertions(), 1u);
+  EXPECT_EQ(sw.conn_table().size(), 0u);
+  sim.run();
+  EXPECT_EQ(sw.stats().inserts, 1u);
+  EXPECT_EQ(sw.pending_insertions(), 0u);
+  EXPECT_EQ(sw.conn_table().size(), 1u);
+  sw.self_check();
 }
 
 TEST(SilkRoadSwitch, MeterMarksAndDrops) {

@@ -3,8 +3,9 @@
 Each linted file gets a FileModel carrying its token stream, preprocessor
 directives, comment list, and a small symbol table: the set of identifiers
 declared with an unordered container type (``std::unordered_map`` /
-``std::unordered_set`` and their multi variants), either directly or through
-a ``using X = std::unordered_...`` alias. Rule R10 consumes that table.
+``std::unordered_set``, their multi variants, and ``net::FlatMap``), either
+directly or through a ``using X = std::unordered_...`` alias. Rule R10
+consumes that table.
 
 When linting ``X.cc``/``X.cpp``, the companion header ``X.h``/``X.hpp`` in
 the same directory is lexed too and its declarations merged in — a member
@@ -25,6 +26,8 @@ _UNORDERED_TYPES = {
     "unordered_set",
     "unordered_multimap",
     "unordered_multiset",
+    # net::FlatMap iterates in slot order, which is hash order.
+    "FlatMap",
 }
 
 _HEADER_SUFFIXES = {".h", ".hpp"}

@@ -35,9 +35,10 @@ R9  no bare std::mutex/std::lock_guard (and friends) in src/ — use the
                                       annotated sr::Mutex/sr::MutexLock from
                                       check/thread_annotations.h so clang
                                       -Wthread-safety sees every lock site.
-R10 no iteration over an unordered container that feeds control-channel
-                                      sends or update-protocol calls in src/
-                                      — unordered iteration order is
+R10 no iteration over an unordered container (std::unordered_*,
+                                      net::FlatMap) that feeds control-channel
+                                      sends, update-protocol calls or switch
+                                      CPU tasks in src/ — iteration order is
                                       implementation-defined; snapshot and
                                       sort first (see fleet.cc apply_resync).
 R11 retired — it required striped counters on the packet path, which the
@@ -389,14 +390,16 @@ def check_r9(model: FileModel) -> list[Violation]:
 
 # --- R10 --------------------------------------------------------------------
 
-# Calls that feed the control channels or the 3-step update protocol; their
-# argument/issue order must not depend on unordered iteration order.
+# Calls that feed the control channels, the 3-step update protocol or the
+# switch CPU's task queue; their argument/issue order must not depend on
+# unordered iteration order.
 _R10_SINKS = {
     "send",
     "request_update",
     "add_vip",
     "handle_dip_failure",
     "finish_update",
+    "enqueue",
 }
 
 
