@@ -1,6 +1,7 @@
 #include "check/invariant_auditor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <set>
 #include <utility>
@@ -8,6 +9,7 @@
 #include "asic/sram.h"
 #include "check/sr_check.h"
 #include "net/flat_map.h"
+#include "net/hash.h"
 #include "obs/forensics.h"
 #include "obs/trace.h"
 
@@ -31,34 +33,105 @@ Violation make(std::string invariant, std::string detail,
 
 }  // namespace
 
+/// One VIP's row in the per-audit table, in vips_ iteration order.
+struct InvariantAuditor::Vip {
+  const net::Endpoint* vip = nullptr;
+  const SilkRoadSwitch::VipState* state = nullptr;
+  /// state->versions->live_versions(), computed once per audit.
+  std::vector<std::uint32_t> live;
+  /// The row's words in Pass::referenced. They cover every version number
+  /// below the version capacity, below the end of its version lists and up
+  /// to its largest free number, so a version past them is never free.
+  std::size_t first_word = 0;
+  std::size_t words = 0;
+};
+
+/// The per-audit VIP table and what each walk hands to the families that
+/// finish after it.
+struct InvariantAuditor::Pass {
+  std::vector<Vip> vips;
+  net::FlatMap<net::Endpoint, std::uint32_t, net::EndpointHash> index;
+  /// One bit per (VIP, version) that a ConnTable entry, a non-dead pending
+  /// flow or a version list references.
+  std::vector<std::uint64_t> referenced;
+
+  /// Records walk: the S and S2 flags, and the flagged flows that have no
+  /// pending insertion (transit-window reports them inside a window only).
+  std::size_t awaiting = 0;
+  std::size_t members = 0;
+  std::vector<Violation> unresolvable;
+  /// Version-lists walk: wire bytes of every live pool.
+  std::size_t pool_bytes = 0;
+  /// ConnTable walk: the entries that name an unknown VIP or resolve to a
+  /// version with no pool (dip-pool-coverage), in walk order.
+  std::vector<Violation> uncovered;
+
+  const Vip* find(const net::Endpoint& vip) const {
+    const std::uint32_t* row = index.find(vip);
+    return row == nullptr ? nullptr : &vips[*row];
+  }
+  /// Marks `version` of `row` referenced. A version past the row is never
+  /// free, so there is nothing to mark.
+  void reference(const Vip& row, std::uint32_t version) {
+    if (version / 64 >= row.words) return;
+    referenced[row.first_word + version / 64] |= std::uint64_t{1}
+                                                 << (version % 64);
+  }
+};
+
 std::vector<Violation> InvariantAuditor::audit() const {
   std::vector<Violation> out;
-  check_version_liveness(out);
-  check_refcounts(out);
-  check_version_recycling(out);
-  check_transit_window(out);
-  check_sram_accounting(out);
-  check_dip_pool_coverage(out);
+  Pass pass = begin_pass();
+  walk_records(pass, out);        // version-liveness
+  walk_version_lists(pass, out);  // refcount-match
+  walk_conn_table(pass);
+  check_version_recycling(pass, out);
+  check_transit_window(pass, out);
+  check_sram_accounting(pass, out);
+  check_dip_pool_coverage(pass, out);
   return out;
 }
 
-void InvariantAuditor::check_version_liveness(
-    std::vector<Violation>& out) const {
+InvariantAuditor::Pass InvariantAuditor::begin_pass() const {
+  Pass pass;
+  pass.vips.reserve(sw_.vips_.size());
+  std::size_t words = 0;
+  for (const auto& [vip, state] : sw_.vips_) {
+    const auto& mgr = *state.versions;
+    std::size_t range =
+        std::max(mgr.version_capacity(), state.conns_by_version.size());
+    for (const std::uint32_t version : mgr.free_versions()) {
+      range = std::max(range, std::size_t{version} + 1);
+    }
+    const std::size_t row_words = (range + 63) / 64;
+    pass.index.try_emplace(vip, static_cast<std::uint32_t>(pass.vips.size()));
+    pass.vips.push_back({&vip, &state, mgr.live_versions(), words, row_words});
+    words += row_words;
+  }
+  pass.referenced.assign(words, 0);
+  return pass;
+}
+
+void InvariantAuditor::walk_records(Pass& pass,
+                                    std::vector<Violation>& out) const {
   using FlowState = SilkRoadSwitch::FlowState;
   for (const auto& record : sw_.records_) {
     const net::FiveTuple& flow = record.flow;
     const net::Endpoint& vip = flow.dst;
+    pass.awaiting += record.awaiting_pre ? 1 : 0;
+    pass.members += record.transit_member ? 1 : 0;
     if (record.state == FlowState::kPending) {
       if (record.dead) continue;  // eviction may have destroyed its version
-      const auto* state = sw_.find_vip(vip);
-      if (state == nullptr) {
+      const Vip* row = pass.find(vip);
+      if (row == nullptr) {
         out.push_back(make("version-liveness",
                            "pending flow " + flow_str(flow) +
                                " references unknown VIP " + vip.to_string(),
                            vip));
         continue;
       }
-      if (state->versions->pool(record.version) == nullptr) {
+      pass.reference(*row, record.version);
+      if (row->state->versions->pool(record.version) == nullptr) {
         out.push_back(make("version-liveness",
                            "pending flow " + flow_str(flow) +
                                " holds version " +
@@ -66,10 +139,26 @@ void InvariantAuditor::check_version_liveness(
                                " which has no live pool",
                            vip, record.version));
       }
-    } else if (record.state == FlowState::kDegraded) {
-      const auto* state = sw_.find_vip(vip);
-      if (state == nullptr ||
-          state->versions->pool(record.version) == nullptr) {
+      continue;
+    }
+    if (record.transit_member) {
+      pass.unresolvable.push_back(
+          make("transit-window",
+               "transit member " + flow_str(flow) +
+                   " has no pending insertion and cannot resolve",
+               sw_.update_vip_));
+    }
+    if (record.awaiting_pre) {
+      pass.unresolvable.push_back(
+          make("transit-window",
+               "pre-update flow " + flow_str(flow) +
+                   " has no pending insertion and cannot resolve",
+               sw_.update_vip_));
+    }
+    if (record.state == FlowState::kDegraded) {
+      const Vip* row = pass.find(vip);
+      if (row == nullptr ||
+          row->state->versions->pool(record.version) == nullptr) {
         out.push_back(make("version-liveness",
                            "degraded flow " + flow_str(flow) +
                                " is pinned to version " +
@@ -81,15 +170,17 @@ void InvariantAuditor::check_version_liveness(
   }
 }
 
-void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
+void InvariantAuditor::walk_version_lists(Pass& pass,
+                                          std::vector<Violation>& out) const {
   using FlowState = SilkRoadSwitch::FlowState;
   // Each record is stamped the first time a version list reaches it, so a
   // second visit in the same audit finds it tracked twice.
   const std::uint32_t stamp = ++sw_.audit_epoch_;
-  for (const auto& [vip, state] : sw_.vips_) {
-    const auto& mgr = *state.versions;
-    const auto& lists = state.conns_by_version;
-    for (const std::uint32_t version : mgr.live_versions()) {
+  for (const Vip& row : pass.vips) {
+    const net::Endpoint& vip = *row.vip;
+    const auto& mgr = *row.state->versions;
+    const auto& lists = row.state->conns_by_version;
+    for (const std::uint32_t version : row.live) {
       const std::int64_t tracked =
           version < lists.size() ? static_cast<std::int64_t>(lists[version].size())
                                  : 0;
@@ -102,6 +193,7 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
                 std::to_string(tracked) + " tracked connections",
             vip, version));
       }
+      pass.pool_bytes += mgr.pool(version)->wire_bytes();
     }
     // Tracking must reference live versions only, every tracked flow must
     // still exist somewhere (pending, installed or degraded), and no flow may
@@ -109,6 +201,7 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
     for (std::uint32_t version = 0; version < lists.size(); ++version) {
       const auto& members = lists[version];
       if (members.empty()) continue;
+      pass.reference(row, version);
       if (mgr.pool(version) == nullptr) {
         out.push_back(make("refcount-match",
                            "vip " + vip.to_string() + " tracks " +
@@ -155,50 +248,56 @@ void InvariantAuditor::check_refcounts(std::vector<Violation>& out) const {
   }
 }
 
-void InvariantAuditor::check_version_recycling(
-    std::vector<Violation>& out) const {
-  using FlowState = SilkRoadSwitch::FlowState;
-  // Versions referenced anywhere, one bit per version number of each VIP:
-  // ConnTable entries, non-dead pending connections, and the CPU's
-  // per-version tracking.
-  net::FlatMap<net::Endpoint, std::vector<std::uint64_t>, net::EndpointHash>
-      referenced;
-  const auto reference = [&referenced](const net::Endpoint& vip,
-                                       std::uint32_t version) {
-    auto& bits = referenced[vip];
-    if (bits.size() <= version / 64) bits.resize(version / 64 + 1);
-    bits[version / 64] |= std::uint64_t{1} << (version % 64);
-  };
+void InvariantAuditor::walk_conn_table(Pass& pass) const {
   sw_.conn_table_.for_each_entry(
-      [&](const net::FiveTuple& key, std::uint32_t value) {
-        reference(key.dst, value);
+      [&pass](const net::FiveTuple& key, std::uint32_t value) {
+        const Vip* row = pass.find(key.dst);
+        if (row == nullptr) {
+          pass.uncovered.push_back(make("dip-pool-coverage",
+                                        "ConnTable entry " + flow_str(key) +
+                                            " targets unknown VIP"));
+          return;
+        }
+        pass.reference(*row, value);
+        if (row->state->versions->pool(value) == nullptr) {
+          pass.uncovered.push_back(
+              make("dip-pool-coverage",
+                   "ConnTable entry " + flow_str(key) + " resolves to version " +
+                       std::to_string(value) + " with no DIPPoolTable pool",
+                   key.dst, value));
+        }
       });
-  for (const auto& record : sw_.records_) {
-    if (record.state == FlowState::kPending && !record.dead) {
-      reference(record.flow.dst, record.version);
-    }
-  }
-  for (const auto& [vip, state] : sw_.vips_) {
-    for (std::uint32_t version = 0; version < state.conns_by_version.size();
-         ++version) {
-      if (!state.conns_by_version[version].empty()) reference(vip, version);
-    }
-  }
+}
 
-  for (const auto& [vip, state] : sw_.vips_) {
-    const auto& mgr = *state.versions;
-    auto free = mgr.free_versions();
-    const auto live = mgr.live_versions();
+void InvariantAuditor::check_version_recycling(
+    const Pass& pass, std::vector<Violation>& out) const {
+  std::vector<std::uint64_t> free_bits;
+  for (const Vip& row : pass.vips) {
+    const net::Endpoint& vip = *row.vip;
+    const auto& mgr = *row.state->versions;
+    const auto& free = mgr.free_versions();
+    // Every free number lies inside the row (begin_pass sized it so).
+    free_bits.assign(row.words, 0);
+    bool duplicate = false;
+    for (const std::uint32_t version : free) {
+      std::uint64_t& word = free_bits[version / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (version % 64);
+      duplicate = duplicate || (word & bit) != 0;
+      word |= bit;
+    }
+    const auto is_free = [&free_bits, &row](std::uint32_t version) {
+      return version / 64 < row.words &&
+             (free_bits[version / 64] >> (version % 64) & 1) != 0;
+    };
 
-    std::sort(free.begin(), free.end());
-    if (std::adjacent_find(free.begin(), free.end()) != free.end()) {
+    if (duplicate) {
       out.push_back(make("version-recycling",
                          "vip " + vip.to_string() +
                              " has duplicate entries in the free ring",
                          vip));
     }
-    for (const std::uint32_t version : live) {
-      if (std::binary_search(free.begin(), free.end(), version)) {
+    for (const std::uint32_t version : row.live) {
+      if (is_free(version)) {
         out.push_back(make("version-recycling",
                            "vip " + vip.to_string() + " version " +
                                std::to_string(version) +
@@ -206,41 +305,39 @@ void InvariantAuditor::check_version_recycling(
                            vip, version));
       }
     }
-    if (free.size() + live.size() != mgr.version_capacity()) {
+    if (free.size() + row.live.size() != mgr.version_capacity()) {
       out.push_back(make(
           "version-recycling",
           "vip " + vip.to_string() + " leaks version numbers: " +
               std::to_string(free.size()) + " free + " +
-              std::to_string(live.size()) + " live != capacity " +
+              std::to_string(row.live.size()) + " live != capacity " +
               std::to_string(mgr.version_capacity()),
           vip));
     }
     // §4.4: a recycled version must never still be referenced.
-    const auto* bits = referenced.find(vip);
-    if (bits == nullptr) continue;
-    for (std::uint32_t version = 0; version < bits->size() * 64; ++version) {
-      if (((*bits)[version / 64] >> (version % 64) & 1) == 0) continue;
-      if (std::binary_search(free.begin(), free.end(), version)) {
-        out.push_back(make("version-recycling",
-                           "recycled version " + std::to_string(version) +
-                               " of vip " + vip.to_string() +
-                               " is still referenced",
-                           vip, version));
+    for (std::size_t w = 0; w < row.words; ++w) {
+      for (std::uint64_t bits = pass.referenced[row.first_word + w];
+           bits != 0; bits &= bits - 1) {
+        const auto version =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        if (is_free(version)) {
+          out.push_back(make("version-recycling",
+                             "recycled version " + std::to_string(version) +
+                                 " of vip " + vip.to_string() +
+                                 " is still referenced",
+                             vip, version));
+        }
       }
     }
   }
 }
 
-void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
+void InvariantAuditor::check_transit_window(
+    Pass& pass, std::vector<Violation>& out) const {
   using Phase = SilkRoadSwitch::Phase;
-  using FlowState = SilkRoadSwitch::FlowState;
   // S and S2 as flagged on the records, against the gates' running counts.
-  std::size_t awaiting = 0;
-  std::size_t members = 0;
-  for (const auto& record : sw_.records_) {
-    awaiting += record.awaiting_pre ? 1 : 0;
-    members += record.transit_member ? 1 : 0;
-  }
+  const std::size_t awaiting = pass.awaiting;
+  const std::size_t members = pass.members;
   if (sw_.phase_ == Phase::kIdle) {
     if (sw_.transit_.inserted() != 0 || sw_.transit_.fill_ratio() > 0.0) {
       out.push_back(make("transit-window",
@@ -269,15 +366,15 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
                        sw_.update_vip_));
   }
 
-  const auto* state = sw_.find_vip(sw_.update_vip_);
-  if (state == nullptr) {
+  const Vip* row = pass.find(sw_.update_vip_);
+  if (row == nullptr) {
     out.push_back(make("transit-window",
                        "update in flight for unknown VIP " +
                            sw_.update_vip_.to_string(),
                        sw_.update_vip_));
     return;
   }
-  const auto& mgr = *state->versions;
+  const auto& mgr = *row->state->versions;
   if (mgr.pool(sw_.update_new_version_) == nullptr) {
     out.push_back(make("transit-window",
                        "in-flight update targets dead version " +
@@ -306,25 +403,13 @@ void InvariantAuditor::check_transit_window(std::vector<Violation>& out) const {
                          sw_.update_vip_, sw_.update_old_version_));
     }
   }
-  for (const auto& record : sw_.records_) {
-    if (record.state == FlowState::kPending) continue;
-    if (record.transit_member) {
-      out.push_back(make("transit-window",
-                         "transit member " + flow_str(record.flow) +
-                             " has no pending insertion and cannot resolve",
-                         sw_.update_vip_));
-    }
-    if (record.awaiting_pre) {
-      out.push_back(make("transit-window",
-                         "pre-update flow " + flow_str(record.flow) +
-                             " has no pending insertion and cannot resolve",
-                         sw_.update_vip_));
-    }
+  for (auto& violation : pass.unresolvable) {
+    out.push_back(std::move(violation));
   }
 }
 
 void InvariantAuditor::check_sram_accounting(
-    std::vector<Violation>& out) const {
+    const Pass& pass, std::vector<Violation>& out) const {
   const auto usage = sw_.memory_usage();
   const auto& cfg = sw_.conn_table_.config();
   const std::size_t geometry_bytes = asic::bits_to_bytes(
@@ -336,6 +421,8 @@ void InvariantAuditor::check_sram_accounting(
                            " B != geometry " +
                            std::to_string(geometry_bytes) + " B"));
   }
+  // A full slot scan, not a running count: a count kept beside the slots
+  // would agree with the index even after a slot's used bit went wrong.
   const std::size_t used = sw_.conn_table_.used_slot_count();
   if (used != sw_.conn_table_.size()) {
     out.push_back(make("sram-accounting",
@@ -344,18 +431,12 @@ void InvariantAuditor::check_sram_accounting(
                            std::to_string(sw_.conn_table_.size()) +
                            " indexed entries"));
   }
-  std::size_t pool_bytes = 0;
-  for (const auto& [vip, state] : sw_.vips_) {
-    for (const std::uint32_t version : state.versions->live_versions()) {
-      pool_bytes += state.versions->pool(version)->wire_bytes();
-    }
-  }
-  if (usage.dip_pool_table_bytes != pool_bytes) {
+  if (usage.dip_pool_table_bytes != pass.pool_bytes) {
     out.push_back(make("sram-accounting",
                        "reported DIPPoolTable SRAM " +
                            std::to_string(usage.dip_pool_table_bytes) +
                            " B != live pool total " +
-                           std::to_string(pool_bytes) + " B"));
+                           std::to_string(pass.pool_bytes) + " B"));
   }
   if (usage.transit_table_bytes != sw_.transit_.byte_count()) {
     out.push_back(make("sram-accounting",
@@ -367,33 +448,20 @@ void InvariantAuditor::check_sram_accounting(
 }
 
 void InvariantAuditor::check_dip_pool_coverage(
-    std::vector<Violation>& out) const {
-  for (const auto& [vip, state] : sw_.vips_) {
-    if (state.versions->pool(state.versions->current_version()) == nullptr) {
+    Pass& pass, std::vector<Violation>& out) const {
+  for (const Vip& row : pass.vips) {
+    const auto& mgr = *row.state->versions;
+    if (mgr.pool(mgr.current_version()) == nullptr) {
       out.push_back(make("dip-pool-coverage",
-                         "vip " + vip.to_string() + " current version " +
-                             std::to_string(state.versions->current_version()) +
+                         "vip " + row.vip->to_string() + " current version " +
+                             std::to_string(mgr.current_version()) +
                              " has no pool",
-                         vip, state.versions->current_version()));
+                         *row.vip, mgr.current_version()));
     }
   }
-  sw_.conn_table_.for_each_entry([&](const net::FiveTuple& key,
-                                      std::uint32_t value) {
-    const auto* state = sw_.find_vip(key.dst);
-    if (state == nullptr) {
-      out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(key) +
-                             " targets unknown VIP"));
-      return;
-    }
-    if (state->versions->pool(value) == nullptr) {
-      out.push_back(make("dip-pool-coverage",
-                         "ConnTable entry " + flow_str(key) +
-                             " resolves to version " + std::to_string(value) +
-                             " with no DIPPoolTable pool",
-                         key.dst, value));
-    }
-  });
+  for (auto& violation : pass.uncovered) {
+    out.push_back(std::move(violation));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
 // open 3-step update window (§4.3). The auditor walks a SilkRoadSwitch and
 // re-derives each of those facts from scratch, reporting every divergence it
 // finds instead of aborting on the first — so tests can assert on the precise
-// violation set.
+// violation set. It walks each structure once per audit: the flow-record slab,
+// every VIP's version lists, and the ConnTable's index (DESIGN.md §8).
 //
 // Invariant families (the `invariant` field of each Violation):
 //   "version-liveness"    — every version referenced by a pending (non-dead)
@@ -61,18 +62,28 @@ class InvariantAuditor {
   explicit InvariantAuditor(const core::SilkRoadSwitch& sw) : sw_(sw) {}
 
   /// Runs every invariant family; returns all violations found (empty on a
-  /// healthy switch).
+  /// healthy switch), grouped by family in the order listed above.
   std::vector<Violation> audit() const;
 
-  // Individual families, each appending its findings to `out`.
-  void check_version_liveness(std::vector<Violation>& out) const;
-  void check_refcounts(std::vector<Violation>& out) const;
-  void check_version_recycling(std::vector<Violation>& out) const;
-  void check_transit_window(std::vector<Violation>& out) const;
-  void check_sram_accounting(std::vector<Violation>& out) const;
-  void check_dip_pool_coverage(std::vector<Violation>& out) const;
-
  private:
+  struct Vip;
+  struct Pass;
+
+  /// The per-audit VIP table (invariant_auditor.cc).
+  Pass begin_pass() const;
+  /// One walk each. The families they finish are appended to `out`; what a
+  /// later family reports is kept in `pass`.
+  void walk_records(Pass& pass, std::vector<Violation>& out) const;
+  void walk_version_lists(Pass& pass, std::vector<Violation>& out) const;
+  void walk_conn_table(Pass& pass) const;
+  /// The families that read what the walks gathered.
+  void check_version_recycling(const Pass& pass,
+                               std::vector<Violation>& out) const;
+  void check_transit_window(Pass& pass, std::vector<Violation>& out) const;
+  void check_sram_accounting(const Pass& pass,
+                             std::vector<Violation>& out) const;
+  void check_dip_pool_coverage(Pass& pass, std::vector<Violation>& out) const;
+
   const core::SilkRoadSwitch& sw_;
 };
 

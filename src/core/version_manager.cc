@@ -14,15 +14,9 @@ VipVersionManager::VipVersionManager(net::Endpoint vip,
   for (std::uint32_t v = 1; v < version_capacity(); ++v) {
     free_versions_.push_back(v);
   }
-  pools_.emplace(0u, PoolInfo{lb::DipPool(std::move(dips), config_.semantics),
-                              0});
+  install(0, lb::DipPool(std::move(dips), config_.semantics));
   current_ = 0;
   allocations_ = 1;
-}
-
-const lb::DipPool* VipVersionManager::pool(std::uint32_t version) const {
-  const auto it = pools_.find(version);
-  return it == pools_.end() ? nullptr : &it->second.pool;
 }
 
 std::optional<net::Endpoint> VipVersionManager::select(
@@ -30,6 +24,21 @@ std::optional<net::Endpoint> VipVersionManager::select(
   const lb::DipPool* p = pool(version);
   if (p == nullptr) return std::nullopt;
   return p->select(flow);
+}
+
+void VipVersionManager::install(std::uint32_t version, lb::DipPool pool) {
+  if (pools_.size() <= version) pools_.resize(version + 1);
+  SR_CHECKF(!pools_[version], "version %u is already live", version);
+  pools_[version].emplace(PoolInfo{std::move(pool), 0});
+  ++live_count_;
+}
+
+void VipVersionManager::destroy(std::uint32_t version,
+                                obs::TraceEventKind kind) {
+  pools_[version].reset();
+  --live_count_;
+  free_versions_.push_back(version);
+  trace_event(kind, version);
 }
 
 std::optional<std::uint32_t> VipVersionManager::allocate_version() {
@@ -46,8 +55,8 @@ std::optional<std::uint32_t> VipVersionManager::allocate_version() {
 
 std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
     const workload::DipUpdate& update) {
-  const auto cur_it = pools_.find(current_);
-  SR_CHECK(cur_it != pools_.end());
+  const PoolInfo* cur = find(current_);
+  SR_CHECK(cur != nullptr);
 
   if (update.action == workload::UpdateAction::kAddDip) {
     if (config_.enable_reuse) {
@@ -62,15 +71,15 @@ std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
       //      substituting a different down DIP;
       //   3. membership closer to the current pool's is better (less load
       //      drift for new connections).
-      auto desired = cur_it->second.pool.members();
+      auto desired = cur->pool.members();
       std::sort(desired.begin(), desired.end());
       std::optional<std::uint32_t> best_version;
       net::Endpoint best_slot_dip;
       std::tuple<std::size_t, int, std::size_t> best_score{SIZE_MAX, 2,
                                                            SIZE_MAX};
-      for (auto& [version, info] : pools_) {
-        if (version == current_) continue;
-        const auto members = info.pool.members();
+      for (std::uint32_t version = 0; version < pools_.size(); ++version) {
+        if (version == current_ || !pools_[version]) continue;
+        const auto members = pools_[version]->pool.members();
         std::size_t down_members = 0;
         for (const auto& member : members) {
           if (down_dips_.contains(member)) ++down_members;
@@ -95,7 +104,7 @@ std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
         }
       }
       if (best_version) {
-        pools_.at(*best_version).pool.replace_member(best_slot_dip, update.dip);
+        pools_[*best_version]->pool.replace_member(best_slot_dip, update.dip);
         ++reuses_;
         down_dips_.erase(update.dip);  // the server is back in service
         trace_event(obs::TraceEventKind::kVersionReuse, *best_version);
@@ -107,7 +116,7 @@ std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
 
   const auto version = allocate_version();
   if (!version) return std::nullopt;
-  lb::DipPool next = cur_it->second.pool;
+  lb::DipPool next = cur->pool;
   if (update.action == workload::UpdateAction::kAddDip) {
     next.add(update.dip);
   } else {
@@ -116,7 +125,7 @@ std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
     down_dips_.insert(update.dip);
     next.erase_member(update.dip);
   }
-  pools_.emplace(*version, PoolInfo{std::move(next), 0});
+  install(*version, std::move(next));
   return StagedUpdate{*version, false};
 }
 
@@ -125,11 +134,11 @@ VipVersionManager::stage_update_batch(
     const std::vector<workload::DipUpdate>& updates) {
   if (updates.empty()) return std::nullopt;
   if (updates.size() == 1) return stage_update(updates.front());
-  const auto cur_it = pools_.find(current_);
-  SR_CHECK(cur_it != pools_.end());
+  const PoolInfo* cur = find(current_);
+  SR_CHECK(cur != nullptr);
   const auto version = allocate_version();
   if (!version) return std::nullopt;
-  lb::DipPool next = cur_it->second.pool;
+  lb::DipPool next = cur->pool;
   for (const auto& update : updates) {
     if (update.action == workload::UpdateAction::kAddDip) {
       next.add(update.dip);
@@ -139,56 +148,53 @@ VipVersionManager::stage_update_batch(
       next.erase_member(update.dip);
     }
   }
-  pools_.emplace(*version, PoolInfo{std::move(next), 0});
+  install(*version, std::move(next));
   return StagedUpdate{*version, false};
 }
 
 void VipVersionManager::commit(std::uint32_t target_version) {
-  SR_CHECKF(pools_.contains(target_version),
+  SR_CHECKF(find(target_version) != nullptr,
             "commit of version %u with no staged pool", target_version);
   const std::uint32_t previous = current_;
   current_ = target_version;
   // The displaced version may already be unreferenced.
   if (previous != current_) {
-    const auto it = pools_.find(previous);
-    if (it != pools_.end() && it->second.refcount == 0) {
-      pools_.erase(it);
-      free_versions_.push_back(previous);
-      trace_event(obs::TraceEventKind::kVersionRecycle, previous);
+    const PoolInfo* info = find(previous);
+    if (info != nullptr && info->refcount == 0) {
+      destroy(previous, obs::TraceEventKind::kVersionRecycle);
     }
   }
 }
 
 void VipVersionManager::acquire(std::uint32_t version) {
-  const auto it = pools_.find(version);
-  SR_CHECKF(it != pools_.end(), "acquire of dead version %u", version);
-  ++it->second.refcount;
+  PoolInfo* info = find(version);
+  SR_CHECKF(info != nullptr, "acquire of dead version %u", version);
+  ++info->refcount;
 }
 
 void VipVersionManager::release(std::uint32_t version) {
-  const auto it = pools_.find(version);
-  if (it == pools_.end()) return;
-  SR_CHECKF(it->second.refcount > 0, "release of version %u underflows its refcount", version);
-  if (--it->second.refcount == 0 && version != current_) {
-    pools_.erase(it);
-    free_versions_.push_back(version);
-    trace_event(obs::TraceEventKind::kVersionRecycle, version);
+  PoolInfo* info = find(version);
+  if (info == nullptr) return;
+  SR_CHECKF(info->refcount > 0, "release of version %u underflows its refcount", version);
+  if (--info->refcount == 0 && version != current_) {
+    destroy(version, obs::TraceEventKind::kVersionRecycle);
   }
 }
 
 std::int64_t VipVersionManager::refcount(std::uint32_t version) const {
-  const auto it = pools_.find(version);
-  return it == pools_.end() ? -1 : it->second.refcount;
+  const PoolInfo* info = find(version);
+  return info == nullptr ? -1 : info->refcount;
 }
 
 std::optional<std::uint32_t> VipVersionManager::eviction_candidate() const {
   std::optional<std::uint32_t> best;
   std::int64_t best_count = std::numeric_limits<std::int64_t>::max();
-  for (const auto& [version, info] : pools_) {
-    if (version == current_) continue;
-    if (info.refcount < best_count) {
+  // Ascending, so ties go to the lowest version number.
+  for (std::uint32_t version = 0; version < pools_.size(); ++version) {
+    if (version == current_ || !pools_[version]) continue;
+    if (pools_[version]->refcount < best_count) {
       best = version;
-      best_count = info.refcount;
+      best_count = pools_[version]->refcount;
     }
   }
   return best;
@@ -196,33 +202,32 @@ std::optional<std::uint32_t> VipVersionManager::eviction_candidate() const {
 
 void VipVersionManager::force_destroy(std::uint32_t version) {
   SR_CHECKF(version != current_, "cannot destroy current version %u", version);
-  const auto it = pools_.find(version);
-  if (it == pools_.end()) return;
-  pools_.erase(it);
-  free_versions_.push_back(version);
-  trace_event(obs::TraceEventKind::kVersionEvict, version);
+  if (find(version) == nullptr) return;
+  destroy(version, obs::TraceEventKind::kVersionEvict);
 }
 
 std::size_t VipVersionManager::mark_dip_down(const net::Endpoint& dip) {
   down_dips_.insert(dip);
   std::size_t touched = 0;
-  for (auto& [version, info] : pools_) {
-    if (info.pool.remove(dip)) ++touched;
+  for (auto& info : pools_) {
+    if (info && info->pool.remove(dip)) ++touched;
   }
   return touched;
 }
 
 std::vector<std::uint32_t> VipVersionManager::live_versions() const {
   std::vector<std::uint32_t> versions;
-  versions.reserve(pools_.size());
-  for (const auto& [version, info] : pools_) versions.push_back(version);
+  versions.reserve(live_count_);
+  for (std::uint32_t version = 0; version < pools_.size(); ++version) {
+    if (pools_[version]) versions.push_back(version);
+  }
   return versions;
 }
 
 std::size_t VipVersionManager::pool_table_bytes() const {
   std::size_t total = 0;
-  for (const auto& [version, info] : pools_) {
-    total += info.pool.wire_bytes();
+  for (const auto& info : pools_) {
+    if (info) total += info->pool.wire_bytes();
   }
   return total;
 }

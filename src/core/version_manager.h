@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "lb/dip_pool.h"
@@ -42,7 +42,12 @@ class VipVersionManager {
     return std::size_t{1} << config_.version_bits;
   }
 
-  const lb::DipPool* pool(std::uint32_t version) const;
+  /// `version`'s pool, or nullptr when it is not live. Valid until the next
+  /// stage_update.
+  const lb::DipPool* pool(std::uint32_t version) const noexcept {
+    const PoolInfo* info = find(version);
+    return info == nullptr ? nullptr : &info->pool;
+  }
   std::optional<net::Endpoint> select(std::uint32_t version,
                                       const net::FiveTuple& flow) const;
 
@@ -93,13 +98,13 @@ class VipVersionManager {
 
   // --- Introspection --------------------------------------------------------
   const net::Endpoint& vip() const noexcept { return vip_; }
-  std::size_t active_versions() const noexcept { return pools_.size(); }
+  std::size_t active_versions() const noexcept { return live_count_; }
   /// Version numbers with a live pool, ascending (invariant-auditor input).
   std::vector<std::uint32_t> live_versions() const;
-  /// Snapshot of the recycling ring buffer: version numbers currently free
+  /// The recycling ring buffer, oldest first: version numbers currently free
   /// for allocation. A free version must never be referenced anywhere.
-  std::vector<std::uint32_t> free_versions() const {
-    return {free_versions_.begin(), free_versions_.end()};
+  const std::deque<std::uint32_t>& free_versions() const noexcept {
+    return free_versions_;
   }
   std::uint64_t versions_allocated() const noexcept { return allocations_; }
   std::uint64_t versions_reused() const noexcept { return reuses_; }
@@ -125,10 +130,28 @@ class VipVersionManager {
 
   std::optional<std::uint32_t> allocate_version();
 
+  /// `version`'s live pool, or nullptr: one bounds-checked index.
+  const PoolInfo* find(std::uint32_t version) const noexcept {
+    return version < pools_.size() && pools_[version] ? &*pools_[version]
+                                                      : nullptr;
+  }
+  PoolInfo* find(std::uint32_t version) noexcept {
+    return const_cast<PoolInfo*>(std::as_const(*this).find(version));
+  }
+  /// Makes `pool` live as `version`. Growing the table moves every pool, so
+  /// no pointer from find() or pool() survives this call.
+  void install(std::uint32_t version, lb::DipPool pool);
+  /// Destroys `version`'s pool and returns its number to the ring buffer.
+  void destroy(std::uint32_t version, obs::TraceEventKind kind);
+
   net::Endpoint vip_;
   Config config_;
   std::uint32_t current_ = 0;
-  std::map<std::uint32_t, PoolInfo> pools_;
+  /// The version table: slot v holds version v's pool while v is live, so
+  /// iterating it visits versions in ascending order. It grows to the
+  /// highest number allocated so far, not to version_capacity().
+  std::vector<std::optional<PoolInfo>> pools_;
+  std::size_t live_count_ = 0;
   /// DIPs removed from the current pool whose servers are (presumed) down —
   /// the substitution targets version reuse may overwrite (§4.2).
   std::set<net::Endpoint> down_dips_;

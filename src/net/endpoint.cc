@@ -5,8 +5,15 @@
 namespace silkroad::net {
 
 std::string Endpoint::to_string() const {
-  if (ip.is_v6()) return "[" + ip.to_string() + "]:" + std::to_string(port);
-  return ip.to_string() + ":" + std::to_string(port);
+  // Built by appending: gcc 12 reports a false -Wrestrict on
+  // "[" + std::string + "]:", and on assigning a literal to a string.
+  std::string text;
+  if (ip.is_v6()) text += '[';
+  text += ip.to_string();
+  if (ip.is_v6()) text += ']';
+  text += ':';
+  text += std::to_string(port);
+  return text;
 }
 
 std::optional<Endpoint> Endpoint::parse(std::string_view text) {

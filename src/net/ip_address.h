@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <optional>
@@ -85,8 +86,18 @@ class IpAddress {
 
   std::string to_string() const;
 
+  /// Orders by family, then bytes: every std::map, std::set and sort of
+  /// addresses depends on this order.
   friend constexpr auto operator<=>(const IpAddress&, const IpAddress&) noexcept = default;
-  friend constexpr bool operator==(const IpAddress&, const IpAddress&) noexcept = default;
+
+  /// The same equality as the defaulted one, as two 8-byte compares instead
+  /// of a memcmp call: every flat-map probe and 5-tuple compare pays it.
+  friend constexpr bool operator==(const IpAddress& a, const IpAddress& b) noexcept {
+    using Words = std::array<std::uint64_t, 2>;
+    const auto x = std::bit_cast<Words>(a.bytes_);
+    const auto y = std::bit_cast<Words>(b.bytes_);
+    return ((x[0] ^ y[0]) | (x[1] ^ y[1])) == 0 && a.family_ == b.family_;
+  }
 
  private:
   IpFamily family_ = IpFamily::kV4;

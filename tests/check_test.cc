@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "check/invariant_auditor.h"
 #include "check/sr_check.h"
@@ -225,6 +227,292 @@ TEST_F(CheckTest, AuditStaysCleanAcrossAnUpdate) {
   sim_.run();
   EXPECT_TRUE(violated_invariants().empty());  // audit after completion
   EXPECT_EQ(sw_.stats().updates_completed, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden audit: a 3-VIP switch, each corruption alone and then all at once.
+// Every violation is compared in full (family, detail, VIP, version) and in
+// order, against lists captured from the reference implementation.
+// ---------------------------------------------------------------------------
+
+net::Endpoint golden_vip(std::size_t v) {
+  switch (v) {
+    case 0:
+      return {net::IpAddress::v4(0x14000001), 80};
+    case 1:
+      return {net::IpAddress::v4(0x14000002), 443};
+    default:
+      return {net::IpAddress::v6(0x20010DB800000000ULL, 0x10), 80};
+  }
+}
+
+/// Client `c` of VIP `v`; the v6 VIP gets v6 clients.
+net::FiveTuple golden_flow(std::size_t v, std::uint32_t c) {
+  const net::IpAddress src =
+      v == 2 ? net::IpAddress::v6(0x20010DB8000000FFULL, c)
+             : net::IpAddress::v4(0x0B000000 +
+                                  (static_cast<std::uint32_t>(v) << 8) + c);
+  return {{src, 1234}, golden_vip(v), net::Protocol::kTcp};
+}
+
+/// One violation as "family | detail | vip | version" ("-": no version).
+std::string golden_line(const check::Violation& v) {
+  return v.invariant + " | " + v.detail + " | " + v.vip + " | " +
+         (v.version ? std::to_string(*v.version) : "-");
+}
+
+class GoldenAuditTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kInstalled = 6;
+  static constexpr std::uint32_t kPending = 2;
+
+  /// Every VIP gets kInstalled installed flows (clients 0..5) and kPending
+  /// pending ones (clients 100, 101). VIP 1 also completes one update, so it
+  /// holds two live versions: clients 0..5 stay on version 0, clients
+  /// 50..52 land on version 1.
+  GoldenAuditTest() : sw_(sim_, config()) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      std::vector<net::Endpoint> dips;
+      for (std::uint32_t i = 0; i < 6; ++i) {
+        const auto base = static_cast<std::uint32_t>(0x0A000000 + (v << 8));
+        dips.push_back({net::IpAddress::v4(base + i), 20});
+      }
+      sw_.add_vip(golden_vip(v), dips);
+      for (std::uint32_t c = 0; c < kInstalled; ++c) syn(golden_flow(v, c));
+    }
+    sim_.run();
+    workload::DipUpdate update;
+    update.at = sim_.now();
+    update.vip = golden_vip(1);
+    update.dip = {net::IpAddress::v4(0x0A000100 + 5), 20};
+    update.action = workload::UpdateAction::kRemoveDip;
+    sw_.request_update(update);
+    sim_.run();
+    for (std::uint32_t c = 50; c < 53; ++c) syn(golden_flow(1, c));
+    sim_.run();
+    for (std::size_t v = 0; v < 3; ++v) {
+      for (std::uint32_t c = 100; c < 100 + kPending; ++c) {
+        syn(golden_flow(v, c));
+      }
+    }
+  }
+
+  static core::SilkRoadSwitch::Config config() {
+    core::SilkRoadSwitch::Config c;
+    c.conn_table = core::SilkRoadSwitch::conn_table_for(1'000);
+    c.learning = {.capacity = 64, .timeout = sim::kMillisecond};
+    return c;
+  }
+
+  void syn(const net::FiveTuple& flow) {
+    net::Packet packet;
+    packet.flow = flow;
+    packet.syn = true;
+    packet.size_bytes = 64;
+    sw_.process_packet(packet);
+  }
+
+  std::uint32_t first_free(std::size_t v) const {
+    const auto free = sw_.version_manager(golden_vip(v))->free_versions();
+    SR_CHECK(!free.empty());
+    return free.front();
+  }
+
+  std::vector<std::string> audit() const {
+    const check::InvariantAuditor auditor(sw_);
+    std::vector<std::string> lines;
+    for (const auto& violation : auditor.audit()) {
+      lines.push_back(golden_line(violation));
+    }
+    return lines;
+  }
+
+  // The corruptions, one per TestingHooks entry point.
+  void skew() { check::TestingHooks::skew_refcount(sw_, golden_vip(1)); }
+  void stale_entry() {
+    check::TestingHooks::inject_stale_conn_entry(sw_, golden_flow(2, 900),
+                                                 first_free(2));
+  }
+  void unknown_vip_entry() {
+    net::FiveTuple flow = golden_flow(0, 901);
+    flow.dst = {net::IpAddress::v4(0x14000063), 80};
+    check::TestingHooks::inject_stale_conn_entry(sw_, flow, 0);
+  }
+  void slot_accounting() { check::TestingHooks::corrupt_slot_accounting(sw_); }
+  void transit() {
+    check::TestingHooks::pollute_transit(sw_, golden_flow(0, 902));
+  }
+  void second_version() {
+    // Version 1 of VIP 0 is free: the list it lands in is a dead version's.
+    check::TestingHooks::track_under_second_version(sw_, golden_flow(0, 3));
+  }
+  void drop_entry() {
+    check::TestingHooks::drop_conn_entry(sw_, golden_flow(2, 4));
+  }
+  void unresolvable() {
+    check::TestingHooks::flag_unresolvable(sw_, golden_flow(1, 1), true);
+    check::TestingHooks::flag_unresolvable(sw_, golden_flow(0, 2), false);
+  }
+  void repin() {
+    check::TestingHooks::repin_pending(sw_, golden_flow(1, 101), first_free(1));
+  }
+
+  sim::Simulator sim_;
+  core::SilkRoadSwitch sw_;
+};
+
+TEST_F(GoldenAuditTest, HealthySwitchIsClean) {
+  EXPECT_EQ(sw_.conn_table().size(), 3 * kInstalled + 3);
+  EXPECT_EQ(sw_.version_manager(golden_vip(1))->live_versions(),
+            (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(audit(), std::vector<std::string>{});
+}
+
+TEST_F(GoldenAuditTest, SkewedRefcount) {
+  skew();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "refcount-match | vip 20.0.0.2:443 version 1 refcount 6 != 5 tracked "
+      "connections | 20.0.0.2:443 | 1",
+  }));
+}
+
+TEST_F(GoldenAuditTest, StaleConnEntry) {
+  stale_entry();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "version-recycling | recycled version 1 of vip [2001:db8::10]:80 is "
+      "still referenced | [2001:db8::10]:80 | 1",
+      "dip-pool-coverage | ConnTable entry "
+      "[2001:db8:0:ff::384]:1234->[2001:db8::10]:80 resolves to version 1 "
+      "with no DIPPoolTable pool | [2001:db8::10]:80 | 1",
+  }));
+}
+
+TEST_F(GoldenAuditTest, ConnEntryOfUnknownVip) {
+  unknown_vip_entry();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "dip-pool-coverage | ConnTable entry 11.0.3.133:1234->20.0.0.99:80 "
+      "targets unknown VIP |  | -",
+  }));
+}
+
+TEST_F(GoldenAuditTest, SlotAccounting) {
+  slot_accounting();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "sram-accounting | phantom SRAM occupancy: 20 used slots vs 21 "
+      "indexed entries |  | -",
+  }));
+}
+
+TEST_F(GoldenAuditTest, TransitOutsideAnUpdate) {
+  transit();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "transit-window | TransitTable holds state outside an update window "
+      "(1 inserts) |  | -",
+  }));
+}
+
+TEST_F(GoldenAuditTest, ListUnderADeadVersion) {
+  second_version();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "refcount-match | vip 20.0.0.1:80 tracks 1 connections under dead "
+      "version 1 | 20.0.0.1:80 | 1",
+      "refcount-match | flow 11.0.0.3:1234->20.0.0.1:80 tracked under two "
+      "versions of vip 20.0.0.1:80 | 20.0.0.1:80 | -",
+      "version-recycling | recycled version 1 of vip 20.0.0.1:80 is still "
+      "referenced | 20.0.0.1:80 | 1",
+  }));
+}
+
+TEST_F(GoldenAuditTest, DroppedConnEntry) {
+  drop_entry();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "refcount-match | tracked flow "
+      "[2001:db8:0:ff::4]:1234->[2001:db8::10]:80 (version 0) is neither "
+      "pending, installed, nor degraded-pinned | [2001:db8::10]:80 | 0",
+  }));
+}
+
+TEST_F(GoldenAuditTest, GateMembersWhileIdle) {
+  unresolvable();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "transit-window | transit member set non-empty while idle |  | -",
+      "transit-window | pre-update wait set non-empty while idle |  | -",
+  }));
+}
+
+TEST_F(GoldenAuditTest, RepinnedPendingFlow) {
+  repin();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "version-liveness | pending flow 11.0.1.101:1234->20.0.0.2:443 holds "
+      "version 2 which has no live pool | 20.0.0.2:443 | 2",
+      "refcount-match | flow 11.0.1.101:1234->20.0.0.2:443 listed under "
+      "version 1 at 4 but its record says 2 at 4 | 20.0.0.2:443 | 1",
+      "version-recycling | recycled version 2 of vip 20.0.0.2:443 is still "
+      "referenced | 20.0.0.2:443 | 2",
+  }));
+}
+
+TEST_F(GoldenAuditTest, GateMembersDuringAnUpdate) {
+  // VIP 0's pending flows hold the update in Step1.
+  workload::DipUpdate update;
+  update.at = sim_.now();
+  update.vip = golden_vip(0);
+  update.dip = {net::IpAddress::v4(0x0A0000FF), 20};
+  update.action = workload::UpdateAction::kAddDip;
+  sw_.request_update(update);
+  sim_.run_until(sim_.now());
+  ASSERT_TRUE(sw_.update_in_flight());
+  unresolvable();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "transit-window | pre-update flow 11.0.0.2:1234->20.0.0.1:80 has no "
+      "pending insertion and cannot resolve | 20.0.0.1:80 | -",
+      "transit-window | transit member 11.0.1.1:1234->20.0.0.2:443 has no "
+      "pending insertion and cannot resolve | 20.0.0.1:80 | -",
+  }));
+}
+
+TEST_F(GoldenAuditTest, EveryCorruptionAtOnce) {
+  skew();
+  stale_entry();
+  unknown_vip_entry();
+  transit();
+  second_version();
+  drop_entry();
+  unresolvable();
+  repin();
+  slot_accounting();
+  EXPECT_EQ(audit(), (std::vector<std::string>{
+      "version-liveness | pending flow 11.0.1.101:1234->20.0.0.2:443 holds "
+      "version 2 which has no live pool | 20.0.0.2:443 | 2",
+      "refcount-match | tracked flow "
+      "[2001:db8:0:ff::4]:1234->[2001:db8::10]:80 (version 0) is neither "
+      "pending, installed, nor degraded-pinned | [2001:db8::10]:80 | 0",
+      "refcount-match | vip 20.0.0.2:443 version 1 refcount 6 != 5 tracked "
+      "connections | 20.0.0.2:443 | 1",
+      "refcount-match | flow 11.0.1.101:1234->20.0.0.2:443 listed under "
+      "version 1 at 4 but its record says 2 at 4 | 20.0.0.2:443 | 1",
+      "refcount-match | vip 20.0.0.1:80 tracks 1 connections under dead "
+      "version 1 | 20.0.0.1:80 | 1",
+      "refcount-match | flow 11.0.0.3:1234->20.0.0.1:80 tracked under two "
+      "versions of vip 20.0.0.1:80 | 20.0.0.1:80 | -",
+      "version-recycling | recycled version 1 of vip [2001:db8::10]:80 is "
+      "still referenced | [2001:db8::10]:80 | 1",
+      "version-recycling | recycled version 2 of vip 20.0.0.2:443 is still "
+      "referenced | 20.0.0.2:443 | 2",
+      "version-recycling | recycled version 1 of vip 20.0.0.1:80 is still "
+      "referenced | 20.0.0.1:80 | 1",
+      "transit-window | TransitTable holds state outside an update window "
+      "(1 inserts) |  | -",
+      "transit-window | transit member set non-empty while idle |  | -",
+      "transit-window | pre-update wait set non-empty while idle |  | -",
+      "sram-accounting | phantom SRAM occupancy: 21 used slots vs 22 "
+      "indexed entries |  | -",
+      "dip-pool-coverage | ConnTable entry "
+      "[2001:db8:0:ff::384]:1234->[2001:db8::10]:80 resolves to version 1 "
+      "with no DIPPoolTable pool | [2001:db8::10]:80 | 1",
+      "dip-pool-coverage | ConnTable entry 11.0.3.133:1234->20.0.0.99:80 "
+      "targets unknown VIP |  | -",
+  }));
 }
 
 using CheckDeathTest = CheckTest;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -262,6 +264,166 @@ TEST(AddressHash, MatchesHashBytesOverRandomAddressesAndSeeds) {
     ASSERT_EQ(hash_address(ip, seed),
               hash_bytes(std::span<const std::uint8_t>(ip.bytes()), seed))
         << ip.to_string() << " seed " << seed;
+  }
+}
+
+// --- Equality and order: word-wise ==, field-wise <=> ----------------------
+
+// The byte-wise definitions the operators must match: the family, then the
+// 16 address bytes (IPv4 zero-filled), then the ports and the protocol.
+bool reference_equal(const IpAddress& a, const IpAddress& b) {
+  return a.family() == b.family() &&
+         std::memcmp(a.bytes().data(), b.bytes().data(), 16) == 0;
+}
+bool reference_equal(const Endpoint& a, const Endpoint& b) {
+  return reference_equal(a.ip, b.ip) && a.port == b.port;
+}
+bool reference_equal(const FiveTuple& a, const FiveTuple& b) {
+  return reference_equal(a.src, b.src) && reference_equal(a.dst, b.dst) &&
+         a.proto == b.proto;
+}
+int reference_compare(const IpAddress& a, const IpAddress& b) {
+  if (a.family() != b.family()) return a.family() < b.family() ? -1 : 1;
+  return std::memcmp(a.bytes().data(), b.bytes().data(), 16);
+}
+bool reference_less(const Endpoint& a, const Endpoint& b) {
+  const int ip = reference_compare(a.ip, b.ip);
+  return ip != 0 ? ip < 0 : a.port < b.port;
+}
+
+static_assert(IpAddress::v4(0x0A000001) == IpAddress::v4(0x0A000001));
+static_assert(!(IpAddress::v4(0x0A000001) == IpAddress::v4(0x0A000002)));
+static_assert(!(IpAddress::v4(0) == IpAddress::v6(0, 0)));
+static_assert(IpAddress::v6(1, 2) == IpAddress::v6(1, 2));
+static_assert(!(IpAddress::v6(1, 2) == IpAddress::v6(1, 3)));
+
+/// An address that shares its bytes but not its family with `a`, when one
+/// exists (a v6 address needs a zero tail to have a v4 twin).
+std::optional<IpAddress> family_twin(const IpAddress& a) {
+  if (a.is_v4()) return IpAddress::v6(a.bytes());
+  for (std::size_t i = 4; i < 16; ++i) {
+    if (a.bytes()[i] != 0) return std::nullopt;
+  }
+  return IpAddress::v4(a.v4_value());
+}
+
+/// `a` with one thing changed: a byte, the family, or nothing.
+IpAddress near(sim::Rng& rng, const IpAddress& a) {
+  switch (rng.next() % 4) {
+    case 0:
+      return a;
+    case 1: {
+      if (const auto twin = family_twin(a)) return *twin;
+      return a;
+    }
+    case 2: {
+      auto bytes = a.bytes();
+      bytes[rng.next() % a.wire_bytes()] ^=
+          static_cast<std::uint8_t>(1u << (rng.next() % 8));
+      if (a.is_v6()) return IpAddress::v6(bytes);
+      return IpAddress::v4(IpAddress::v6(bytes).v4_value());
+    }
+    default:
+      return random_address(rng, rng.next() % 2 == 0);
+  }
+}
+
+IpAddress random_short_address(sim::Rng& rng) {
+  // Half of the v6 addresses have a zero tail, so they have v4 twins.
+  if (rng.next() % 2 == 0) return random_address(rng, false);
+  std::array<std::uint8_t, 16> bytes{};
+  const std::size_t n = rng.next() % 2 == 0 ? 4 : 16;
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(rng.next() % 4);
+  }
+  return IpAddress::v6(bytes);
+}
+
+TEST(Equality, MatchesByteWiseReferenceOverRandomPairs) {
+  sim::Rng rng(0xE0A1E0A1ULL);
+  std::size_t equal = 0;
+  std::size_t twins = 0;
+  for (int i = 0; i < 200'000; ++i) {
+    const IpAddress a = random_short_address(rng);
+    const IpAddress b = near(rng, a);
+    ASSERT_EQ(a == b, reference_equal(a, b)) << a.to_string() << " "
+                                             << b.to_string();
+    ASSERT_EQ(a != b, !reference_equal(a, b));
+    equal += reference_equal(a, b) ? 1 : 0;
+    twins += a.bytes() == b.bytes() && a.family() != b.family() ? 1 : 0;
+
+    const Endpoint ea{a, static_cast<std::uint16_t>(rng.next() % 3)};
+    const Endpoint eb{near(rng, a), rng.next() % 2 == 0
+                                        ? ea.port
+                                        : static_cast<std::uint16_t>(
+                                              rng.next() % 3)};
+    ASSERT_EQ(ea == eb, reference_equal(ea, eb)) << ea.to_string() << " "
+                                                 << eb.to_string();
+
+    FiveTuple ta{ea, eb, Protocol::kTcp};
+    FiveTuple tb = ta;
+    switch (rng.next() % 4) {
+      case 0:
+        tb.src.ip = near(rng, ta.src.ip);
+        break;
+      case 1:
+        tb.dst.ip = near(rng, ta.dst.ip);
+        break;
+      case 2:
+        tb.proto = Protocol::kUdp;
+        break;
+      default:
+        break;
+    }
+    ASSERT_EQ(ta == tb, reference_equal(ta, tb)) << ta.to_string() << " "
+                                                 << tb.to_string();
+  }
+  // Both outcomes, and same-bytes-other-family pairs, are well represented.
+  EXPECT_GT(equal, 20'000u);
+  EXPECT_GT(twins, 20'000u);
+}
+
+TEST(Equality, SameBytesDifferentFamilyDiffer) {
+  const IpAddress v4 = IpAddress::v4(0x0A000001);
+  const IpAddress v6 = IpAddress::v6(v4.bytes());
+  ASSERT_EQ(v4.bytes(), v6.bytes());
+  EXPECT_FALSE(v4 == v6);
+  EXPECT_FALSE((Endpoint{v4, 80} == Endpoint{v6, 80}));
+  const FiveTuple t{{v4, 1}, {v4, 80}, Protocol::kTcp};
+  FiveTuple u = t;
+  u.dst.ip = v6;
+  EXPECT_FALSE(t == u);
+  u.dst.ip = v4;
+  EXPECT_TRUE(t == u);
+}
+
+TEST(Ordering, SortMatchesFamilyThenBytesReference) {
+  sim::Rng rng(0x50127ULL);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<Endpoint> endpoints;
+    for (int i = 0; i < 400; ++i) {
+      const IpAddress ip = i > 0 && rng.next() % 4 == 0
+                               ? near(rng, endpoints.back().ip)
+                               : random_short_address(rng);
+      endpoints.push_back({ip, static_cast<std::uint16_t>(rng.next() % 3)});
+    }
+    std::vector<Endpoint> by_operator = endpoints;
+    std::sort(by_operator.begin(), by_operator.end());
+    std::vector<Endpoint> by_reference = endpoints;
+    std::sort(by_reference.begin(), by_reference.end(), reference_less);
+    for (std::size_t i = 0; i < endpoints.size(); ++i) {
+      ASSERT_TRUE(reference_equal(by_operator[i], by_reference[i]))
+          << "round " << round << " position " << i << ": "
+          << by_operator[i].to_string() << " vs "
+          << by_reference[i].to_string();
+    }
+    // The two orders agree pair by pair, not only after sorting.
+    for (std::size_t i = 1; i < endpoints.size(); ++i) {
+      const Endpoint& a = endpoints[i - 1];
+      const Endpoint& b = endpoints[i];
+      ASSERT_EQ(a < b, reference_less(a, b));
+      ASSERT_EQ(a.ip < b.ip, reference_compare(a.ip, b.ip) < 0);
+    }
   }
 }
 

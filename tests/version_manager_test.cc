@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <vector>
+
+#include "check/sr_check.h"
 #include "core/version_manager.h"
 
 namespace silkroad::core {
@@ -235,6 +239,113 @@ TEST(VipVersionManager, PoolTableBytesGrowWithVersions) {
   const auto staged = mgr.stage_update(remove_update(make_dips(10)[0]));
   mgr.commit(staged->target_version);
   EXPECT_GT(mgr.pool_table_bytes(), base);
+}
+
+// --- The version table: one slot per version number ----------------------
+
+/// Stages and commits a removal of DIP `i`, holding one reference on the
+/// displaced version so it stays live.
+std::uint32_t flip_holding_current(VipVersionManager& mgr, std::size_t i) {
+  const auto staged = mgr.stage_update(remove_update(make_dips(16)[i]));
+  SR_CHECK(staged.has_value());
+  mgr.acquire(mgr.current_version());
+  mgr.commit(staged->target_version);
+  return staged->target_version;
+}
+
+TEST(VipVersionManager, EvictionTieGoesToTheLowestVersionNumber) {
+  // 2-bit versions, ring 1, 2, 3. Version 0 is recycled and reallocated
+  // last, so the lowest tied number is also the newest.
+  VipVersionManager mgr(vip_ep(), make_dips(16), test_config(false, 2));
+  EXPECT_EQ(flip_holding_current(mgr, 0), 1u);  // 0 held
+  EXPECT_EQ(flip_holding_current(mgr, 1), 2u);  // 1 held
+  mgr.release(0);                                // ring: 3, 0
+  EXPECT_EQ(mgr.free_versions(), (std::deque<std::uint32_t>{3, 0}));
+  EXPECT_EQ(flip_holding_current(mgr, 2), 3u);  // 2 held, current 3
+  const auto staged = mgr.stage_update(remove_update(make_dips(16)[3]));
+  ASSERT_TRUE(staged.has_value());
+  ASSERT_EQ(staged->target_version, 0u);  // staged, not committed
+  mgr.acquire(0);
+  // Versions 0, 1 and 2 each hold one reference; 3 is current.
+  EXPECT_EQ(mgr.live_versions(), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(mgr.eviction_candidate(), 0u);
+  mgr.acquire(0);
+  EXPECT_EQ(mgr.eviction_candidate(), 1u);
+  mgr.acquire(1);
+  EXPECT_EQ(mgr.eviction_candidate(), 2u);
+}
+
+TEST(VipVersionManager, LiveVersionsStayAscendingAfterOutOfOrderReleases) {
+  // 3-bit versions: the ring hands back released numbers once 1..7 are
+  // used, so allocation order and number order part.
+  VipVersionManager mgr(vip_ep(), make_dips(16), test_config(false, 3));
+  for (std::size_t i = 0; i < 7; ++i) flip_holding_current(mgr, i);
+  EXPECT_EQ(mgr.current_version(), 7u);
+  EXPECT_EQ(mgr.active_versions(), 8u);
+  EXPECT_TRUE(mgr.free_versions().empty());
+  const std::size_t full_bytes = mgr.pool_table_bytes();
+  mgr.release(5);
+  mgr.release(2);
+  mgr.release(6);
+  EXPECT_EQ(mgr.live_versions(), (std::vector<std::uint32_t>{0, 1, 3, 4, 7}));
+  EXPECT_EQ(mgr.active_versions(), 5u);
+  EXPECT_EQ(mgr.pool(5), nullptr);
+  EXPECT_LT(mgr.pool_table_bytes(), full_bytes);
+  EXPECT_EQ(flip_holding_current(mgr, 7), 5u);
+  EXPECT_EQ(flip_holding_current(mgr, 8), 2u);
+  EXPECT_EQ(mgr.live_versions(),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 7}));
+  EXPECT_EQ(mgr.current_version(), 2u);
+  std::size_t bytes = 0;
+  for (const std::uint32_t version : mgr.live_versions()) {
+    bytes += mgr.pool(version)->wire_bytes();
+  }
+  EXPECT_EQ(mgr.pool_table_bytes(), bytes);
+}
+
+TEST(VipVersionManager, TenBitManagerUsesNumbersAboveSixtyThree) {
+  VipVersionManager mgr(vip_ep(), make_dips(16), test_config(false, 10));
+  EXPECT_EQ(mgr.version_capacity(), 1024u);
+  // Remove and re-add one DIP 50 times: 100 versions, all held.
+  const net::Endpoint dip = make_dips(16)[0];
+  for (int round = 0; round < 50; ++round) {
+    for (const auto& update : {remove_update(dip), add_update(dip)}) {
+      const auto staged = mgr.stage_update(update);
+      ASSERT_TRUE(staged.has_value());
+      mgr.acquire(mgr.current_version());
+      mgr.commit(staged->target_version);
+    }
+  }
+  EXPECT_EQ(mgr.current_version(), 100u);
+  EXPECT_EQ(mgr.active_versions(), 101u);
+  const auto live = mgr.live_versions();
+  ASSERT_EQ(live.size(), 101u);
+  for (std::uint32_t v = 0; v <= 100; ++v) EXPECT_EQ(live[v], v);
+  ASSERT_NE(mgr.pool(99), nullptr);
+  EXPECT_EQ(mgr.refcount(99), 1);
+  EXPECT_EQ(mgr.pool(101), nullptr);
+  EXPECT_EQ(mgr.refcount(101), -1);
+  // Recycling a number above 63 puts it back at the ring's end.
+  mgr.release(64);
+  EXPECT_EQ(mgr.pool(64), nullptr);
+  EXPECT_EQ(mgr.free_versions().back(), 64u);
+  EXPECT_EQ(mgr.free_versions().size(), 1024u - 100u);
+  mgr.force_destroy(99);
+  EXPECT_EQ(mgr.free_versions().back(), 99u);
+  EXPECT_EQ(mgr.active_versions(), 99u);
+  EXPECT_EQ(mgr.eviction_candidate(), 0u);
+}
+
+TEST(VipVersionManagerDeathTest, AcquirePastTheTableAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  VipVersionManager mgr(vip_ep(), make_dips(4), test_config());
+  // The table holds only version 0: these numbers lie past its end.
+  EXPECT_DEATH(mgr.acquire(1), "acquire of dead version 1");
+  EXPECT_DEATH(mgr.acquire(63), "acquire of dead version 63");
+  EXPECT_DEATH(mgr.acquire(4'000'000'000u),
+               "acquire of dead version 4000000000");
+  EXPECT_EQ(mgr.pool(4'000'000'000u), nullptr);
+  EXPECT_EQ(mgr.refcount(4'000'000'000u), -1);
 }
 
 }  // namespace
