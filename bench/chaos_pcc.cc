@@ -17,26 +17,11 @@ using namespace silkroad;
 
 namespace {
 
+using namespace bench::chaos;
+using bench::dips_of;
+using bench::vip_of;
+
 constexpr std::uint64_t kSeed = 0;
-constexpr std::size_t kSwitches = 3;
-constexpr std::size_t kVips = 2;
-constexpr std::size_t kDipsPerVip = 8;
-constexpr sim::Time kHorizon = 30 * sim::kSecond;
-
-net::Endpoint vip_of(std::size_t v) {
-  return {net::IpAddress::v4(0x14000001 + static_cast<std::uint32_t>(v)), 80};
-}
-
-std::vector<net::Endpoint> dips_of(std::size_t v) {
-  std::vector<net::Endpoint> dips;
-  for (std::size_t i = 0; i < kDipsPerVip; ++i) {
-    dips.push_back(
-        {net::IpAddress::v4(0x0A000000 +
-                            static_cast<std::uint32_t>(v * 256 + i)),
-         20});
-  }
-  return dips;
-}
 
 core::SilkRoadSwitch::Config chaos_switch_config() {
   core::SilkRoadSwitch::Config config;
@@ -52,20 +37,6 @@ core::SilkRoadSwitch::Config chaos_switch_config() {
   return config;
 }
 
-fault::ControlChannel::Config chaos_channel_config() {
-  fault::ControlChannel::Config channel;
-  channel.base_delay = 200 * sim::kMicrosecond;
-  channel.jitter = 100 * sim::kMicrosecond;
-  channel.drop_probability = 0.05;
-  channel.reorder_probability = 0.05;
-  channel.reorder_extra = 300 * sim::kMicrosecond;
-  channel.retry_timeout = 1 * sim::kMillisecond;
-  channel.retry_backoff = 2.0;
-  channel.resync_after_retries = 5;
-  channel.seed = 0xC0117301ULL ^ kSeed;
-  return channel;
-}
-
 }  // namespace
 
 int main() {
@@ -76,7 +47,7 @@ int main() {
 
   sim::Simulator sim;
   deploy::SilkRoadFleet fleet(sim, chaos_switch_config(), kSwitches,
-                              0xFEE7ULL + kSeed, chaos_channel_config());
+                              0xFEE7ULL + kSeed, channel_config(kSeed));
 
   obs::MetricsRegistry fault_registry;
   fault::FaultPlan plan = fault::FaultPlan::random(
@@ -102,12 +73,12 @@ int main() {
     load.arrivals_per_min = 4800;
     load.profile = {"chaos", 2.0, 10.0, 1e6, 5e6};
     scenario_config.vip_loads.push_back(load);
-    scenario_config.dip_pools.push_back(dips_of(v));
+    scenario_config.dip_pools.push_back(dips_of(v, kDipsPerVip));
     for (std::size_t i = 0; i < kDipsPerVip; ++i) {
-      dip_index[dips_of(v)[i]] = v * kDipsPerVip + i;
+      dip_index[dips_of(v, kDipsPerVip)[i]] = v * kDipsPerVip + i;
     }
     const sim::Time base = (3 + 6 * v) * sim::kSecond;
-    const auto dip = dips_of(v)[7];
+    const auto dip = dips_of(v, kDipsPerVip)[7];
     scenario_config.updates.push_back({base, vip_of(v), dip,
                                        workload::UpdateAction::kRemoveDip,
                                        workload::UpdateCause::kServiceUpgrade});
@@ -139,7 +110,9 @@ int main() {
         scenario.note_dip_up(dip);
       });
   for (std::size_t v = 0; v < kVips; ++v) {
-    for (const auto& dip : dips_of(v)) checker.watch(vip_of(v), dip);
+    for (const auto& dip : dips_of(v, kDipsPerVip)) {
+      checker.watch(vip_of(v), dip);
+    }
   }
 
   std::uint64_t crash_exempted = 0;

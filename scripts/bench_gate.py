@@ -30,7 +30,9 @@ another machine, and libm or compiler differences may move a last digit.
 Override keys are "<bench>.<metric>" where <bench> is the BENCH_<bench>.json
 stem and <metric> the sample name (labels are appended as {labels} when
 present). Missing benches or metrics on either side fail the gate: a deleted
-headline is a regression until the baseline is re-recorded.
+headline is a regression until the baseline is re-recorded. An override whose
+key names no metric in any baseline fails too, so a deleted headline's band
+goes with it. Keys starting with "_" are comments.
 
 Coverage: every bench target declared in bench/CMakeLists.txt must either
 have a committed baseline or an EXEMPT_BENCHES entry (with a reason) below —
@@ -89,15 +91,25 @@ def known_benches(bench_dir: Path) -> set[str]:
 
 def check_coverage(baseline_dir: Path) -> int:
     """Returns the number of benches neither baselined nor exempted (and
-    flags stale exemptions/baselines for benches that no longer exist)."""
+    flags stale exemptions/baselines for benches that no longer exist, and
+    tolerance overrides that name no baselined metric)."""
+    failures = 0
+    baselined_metrics = {
+        f"{p.stem.removeprefix('BENCH_')}.{metric}"
+        for p in baseline_dir.glob("BENCH_*.json")
+        for metric in load_bench_json(p)}
+    for key in sorted(load_tolerances(baseline_dir).get("overrides", {})):
+        if not key.startswith("_") and key not in baselined_metrics:
+            print(f"FAIL coverage: tolerances.json override '{key}' names no "
+                  f"metric in any baseline (headline deleted? drop the band)")
+            failures += 1
     benches = known_benches(baseline_dir.parent)
     if not benches:
         print(f"bench_gate: no bench/CMakeLists.txt next to {baseline_dir} — "
               f"skipping coverage check")
-        return 0
+        return failures
     baselined = {p.stem.removeprefix("BENCH_")
                  for p in baseline_dir.glob("BENCH_*.json")}
-    failures = 0
     for bench in sorted(benches - baselined - set(EXEMPT_BENCHES)):
         print(f"FAIL coverage: bench '{bench}' has neither a baseline "
               f"(bench/baselines/BENCH_{bench}.json) nor an EXEMPT_BENCHES "
@@ -275,6 +287,25 @@ def self_test(baseline_dir: Path, tmp_root: Path) -> int:
     if compare(baseline_dir, identical, exact=True) != 0:
         print("bench_gate --self-test: FAILED (--exact rejected an identical "
               "candidate)", file=sys.stderr)
+        return 1
+
+    # A band for a metric no baseline has must fail the gate, even against a
+    # candidate identical to the baselines.
+    stale = tmp_root / "stale_band"
+    if stale.exists():
+        shutil.rmtree(stale)
+    stale.mkdir(parents=True)
+    for path in baseline_files:
+        shutil.copy(path, stale / path.name)
+    tolerances = load_tolerances(baseline_dir)
+    tolerances.setdefault("overrides", {})[
+        f"{baseline_files[0].stem.removeprefix('BENCH_')}.no_such_metric"] = {
+            "rel_tol": 0.0, "abs_tol": 1.0}
+    (stale / "tolerances.json").write_text(json.dumps(tolerances))
+    print("--- self-test: an override naming no baselined metric must fail ---")
+    if compare(stale, identical) == 0:
+        print("bench_gate --self-test: FAILED (stale tolerance override not "
+              "caught)", file=sys.stderr)
         return 1
     print("bench_gate --self-test: OK")
     return 0
