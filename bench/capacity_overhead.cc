@@ -13,11 +13,10 @@ using namespace silkroad;
 
 namespace {
 
-// Two replays make an off run about 0.33 s of CPU, at least as long as this
-// gate's runs were before the control path got cheaper (0.10-0.24 s). Ten
-// invocations each at one and two replays showed no narrower spread of the
-// gated ratio at two (EXPERIMENTS.md).
-constexpr int kReplays = 2;
+// One replay per run. Ten invocations each at one and two replays showed no
+// narrower spread of the gated ratio at two, which doubled this bench's CPU
+// (EXPERIMENTS.md).
+constexpr int kReplays = 1;
 
 struct Outcome {
   bench::chaos::MaintenanceCycle::Behavior behavior;

@@ -39,9 +39,10 @@ struct InvariantAuditor::Vip {
   const SilkRoadSwitch::VipState* state = nullptr;
   /// state->versions->live_versions(), computed once per audit.
   std::vector<std::uint32_t> live;
-  /// The row's words in Pass::referenced. They cover every version number
-  /// below the version capacity, below the end of its version lists and up
-  /// to its largest free number, so a version past them is never free.
+  /// The row's words in Pass::referenced and Pass::live. They cover every
+  /// version number below the version capacity, below the end of its version
+  /// lists and up to its largest free or live number, so a version past them
+  /// is neither free nor live.
   std::size_t first_word = 0;
   std::size_t words = 0;
 };
@@ -54,6 +55,9 @@ struct InvariantAuditor::Pass {
   /// One bit per (VIP, version) that a ConnTable entry, a non-dead pending
   /// flow or a version list references.
   std::vector<std::uint64_t> referenced;
+  /// One bit per (VIP, version) with a live pool: Vip::live as bits, so that
+  /// `pool(v) != nullptr` is one bit test.
+  std::vector<std::uint64_t> live;
 
   /// Records walk: the S and S2 flags, and the flagged flows that have no
   /// pending insertion (transit-window reports them inside a window only).
@@ -76,6 +80,11 @@ struct InvariantAuditor::Pass {
     if (version / 64 >= row.words) return;
     referenced[row.first_word + version / 64] |= std::uint64_t{1}
                                                  << (version % 64);
+  }
+  /// Whether `version` of `row` has a live pool.
+  bool is_live(const Vip& row, std::uint32_t version) const {
+    return version / 64 < row.words &&
+           (live[row.first_word + version / 64] >> (version % 64) & 1) != 0;
   }
 };
 
@@ -103,12 +112,21 @@ InvariantAuditor::Pass InvariantAuditor::begin_pass() const {
     for (const std::uint32_t version : mgr.free_versions()) {
       range = std::max(range, std::size_t{version} + 1);
     }
+    std::vector<std::uint32_t> live = mgr.live_versions();  // ascending
+    if (!live.empty()) range = std::max(range, std::size_t{live.back()} + 1);
     const std::size_t row_words = (range + 63) / 64;
     pass.index.try_emplace(vip, static_cast<std::uint32_t>(pass.vips.size()));
-    pass.vips.push_back({&vip, &state, mgr.live_versions(), words, row_words});
+    pass.vips.push_back({&vip, &state, std::move(live), words, row_words});
     words += row_words;
   }
   pass.referenced.assign(words, 0);
+  pass.live.assign(words, 0);
+  for (const Vip& row : pass.vips) {
+    for (const std::uint32_t version : row.live) {
+      pass.live[row.first_word + version / 64] |= std::uint64_t{1}
+                                                  << (version % 64);
+    }
+  }
   return pass;
 }
 
@@ -131,7 +149,7 @@ void InvariantAuditor::walk_records(Pass& pass,
         continue;
       }
       pass.reference(*row, record.version);
-      if (row->state->versions->pool(record.version) == nullptr) {
+      if (!pass.is_live(*row, record.version)) {
         out.push_back(make("version-liveness",
                            "pending flow " + flow_str(flow) +
                                " holds version " +
@@ -157,8 +175,7 @@ void InvariantAuditor::walk_records(Pass& pass,
     }
     if (record.state == FlowState::kDegraded) {
       const Vip* row = pass.find(vip);
-      if (row == nullptr ||
-          row->state->versions->pool(record.version) == nullptr) {
+      if (row == nullptr || !pass.is_live(*row, record.version)) {
         out.push_back(make("version-liveness",
                            "degraded flow " + flow_str(flow) +
                                " is pinned to version " +
@@ -202,7 +219,7 @@ void InvariantAuditor::walk_version_lists(Pass& pass,
       const auto& members = lists[version];
       if (members.empty()) continue;
       pass.reference(row, version);
-      if (mgr.pool(version) == nullptr) {
+      if (!pass.is_live(row, version)) {
         out.push_back(make("refcount-match",
                            "vip " + vip.to_string() + " tracks " +
                                std::to_string(members.size()) +
@@ -259,7 +276,7 @@ void InvariantAuditor::walk_conn_table(Pass& pass) const {
           return;
         }
         pass.reference(*row, value);
-        if (row->state->versions->pool(value) == nullptr) {
+        if (!pass.is_live(*row, value)) {
           pass.uncovered.push_back(
               make("dip-pool-coverage",
                    "ConnTable entry " + flow_str(key) + " resolves to version " +

@@ -91,11 +91,12 @@ PacketLevelRunner::Stats PacketLevelRunner::run(
   }
   run_flows_ = &flows;
   states_.assign(flows.size(), FlowState{});
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    sim_.schedule_at(flows[i].start, [this, i] {
-      send_packet(i, /*syn=*/true, /*fin=*/false);
-    });
-  }
+  // Lazy replay: flow i's SYN takes sequence number i of the block reserved
+  // here, the one queuing every SYN up front would have given it, and each
+  // packet then queues its flow's next one.
+  starts_.begin(sim_, flows, 1, [this](std::size_t i, std::uint64_t) {
+    send_packet(i, /*syn=*/true, /*fin=*/false);
+  });
   sim_.run();
   run_flows_ = nullptr;
   Stats stats;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "lb/load_balancer.h"
+#include "lb/start_chain.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "workload/flow_gen.h"
@@ -78,6 +79,8 @@ class PacketLevelRunner {
   /// The flows of the current run() and their audit state.
   const std::vector<workload::Flow>* run_flows_ = nullptr;
   std::vector<FlowState> states_;
+  /// Queues the run's flow starts one at a time.
+  StartChain starts_;
   std::size_t open_flows_ = 0;  // established, FIN not yet sent
   /// DIPs currently out of service (server-down exemption, as in Scenario).
   std::unordered_set<net::Endpoint, net::EndpointHash> down_dips_;

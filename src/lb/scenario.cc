@@ -1,6 +1,7 @@
 #include "lb/scenario.h"
 
 #include <map>
+#include <type_traits>
 
 #include "check/sr_check.h"
 
@@ -92,12 +93,24 @@ ScenarioStats Scenario::run() {
         [this](const workload::Flow& f) { on_flow_start(f); },
         [this](const workload::Flow& f) { on_flow_end(f); });
   } else {
-    // config_ outlives the run, so the events point into it rather than
-    // copy the flow.
-    for (const auto& flow : config_.replay_flows) {
-      sim_.schedule_at(flow.start, [this, &flow] { on_flow_start(flow); });
-      sim_.schedule_at(flow.end, [this, &flow] { on_flow_end(flow); });
-    }
+    // Lazy replay: the queue holds the next start and the started flows'
+    // ends. Flow i's start and end take sequence numbers 2i and 2i + 1 of the
+    // block reserved here, the ones queuing both events of every flow up front
+    // would have given them. config_ outlives the run, so the events name the
+    // flow by index rather than copy it.
+    starts_.begin(sim_, config_.replay_flows, 2,
+                  [this](std::size_t i, std::uint64_t seq) {
+                    auto end = [this, i] {
+                      on_flow_end(config_.replay_flows[i]);
+                    };
+                    static_assert(sizeof(end) <= 16 &&
+                                      std::is_trivially_copyable_v<decltype(end)>,
+                                  "replay events must fit std::function's "
+                                  "inline buffer");
+                    sim_.schedule_reserved(config_.replay_flows[i].end,
+                                           seq + 1, end);
+                    on_flow_start(config_.replay_flows[i]);
+                  });
   }
   sim_.run();
   settle_volume();

@@ -19,6 +19,7 @@
 
 #include "lb/load_balancer.h"
 #include "lb/pcc_tracker.h"
+#include "lb/start_chain.h"
 #include "net/flat_map.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -125,6 +126,8 @@ class Scenario {
   ScenarioConfig config_;
   PccTracker tracker_;
   std::unique_ptr<workload::FlowGenerator> flow_gen_;
+  /// Queues replay_flows' starts one at a time.
+  StartChain starts_;
   std::unordered_map<net::Endpoint, VipRegistry, net::EndpointHash> registry_;
   /// DIPs currently removed from service (maintained from the update stream).
   std::unordered_set<net::Endpoint, net::EndpointHash> down_dips_;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "lb/dip_pool.h"
@@ -12,6 +14,7 @@
 #include "lb/pcc_tracker.h"
 #include "lb/scenario.h"
 #include "lb/slb.h"
+#include "recording_balancer.h"
 
 namespace silkroad::lb {
 namespace {
@@ -466,6 +469,88 @@ TEST(Scenario, ReplayFlowsDriveTheRunVerbatim) {
   EXPECT_EQ(stats.flows, 50u);
   EXPECT_EQ(stats.violations, 0u);
   EXPECT_GT(stats.total_bytes, 0.0);
+}
+
+/// A replay of tie_heavy_trace with three update batches: two updates at a
+/// start instant (40 ns, where one flow ends and another starts), one where
+/// a flow ends and another starts (25 ns), and one on its own.
+ScenarioConfig tie_heavy_config(bool shuffle) {
+  ScenarioConfig config;
+  config.horizon = sim::kMinute;
+  config.vip_loads = {{vip_ep(), 0.0, workload::FlowProfile::hadoop(), false}};
+  config.dip_pools = {make_dips(4)};
+  config.replay_flows = tie_heavy_trace(vip_ep());
+  if (shuffle) config.replay_flows = shuffled(config.replay_flows);
+  const auto dips = make_dips(4);
+  const auto update = [](sim::Time at, const net::Endpoint& dip,
+                         workload::UpdateAction action) {
+    return workload::DipUpdate{
+        .at = at, .vip = vip_ep(), .dip = dip, .action = action};
+  };
+  config.updates = {update(40, dips[1], workload::UpdateAction::kRemoveDip),
+                    update(25, dips[2], workload::UpdateAction::kRemoveDip),
+                    update(40, dips[3], workload::UpdateAction::kRemoveDip),
+                    update(300, dips[1], workload::UpdateAction::kAddDip)};
+  return config;
+}
+
+/// The calls a run of `config` makes on a RecordingBalancer with no inner
+/// balancer (every SYN mapped, no mapping-risk probes) when every event is
+/// queued before the first runs: by time, then the update batches, then flow
+/// i's start (sequence 2i) and end (2i + 1) by index in replay_flows.
+std::vector<RecordingBalancer::Call> eager_order(const ScenarioConfig& config) {
+  using Call = RecordingBalancer::Call;
+  std::map<sim::Time, std::vector<Call>> batches;
+  for (const auto& u : config.updates) {
+    batches[u.at].push_back({u.at, {}, u.dip, false, false});
+  }
+  std::map<std::tuple<sim::Time, std::uint64_t>, std::vector<Call>> events;
+  std::uint64_t seq = 0;
+  for (const auto& [at, calls] : batches) events[{at, seq++}] = calls;
+  for (const auto& f : config.replay_flows) {
+    events[{f.start, seq++}] = {{f.start, f.tuple, {}, true, false}};
+    events[{f.end, seq++}] = {{f.end, f.tuple, {}, false, true}};
+  }
+  std::vector<Call> order;
+  for (const auto& [key, calls] : events) {
+    order.insert(order.end(), calls.begin(), calls.end());
+  }
+  return order;
+}
+
+TEST(Scenario, ReplayRunsInTheEagerOrder) {
+  for (const bool shuffle : {false, true}) {
+    const ScenarioConfig config = tie_heavy_config(shuffle);
+    sim::Simulator sim;
+    RecordingBalancer recorder(sim);
+    Scenario scenario(sim, recorder, config);
+    const auto stats = scenario.run();
+    EXPECT_EQ(stats.flows, config.replay_flows.size());
+    EXPECT_EQ(recorder.calls(), eager_order(config)) << "shuffled " << shuffle;
+  }
+}
+
+TEST(Scenario, ReplayQueuesOnlyOpenFlows) {
+  for (const bool shuffle : {false, true}) {
+    const ScenarioConfig config = tie_heavy_config(shuffle);
+    sim::Simulator sim;
+    RecordingBalancer recorder(sim);
+    Scenario scenario(sim, recorder, config);
+    scenario.run();
+    // The open flows' ends, the next start and the three update batches.
+    EXPECT_LE(recorder.peak_pending(),
+              open_flow_peak(config.replay_flows) + 3 + 2)
+        << "shuffled " << shuffle;
+  }
+}
+
+TEST(ScenarioDeathTest, RejectsAReplayFlowEndingBeforeItStarts) {
+  ScenarioConfig config = tie_heavy_config(false);
+  config.replay_flows[5].end = config.replay_flows[5].start - 1;
+  sim::Simulator sim;
+  RecordingBalancer recorder(sim);
+  Scenario scenario(sim, recorder, config);
+  EXPECT_DEATH(scenario.run(), "replay flow 5 ends before it starts");
 }
 
 TEST(Scenario, EcmpViolatesUnderUpdates) {

@@ -13,6 +13,7 @@
 #include "lb/packet_level.h"
 #include "lb/scenario.h"
 #include "lb/slb.h"
+#include "recording_balancer.h"
 
 namespace silkroad::lb {
 namespace {
@@ -133,60 +134,6 @@ TEST(PacketLevelAgreement, SlbCleanAtPacketGranularity) {
   EXPECT_EQ(packet.violations, 0u);
 }
 
-/// Forwards to an inner balancer and logs every packet it is handed.
-class RecordingBalancer : public LoadBalancer {
- public:
-  struct Seen {
-    sim::Time at;
-    bool syn;
-    bool fin;
-  };
-
-  RecordingBalancer(const sim::Simulator& sim, LoadBalancer& inner)
-      : sim_(sim), inner_(inner) {}
-
-  std::string name() const override { return inner_.name(); }
-  void add_vip(const net::Endpoint& vip,
-               const std::vector<net::Endpoint>& dips) override {
-    inner_.add_vip(vip, dips);
-  }
-  void request_update(const workload::DipUpdate& update) override {
-    inner_.request_update(update);
-  }
-  PacketResult process_packet(const net::Packet& packet) override {
-    seen_[packet.flow.src.port].push_back(
-        {sim_.now(), packet.syn, packet.fin});
-    return inner_.process_packet(packet);
-  }
-  void set_mapping_risk_callback(MappingRiskCallback cb) override {
-    inner_.set_mapping_risk_callback(std::move(cb));
-  }
-  bool vip_at_slb(const net::Endpoint& vip) const override {
-    return inner_.vip_at_slb(vip);
-  }
-
-  /// Packet times of the flow whose client port is `port`, checking that
-  /// the first is the flow's only SYN and the last its only FIN.
-  std::vector<sim::Time> train(std::uint16_t port) const {
-    std::vector<sim::Time> times;
-    const auto it = seen_.find(port);
-    if (it == seen_.end()) return times;
-    const std::vector<Seen>& packets = it->second;
-    for (std::size_t i = 0; i < packets.size(); ++i) {
-      EXPECT_EQ(packets[i].syn, i == 0) << "port " << port << " packet " << i;
-      EXPECT_EQ(packets[i].fin, i + 1 == packets.size())
-          << "port " << port << " packet " << i;
-      times.push_back(packets[i].at);
-    }
-    return times;
-  }
-
- private:
-  const sim::Simulator& sim_;
-  LoadBalancer& inner_;
-  std::map<std::uint16_t, std::vector<Seen>> seen_;
-};
-
 TEST(PacketLevelRunner, CountsPacketsAndFlows) {
   constexpr sim::Time kMs = sim::kMillisecond;
   const net::Endpoint unknown_vip{net::IpAddress::v4(0x14000002), 80};
@@ -238,6 +185,68 @@ TEST(PacketLevelRunner, CountsPacketsAndFlows) {
     EXPECT_EQ(sample.value, 0.0);
   }
   EXPECT_TRUE(gauge_found);
+}
+
+std::vector<workload::DipUpdate> tie_updates() {
+  const auto dips = make_dips(4);
+  std::vector<workload::DipUpdate> updates(3);
+  updates[0] = {.at = 40, .vip = vip_ep(), .dip = dips[1]};
+  updates[1] = {.at = 25, .vip = vip_ep(), .dip = dips[2]};
+  updates[2] = {.at = 300,
+                .vip = vip_ep(),
+                .dip = dips[1],
+                .action = workload::UpdateAction::kAddDip};
+  return updates;
+}
+
+TEST(PacketLevelRunner, ShuffledTraceGivesTheSameStats) {
+  const auto run = [](const std::vector<workload::Flow>& flows,
+                      const std::vector<workload::DipUpdate>& updates,
+                      sim::Time interval) {
+    sim::Simulator sim;
+    EcmpLoadBalancer ecmp;
+    ecmp.add_vip(vip_ep(), make_dips(16));
+    PacketLevelRunner runner(sim, ecmp, {.packet_interval = interval});
+    return runner.run(flows, updates);
+  };
+  const auto expect_same = [](const PacketLevelRunner::Stats& a,
+                              const PacketLevelRunner::Stats& b) {
+    EXPECT_EQ(a.flows, b.flows);
+    EXPECT_EQ(a.packets, b.packets);
+    EXPECT_EQ(a.violations, b.violations);
+    EXPECT_EQ(a.unmapped_flows, b.unmapped_flows);
+  };
+  const auto ties = tie_heavy_trace(vip_ep());
+  expect_same(run(ties, tie_updates(), 4), run(shuffled(ties), tie_updates(), 4));
+  const auto w = make_workload(35, 600.0, 15.0);
+  const auto sorted = run(w.flows, w.updates, 20 * sim::kMillisecond);
+  EXPECT_GT(sorted.violations, 0u);
+  expect_same(sorted, run(shuffled(w.flows), w.updates, 20 * sim::kMillisecond));
+}
+
+TEST(PacketLevelRunner, QueueHoldsOnlyOpenFlows) {
+  for (const bool shuffle : {false, true}) {
+    const auto flows = shuffle ? shuffled(tie_heavy_trace(vip_ep()))
+                               : tie_heavy_trace(vip_ep());
+    const auto updates = tie_updates();
+    sim::Simulator sim;
+    RecordingBalancer recorder(sim);
+    PacketLevelRunner runner(sim, recorder, {.packet_interval = 4});
+    runner.run(flows, updates);
+    // One pending packet per open flow, the next SYN, and the updates.
+    EXPECT_LE(recorder.peak_pending(),
+              open_flow_peak(flows) + updates.size() + 2)
+        << "shuffled " << shuffle;
+  }
+}
+
+TEST(PacketLevelRunnerDeathTest, RejectsAFlowEndingBeforeItStarts) {
+  auto flows = tie_heavy_trace(vip_ep());
+  flows[3].end = flows[3].start - 1;
+  sim::Simulator sim;
+  SoftwareLoadBalancer slb;
+  PacketLevelRunner runner(sim, slb, {});
+  EXPECT_DEATH(runner.run(flows, {}), "replay flow 3 ends before it starts");
 }
 
 TEST(PacketLevelRunnerDeathTest, RejectsZeroPacketInterval) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <set>
 #include <type_traits>
 #include <vector>
 
@@ -159,6 +163,266 @@ TEST(Simulator, CanceledEventLeavesClockAndCountAlone) {
   EXPECT_EQ(sim.executed_events(), 1u);
   EXPECT_EQ(sim.now(), 5u);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, ReservedSequenceNumbersBreakTiesAsIfQueuedEarly) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::uint64_t first = sim.reserve_seqs(2);
+  sim.schedule_at(5, [&] { order.push_back(2); });
+  sim.schedule_reserved(5, first + 1, [&] { order.push_back(1); });
+  sim.schedule_reserved(5, first, [&] {
+    order.push_back(0);
+    // Same instant, later sequence number: runs after the reserved pair.
+    sim.schedule_after(0, [&] { order.push_back(3); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Simulator, RunUntilShortOfNextEventAcceptsEventsInTheGap) {
+  Simulator sim;
+  std::vector<Time> fired;
+  sim.schedule_at(1000, [&] { fired.push_back(sim.now()); });
+  sim.run_until(10);
+  sim.schedule_at(20, [&] { fired.push_back(sim.now()); });
+  sim.run_until(500);
+  sim.schedule_at(600, [&] { fired.push_back(sim.now()); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{20, 600, 1000}));
+}
+
+TEST(Simulator, CanceledTailDoesNotHoldTheClockBack) {
+  Simulator sim;
+  sim.schedule_at(5, [] {});
+  sim.schedule_at(1000, [] {}).cancel();
+  sim.run();  // pops the canceled event at 1000 last
+  EXPECT_EQ(sim.now(), 5u);
+  int fired = 0;
+  sim.schedule_at(6, [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorDeathTest, RejectsAKeyBeforeTheLastPopped) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_seqs(1);
+  sim.schedule_at(10, [&] { sim.schedule_reserved(10, seq, [] {}); });
+  EXPECT_DEATH(sim.run(), "does not follow the last popped key");
+}
+
+TEST(SimulatorDeathTest, RejectsTwoEventsUnderOneKey) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_seqs(1);
+  sim.schedule_reserved(10, seq, [] {});
+  sim.schedule_reserved(10, seq, [] {});
+  EXPECT_DEATH(sim.run(), "two events share the key");
+}
+
+/// The reference the queue is checked against: a std::priority_queue over
+/// (when, seq), discarding canceled events as they are popped.
+class ReferenceSimulator {
+ public:
+  explicit ReferenceSimulator(std::function<void(int)> fire)
+      : fire_(std::move(fire)) {}
+
+  Time now() const { return now_; }
+  std::uint64_t executed_events() const { return executed_; }
+  std::size_t pending_events() const { return heap_.size(); }
+  /// The earliest queued time, canceled events included.
+  Time next_time() const {
+    return heap_.empty() ? kTimeInfinity : heap_.top().when;
+  }
+
+  void schedule_at(Time when, int id) { push(when, next_seq_++, id); }
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+  void schedule_reserved(Time when, std::uint64_t seq, int id) {
+    push(when, seq, id);
+  }
+  void cancel(int id) {
+    if (queued_.contains(id)) canceled_.insert(id);
+  }
+  bool step_until(Time deadline) {
+    while (!heap_.empty() && heap_.top().when <= deadline) {
+      const Event top = heap_.top();
+      heap_.pop();
+      queued_.erase(top.id);
+      if (canceled_.erase(top.id) != 0) continue;
+      now_ = top.when;
+      ++executed_;
+      fire_(top.id);
+      return true;
+    }
+    return false;
+  }
+  void run_until(Time deadline) {
+    while (step_until(deadline)) {
+    }
+    if (now_ < deadline) now_ = deadline;
+  }
+  void run() {
+    while (step_until(kTimeInfinity)) {
+    }
+  }
+
+ private:
+  struct Event {
+    Time when;
+    std::uint64_t seq;
+    int id;
+    bool operator>(const Event& o) const {
+      return when != o.when ? when > o.when : seq > o.seq;
+    }
+  };
+  void push(Time when, std::uint64_t seq, int id) {
+    heap_.push(Event{when, seq, id});
+    queued_.insert(id);
+  }
+
+  std::function<void(int)> fire_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  std::set<int> queued_;
+  std::set<int> canceled_;
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+};
+
+/// Events with an id divisible by 3 schedule a child, of id kChild + id,
+/// when they fire, some at the same instant; children schedule nothing.
+constexpr int kChild = 1 << 24;
+
+/// Runs one seeded random program against the Simulator and the reference
+/// in lockstep and compares them after every operation.
+void run_differential_program(std::uint64_t seed, int ops) {
+  Simulator sim;
+  std::vector<int> sim_log;
+  std::vector<EventHandle> handles;  // by id; children are not cancelable
+  std::function<void(int)> sim_fire = [&](int id) {
+    sim_log.push_back(id);
+    if (id < kChild && id % 3 == 0) {
+      sim.schedule_after(static_cast<Time>(id % 7) * 3,
+                         [&sim_fire, id] { sim_fire(kChild + id); });
+    }
+  };
+  std::vector<int> ref_log;
+  ReferenceSimulator* ref_ptr = nullptr;
+  ReferenceSimulator ref([&](int id) {
+    ref_log.push_back(id);
+    if (id < kChild && id % 3 == 0) {
+      ref_ptr->schedule_at(ref_ptr->now() + static_cast<Time>(id % 7) * 3,
+                           kChild + id);
+    }
+  });
+  ref_ptr = &ref;
+
+  struct Block {
+    std::uint64_t sim_first;
+    std::uint64_t ref_first;
+    std::vector<bool> used;
+  };
+  std::vector<Block> blocks;
+  Rng rng(seed);
+  int next_id = 0;
+  const auto schedule = [&](Time when) {
+    const int id = next_id++;
+    handles.push_back(sim.schedule_at(when, [&sim_fire, id] { sim_fire(id); }));
+    ref.schedule_at(when, id);
+  };
+  const auto schedule_reserved = [&](Time when) {
+    for (Block& block : blocks) {
+      for (std::size_t k = 0; k < block.used.size(); ++k) {
+        if (block.used[k] || rng.bernoulli(0.5)) continue;
+        block.used[k] = true;
+        const int id = next_id++;
+        handles.push_back(sim.schedule_reserved(
+            when, block.sim_first + k, [&sim_fire, id] { sim_fire(id); }));
+        ref.schedule_reserved(when, block.ref_first + k, id);
+        return;
+      }
+    }
+  };
+  const auto delay = [&rng]() -> Time {
+    switch (rng.uniform_int(8)) {
+      case 0: return 0;
+      case 1: return 1 + rng.uniform_int(3);
+      case 2: return Time{1} << (20 + rng.uniform_int(20));  // far ahead
+      default: return rng.uniform_int(200);
+    }
+  };
+
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t pick = rng.uniform_int(100);
+    if (pick < 28) {
+      schedule(sim.now() + delay());
+    } else if (pick < 34) {
+      const int id = next_id++;
+      handles.push_back(
+          sim.schedule_after(0, [&sim_fire, id] { sim_fire(id); }));
+      ref.schedule_at(ref.now(), id);
+    } else if (pick < 40) {
+      const std::uint64_t n = 1 + rng.uniform_int(6);
+      blocks.push_back({sim.reserve_seqs(n), ref.reserve_seqs(n),
+                        std::vector<bool>(n, false)});
+    } else if (pick < 50) {
+      // A reserved number is older than every running event's, so it may
+      // only be used after the current instant.
+      schedule_reserved(sim.now() + 1 + delay());
+    } else if (pick < 62) {
+      if (next_id == 0) continue;
+      // Any id ever issued: pending, canceled, fired or popped while
+      // canceled (a stale handle).
+      const auto id = static_cast<int>(rng.uniform_int(next_id));
+      handles[static_cast<std::size_t>(id)].cancel();
+      ref.cancel(id);
+    } else if (pick < 80) {
+      EXPECT_EQ(sim.step(), ref.step_until(kTimeInfinity));
+    } else if (pick < 92) {
+      // Stop short of the next queued event, then schedule into the gap
+      // between the new now() and that event.
+      const Time next = ref.next_time();
+      if (next == kTimeInfinity || next <= sim.now() + 1) continue;
+      const Time deadline = sim.now() + rng.uniform_int(next - sim.now());
+      sim.run_until(deadline);
+      ref.run_until(deadline);
+      ASSERT_EQ(sim.now(), deadline);
+      const Time gap = next - deadline;
+      if (rng.bernoulli(0.5) && gap > 1) {
+        schedule_reserved(deadline + 1 + rng.uniform_int(gap - 1));
+      } else {
+        schedule(deadline + rng.uniform_int(gap));
+      }
+    } else if (pick < 98) {
+      const Time deadline = sim.now() + delay();
+      sim.run_until(deadline);
+      ref.run_until(deadline);
+    } else {
+      sim.run();
+      ref.run();
+      ASSERT_EQ(ref.pending_events(), 0u);
+    }
+    ASSERT_EQ(sim_log, ref_log) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.now(), ref.now()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.executed_events(), ref.executed_events())
+        << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.pending_events(), ref.pending_events())
+        << "seed " << seed << " op " << op;
+  }
+  sim.run();
+  ref.run();
+  EXPECT_EQ(sim_log, ref_log);
+  EXPECT_EQ(sim.executed_events(), ref.executed_events());
+}
+
+TEST(Simulator, MatchesAReferenceQueueOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    run_differential_program(seed, 6000);
+    if (HasFatalFailure()) return;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
