@@ -38,8 +38,7 @@ WindowResult run_window(bool reuse, int updates_in_window,
   }
   core::VipVersionManager mgr(
       vip, dips,
-      {.version_bits = 10, .enable_reuse = reuse,
-       .semantics = lb::PoolSemantics::kStableResilient});
+      {.version_bits = 10, .enable_reuse = reuse});
 
   // Build the rolling-reboot schedule: batches of 2 DIPs removed every
   // `step`, each DIP back 3 minutes later. 4 events per batch cycle.

@@ -2,13 +2,8 @@
 
 namespace silkroad::asic {
 
-void LearningFilter::learn(const net::FiveTuple& flow, std::uint32_t value) {
-  if (!pending_.try_emplace(flow, static_cast<std::uint32_t>(events_.size()))
-           .second) {
-    duplicate_events_.inc();
-    return;
-  }
-  events_.push_back(LearnEvent{flow, value, sim_.now()});
+void LearningFilter::learn(const net::FiveTuple& flow, std::uint64_t value) {
+  events_.push_back(LearnEvent{flow, value});
   if (events_.size() >= config_.capacity) {
     flush_now();
     return;
@@ -30,7 +25,6 @@ void LearningFilter::flush_now() {
     }
     batch_.push_back(event);
   }
-  pending_.clear();
   events_.clear();
   flushes_.inc();
   sink_(batch_);
@@ -38,7 +32,6 @@ void LearningFilter::flush_now() {
 
 void LearningFilter::reset() {
   timeout_event_.cancel();
-  pending_.clear();
   events_.clear();
 }
 

@@ -1,11 +1,13 @@
 // Connection learning filter (paper §4.1, §4.3).
 //
 // ASICs batch "new flow" events in a hardware learning filter (originally for
-// L2 MAC learning): duplicate events from multiple packets of the same flow
-// are suppressed, and the switch CPU is notified when the filter fills or a
+// L2 MAC learning), and the switch CPU is notified when the filter fills or a
 // timeout expires. The batch+timeout behaviour is what creates *pending
 // connections* — flows whose packets are in flight before their ConnTable
 // entry exists — and therefore the PCC hazard SilkRoad's TransitTable closes.
+// The hardware also suppresses duplicate events from later packets of a
+// flow; the switch model never sends one (a pending flow's later packets
+// find its record), so this filter keeps no per-flow index.
 #pragma once
 
 #include <cstdint>
@@ -13,26 +15,23 @@
 #include <vector>
 
 #include "net/five_tuple.h"
-#include "net/flat_map.h"
-#include "net/hash.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 
 namespace silkroad::asic {
 
-/// One learned event: the new connection plus the action data the data plane
-/// chose for it (DIP-pool version in SilkRoad; an opaque value here).
+/// One learned event: the new connection plus an opaque value the learner
+/// chose for it (SilkRoad's switch passes the flow's 8-byte record handle).
 struct LearnEvent {
   net::FiveTuple flow;
-  std::uint32_t value = 0;
-  sim::Time first_seen = 0;
+  std::uint64_t value = 0;
 };
 
 class LearningFilter {
  public:
   struct Config {
-    /// Capacity in distinct flows before an immediate flush ("up to
-    /// thousands of requests").
+    /// Capacity in events, one per new flow, before an immediate flush
+    /// ("up to thousands of requests").
     std::size_t capacity = 2048;
     /// Notification timeout; the paper expects 500 µs – 5 ms.
     sim::Time timeout = 1 * sim::kMillisecond;
@@ -54,15 +53,9 @@ class LearningFilter {
   LearningFilter(const LearningFilter&) = delete;
   LearningFilter& operator=(const LearningFilter&) = delete;
 
-  /// Data-plane hook: called on a ConnTable miss by a flow not yet pending.
-  /// Duplicate notifications for the same flow are absorbed (the hardware
-  /// dedups by key). Flushes synchronously when the filter fills.
-  void learn(const net::FiveTuple& flow, std::uint32_t value);
-
-  /// True if the flow currently sits in the filter awaiting flush.
-  bool pending(const net::FiveTuple& flow) const {
-    return pending_.contains(flow);
-  }
+  /// Data-plane hook: called once per new flow, on a ConnTable miss by a
+  /// flow not yet pending. Flushes synchronously when the filter fills.
+  void learn(const net::FiveTuple& flow, std::uint64_t value);
 
   /// Forces an immediate flush (used at teardown and in tests).
   void flush_now();
@@ -74,9 +67,6 @@ class LearningFilter {
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   std::size_t pending_count() const noexcept { return events_.size(); }
-  std::uint64_t duplicate_events() const noexcept {
-    return duplicate_events_.value();
-  }
   std::uint64_t flushes() const noexcept { return flushes_.value(); }
   std::uint64_t dropped_events() const noexcept {
     return dropped_events_.value();
@@ -89,13 +79,10 @@ class LearningFilter {
   FlushSink sink_;
   /// Buffered events in arrival order, the order they flush in.
   std::vector<LearnEvent> events_;
-  /// Dedup index: flow -> its position in events_.
-  net::FlatMap<net::FiveTuple, std::uint32_t, net::FiveTupleHash> pending_;
   /// The batch handed to the sink; kept to reuse its capacity.
   std::vector<LearnEvent> batch_;
   sim::EventHandle timeout_event_;
   DropHook drop_hook_;
-  obs::Counter duplicate_events_;
   obs::Counter flushes_;
   obs::Counter dropped_events_;
 };

@@ -1,6 +1,7 @@
 #include "core/silkroad_switch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <type_traits>
 
@@ -43,6 +44,14 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
                        }),
       cpu_(simulator, config.cpu),
       transit_(config.transit_table_bytes, config.transit_hashes) {
+  // The relearn sweep takes a pending flow with no notification at the CPU
+  // for lost only once the filter must have flushed it.
+  SR_CHECKF(config.relearn_timeout == 0 ||
+                config.relearn_timeout > config.learning.timeout,
+            "relearn_timeout (%llu ns) must exceed the learning-filter "
+            "timeout (%llu ns)",
+            static_cast<unsigned long long>(config.relearn_timeout),
+            static_cast<unsigned long long>(config.learning.timeout));
   init_metrics();
   init_capacity();
   conn_table_.bind_trace(&trace_);
@@ -352,9 +361,6 @@ void SilkRoadSwitch::init_capacity() {
   capacity_.add_pressure("learning_filter", "dropped_events", [this] {
     return learning_filter_.dropped_events();
   });
-  capacity_.add_pressure("learning_filter", "duplicate_events", [this] {
-    return learning_filter_.duplicate_events();
-  });
 
   // DIPPoolTable: live (VIP, version) pools against the version-number
   // space — its occupancy is version exhaustion, the §4.2 failure mode.
@@ -400,7 +406,6 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   VipVersionManager::Config vm_config;
   vm_config.version_bits = config_.version_bits;
   vm_config.enable_reuse = config_.enable_version_reuse;
-  vm_config.semantics = config_.pool_semantics;
   VipState state;
   state.versions = std::make_unique<VipVersionManager>(vip, dips, vm_config);
   state.trace_scope = trace_.intern(vip.to_string());
@@ -539,14 +544,14 @@ void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
   trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
                 net::flow_id(flow));
   // The record comes first: a full filter flushes inside learn(), and the
-  // flush hands the CPU this flow's handle.
+  // flush hands the CPU the handle the event carries.
   const FlowId id = new_record(flow, FlowState::kPending);
   FlowRecord& record = records_[id];
   record.version = version;
   record.learned_at = sim_.now();
   if (recording_transit(vip)) add_transit_member(record);
   track(state, id);
-  learning_filter_.learn(flow, version);
+  learning_filter_.learn(flow, std::bit_cast<std::uint64_t>(handle_of(id)));
   if (config_.data_plane_telemetry) {
     DipConnHandles& handles = dip_handles(state, vip, dip);
     handles.new_conns->inc();
@@ -694,7 +699,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   if (state == nullptr) return {};
   c_.packets->inc();
   lb::PacketResult result;
-  result.added_latency = config_.pipeline_latency;
+  result.added_latency = kPipelineLatency;
 
   if (state->meter) {
     const auto color = state->meter->mark(sim_.now(), packet.size_bytes);
@@ -737,7 +742,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
                       conn_table_.digest_of(packet.flow),
                       net::flow_id(packet.flow));
         result.redirected_to_cpu = true;
-        result.added_latency += config_.syn_redirect_delay;
+        result.added_latency += kSynRedirectDelay;
         if (!conn_table_.relocate_for(packet.flow, hit->slot)) {
           c_.relocation_failures->inc();
           trace_.record(obs::TraceEventKind::kRelocationFail,
@@ -801,7 +806,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   if (record != nullptr && record->state == FlowState::kSoftware) {
     result.dip = record->software_dip;
     result.redirected_to_cpu = true;  // slow-path flow: every packet via CPU
-    result.added_latency += config_.syn_redirect_delay;
+    result.added_latency += kSynRedirectDelay;
     if (packet.fin) free_record(*id);
     return result;
   }
@@ -824,7 +829,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
     const std::uint32_t version = version_for_miss(
         vip, *state, packet, record, &result.redirected_to_cpu);
     if (result.redirected_to_cpu && !was_redirected) {
-      result.added_latency += config_.syn_redirect_delay;
+      result.added_latency += kSynRedirectDelay;
     }
     result.dip = state->versions->select(version, packet.flow);
     if (packet.fin && record != nullptr &&
@@ -851,7 +856,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   const std::uint32_t version = version_for_miss(
       vip, *state, packet, nullptr, &result.redirected_to_cpu);
   if (result.redirected_to_cpu && !was_redirected) {
-    result.added_latency += config_.syn_redirect_delay;
+    result.added_latency += kSynRedirectDelay;
   }
   const auto dip = state->versions->select(version, packet.flow);
   if (!dip) return result;  // empty pool: the flow is not learned
@@ -868,13 +873,12 @@ void SilkRoadSwitch::on_learning_flush(
     const std::vector<asic::LearnEvent>& batch) {
   c_.learn_batch_size->record(batch.size());
   for (const auto& event : batch) {
-    FlowHandle handle;
-    if (const FlowId* id = flow_index_.find(event.flow)) {
-      FlowRecord& record = records_[*id];
-      if (record.state == FlowState::kPending) {
-        record.enqueued = true;  // notification survived the channel
-      }
-      handle = handle_of(*id);
+    // A stale handle (the record was evicted, and maybe reused, while the
+    // event sat in the filter) queues a task that does nothing.
+    const auto handle = std::bit_cast<FlowHandle>(event.value);
+    if (FlowRecord* record = live(handle);
+        record != nullptr && record->state == FlowState::kPending) {
+      record->enqueued = true;  // notification survived the channel
     }
     enqueue_insertion(handle, event.flow);
   }
@@ -1035,37 +1039,23 @@ void SilkRoadSwitch::try_start_next_update() {
     update_new_version_ = staged->target_version;
     update_started_at_ = sim_.now();
 
-    if (update_new_version_ == update_old_version_) {
-      // Dead-slot substitution landed in the current version: the pool
-      // mutation is already in place and no VIPTable flip is needed. The
-      // span still records the full quadruple (at one instant) so the
-      // completeness audit is uniform across completion paths.
+    if (update_new_version_ == update_old_version_ ||
+        !config_.use_transit_table) {
+      // The update completes at once. Either a dead-slot substitution landed
+      // in the current version, so the pool mutation is already in place and
+      // no VIPTable flip is needed, or the ablation (Figs. 16/17) flips
+      // immediately and flows pending insertion flap to the new version until
+      // their (old-version) entries land. The span still records the full
+      // quadruple (at one instant) so the completeness audit is uniform
+      // across completion paths.
+      if (update_new_version_ != update_old_version_) {
+        state->versions->commit(update_new_version_);
+        trace_.record(obs::TraceEventKind::kUpdateFlip, state->trace_scope,
+                      update_new_version_, update_old_version_,
+                      update_new_version_);
+      }
       c_.updates_completed->inc();
       c_.update_duration_ns->record(0);
-      trace_.record(obs::TraceEventKind::kUpdateFinish, state->trace_scope,
-                    update_new_version_, update_old_version_,
-                    update_new_version_);
-      span_batch_event(obs::SpanEventKind::kStep1Open, update_old_version_,
-                       update_new_version_);
-      span_batch_event(obs::SpanEventKind::kFlip, update_old_version_,
-                       update_new_version_);
-      span_batch_event(obs::SpanEventKind::kCommit, update_old_version_,
-                       update_new_version_);
-      span_batch_event(obs::SpanEventKind::kFinish);
-      span_batch_.clear();
-      if (risk_cb_) risk_cb_(update.vip);
-      continue;
-    }
-
-    if (!config_.use_transit_table) {
-      // Ablation (Figs. 16/17): flip immediately. Flows pending insertion
-      // flap to the new version until their (old-version) entries land.
-      state->versions->commit(update_new_version_);
-      c_.updates_completed->inc();
-      c_.update_duration_ns->record(0);
-      trace_.record(obs::TraceEventKind::kUpdateFlip, state->trace_scope,
-                    update_new_version_, update_old_version_,
-                    update_new_version_);
       trace_.record(obs::TraceEventKind::kUpdateFinish, state->trace_scope,
                     update_new_version_, update_old_version_,
                     update_new_version_);
@@ -1308,17 +1298,14 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
 }
 
 void SilkRoadSwitch::maybe_update_degraded() {
-  // Keep the capacity alarms at least as fresh as the degradation gate: both
-  // read the same occupancy, so a degradation transition always lands next
-  // to an up-to-date ledger level in the trace ring.
+  // Keep the capacity alarms at least as fresh as the degradation gate, so a
+  // degradation transition always lands next to an up-to-date ledger level
+  // in the trace ring.
   poll_capacity();
   const std::size_t backlog = cpu_.queue_depth();
-  const double occupancy = conn_table_.occupancy();
   if (!degraded_) {
-    const bool backlog_high = config_.degraded_enter_backlog > 0 &&
-                              backlog >= config_.degraded_enter_backlog;
-    const bool occupancy_high = occupancy >= config_.degraded_enter_occupancy;
-    if (backlog_high || occupancy_high) {
+    if (config_.degraded_enter_backlog > 0 &&
+        backlog >= config_.degraded_enter_backlog) {
       degraded_ = true;
       c_.degraded_transitions->inc();
       trace_.record(obs::TraceEventKind::kDegradedEnter, obs::kNoScope,
@@ -1327,11 +1314,8 @@ void SilkRoadSwitch::maybe_update_degraded() {
     }
     return;
   }
-  const bool backlog_ok = config_.degraded_enter_backlog == 0 ||
-                          backlog <= config_.degraded_exit_backlog;
-  const bool occupancy_ok = config_.degraded_enter_occupancy > 1.0 ||
-                            occupancy <= config_.degraded_exit_occupancy;
-  if (backlog_ok && occupancy_ok) {
+  if (config_.degraded_enter_backlog == 0 ||
+      backlog <= config_.degraded_exit_backlog) {
     degraded_ = false;
     c_.degraded_transitions->inc();
     trace_.record(obs::TraceEventKind::kDegradedExit, obs::kNoScope,
@@ -1376,11 +1360,10 @@ void SilkRoadSwitch::relearn_sweep() {
         record.learned_at > cutoff) {
       continue;
     }
-    // Still buffered, not lost.
-    if (learning_filter_.pending(record.flow)) continue;
-    // The notification was dropped between the filter and the CPU (the
-    // filter clears its own state at flush time): re-enqueue the insertion
-    // directly from the CPU's shadow record.
+    // The filter flushes an event within learning.timeout of its learn, and
+    // relearn_timeout is longer (checked at construction), so the
+    // notification was dropped between the filter and the CPU: re-enqueue
+    // the insertion directly from the CPU's shadow record.
     record.enqueued = true;
     c_.relearns->inc();
     if (const VipState* state = find_vip(record.flow.dst); state != nullptr) {

@@ -70,12 +70,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// Ablations (Figs. 15-18).
     bool use_transit_table = true;
     bool enable_version_reuse = true;
-    /// Slow-path latency charged to a redirected SYN (§4.2: "a few ms").
-    sim::Time syn_redirect_delay = 2 * sim::kMillisecond;
-    /// Data-plane pipeline latency per packet (§5.2: sub-microsecond;
-    /// SilkRoad's additional logic adds at most tens of ns).
-    sim::Time pipeline_latency = 400;  // ns
-    lb::PoolSemantics pool_semantics = lb::PoolSemantics::kStableResilient;
     /// Idle-connection expiration ("connections that are timed-out and
     /// deleted from ConnTable", §4.2): entries without data-plane activity
     /// for this long are erased by the CPU's aging sweep. 0 disables aging
@@ -91,20 +85,17 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// 0 = unbounded.
     std::size_t max_pending_inserts = 0;
     /// Degraded-mode hysteresis on the switch-CPU backlog: enter at or above
-    /// `enter`, leave at or below `exit`. 0 disables the backlog trigger.
+    /// `enter`, leave at or below `exit`. 0 disables degraded mode.
     std::size_t degraded_enter_backlog = 0;
     std::size_t degraded_exit_backlog = 0;
-    /// Degraded-mode hysteresis on ConnTable occupancy (0..1); values above
-    /// 1.0 disable the occupancy trigger.
-    double degraded_enter_occupancy = 2.0;
-    double degraded_exit_occupancy = 2.0;
     ShedPolicy shed_policy = ShedPolicy::kPinVersion;
     /// While degraded, how often to re-check the exit condition when no
     /// admission event does it first.
     sim::Time degraded_poll_period = 1 * sim::kMillisecond;
     /// Re-learn janitor: a pending flow whose learning notification has not
     /// reached the CPU after this long is re-enqueued directly, recovering
-    /// dropped learning-filter notifications. 0 = off.
+    /// dropped learning-filter notifications. 0 = off; otherwise it must
+    /// exceed learning.timeout, by when the filter has flushed the flow.
     sim::Time relearn_timeout = 0;
 
     // --- Data-plane performance telemetry (DESIGN.md §14) -------------------
@@ -123,6 +114,12 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     /// polling entirely (bench/capacity_overhead prices the difference).
     bool capacity_telemetry = true;
   };
+
+  /// Data-plane pipeline latency per packet (§5.2: sub-microsecond;
+  /// SilkRoad's additional logic adds at most tens of ns).
+  static constexpr sim::Time kPipelineLatency = 400;  // ns
+  /// Slow-path latency charged to a redirected SYN (§4.2: "a few ms").
+  static constexpr sim::Time kSynRedirectDelay = 2 * sim::kMillisecond;
 
   /// Sizes a ConnTable geometry for `connections` at `occupancy` packing
   /// across 4 stages with paper-default entry layout (16b digest + 6b
@@ -363,9 +360,10 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     bool operator()(FlowId a, FlowId b) const noexcept { return a == b; }
   };
 
-  /// What a CPU task holds instead of a copy of the flow. With `this` it
-  /// makes a 16-byte closure that fits std::function's inline buffer. A task
-  /// whose handle is stale does nothing.
+  /// What a CPU task holds instead of a copy of the flow, and the value a
+  /// learn event carries. With `this` it makes a 16-byte closure that fits
+  /// std::function's inline buffer. A task whose handle is stale does
+  /// nothing.
   struct FlowHandle {
     FlowId id = kNoFlow;
     std::uint32_t generation = 0;

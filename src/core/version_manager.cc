@@ -14,7 +14,7 @@ VipVersionManager::VipVersionManager(net::Endpoint vip,
   for (std::uint32_t v = 1; v < version_capacity(); ++v) {
     free_versions_.push_back(v);
   }
-  install(0, lb::DipPool(std::move(dips), config_.semantics));
+  install(0, lb::DipPool(std::move(dips), lb::PoolSemantics::kStableResilient));
   current_ = 0;
   allocations_ = 1;
 }

@@ -31,7 +31,6 @@ class VipVersionManager {
     unsigned version_bits = 6;
     /// Enable in-place dead-slot substitution (Fig. 15 ablation knob).
     bool enable_reuse = true;
-    lb::PoolSemantics semantics = lb::PoolSemantics::kStableResilient;
   };
 
   VipVersionManager(net::Endpoint vip, std::vector<net::Endpoint> dips,
@@ -92,8 +91,8 @@ class VipVersionManager {
 
   /// DIP failure fast path (§7 alternative to version churn): marks the DIP
   /// dead in every version's pool so resilient hashing diverts its flows,
-  /// without allocating a version or flipping VIPTable. Only meaningful with
-  /// kStableResilient semantics. Returns the number of pools touched.
+  /// without allocating a version or flipping VIPTable (every pool has
+  /// kStableResilient semantics). Returns the number of pools touched.
   std::size_t mark_dip_down(const net::Endpoint& dip);
 
   // --- Introspection --------------------------------------------------------

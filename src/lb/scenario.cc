@@ -36,17 +36,19 @@ Scenario::Scenario(sim::Simulator& simulator, LoadBalancer& lb,
                                      "flows whose FIN was delivered");
   metrics_.register_callback(
       "silkroad_scenario_flows_seen", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(tracker_.flows_seen()); },
+      [this] { return static_cast<double>(pcc_totals().flows); },
       "flows the PCC tracker has observed");
   metrics_.register_callback(
       "silkroad_scenario_violations_total", obs::MetricKind::kCounter,
-      [this] { return static_cast<double>(tracker_.violations()); },
+      [this] { return static_cast<double>(pcc_totals().violations); },
       "PCC violations detected by the audit");
   metrics_.register_callback(
       "silkroad_scenario_active_flows", obs::MetricKind::kGauge,
       [this] {
         std::size_t total = 0;
-        for (const auto& [vip, reg] : registry_) total += reg.flows.size();
+        for (const auto& [vip, reg] : registry_) {
+          total += reg.pcc.active_flows();
+        }
         return static_cast<double>(total);
       },
       "currently established flows across all VIPs");
@@ -116,10 +118,14 @@ ScenarioStats Scenario::run() {
   settle_volume();
   lb_.self_check();  // final audit once every event has drained
 
+  const PccTotals pcc = pcc_totals();
   ScenarioStats stats;
-  stats.flows = tracker_.flows_seen();
-  stats.violations = tracker_.violations();
-  stats.violation_fraction = tracker_.violation_fraction();
+  stats.flows = pcc.flows;
+  stats.violations = pcc.violations;
+  stats.violation_fraction =
+      pcc.flows == 0 ? 0.0
+                     : static_cast<double>(pcc.violations) /
+                           static_cast<double>(pcc.flows);
   stats.slb_bytes = slb_bytes_;
   stats.total_bytes = total_bytes_;
   stats.slb_traffic_fraction =
@@ -133,22 +139,36 @@ ScenarioStats Scenario::run() {
   return stats;
 }
 
+Scenario::PccTotals Scenario::pcc_totals() const {
+  PccTotals totals;
+  for (const auto& [vip, reg] : registry_) {
+    totals.flows += reg.pcc.flows_seen();
+    totals.violations += reg.pcc.violations();
+  }
+  return totals;
+}
+
 std::vector<net::FiveTuple> Scenario::active_flows() const {
   std::vector<net::FiveTuple> out;
   for (const auto& [vip, reg] : registry_) {
-    for (const auto& entry : reg.flows) out.push_back(entry.key);
+    for (const auto& entry : reg.pcc) out.push_back(entry.key);
   }
   return out;
 }
 
 void Scenario::exempt_flows_on_dip(const net::Endpoint& dip) {
-  for (const auto& [vip, reg] : registry_) {
-    for (const auto& entry : reg.flows) {
-      if (const auto assigned = tracker_.assigned_dip(entry.key);
-          assigned && *assigned == dip) {
-        tracker_.exempt_flow(entry.key);
-      }
+  for (auto& [vip, reg] : registry_) {
+    for (auto& entry : reg.pcc) {
+      if (entry.value.dip == dip) entry.value.exempt = true;
     }
+  }
+}
+
+void Scenario::exempt_flow(const net::FiveTuple& flow) {
+  const auto reg_it = registry_.find(flow.dst);
+  if (reg_it == registry_.end()) return;
+  if (PccTracker::FlowState* state = reg_it->second.pcc.find(flow)) {
+    state->exempt = true;
   }
 }
 
@@ -165,9 +185,8 @@ void Scenario::on_flow_start(const workload::Flow& flow) {
     return;  // No pool / not a VIP: connection never establishes.
   }
   flows_started_->inc();
-  tracker_.flow_started(flow.tuple, *result.dip, sim_.now());
   auto& vip_reg = registry_[flow.tuple.dst];
-  vip_reg.flows.try_emplace(flow.tuple, ActiveFlow{flow.rate_bps});
+  vip_reg.pcc.flow_started(flow.tuple, *result.dip, sim_.now());
   vip_reg.rate_bps += flow.rate_bps;
   vip_reg.at_slb = lb_.vip_at_slb(flow.tuple.dst);
   total_rate_bps_ += flow.rate_bps;
@@ -175,19 +194,19 @@ void Scenario::on_flow_start(const workload::Flow& flow) {
 }
 
 void Scenario::on_flow_end(const workload::Flow& flow) {
-  auto& vip_reg = registry_[flow.tuple.dst];
-  const ActiveFlow* active = vip_reg.flows.find(flow.tuple);
-  if (active == nullptr) return;  // Was never established.
+  const auto reg_it = registry_.find(flow.tuple.dst);
+  if (reg_it == registry_.end()) return;  // Was never established.
+  VipRegistry& vip_reg = reg_it->second;
+  // Take the flow out before delivering the FIN: the FIN may trigger a
+  // mapping-risk event inside the balancer (e.g., Duet migrating back when
+  // the last blocking flow ends), and the probe sweep must not synthesize a
+  // packet for a connection that has already sent its final one.
+  std::optional<PccTracker::FlowState> state = vip_reg.pcc.take(flow.tuple);
+  if (!state) return;  // Was never established.
   settle_volume();
-  // Deregister before delivering the FIN: the FIN may trigger a mapping-risk
-  // event inside the balancer (e.g., Duet migrating back when the last
-  // blocking flow ends), and the probe sweep must not synthesize a packet
-  // for a connection that has already sent its final one.
-  const double rate_bps = active->rate_bps;
-  vip_reg.flows.erase(flow.tuple);
-  vip_reg.rate_bps -= rate_bps;
-  total_rate_bps_ -= rate_bps;
-  if (vip_reg.at_slb) slb_rate_bps_ -= rate_bps;
+  vip_reg.rate_bps -= flow.rate_bps;
+  total_rate_bps_ -= flow.rate_bps;
+  if (vip_reg.at_slb) slb_rate_bps_ -= flow.rate_bps;
 
   net::Packet fin;
   fin.flow = flow.tuple;
@@ -195,29 +214,20 @@ void Scenario::on_flow_end(const workload::Flow& flow) {
   fin.size_bytes = 64;
   const PacketResult result = lb_.process_packet(fin);
   // The closing packet is still subject to the PCC audit.
-  audit(flow.tuple, result.dip);
-  tracker_.flow_finished(flow.tuple);
+  audit(vip_reg.pcc, *state, flow.tuple, result.dip);
   flows_finished_->inc();
 }
 
-void Scenario::audit(const net::FiveTuple& flow,
+void Scenario::audit(PccTracker& pcc, PccTracker::FlowState& state,
+                     const net::FiveTuple& flow,
                      const std::optional<net::Endpoint>& dip) {
-  if (const auto assigned = tracker_.assigned_dip(flow);
-      assigned && down_dips_.contains(*assigned)) {
+  if (down_dips_.contains(state.dip)) {
     // The flow's server left service: the connection is dead regardless of
     // what the balancer does with its (now pointless) packets.
-    tracker_.exempt_flow(flow);
+    state.exempt = true;
     return;
   }
-  const std::uint64_t before = tracker_.violations();
-  if (dip) {
-    tracker_.observe(flow, *dip, sim_.now());
-  } else {
-    tracker_.observe_unmapped(flow, sim_.now());
-  }
-  if (violation_cb_ && tracker_.violations() != before) {
-    violation_cb_(flow, sim_.now());
-  }
+  if (pcc.judge(state, dip) && violation_cb_) violation_cb_(flow, sim_.now());
 }
 
 void Scenario::on_mapping_risk(const net::Endpoint& vip) {
@@ -225,14 +235,16 @@ void Scenario::on_mapping_risk(const net::Endpoint& vip) {
   if (reg_it == registry_.end()) return;
   VipRegistry& vip_reg = reg_it->second;
   settle_volume();
-  // Probe every active flow of this VIP: its next packet's mapping.
-  for (const auto& entry : vip_reg.flows) {
+  // Probe every active flow of this VIP: its next packet's mapping. The
+  // sweep walks the VIP's map in hash order, which the model sees (DESIGN.md
+  // §5, "Determinism").
+  for (auto& entry : vip_reg.pcc) {
     net::Packet probe;
     probe.flow = entry.key;
     probe.size_bytes = 1000;
     const PacketResult result = lb_.process_packet(probe);
     if (result.redirected_to_cpu) cpu_redirects_->inc();
-    audit(entry.key, result.dip);
+    audit(vip_reg.pcc, entry.value, entry.key, result.dip);
   }
   // The event may mark a mode flip (e.g., Duet migration): re-split rates.
   const bool now_at_slb = lb_.vip_at_slb(vip);

@@ -20,7 +20,6 @@
 #include "lb/load_balancer.h"
 #include "lb/pcc_tracker.h"
 #include "lb/start_chain.h"
-#include "net/flat_map.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "workload/flow_gen.h"
@@ -68,8 +67,6 @@ class Scenario {
   /// Runs the scenario to completion and returns the statistics.
   ScenarioStats run();
 
-  const PccTracker& tracker() const noexcept { return tracker_; }
-
   // --- Chaos-harness support -------------------------------------------------
 
   /// Currently established flows across all VIPs.
@@ -83,11 +80,12 @@ class Scenario {
   /// gone; the connections are dead regardless of the balancer).
   void exempt_flows_on_dip(const net::Endpoint& dip);
   /// Exempts one flow from the PCC audit (e.g. fleet failover blast radius).
-  void exempt_flow(const net::FiveTuple& flow) { tracker_.exempt_flow(flow); }
+  void exempt_flow(const net::FiveTuple& flow);
 
   /// Invoked the instant the audit charges a flow with a PCC violation —
-  /// the harness's chance to capture forensics (obs::assemble_forensics)
-  /// while the trace ring still holds the flow's journey.
+  /// the only per-flow violation report, and the harness's chance to
+  /// capture forensics (obs::assemble_forensics) while the trace ring still
+  /// holds the flow's journey.
   using ViolationCallback =
       std::function<void(const net::FiveTuple& flow, sim::Time at)>;
   void set_violation_callback(ViolationCallback cb) {
@@ -107,24 +105,29 @@ class Scenario {
   /// Integrates traffic volume up to now with the current rate split.
   void settle_volume();
 
-  struct ActiveFlow {
-    double rate_bps = 0;
-  };
   struct VipRegistry {
-    net::FlatMap<net::FiveTuple, ActiveFlow, net::FiveTupleHash> flows;
+    /// The VIP's established flows, each held once with its audit state.
+    PccTracker pcc;
     double rate_bps = 0;
     bool at_slb = false;
   };
 
-  /// Audits one observation, first exempting flows whose assigned DIP is out
-  /// of service (server-induced breakage is not an LB PCC violation).
-  void audit(const net::FiveTuple& flow,
+  /// Audits one packet of `flow` against its entry `state` in `pcc`, first
+  /// exempting a flow whose assigned DIP is out of service (server-induced
+  /// breakage is not an LB PCC violation).
+  void audit(PccTracker& pcc, PccTracker::FlowState& state,
+             const net::FiveTuple& flow,
              const std::optional<net::Endpoint>& dip);
+  /// Established flows and PCC violations, summed over the VIPs.
+  struct PccTotals {
+    std::uint64_t flows = 0;
+    std::uint64_t violations = 0;
+  };
+  PccTotals pcc_totals() const;
 
   sim::Simulator& sim_;
   LoadBalancer& lb_;
   ScenarioConfig config_;
-  PccTracker tracker_;
   std::unique_ptr<workload::FlowGenerator> flow_gen_;
   /// Queues replay_flows' starts one at a time.
   StartChain starts_;

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -109,21 +110,20 @@ class FlatMap {
   /// Removes `key`; returns false when absent.
   template <typename Q>
   bool erase(const Q& key) {
-    std::size_t hole = slot_of(key);
-    if (hole == kNone) return false;
-    const std::size_t mask = tags_.size() - 1;
-    for (std::size_t j = (hole + 1) & mask; tags_[j] != 0; j = (j + 1) & mask) {
-      // The entry at j stays unless the hole lies between its home and j.
-      const std::size_t home = tags_[j] & mask;
-      if (((j - home) & mask) < ((j - hole) & mask)) continue;
-      tags_[hole] = tags_[j];
-      entries_[hole] = std::move(entries_[j]);
-      hole = j;
-    }
-    tags_[hole] = 0;
-    entries_[hole] = Entry{};
-    --size_;
+    const std::size_t slot = slot_of(key);
+    if (slot == kNone) return false;
+    erase_slot(slot);
     return true;
+  }
+
+  /// Removes `key` and returns its value; nullopt when absent.
+  template <typename Q>
+  std::optional<V> take(const Q& key) {
+    const std::size_t slot = slot_of(key);
+    if (slot == kNone) return std::nullopt;
+    std::optional<V> value(std::move(entries_[slot].value));
+    erase_slot(slot);
+    return value;
   }
 
   /// Drops every entry and keeps the capacity.
@@ -144,6 +144,22 @@ class FlatMap {
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};
   static constexpr std::size_t kInitialCapacity = 16;
+
+  /// Empties slot `hole` and shifts the rest of its probe run back.
+  void erase_slot(std::size_t hole) {
+    const std::size_t mask = tags_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; tags_[j] != 0; j = (j + 1) & mask) {
+      // The entry at j stays unless the hole lies between its home and j.
+      const std::size_t home = tags_[j] & mask;
+      if (((j - home) & mask) < ((j - hole) & mask)) continue;
+      tags_[hole] = tags_[j];
+      entries_[hole] = std::move(entries_[j]);
+      hole = j;
+    }
+    tags_[hole] = 0;
+    entries_[hole] = Entry{};
+    --size_;
+  }
 
   /// The low 31 hash bits pick the home slot (capacities stay below 2^31);
   /// the top bit marks the slot used.

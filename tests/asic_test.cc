@@ -45,7 +45,7 @@ TEST(Sram, GenerationsTrendUpward) {
 
 // --- Learning filter ----------------------------------------------------------
 
-TEST(LearningFilter, DedupsAndFlushesOnTimeout) {
+TEST(LearningFilter, FlushesOnTimeout) {
   sim::Simulator sim;
   std::vector<std::vector<LearnEvent>> batches;
   LearningFilter filter(sim, {.capacity = 100, .timeout = sim::kMillisecond},
@@ -53,10 +53,8 @@ TEST(LearningFilter, DedupsAndFlushesOnTimeout) {
                           batches.push_back(std::move(b));
                         });
   filter.learn(make_flow(1), 10);
-  filter.learn(make_flow(1), 10);  // duplicate
   filter.learn(make_flow(2), 11);
   EXPECT_EQ(filter.pending_count(), 2u);
-  EXPECT_EQ(filter.duplicate_events(), 1u);
   sim.run();
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].size(), 2u);

@@ -29,6 +29,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unistd.h>
 #include <unordered_map>
 #include <vector>
@@ -161,6 +162,16 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
                                        workload::UpdateCause::kServiceUpgrade});
   }
   lb::Scenario scenario(sim, fleet, scenario_config);
+  // The first flow the audit charges, for the forensics report on failure.
+  struct Charge {
+    net::FiveTuple flow;
+    sim::Time at = 0;
+  };
+  std::optional<Charge> first_violation;
+  scenario.set_violation_callback(
+      [&](const net::FiveTuple& flow, sim::Time at) {
+        if (!first_violation) first_violation = Charge{flow, at};
+      });
 
   core::HealthChecker checker(
       sim, fleet,
@@ -410,14 +421,12 @@ bool run_seed(std::uint64_t seed, bool restore_heavy) {
         std::snprintf(name, sizeof name, "%s_divergence%zu", stem, i);
         obs::write_forensics(fleet.divergence_reports()[i], dir, name);
       }
-      const auto& records = scenario.tracker().violation_records();
-      if (!records.empty()) {
-        const auto& record = records.front();
-        const auto route = fleet.route_of(record.flow);
+      if (first_violation) {
+        const auto route = fleet.route_of(first_violation->flow);
         const auto& sw = fleet.switch_at(route.value_or(0));
         auto report = obs::assemble_forensics(
-            sw.trace(), &fleet.spans(), net::flow_id(record.flow),
-            "chaos PCC violation", record.at);
+            sw.trace(), &fleet.spans(), net::flow_id(first_violation->flow),
+            "chaos PCC violation", first_violation->at);
         // Capacity section (DESIGN.md §15): was the offending switch's SRAM
         // under pressure or exhausting when the flow broke?
         report.attach_capacity(sw.capacity().to_text(),

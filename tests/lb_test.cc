@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
 
+#include "core/silkroad_switch.h"
 #include "lb/dip_pool.h"
 #include "lb/duet.h"
 #include "lb/ecmp_lb.h"
@@ -236,32 +238,63 @@ TEST(HashRing, VnodesBalanceOwnership) {
 
 // --- PccTracker --------------------------------------------------------------
 
-TEST(PccTracker, CountsViolationOncePerFlow) {
+TEST(PccTracker, CountsAndReturnsABreakOnce) {
   PccTracker tracker;
   const auto dips = make_dips(3);
   tracker.flow_started(make_flow(1), dips[0], 0);
-  tracker.observe(make_flow(1), dips[0], 1);
+  PccTracker::FlowState* state = tracker.find(make_flow(1));
+  ASSERT_NE(state, nullptr);
+  EXPECT_FALSE(tracker.judge(*state, dips[0]));
   EXPECT_EQ(tracker.violations(), 0u);
-  tracker.observe(make_flow(1), dips[1], 2);
-  tracker.observe(make_flow(1), dips[2], 3);
+  EXPECT_TRUE(tracker.judge(*state, dips[1]));
+  EXPECT_FALSE(tracker.judge(*state, dips[2]));
   EXPECT_EQ(tracker.violations(), 1u);
   EXPECT_EQ(tracker.flows_seen(), 1u);
-  EXPECT_DOUBLE_EQ(tracker.violation_fraction(), 1.0);
-  tracker.flow_finished(make_flow(1));
+  const auto taken = tracker.take(make_flow(1));
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->dip, dips[0]);
+  EXPECT_TRUE(taken->violated);
   EXPECT_EQ(tracker.active_flows(), 0u);
+  EXPECT_FALSE(tracker.take(make_flow(1)).has_value());
+}
+
+TEST(PccTracker, ExemptFlowNeverBreaks) {
+  PccTracker tracker;
+  const auto dips = make_dips(2);
+  tracker.flow_started(make_flow(1), dips[0], 0);
+  PccTracker::FlowState* state = tracker.find(make_flow(1));
+  ASSERT_NE(state, nullptr);
+  state->exempt = true;
+  EXPECT_FALSE(tracker.judge(*state, dips[1]));
+  EXPECT_FALSE(tracker.judge(*state, std::nullopt));
+  EXPECT_EQ(tracker.violations(), 0u);
 }
 
 TEST(PccTracker, UnmappedCountsAsViolation) {
   PccTracker tracker;
   tracker.flow_started(make_flow(1), make_dips(1)[0], 0);
-  tracker.observe_unmapped(make_flow(1), 5);
+  PccTracker::FlowState* state = tracker.find(make_flow(1));
+  ASSERT_NE(state, nullptr);
+  EXPECT_TRUE(tracker.judge(*state, std::nullopt));
   EXPECT_EQ(tracker.violations(), 1u);
-  EXPECT_EQ(tracker.violation_times().size(), 1u);
-  EXPECT_EQ(tracker.violation_times()[0], 5u);
+}
+
+TEST(PccTracker, RestartedFlowKeepsItsFirstMapping) {
+  PccTracker tracker;
+  const auto dips = make_dips(2);
+  tracker.flow_started(make_flow(1), dips[0], 0);
+  tracker.flow_started(make_flow(1), dips[1], 1);
+  EXPECT_EQ(tracker.flows_seen(), 2u);
+  EXPECT_EQ(tracker.active_flows(), 1u);
+  tracker.observe(make_flow(1), dips[0], 2);
+  EXPECT_EQ(tracker.violations(), 0u);
+  tracker.flow_finished(make_flow(1));
+  EXPECT_EQ(tracker.active_flows(), 0u);
 }
 
 TEST(PccTracker, IgnoresUnknownFlows) {
   PccTracker tracker;
+  EXPECT_EQ(tracker.find(make_flow(9)), nullptr);
   tracker.observe(make_flow(9), make_dips(1)[0], 1);
   EXPECT_EQ(tracker.violations(), 0u);
 }
@@ -551,6 +584,72 @@ TEST(ScenarioDeathTest, RejectsAReplayFlowEndingBeforeItStarts) {
   RecordingBalancer recorder(sim);
   Scenario scenario(sim, recorder, config);
   EXPECT_DEATH(scenario.run(), "replay flow 5 ends before it starts");
+}
+
+/// The client ports of the packets mapping-risk sweeps sent (neither SYN
+/// nor FIN), in order.
+std::vector<std::uint16_t> probe_ports(
+    const std::vector<RecordingBalancer::Call>& calls) {
+  std::vector<std::uint16_t> ports;
+  for (const auto& call : calls) {
+    const bool packet = call.dip == net::Endpoint{};
+    if (packet && !call.syn && !call.fin) ports.push_back(call.flow.src.port);
+  }
+  return ports;
+}
+
+TEST(Scenario, ProbesEachVipsFlowsInAFixedOrder) {
+  // A sweep probes a VIP's flows in its flow map's order, and that order
+  // reaches the model: a fleet switch restored empty learns the flows it is
+  // probed for in that order. Three VIPs with 20 replayed flows each, whose
+  // starts and ends interleave with update batches on two of them.
+  const auto vip_of = [](std::uint32_t v) {
+    return net::Endpoint{net::IpAddress::v4(0x14000001 + v), 80};
+  };
+  ScenarioConfig config;
+  config.horizon = sim::kMinute;
+  for (std::uint32_t v = 0; v < 3; ++v) {
+    config.vip_loads.push_back(
+        {vip_of(v), 0.0, workload::FlowProfile::hadoop(), false});
+    config.dip_pools.push_back(make_dips(6, static_cast<int>(8 * v)));
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      const std::uint32_t k = 20 * v + i;
+      workload::Flow flow;
+      flow.tuple = net::FiveTuple{
+          {net::IpAddress::v4(0x0B000001), static_cast<std::uint16_t>(k + 1)},
+          vip_of(v),
+          net::Protocol::kTcp};
+      flow.start = (k * 37 % 60) * 100 * sim::kMicrosecond;
+      flow.end = flow.start + (1 + k * 13 % 10) * sim::kMillisecond;
+      flow.rate_bps = 1e6;
+      config.replay_flows.push_back(flow);
+    }
+  }
+  const auto update = [&](sim::Time at, std::uint32_t v, int dip,
+                          workload::UpdateAction action) {
+    const auto dips = make_dips(6, static_cast<int>(8 * v));
+    return workload::DipUpdate{
+        .at = at, .vip = vip_of(v), .dip = dips[dip], .action = action};
+  };
+  config.updates = {
+      update(4 * sim::kMillisecond, 0, 1, workload::UpdateAction::kRemoveDip),
+      update(4 * sim::kMillisecond, 1, 2, workload::UpdateAction::kRemoveDip),
+      update(8 * sim::kMillisecond, 1, 2, workload::UpdateAction::kAddDip),
+      update(8 * sim::kMillisecond, 0, 3, workload::UpdateAction::kRemoveDip)};
+
+  sim::Simulator sim;
+  core::SilkRoadSwitch silkroad(sim, {});
+  RecordingBalancer recorder(sim, silkroad);
+  Scenario scenario(sim, recorder, config);
+  const auto stats = scenario.run();
+  EXPECT_EQ(stats.flows, 60u);
+  EXPECT_EQ(stats.violations, 0u);
+  const std::vector<std::uint16_t> expected = {
+      7, 18, 3, 6, 10, 14, 2, 5, 13, 16, 20, 15, 19, 27,
+      29, 37, 39, 24, 26, 28, 32, 34, 36, 40, 23, 27, 33, 35,
+      37, 22, 24, 26, 30, 34, 36, 40, 23, 7, 3, 10, 14, 17,
+      9, 13, 20, 12, 4};
+  EXPECT_EQ(probe_ports(recorder.calls()), expected);
 }
 
 TEST(Scenario, EcmpViolatesUnderUpdates) {

@@ -1169,7 +1169,8 @@ TEST(SwitchTelemetry, ProfileJsonServesExactPacketLatency) {
   ASSERT_EQ(snap.value_of("silkroad_software_fallback_total"), 0.0);
   const double packets = snap.value_of("silkroad_packets_total");
   ASSERT_EQ(packets, static_cast<double>(kFlows * kRounds));
-  const double pipeline_ns = static_cast<double>(config.pipeline_latency);
+  const double pipeline_ns =
+      static_cast<double>(core::SilkRoadSwitch::kPipelineLatency);
   ASSERT_EQ(pipeline_ns, 400.0);
 
   const std::string json = to_profile_json(snap);

@@ -93,8 +93,7 @@ TEST_P(VersionFuzz, InvariantsHoldUnderRandomUpdateStreams) {
   core::VipVersionManager mgr(
       vip_ep(), dips,
       {.version_bits = 4,  // tight: forces recycling and exhaustion paths
-       .enable_reuse = true,
-       .semantics = lb::PoolSemantics::kStableResilient});
+       .enable_reuse = true});
   std::map<std::uint32_t, int> live_refs;
   live_refs[mgr.current_version()] = 0;
 

@@ -116,6 +116,35 @@ TEST(SilkRoadSwitch, FlowEndingBeforeInsertionIsSkipped) {
   EXPECT_EQ(sw.stats().inserts, 0u);
 }
 
+TEST(SilkRoadSwitch, PendingFlowIsLearnedOnce) {
+  // A pending flow's later packets find its record, so the learning filter
+  // holds one event for it however many packets arrive before the flush.
+  sim::Simulator sim;
+  SilkRoadSwitch sw(sim, small_config());
+  sw.add_vip(vip_ep(), make_dips(4));
+  const auto first = sw.process_packet(packet_of(1, true));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(sw.process_packet(packet_of(1)).dip, first.dip);
+  }
+  EXPECT_EQ(sw.stats().learns, 1u);
+  EXPECT_EQ(sw.metrics().snapshot().value_of(
+                "silkroad_learning_filter_pending"),
+            1.0);
+  sim.run();
+  EXPECT_EQ(sw.stats().inserts, 1u);
+  EXPECT_EQ(sw.pending_insertions(), 0u);
+  EXPECT_EQ(sw.conn_table().size(), 1u);
+}
+
+TEST(SilkRoadSwitchDeathTest, RelearnTimeoutMustExceedLearningTimeout) {
+  SilkRoadSwitch::Config config = small_config();
+  config.relearn_timeout = config.learning.timeout;
+  sim::Simulator sim;
+  EXPECT_DEATH(SilkRoadSwitch(sim, config),
+               "relearn_timeout \\(1000000 ns\\) must exceed the "
+               "learning-filter timeout \\(1000000 ns\\)");
+}
+
 TEST(SilkRoadSwitch, UpdateFlipsOnlyAfterPendingInserted) {
   sim::Simulator sim;
   SilkRoadSwitch sw(sim, small_config());

@@ -38,9 +38,7 @@ workload::DipUpdate add_update(const net::Endpoint& dip) {
 }
 
 VipVersionManager::Config test_config(bool reuse = true, unsigned bits = 6) {
-  return {.version_bits = bits,
-          .enable_reuse = reuse,
-          .semantics = lb::PoolSemantics::kStableResilient};
+  return {.version_bits = bits, .enable_reuse = reuse};
 }
 
 TEST(VipVersionManager, InitialState) {
