@@ -245,8 +245,8 @@ class SilkRoadFleet : public lb::LoadBalancer,
   std::vector<net::VipMembers> desired_locked() const SR_REQUIRES(mu_);
 
   // obs::FleetObserver::Source: the observer's cold-path view of applied_
-  // and membership_. Takes mu_, so the observer calls it under its own
-  // mutex and the fleet feeds the observer only outside mu_.
+  // and membership_. Takes mu_, and the observer calls it from inside its
+  // feeds, so the fleet feeds the observer only outside mu_.
   std::vector<net::VipMembers> applied(std::size_t index) const override
       SR_EXCLUDES(mu_);
   std::vector<net::VipMembers> desired() const override SR_EXCLUDES(mu_);
@@ -305,9 +305,11 @@ class SilkRoadFleet : public lb::LoadBalancer,
   MembershipCallback membership_cb_;
   /// Convergence observatory: keeps digests only and reads applied_ and
   /// membership_ through this fleet's Source view, so it is declared after
-  /// them and destroyed first. Simulation-thread fed, own internal mutex;
-  /// lock order is its mutex, then mu_, so every feed is called outside
-  /// mu_, right after the one guarded mutation it reports.
+  /// them and destroyed first. Fed on the simulation thread, which owns its
+  /// fold; its mutex guards only the copy the scrape thread renders, and it
+  /// calls nothing under it. A feed may call the Source, which takes mu_, so
+  /// every feed is called outside mu_, right after the one guarded mutation
+  /// it reports.
   std::unique_ptr<obs::FleetObserver> observer_;
   /// One report per detected silent-divergence episode (sim-thread-only).
   std::vector<obs::ForensicsReport> divergence_reports_;

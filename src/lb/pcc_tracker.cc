@@ -2,10 +2,10 @@
 
 namespace silkroad::lb {
 
-void PccTracker::flow_started(const net::FiveTuple& flow,
+bool PccTracker::flow_started(const net::FiveTuple& flow,
                               const net::Endpoint& dip, sim::Time /*now*/) {
   ++flows_seen_;
-  active_.try_emplace(flow, FlowState{dip, false, false});
+  return active_.try_emplace(flow, FlowState{dip, false, false}).second;
 }
 
 bool PccTracker::judge(FlowState& state,

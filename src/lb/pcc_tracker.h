@@ -35,8 +35,9 @@ class PccTracker {
     bool exempt = false;
   };
 
-  /// Registers a flow's first mapping; a flow already tracked keeps its own.
-  void flow_started(const net::FiveTuple& flow, const net::Endpoint& dip,
+  /// Registers a flow's first mapping. Returns false when the flow is
+  /// already tracked; it then keeps its own.
+  bool flow_started(const net::FiveTuple& flow, const net::Endpoint& dip,
                     sim::Time now);
 
   /// The tracked flow's state, or nullptr.

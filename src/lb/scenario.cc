@@ -186,7 +186,15 @@ void Scenario::on_flow_start(const workload::Flow& flow) {
   }
   flows_started_->inc();
   auto& vip_reg = registry_[flow.tuple.dst];
-  vip_reg.pcc.flow_started(flow.tuple, *result.dip, sim_.now());
+  // A second open flow on one tuple would add its rate to the traffic split
+  // with no end left to subtract it: the first end takes the one entry.
+  const bool inserted =
+      vip_reg.pcc.flow_started(flow.tuple, *result.dip, sim_.now());
+  SR_CHECKF(inserted,
+            "flow %s starts while a flow with its 5-tuple is still open "
+            "(replay input repeats an open tuple, or FlowGenerator's 24-bit "
+            "client ids wrapped after 16.7M flows)",
+            flow.tuple.to_string().c_str());
   vip_reg.rate_bps += flow.rate_bps;
   vip_reg.at_slb = lb_.vip_at_slb(flow.tuple.dst);
   total_rate_bps_ += flow.rate_bps;

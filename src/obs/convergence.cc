@@ -86,6 +86,15 @@ std::map<net::Endpoint, std::vector<net::Endpoint>> by_vip(
   return out;
 }
 
+// Appends a resync-session record, keeping the newest kSessionHistory.
+void push_session(std::deque<DivergenceFinding::SessionRecord>& sessions,
+                  const DivergenceFinding::SessionRecord& record) {
+  sessions.push_back(record);
+  while (sessions.size() > FleetObserver::kSessionHistory) {
+    sessions.pop_front();
+  }
+}
+
 }  // namespace
 
 // --- VipDigest ---------------------------------------------------------------
@@ -196,266 +205,179 @@ std::string DivergenceFinding::to_json() const {
 // --- FleetObserver -----------------------------------------------------------
 
 FleetObserver::FleetObserver(std::size_t switches, const Source& source)
-    : switch_count_(switches), source_(source) {
-  const sr::MutexLock lock(mu_);
-  cells_.resize(switches);
-  selfcheck_countdown_ = kSelfcheckEvery;
-  eval_countdown_ = kEvalEvery;
-  pending_.reserve(kDrainEvery);
+    : switch_count_(switches), source_(source), cells_(switches) {
   history_.resize(kDigestHistory);
+  const sr::MutexLock lock(mu_);
+  published_.rows.resize(switches);
 }
 
-// --- Feed journal ------------------------------------------------------------
-
-void FleetObserver::replay_locked() {
-  // Replay in feed order with each event's recorded timestamp: the fold is
-  // bit-identical to having applied every feed synchronously, only batched
-  // so the observer's working set stays cache-resident (header cost model).
-  for (const FeedEvent& ev : pending_) {
-    switch (ev.kind) {
-      case FeedEvent::Kind::kAppendUpdate: {
-        SR_DCHECKF(ev.pos > head_, "journal positions are monotone");
-        head_ = ev.pos;
-        if (ev.changed) {
-          desired_digest_ ^= VipDigest::member_token(ev.vip, ev.dip);
-        }
-        append_history_locked(ev.at);
-        tick_locked(ev.at, kNoSwitch);
-        break;
-      }
-      case FeedEvent::Kind::kMirrorUpdate: {
-        if (ev.changed) {
-          cells_[ev.sw].digest ^= VipDigest::member_token(ev.vip, ev.dip);
-        }
-        // Out-of-band mutations (resync replays, fault injection) are
-        // checked right away against the unchanged effective watermark.
-        tick_locked(ev.at, ev.sw);
-        break;
-      }
-      case FeedEvent::Kind::kDelivery: {
-        SwitchCell& cell = cells_[ev.sw];
-        cell.digest ^= VipDigest::member_token(ev.vip, ev.dip);
-        if (ev.pos > cell.watermark) cell.watermark = ev.pos;
-        if (!cell.oob.empty()) drain_oob_locked(cell);
-        // Lean tail for the update-heavy delivery stream: the digest
-        // comparison (a history-ring lookup per switch) runs on the
-        // evaluation cadence, all switches at once, instead of per
-        // delivery. Detection latency for a delivery-path divergence is
-        // therefore bounded by kEvalEvery feed events on top of the drain
-        // batching; out-of-band mutations, lifecycle edges, and explicit
-        // evaluate() still check immediately (DESIGN.md §17).
-        count_selfcheck_locked();
-        if (eval_due_locked()) {
-          evaluate_locked(ev.at);
-          check_switches_locked(ev.at, kAllSwitches);
-        }
-        break;
-      }
-      case FeedEvent::Kind::kWatermark: {
-        SwitchCell& cell = cells_[ev.sw];
-        cell.watermark = std::max(cell.watermark, ev.pos);
-        drain_oob_locked(cell);
-        tick_locked(ev.at, ev.sw);
-        break;
-      }
-    }
-  }
-  pending_.clear();
-}
-
-std::vector<DivergenceFinding> FleetObserver::settle_locked() {
-  // Every caller has emptied the feed journal and applied its own feed, so
-  // the Source and the digests agree again: only now may a self-check read
-  // the Source. Each checks the next switch and the desired state.
-  for (; selfchecks_due_ > 0; --selfchecks_due_) {
-    ++selfchecks_;
-    const std::size_t sw = selfcheck_cursor_;
-    selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
-    if (fold(source_.applied(sw)) != cells_[sw].digest ||
-        fold(source_.desired()) != desired_digest_) {
-      ++selfcheck_failures_;
-    }
-  }
-  return std::exchange(unfired_, {});
-}
-
-void FleetObserver::drain() {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    fired = settle_locked();
-  }
-  fire(std::move(fired));
-}
-
-// --- Feed: configs -----------------------------------------------------------
+// --- Feed: journal appends ---------------------------------------------------
 
 void FleetObserver::on_append_config(std::uint64_t pos, sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SR_DCHECKF(pos > head_, "journal positions are monotone");
-    head_ = pos;
-    desired_digest_ = fold(source_.desired());
-    append_history_locked(now);
-    tick_locked(now, kNoSwitch);
-    fired = settle_locked();
-  }
-  fire(std::move(fired));
+  SR_DCHECKF(pos > totals_.head, "journal positions are monotone");
+  totals_.head = pos;
+  totals_.desired_digest = fold(source_.desired());
+  append_history(now);
+  tick(now, kNoSwitch);
+  publish();
 }
+
+void FleetObserver::on_append_update(std::uint64_t pos, sim::Time now,
+                                     const net::Endpoint& vip,
+                                     const net::Endpoint& dip, bool changed) {
+  SR_DCHECKF(pos > totals_.head, "journal positions are monotone");
+  totals_.head = pos;
+  if (changed) totals_.desired_digest ^= VipDigest::member_token(vip, dip);
+  append_history(now);
+  tick(now, kNoSwitch);
+}
+
+// --- Feed: per-switch applied membership -------------------------------------
 
 void FleetObserver::on_mirror_config(std::size_t sw, std::uint64_t pos,
                                      sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SwitchCell& cell = cells_.at(sw);
-    cell.digest = fold(source_.applied(sw));
-    if (pos != 0 && pos > cell.watermark) cell.oob.insert(pos);
-    tick_locked(now, sw);
-    fired = settle_locked();
+  SwitchCell& cell = cells_.at(sw);
+  cell.digest = fold(source_.applied(sw));
+  if (pos != 0 && pos > cell.watermark) cell.oob.insert(pos);
+  tick(now, sw);
+  publish();
+}
+
+void FleetObserver::on_mirror_update(std::size_t sw, const net::Endpoint& vip,
+                                     const net::Endpoint& dip, bool changed,
+                                     sim::Time now) {
+  if (changed) cells_[sw].digest ^= VipDigest::member_token(vip, dip);
+  // Out-of-band mutations (resync replays, fault injection) are checked
+  // right away against the unchanged effective watermark.
+  tick(now, sw);
+}
+
+void FleetObserver::on_delivery(std::size_t sw, const net::Endpoint& vip,
+                                const net::Endpoint& dip, bool changed,
+                                std::uint64_t pos, sim::Time now) {
+  if (!changed) {
+    on_watermark(sw, pos, now);
+    return;
   }
-  fire(std::move(fired));
+  SwitchCell& cell = cells_[sw];
+  cell.digest ^= VipDigest::member_token(vip, dip);
+  if (pos > cell.watermark) cell.watermark = pos;
+  if (!cell.oob.empty()) prune_oob(cell);
+  // Lean tail for the update-heavy delivery stream: the digest comparison
+  // (a history-ring lookup per switch) runs on the evaluation cadence, all
+  // switches at once, instead of per delivery. Detection latency for a
+  // delivery-path divergence is therefore bounded by kEvalEvery feeds;
+  // out-of-band mutations, lifecycle edges, and explicit evaluate() still
+  // check immediately (DESIGN.md §17).
+  count_selfcheck();
+  if (eval_due()) evaluate_and_check(now, kAllSwitches);
+}
+
+void FleetObserver::on_watermark(std::size_t sw, std::uint64_t watermark,
+                                 sim::Time now) {
+  SwitchCell& cell = cells_[sw];
+  cell.watermark = std::max(cell.watermark, watermark);
+  prune_oob(cell);
+  tick(now, sw);
 }
 
 // --- Feed: lifecycle ---------------------------------------------------------
 
 void FleetObserver::on_switch_down(std::size_t sw, sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SwitchCell& cell = cells_.at(sw);
-    cell.state = SwitchState::kDown;
-    cell.active_session = 0;
-    cell.digest = 0;
-    cell.oob.clear();
-    cell.watermark = 0;
-    cell.divergent = false;
-    cell.lagging = false;
-    tick_locked(now, kAllSwitches);  // Live set changed: re-evaluate.
-    fired = settle_locked();
-  }
-  fire(std::move(fired));
+  SwitchCell& cell = cells_.at(sw);
+  cell.state = SwitchState::kDown;
+  cell.active_session = 0;
+  cell.digest = 0;
+  cell.oob.clear();
+  cell.watermark = 0;
+  cell.divergent = false;
+  cell.lagging = false;
+  tick(now, kAllSwitches);  // Live set changed: re-evaluate (and publish).
 }
 
 void FleetObserver::on_restore_begin(std::size_t sw,
                                      std::uint64_t snapshot_watermark,
                                      sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SwitchCell& cell = cells_.at(sw);
-    cell.state = SwitchState::kRestoring;
-    cell.digest = fold(source_.applied(sw));
-    cell.oob.clear();
-    cell.watermark = snapshot_watermark;
-    cell.divergent = false;
-    tick_locked(now, kAllSwitches);  // Live set changed: re-evaluate.
-    fired = settle_locked();
-  }
-  fire(std::move(fired));
+  SwitchCell& cell = cells_.at(sw);
+  cell.state = SwitchState::kRestoring;
+  cell.digest = fold(source_.applied(sw));
+  cell.oob.clear();
+  cell.watermark = snapshot_watermark;
+  cell.divergent = false;
+  tick(now, kAllSwitches);  // Live set changed: re-evaluate (and publish).
 }
 
 void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
                                     sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();  // Deliveries that preceded the wipe stay ordered.
-    SwitchCell& cell = cells_.at(sw);
-    if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
-    cell.active_session = session_id;
-    cell.sessions.push_back({session_id, 0, now, 0});
-    while (cell.sessions.size() > kSessionHistory) {
-      cell.sessions.pop_front();
-    }
-    fired = settle_locked();
-  }
-  fire(std::move(fired));
+  SwitchCell& cell = cells_.at(sw);
+  if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
+  cell.active_session = session_id;
+  const sr::MutexLock lock(mu_);
+  push_session(published_.rows[sw].sessions, {session_id, 0, now, 0});
+  publish_locked();
 }
 
 void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
                                     ResyncKind kind, sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SwitchCell& cell = cells_.at(sw);
-    if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
-    cell.active_session = session_id;
-    if (cell.sessions.empty() ||
-        cell.sessions.back().session_id != session_id) {
-      cell.sessions.push_back({session_id, static_cast<int>(kind), now, 0});
-      while (cell.sessions.size() > kSessionHistory) {
-        cell.sessions.pop_front();
-      }
-    } else {
-      cell.sessions.back().kind = static_cast<int>(kind);
-    }
-    fired = settle_locked();
+  SwitchCell& cell = cells_.at(sw);
+  if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
+  cell.active_session = session_id;
+  const sr::MutexLock lock(mu_);
+  auto& sessions = published_.rows[sw].sessions;
+  if (sessions.empty() || sessions.back().session_id != session_id) {
+    push_session(sessions, {session_id, static_cast<int>(kind), now, 0});
+  } else {
+    sessions.back().kind = static_cast<int>(kind);
   }
-  fire(std::move(fired));
+  publish_locked();
 }
 
 void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
                                   sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    SwitchCell& cell = cells_.at(sw);
-    if (cell.active_session != session_id) {
-      // A newer session won; the replayed backlog still gets its findings
-      // delivered.
-      fired = settle_locked();
-    } else {
-      cell.active_session = 0;
-      cell.state = SwitchState::kLive;
-      for (auto it = cell.sessions.rbegin(); it != cell.sessions.rend();
-           ++it) {
+  SwitchCell& cell = cells_.at(sw);
+  if (cell.active_session == session_id) {  // Else a newer session won.
+    cell.active_session = 0;
+    cell.state = SwitchState::kLive;
+    {
+      const sr::MutexLock lock(mu_);
+      auto& sessions = published_.rows[sw].sessions;
+      for (auto it = sessions.rbegin(); it != sessions.rend(); ++it) {
         if (it->session_id == session_id) {
           it->ended = now;
           break;
         }
       }
-      tick_locked(now, sw);
-      fired = settle_locked();
     }
+    tick(now, sw);
   }
-  fire(std::move(fired));
+  publish();
 }
 
 // --- Checkability + digests --------------------------------------------------
 
-void FleetObserver::drain_oob_locked(SwitchCell& cell) {
+void FleetObserver::prune_oob(SwitchCell& cell) {
   while (!cell.oob.empty() && *cell.oob.begin() <= cell.watermark) {
     cell.oob.erase(cell.oob.begin());
   }
 }
 
-std::uint64_t FleetObserver::effective_locked(const SwitchCell& cell) const {
-  std::uint64_t effective = cell.watermark;
+std::uint64_t FleetObserver::effective(const SwitchCell& cell) const {
+  std::uint64_t through = cell.watermark;
   for (const std::uint64_t pos : cell.oob) {
-    if (pos != effective + 1) break;
-    effective = pos;
+    if (pos != through + 1) break;
+    through = pos;
   }
-  return effective;
+  return through;
 }
 
-bool FleetObserver::checkable_locked(const SwitchCell& cell) const {
+bool FleetObserver::checkable(const SwitchCell& cell) const {
   if (cell.state != SwitchState::kLive) return false;
   if (cell.oob.empty()) return true;
   // Every out-of-band position must be inside the contiguous extension.
-  return *cell.oob.rbegin() <= effective_locked(cell);
+  return *cell.oob.rbegin() <= effective(cell);
 }
 
-bool FleetObserver::digest_at_locked(std::uint64_t pos,
-                                     std::uint64_t* digest) const {
+bool FleetObserver::digest_at(std::uint64_t pos, std::uint64_t* digest) const {
   if (pos == 0) {
     // Before the first journaled mutation the desired state is empty —
     // unless history already scrolled past retention.
@@ -466,21 +388,21 @@ bool FleetObserver::digest_at_locked(std::uint64_t pos,
   if (pos < history_base_ || pos >= history_base_ + history_size_) {
     return false;
   }
-  *digest = history_entry_locked(pos - history_base_).digest_after;
+  *digest = history_entry(pos - history_base_).digest_after;
   return true;
 }
 
-const FleetObserver::HistoryEntry& FleetObserver::history_entry_locked(
+const FleetObserver::HistoryEntry& FleetObserver::history_entry(
     std::size_t off) const {
   std::size_t idx = history_start_ + off;
   if (idx >= history_.size()) idx -= history_.size();
   return history_[idx];
 }
 
-void FleetObserver::append_history_locked(sim::Time now) {
-  // Caller just advanced head_ to the appended position.
+void FleetObserver::append_history(sim::Time now) {
+  // Caller just advanced the head to the appended position.
   const std::size_t cap = history_.size();
-  if (history_size_ == 0) history_base_ = head_;
+  if (history_size_ == 0) history_base_ = totals_.head;
   std::size_t idx;
   if (history_size_ == cap) {
     idx = history_start_;  // Full: the oldest entry is recycled.
@@ -491,44 +413,48 @@ void FleetObserver::append_history_locked(sim::Time now) {
     if (idx >= cap) idx -= cap;
     ++history_size_;
   }
-  history_[idx] = {desired_digest_, now};
+  history_[idx] = {totals_.desired_digest, now};
 }
 
-bool FleetObserver::check_switch_locked(std::size_t sw, sim::Time now,
-                                        DivergenceFinding* finding) {
+void FleetObserver::check_switch(std::size_t sw, sim::Time now) {
   SwitchCell& cell = cells_[sw];
-  if (!checkable_locked(cell)) return false;
-  const std::uint64_t effective = effective_locked(cell);
+  if (!checkable(cell)) return;
+  const std::uint64_t position = effective(cell);
   std::uint64_t expected = 0;
-  if (!digest_at_locked(effective, &expected)) {
-    ++unverifiable_;  // Compacted past retention; catches up or stays flagged.
-    return false;
+  if (!digest_at(position, &expected)) {
+    ++totals_.unverifiable;  // Compacted past retention; catches up or stays flagged.
+    return;
   }
   if (cell.digest == expected) {
     cell.divergent = false;  // Re-arm the episode latch.
-    return false;
+    return;
   }
-  if (cell.divergent) return false;  // Already reported this episode.
+  if (cell.divergent) return;  // Already reported this episode.
   cell.divergent = true;
-  ++divergences_;
-  finding->switch_index = sw;
-  finding->position = effective;
-  finding->expected_digest = expected;
-  finding->actual_digest = cell.digest;
-  finding->at = now;
-  attribute_locked(sw, finding);
-  finding->sessions.assign(cell.sessions.begin(), cell.sessions.end());
-  findings_.push_back(*finding);
-  return true;
+  ++totals_.divergences;
+  DivergenceFinding finding;
+  finding.switch_index = sw;
+  finding.position = position;
+  finding.expected_digest = expected;
+  finding.actual_digest = cell.digest;
+  finding.at = now;
+  attribute(sw, &finding);
+  {
+    const sr::MutexLock lock(mu_);
+    const auto& sessions = published_.rows[sw].sessions;
+    finding.sessions.assign(sessions.begin(), sessions.end());
+    published_.findings.push_back(finding);
+    publish_locked();
+  }
+  if (divergence_cb_) divergence_cb_(finding);
 }
 
-void FleetObserver::attribute_locked(std::size_t sw,
-                                     DivergenceFinding* finding) const {
+void FleetObserver::attribute(std::size_t sw,
+                              DivergenceFinding* finding) const {
   // Diff the switch's applied membership against the *current* desired
   // state. At quiescence (where the chaos harness asserts) the two
-  // references are the same; mid-stream — including a finding made inside
-  // a replay, when the Source is ahead of the digests — the attribution may
-  // include in-flight churn and is labeled approximate (§17).
+  // references are the same; mid-stream the attribution may include
+  // in-flight churn and is labeled approximate (§17).
   const auto want = by_vip(source_.desired());
   const auto have = by_vip(source_.applied(sw));
   std::set<net::Endpoint> vips;
@@ -557,31 +483,32 @@ void FleetObserver::attribute_locked(std::size_t sw,
 
 // --- Evaluation --------------------------------------------------------------
 
-void FleetObserver::evaluate_locked(sim::Time now) {
+void FleetObserver::evaluate_lags(sim::Time now) {
   std::size_t live = 0;
   std::size_t lagging = 0;
   for (SwitchCell& cell : cells_) {
     if (cell.state == SwitchState::kDown) {
-      cell.cached_lag = 0;
-      cell.cached_age = 0;
+      cell.lag = 0;
+      cell.age = 0;
       continue;
     }
     ++live;
-    const std::uint64_t effective = effective_locked(cell);
-    const std::uint64_t lag = head_ > effective ? head_ - effective : 0;
-    cell.cached_lag = lag;
+    const std::uint64_t position = effective(cell);
+    const std::uint64_t lag =
+        totals_.head > position ? totals_.head - position : 0;
+    cell.lag = lag;
     if (lag == 0 || history_size_ == 0) {
-      cell.cached_age = 0;
+      cell.age = 0;
     } else {
       // Age of the oldest unapplied mutation. When it predates the retained
       // history the oldest entry's timestamp is a (documented) lower bound.
-      const std::uint64_t next = effective + 1;
+      const std::uint64_t next = position + 1;
       const HistoryEntry& entry =
-          next < history_base_ ? history_entry_locked(0)
+          next < history_base_ ? history_entry(0)
           : next >= history_base_ + history_size_
-              ? history_entry_locked(history_size_ - 1)
-              : history_entry_locked(next - history_base_);
-      cell.cached_age = now > entry.appended_at ? now - entry.appended_at : 0;
+              ? history_entry(history_size_ - 1)
+              : history_entry(next - history_base_);
+      cell.age = now > entry.appended_at ? now - entry.appended_at : 0;
     }
     if (cell.lagging) {
       if (lag <= kLagExit) cell.lagging = false;
@@ -591,29 +518,37 @@ void FleetObserver::evaluate_locked(sim::Time now) {
     if (cell.lagging) ++lagging;
     if (h_lag_ != nullptr) h_lag_->record(lag);
   }
-  lagging_fraction_ = live == 0 ? 0.0
-                                : static_cast<double>(lagging) /
-                                      static_cast<double>(live);
+  totals_.lagging_fraction = live == 0 ? 0.0
+                                       : static_cast<double>(lagging) /
+                                             static_cast<double>(live);
   const bool ok =
       live == 0 ||
       (static_cast<double>(live - lagging) / static_cast<double>(live)) >=
           kSloTarget;
-  if (!slo_ok_ && now > last_eval_) slo_burn_ns_ += now - last_eval_;
-  if (ok != slo_ok_) ++slo_transitions_;
-  slo_ok_ = ok;
+  if (!totals_.slo_ok && now > last_eval_) {
+    totals_.slo_burn_ns += now - last_eval_;
+  }
+  if (ok != totals_.slo_ok) ++totals_.slo_transitions;
+  totals_.slo_ok = ok;
   last_eval_ = std::max(last_eval_, now);
 }
 
-void FleetObserver::count_selfcheck_locked() {
+void FleetObserver::count_selfcheck() {
   if (cells_.empty() || --selfcheck_countdown_ != 0) return;
   selfcheck_countdown_ = kSelfcheckEvery;
   // Round-robin one switch (plus the desired digest) per cadence hit —
-  // bounded work per drain, full coverage over time. It reads the Source,
-  // so it waits for settle_locked().
-  ++selfchecks_due_;
+  // bounded work per feed, full coverage over time. The fleet changes its
+  // state before it feeds, so here the Source agrees with the digests.
+  ++totals_.selfchecks;
+  const std::size_t sw = selfcheck_cursor_;
+  selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
+  if (fold(source_.applied(sw)) != cells_[sw].digest ||
+      fold(source_.desired()) != totals_.desired_digest) {
+    ++totals_.selfcheck_failures;
+  }
 }
 
-bool FleetObserver::eval_due_locked() {
+bool FleetObserver::eval_due() {
   if (--eval_countdown_ == 0) {
     eval_countdown_ = kEvalEvery;
     return true;
@@ -621,157 +556,65 @@ bool FleetObserver::eval_due_locked() {
   return false;
 }
 
-void FleetObserver::check_switches_locked(sim::Time now, std::size_t touched) {
+void FleetObserver::check_switches(sim::Time now, std::size_t touched) {
   if (touched == kNoSwitch) return;  // Pure appends check nothing.
-  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
-    if (touched != kAllSwitches && touched != sw) continue;
-    DivergenceFinding finding;
-    if (check_switch_locked(sw, now, &finding)) {
-      unfired_.push_back(std::move(finding));
-    }
+  if (touched != kAllSwitches) {
+    check_switch(touched, now);
+    return;
   }
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) check_switch(sw, now);
 }
 
-void FleetObserver::tick_locked(sim::Time now, std::size_t touched) {
-  count_selfcheck_locked();
+void FleetObserver::evaluate_and_check(sim::Time now, std::size_t touched) {
+  evaluate_lags(now);
+  check_switches(now, touched);
+  publish();
+}
+
+void FleetObserver::tick(sim::Time now, std::size_t touched) {
+  count_selfcheck();
   // The O(switches) lag/SLO recompute is amortized over the feed stream;
   // explicit evaluate() and lifecycle edges (kAllSwitches) always run it.
-  if (eval_due_locked() || touched == kAllSwitches) {
-    evaluate_locked(now);
+  if (eval_due() || touched == kAllSwitches) {
+    evaluate_and_check(now, touched);
+  } else {
+    check_switches(now, touched);
   }
-  check_switches_locked(now, touched);
 }
 
-void FleetObserver::fire(std::vector<DivergenceFinding> findings) {
-  if (!divergence_cb_) return;
-  for (const auto& finding : findings) divergence_cb_(finding);
+void FleetObserver::publish() {
+  const sr::MutexLock lock(mu_);
+  publish_locked();
 }
 
-void FleetObserver::evaluate(sim::Time now) {
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    tick_locked(now, kAllSwitches);
-    fired = settle_locked();
+void FleetObserver::publish_locked() {
+  published_.totals = totals_;
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
+    Published::Row& row = published_.rows[sw];
+    static_cast<SwitchView&>(row) = cells_[sw];
+    row.effective = effective(cells_[sw]);
   }
-  fire(std::move(fired));
 }
+
+void FleetObserver::evaluate(sim::Time now) { tick(now, kAllSwitches); }
 
 bool FleetObserver::verify_digests() {
   bool ok = true;
-  std::vector<DivergenceFinding> fired;
-  {
-    const sr::MutexLock lock(mu_);
-    replay_locked();
-    fired = settle_locked();
-    for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
-      if (fold(source_.applied(sw)) != cells_[sw].digest) ok = false;
-    }
-    if (fold(source_.desired()) != desired_digest_) ok = false;
-    ++selfchecks_;
-    if (!ok) ++selfcheck_failures_;
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
+    if (fold(source_.applied(sw)) != cells_[sw].digest) ok = false;
   }
-  fire(std::move(fired));
+  if (fold(source_.desired()) != totals_.desired_digest) ok = false;
+  ++totals_.selfchecks;
+  if (!ok) ++totals_.selfcheck_failures;
+  publish();
   return ok;
 }
 
 // --- Introspection -----------------------------------------------------------
 
-std::uint64_t FleetObserver::head() {
-  drain();
+std::vector<DivergenceFinding> FleetObserver::findings() const {
   const sr::MutexLock lock(mu_);
-  return head_;
-}
-
-std::uint64_t FleetObserver::watermark(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return cells_.at(sw).watermark;
-}
-
-std::uint64_t FleetObserver::effective_watermark(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return effective_locked(cells_.at(sw));
-}
-
-std::uint64_t FleetObserver::lag_positions(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return cells_.at(sw).cached_lag;
-}
-
-sim::Time FleetObserver::lag_age(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return cells_.at(sw).cached_age;
-}
-
-FleetObserver::SwitchState FleetObserver::state(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return cells_.at(sw).state;
-}
-
-std::uint64_t FleetObserver::desired_digest() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return desired_digest_;
-}
-
-std::uint64_t FleetObserver::switch_digest(std::size_t sw) {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return cells_.at(sw).digest;
-}
-
-bool FleetObserver::slo_ok() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return slo_ok_;
-}
-
-std::uint64_t FleetObserver::slo_transitions() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return slo_transitions_;
-}
-
-sim::Time FleetObserver::slo_burn_ns() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return slo_burn_ns_;
-}
-
-std::uint64_t FleetObserver::divergences() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return divergences_;
-}
-
-std::vector<DivergenceFinding> FleetObserver::findings() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return findings_;
-}
-
-std::uint64_t FleetObserver::selfchecks() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return selfchecks_;
-}
-
-std::uint64_t FleetObserver::selfcheck_failures() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return selfcheck_failures_;
-}
-
-std::uint64_t FleetObserver::unverifiable_checks() {
-  drain();
-  const sr::MutexLock lock(mu_);
-  return unverifiable_;
+  return published_.findings;
 }
 
 void FleetObserver::set_divergence_callback(DivergenceCallback cb) {
@@ -779,99 +622,73 @@ void FleetObserver::set_divergence_callback(DivergenceCallback cb) {
 }
 
 void FleetObserver::bind_metrics(MetricsRegistry& registry) {
-  registry.register_callback(
-      "silkroad_fleet_journal_lag_slo_ok", MetricKind::kGauge,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return slo_ok_ ? 1.0 : 0.0;
-      },
-      "1 while the convergence SLO holds (lagging fraction within target)");
-  registry.register_callback(
-      "silkroad_fleet_lagging_fraction", MetricKind::kGauge,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return lagging_fraction_;
-      },
-      "Fraction of live switches currently in the lagging hysteresis state");
-  registry.register_callback(
-      "silkroad_fleet_slo_burn_ns_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(slo_burn_ns_);
-      },
-      "Sim-time nanoseconds spent with the convergence SLO violated");
-  registry.register_callback(
-      "silkroad_fleet_slo_transitions_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(slo_transitions_);
-      },
-      "Convergence SLO ok<->violated flips");
-  registry.register_callback(
-      "silkroad_fleet_divergences_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(divergences_);
-      },
-      "Silent divergences detected (digest mismatch at equal watermark)");
-  registry.register_callback(
-      "silkroad_fleet_digest_selfchecks_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(selfchecks_);
-      },
-      "Full-recompute digest self-checks performed");
-  registry.register_callback(
-      "silkroad_fleet_digest_selfcheck_failures_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(selfcheck_failures_);
-      },
-      "Digest self-checks where incremental and recomputed values disagreed");
-  registry.register_callback(
-      "silkroad_fleet_unverifiable_checks_total", MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(unverifiable_);
-      },
-      "Digest checks skipped because history was compacted past the "
-      "switch's watermark");
+  // Every callback may run on the scrape thread: it reads the published
+  // copy under the mutex.
+  const auto bind = [this, &registry](const char* name, MetricKind kind,
+                                      auto read, const char* help,
+                                      const std::string& labels = {}) {
+    registry.register_callback(
+        name, kind,
+        [this, read] {
+          const sr::MutexLock lock(mu_);
+          return static_cast<double>(read(published_));
+        },
+        help, labels);
+  };
+  bind("silkroad_fleet_journal_lag_slo_ok", MetricKind::kGauge,
+       [](const Published& p) { return p.totals.slo_ok ? 1.0 : 0.0; },
+       "1 while the convergence SLO holds (lagging fraction within target)");
+  bind("silkroad_fleet_lagging_fraction", MetricKind::kGauge,
+       [](const Published& p) { return p.totals.lagging_fraction; },
+       "Fraction of live switches currently in the lagging hysteresis state");
+  bind("silkroad_fleet_slo_burn_ns_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.slo_burn_ns; },
+       "Sim-time nanoseconds spent with the convergence SLO violated");
+  bind("silkroad_fleet_slo_transitions_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.slo_transitions; },
+       "Convergence SLO ok<->violated flips");
+  bind("silkroad_fleet_divergences_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.divergences; },
+       "Silent divergences detected (digest mismatch at equal watermark)");
+  bind("silkroad_fleet_digest_selfchecks_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.selfchecks; },
+       "Full-recompute digest self-checks performed");
+  bind("silkroad_fleet_digest_selfcheck_failures_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.selfcheck_failures; },
+       "Digest self-checks where incremental and recomputed values disagreed");
+  bind("silkroad_fleet_unverifiable_checks_total", MetricKind::kCounter,
+       [](const Published& p) { return p.totals.unverifiable; },
+       "Digest checks skipped because history was compacted past the "
+       "switch's watermark");
   h_lag_ = registry.histogram(
       "silkroad_fleet_lag_positions",
       "Per-switch watermark lag in journal positions, recorded per "
       "evaluation");
   for (std::size_t sw = 0; sw < switch_count_; ++sw) {
     const std::string labels = "switch=\"" + std::to_string(sw) + "\"";
-    registry.register_callback(
-        "silkroad_fleet_switch_lag_positions", MetricKind::kGauge,
-        [this, sw] {
-          const sr::MutexLock lock(mu_);
-          return static_cast<double>(cells_[sw].cached_lag);
-        },
-        "Journal positions between the head and this switch's effective "
-        "watermark",
-        labels);
-    registry.register_callback(
-        "silkroad_fleet_switch_lag_age_ns", MetricKind::kGauge,
-        [this, sw] {
-          const sr::MutexLock lock(mu_);
-          return static_cast<double>(cells_[sw].cached_age);
-        },
-        "Sim-time age of this switch's oldest unapplied journal mutation",
-        labels);
+    bind("silkroad_fleet_switch_lag_positions", MetricKind::kGauge,
+         [sw](const Published& p) { return p.rows[sw].lag; },
+         "Journal positions between the head and this switch's effective "
+         "watermark",
+         labels);
+    bind("silkroad_fleet_switch_lag_age_ns", MetricKind::kGauge,
+         [sw](const Published& p) { return p.rows[sw].age; },
+         "Sim-time age of this switch's oldest unapplied journal mutation",
+         labels);
   }
 }
 
 // --- Rendering ---------------------------------------------------------------
 
-FleetObserver::LagSummary FleetObserver::lag_summary_locked() const {
+FleetObserver::LagSummary FleetObserver::lag_summary(
+    const Published& published) {
   LagSummary out;
   std::vector<std::uint64_t> lags;
-  for (const SwitchCell& cell : cells_) {
-    if (cell.state == SwitchState::kDown) continue;
+  for (const Published::Row& row : published.rows) {
+    if (row.state == SwitchState::kDown) continue;
     ++out.live;
-    lags.push_back(cell.cached_lag);
-    if (cell.lagging) ++out.lagging;
+    lags.push_back(row.lag);
+    if (row.lagging) ++out.lagging;
   }
   if (lags.empty()) return out;
   std::sort(lags.begin(), lags.end());
@@ -886,16 +703,14 @@ FleetObserver::LagSummary FleetObserver::lag_summary_locked() const {
   return out;
 }
 
-std::string FleetObserver::to_text() {
-  // Render surface: may run on the scrape thread, so it must not touch the
-  // simulation-thread-only feed journal. It renders the last drained fold
-  // (staleness bounded by kDrainEvery — header concurrency contract).
+std::string FleetObserver::to_text() const {
   const sr::MutexLock lock(mu_);
+  const Totals& t = published_.totals;
   std::string out;
   out += "=== fleet convergence observatory (DESIGN.md \xC2\xA7"
          "17) ===\n";
-  append(out, "journal head: %" PRIu64 "\n", head_);
-  const LagSummary lag = lag_summary_locked();
+  append(out, "journal head: %" PRIu64 "\n", t.head);
+  const LagSummary lag = lag_summary(published_);
   append(out,
          "lag positions: p50=%" PRIu64 " p99=%" PRIu64 " max=%" PRIu64
          " (over %zu live switches)\n",
@@ -903,48 +718,47 @@ std::string FleetObserver::to_text() {
   append(out,
          "slo: %s (target %.2f%% within enter=%" PRIu64 "/exit=%" PRIu64
          " positions; lagging %zu/%zu)\n",
-         slo_ok_ ? "ok" : "VIOLATED", 100.0 * kSloTarget, kLagEnter,
+         t.slo_ok ? "ok" : "VIOLATED", 100.0 * kSloTarget, kLagEnter,
          kLagExit, lag.lagging, lag.live);
   append(out, "slo burn: %.6f s over %" PRIu64 " transition(s)\n",
-         sim::to_seconds(slo_burn_ns_), slo_transitions_);
+         sim::to_seconds(t.slo_burn_ns), t.slo_transitions);
   append(out,
          "digests: desired=0x%016" PRIx64 " selfchecks=%" PRIu64
          " failures=%" PRIu64 " unverifiable=%" PRIu64 "\n",
-         desired_digest_, selfchecks_, selfcheck_failures_, unverifiable_);
-  append(out, "divergences: %" PRIu64 "%s\n", divergences_,
-         divergences_ == 0 ? "" : "  << SILENT DIVERGENCE");
+         t.desired_digest, t.selfchecks, t.selfcheck_failures,
+         t.unverifiable);
+  append(out, "divergences: %" PRIu64 "%s\n", t.divergences,
+         t.divergences == 0 ? "" : "  << SILENT DIVERGENCE");
   out += "switch  state      watermark  effective  lag  age_ms   digest"
          "              resync\n";
-  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
-    const SwitchCell& cell = cells_[sw];
+  for (std::size_t sw = 0; sw < published_.rows.size(); ++sw) {
+    const Published::Row& row = published_.rows[sw];
     std::string resync = "-";
-    if (!cell.sessions.empty()) {
-      const auto& last = cell.sessions.back();
+    if (!row.sessions.empty()) {
+      const auto& last = row.sessions.back();
       resync = std::string(kind_name(last.kind)) +
                (last.ended == 0 ? " (open)" : "");
     }
     append(out,
            "%-7zu %-10s %-10" PRIu64 " %-10" PRIu64 " %-4" PRIu64
            " %-8.3f 0x%016" PRIx64 "  %s%s\n",
-           sw, state_name(cell.state), cell.watermark,
-           effective_locked(cell), cell.cached_lag,
-           static_cast<double>(cell.cached_age) / 1e6, cell.digest,
-           resync.c_str(), cell.divergent ? "  DIVERGED" : "");
+           sw, state_name(row.state), row.watermark, row.effective, row.lag,
+           static_cast<double>(row.age) / 1e6, row.digest, resync.c_str(),
+           row.divergent ? "  DIVERGED" : "");
   }
-  for (const auto& finding : findings_) {
+  for (const auto& finding : published_.findings) {
     out += "\n";
     out += finding.to_text();
   }
   return out;
 }
 
-std::string FleetObserver::to_json() {
-  // Render surface: last drained fold, no feed-journal access — see
-  // to_text().
+std::string FleetObserver::to_json() const {
   const sr::MutexLock lock(mu_);
+  const Totals& t = published_.totals;
   std::string out;
-  append(out, "{\"journal_head\":%" PRIu64, head_);
-  const LagSummary lag = lag_summary_locked();
+  append(out, "{\"journal_head\":%" PRIu64, t.head);
+  const LagSummary lag = lag_summary(published_);
   append(out,
          ",\"lag\":{\"p50\":%" PRIu64 ",\"p99\":%" PRIu64 ",\"max\":%" PRIu64
          ",\"live\":%zu,\"lagging\":%zu}",
@@ -953,30 +767,30 @@ std::string FleetObserver::to_json() {
          ",\"slo\":{\"ok\":%s,\"target\":%s,\"lag_enter\":%" PRIu64
          ",\"lag_exit\":%" PRIu64 ",\"burn_ns\":%" PRIu64
          ",\"transitions\":%" PRIu64 "}",
-         slo_ok_ ? "true" : "false", format_number(kSloTarget).c_str(),
-         kLagEnter, kLagExit, slo_burn_ns_, slo_transitions_);
+         t.slo_ok ? "true" : "false", format_number(kSloTarget).c_str(),
+         kLagEnter, kLagExit, t.slo_burn_ns, t.slo_transitions);
   append(out,
          ",\"digest\":{\"desired\":\"0x%016" PRIx64
          "\",\"selfchecks\":%" PRIu64 ",\"selfcheck_failures\":%" PRIu64
          ",\"unverifiable\":%" PRIu64 "}",
-         desired_digest_, selfchecks_, selfcheck_failures_, unverifiable_);
-  append(out, ",\"divergences\":%" PRIu64, divergences_);
+         t.desired_digest, t.selfchecks, t.selfcheck_failures,
+         t.unverifiable);
+  append(out, ",\"divergences\":%" PRIu64, t.divergences);
   out += ",\"switches\":[";
-  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
-    const SwitchCell& cell = cells_[sw];
+  for (std::size_t sw = 0; sw < published_.rows.size(); ++sw) {
+    const Published::Row& row = published_.rows[sw];
     if (sw != 0) out += ",";
     append(out,
            "\n  {\"index\":%zu,\"state\":\"%s\",\"watermark\":%" PRIu64
            ",\"effective_watermark\":%" PRIu64 ",\"lag_positions\":%" PRIu64
            ",\"lag_age_ns\":%" PRIu64 ",\"digest\":\"0x%016" PRIx64
            "\",\"lagging\":%s,\"divergent\":%s",
-           sw, state_name(cell.state), cell.watermark,
-           effective_locked(cell), cell.cached_lag, cell.cached_age,
-           cell.digest, cell.lagging ? "true" : "false",
-           cell.divergent ? "true" : "false");
+           sw, state_name(row.state), row.watermark, row.effective, row.lag,
+           row.age, row.digest, row.lagging ? "true" : "false",
+           row.divergent ? "true" : "false");
     out += ",\"sessions\":[";
-    for (std::size_t i = 0; i < cell.sessions.size(); ++i) {
-      const auto& s = cell.sessions[i];
+    for (std::size_t i = 0; i < row.sessions.size(); ++i) {
+      const auto& s = row.sessions[i];
       if (i != 0) out += ",";
       append(out,
              "{\"session_id\":%" PRIu64 ",\"kind\":\"%s\",\"began_ns\":%"
@@ -986,9 +800,9 @@ std::string FleetObserver::to_json() {
     out += "]}";
   }
   out += "\n],\"findings\":[";
-  for (std::size_t i = 0; i < findings_.size(); ++i) {
+  for (std::size_t i = 0; i < published_.findings.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\n  " + findings_[i].to_json();
+    out += "\n  " + published_.findings[i].to_json();
   }
   out += "\n]}\n";
   return out;

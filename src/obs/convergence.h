@@ -52,35 +52,21 @@
 // resyncing, or gapped — is reported as unverifiable-at-the-moment rather
 // than checked against the wrong reference.
 //
-// Hot-path cost model (the <5% bench budget, DESIGN.md §17): the four
-// update-heavy feeds — journal append, in-order delivery, member toggle,
-// watermark advance — append one FeedEvent carrying (vip, dip, changed) to
-// a simulation-thread-only feed journal and return: no lock, no hashing.
-// Every `kDrainEvery` events one batched drain replays the journal in feed
-// order with the recorded timestamps under the mutex, bit-identical to a
-// synchronous fold; only detection latency grows, by at most `kDrainEvery`
-// feed events. Cold feeds and every simulation-thread query drain first.
-//
-// Reading the Source: it is live state, so while the feed journal holds
-// events it is ahead of the digests. The observer reads it only with the
-// journal empty and every fleet mutation reported: cold feeds drain first,
-// and a round-robin self-check that falls due inside a replay runs only
-// after the feed that triggered the drain has been applied. Attribution
-// of a divergence found mid-drain reads live state, which the
-// approximate-until-quiescence contract of DivergenceFinding::deltas
-// already allows.
-//
-// Concurrency (DESIGN.md §13): the observer is fed and queried from the
-// simulation thread; the scrape thread pulls the bound metric callbacks
-// and renders to_text()/to_json(). The digests live behind the observer's
-// sr::Mutex; the feed journal belongs to the simulation thread alone. The
-// scrape surface renders the last drained fold, so it is at most
-// `kDrainEvery` feed events stale, and never calls the Source. Lock order
-// is the observer's mutex, then the fleet's: the Source takes the fleet's
-// lock under the observer's, so the fleet calls a feed only after
-// releasing its own. The divergence callback runs after the mutex is
-// released, only from simulation-thread entry points; findings detected
-// in a drain triggered elsewhere wait for the next such entry.
+// Concurrency (DESIGN.md §13): the simulation thread owns the fold (the
+// digests, watermarks, out-of-band sets, history ring and counters). It
+// feeds the observer, reads it through the getters, and is the only caller
+// of the Source. Every feed folds synchronously and takes no lock; the fleet
+// changes its state before it feeds the change, so the Source agrees with
+// the digests after every feed and the round-robin self-check runs in the
+// feed where its countdown expires. The scrape thread renders
+// to_text()/to_json() and pulls the bound metric callbacks from a Published
+// copy under the observer's mutex. The copy is refreshed at every
+// evaluation (at most `kEvalEvery` feeds apart), at every cold entry point,
+// after verify_digests() and on each divergence; resync-session records and
+// findings live only there. The observer never holds its mutex while it
+// calls out: the Source (which takes the fleet's lock) and the divergence
+// callback run unlocked, and the callback fires from the feed that found
+// the divergence.
 #pragma once
 
 #include <cstdint>
@@ -171,17 +157,14 @@ class FleetObserver {
   static constexpr std::size_t kDigestHistory = 4096;
   /// Full-recompute digest self-check cadence, in feed events.
   static constexpr std::size_t kSelfcheckEvery = 1024;
-  /// Lag/SLO re-evaluation cadence, in feed events. Divergence checks run
-  /// alongside every evaluation; explicit evaluate() and switch-lifecycle
-  /// edges always re-evaluate.
+  /// Lag/SLO re-evaluation cadence, in feed events; it also bounds how stale
+  /// the scrape surface can be. Divergence checks run alongside every
+  /// evaluation; explicit evaluate() and switch-lifecycle edges always
+  /// re-evaluate.
   static constexpr std::size_t kEvalEvery = 64;
-  /// Feed-journal drain threshold, in buffered hot-path feed events: it
-  /// bounds detection latency and scrape staleness (cost model above).
-  static constexpr std::size_t kDrainEvery = 256;
   /// Resync-session records retained per switch for forensics.
   static constexpr std::size_t kSessionHistory = 16;
-  static_assert(kDigestHistory > 0 && kSelfcheckEvery > 0 && kEvalEvery > 0 &&
-                    kDrainEvery > 0,
+  static_assert(kDigestHistory > 0 && kSelfcheckEvery > 0 && kEvalEvery > 0,
                 "the history ring and the cadence countdowns need sizes > 0");
 
   enum class ResyncKind { kEmpty = 0, kDelta = 1, kFull = 2 };
@@ -190,8 +173,8 @@ class FleetObserver {
 
   /// Read-only view of the memberships the digests summarize, implemented
   /// by the fleet that holds them (never deleted through this base). Called
-  /// under the observer's mutex, only with the feed journal empty (see
-  /// "Reading the Source" above).
+  /// from the simulation thread's feeds and verify_digests(), never under
+  /// the observer's mutex.
   class Source {
    public:
     /// Switch `sw`'s applied membership: VIPs in provisioning order, DIPs
@@ -214,12 +197,10 @@ class FleetObserver {
   void on_append_config(std::uint64_t pos, sim::Time now);
   /// A DipUpdate was journaled at `pos`. `changed` is false when it left
   /// the desired membership as it was (adding a member, removing a
-  /// non-member). Hot path: deferred via the feed journal.
+  /// non-member). Hot path.
   void on_append_update(std::uint64_t pos, sim::Time now,
                         const net::Endpoint& vip, const net::Endpoint& dip,
-                        bool changed) {
-    enqueue({FeedEvent::Kind::kAppendUpdate, changed, 0, pos, now, vip, dip});
-  }
+                        bool changed);
 
   // --- Feed: per-switch applied membership -----------------------------------
 
@@ -230,35 +211,20 @@ class FleetObserver {
   /// whose position lands via on_watermark.
   void on_mirror_config(std::size_t sw, std::uint64_t pos, sim::Time now);
   /// One member of switch `sw` toggled out of band (resync replay, fault
-  /// injection); `changed` is false when the toggle was a no-op. Hot path:
-  /// deferred via the feed journal.
+  /// injection); `changed` is false when the toggle was a no-op. Hot path.
   void on_mirror_update(std::size_t sw, const net::Endpoint& vip,
                         const net::Endpoint& dip, bool changed,
-                        sim::Time now) {
-    enqueue({FeedEvent::Kind::kMirrorUpdate, changed,
-             static_cast<std::uint32_t>(sw), 0, now, vip, dip});
-  }
+                        sim::Time now);
   /// Switch `sw` applied journal position `pos` in order: the member
-  /// toggle and the watermark advance as one feed event. A duplicate the
-  /// switch had already applied (`changed` false) only confirms the
-  /// position. Hot path: deferred via the feed journal.
+  /// toggle and the watermark advance as one feed. A duplicate the switch
+  /// had already applied (`changed` false) only confirms the position. Hot
+  /// path.
   void on_delivery(std::size_t sw, const net::Endpoint& vip,
                    const net::Endpoint& dip, bool changed, std::uint64_t pos,
-                   sim::Time now) {
-    if (!changed) {
-      on_watermark(sw, pos, now);
-      return;
-    }
-    enqueue({FeedEvent::Kind::kDelivery, true, static_cast<std::uint32_t>(sw),
-             pos, now, vip, dip});
-  }
+                   sim::Time now);
   /// Switch `sw` confirmed the in-order stream (or a chunk boundary)
-  /// through `watermark`. Hot path: deferred via the feed journal.
-  void on_watermark(std::size_t sw, std::uint64_t watermark, sim::Time now) {
-    enqueue({FeedEvent::Kind::kWatermark, false,
-             static_cast<std::uint32_t>(sw), watermark, now, net::Endpoint{},
-             net::Endpoint{}});
-  }
+  /// through `watermark`. Hot path.
+  void on_watermark(std::size_t sw, std::uint64_t watermark, sim::Time now);
 
   // --- Feed: switch / resync-session lifecycle --------------------------------
 
@@ -280,10 +246,9 @@ class FleetObserver {
 
   // --- Evaluation -------------------------------------------------------------
 
-  /// Drains the feed journal, recomputes per-switch lags, updates the SLO
-  /// hysteresis + burn, records the fleet lag histogram, and runs the
-  /// digest comparison on every checkable switch. Call it at quiescence
-  /// before asserting.
+  /// Recomputes per-switch lags, updates the SLO hysteresis + burn, records
+  /// the fleet lag histogram, and runs the digest comparison on every
+  /// checkable switch. Call it at quiescence before asserting.
   void evaluate(sim::Time now);
 
   /// Checks every incremental digest (all switches + desired) against a
@@ -292,137 +257,133 @@ class FleetObserver {
   bool verify_digests();
 
   // --- Introspection ----------------------------------------------------------
-  // Queries drain the feed journal first, so they always observe every feed
-  // delivered so far (and are therefore non-const).
+  // Simulation thread only: the getters read the fold, which already holds
+  // every feed delivered so far. findings() reads the published copy.
 
   std::size_t switches() const noexcept { return switch_count_; }
-  std::uint64_t head();
-  std::uint64_t watermark(std::size_t sw);
+  std::uint64_t head() const { return totals_.head; }
+  std::uint64_t watermark(std::size_t sw) const {
+    return cells_.at(sw).watermark;
+  }
   /// Contiguous watermark extended through out-of-band applied positions.
-  std::uint64_t effective_watermark(std::size_t sw);
-  std::uint64_t lag_positions(std::size_t sw);
-  sim::Time lag_age(std::size_t sw);
-  SwitchState state(std::size_t sw);
-  std::uint64_t desired_digest();
-  std::uint64_t switch_digest(std::size_t sw);
+  std::uint64_t effective_watermark(std::size_t sw) const {
+    return effective(cells_.at(sw));
+  }
+  std::uint64_t lag_positions(std::size_t sw) const {
+    return cells_.at(sw).lag;
+  }
+  sim::Time lag_age(std::size_t sw) const { return cells_.at(sw).age; }
+  SwitchState state(std::size_t sw) const { return cells_.at(sw).state; }
+  std::uint64_t desired_digest() const { return totals_.desired_digest; }
+  std::uint64_t switch_digest(std::size_t sw) const {
+    return cells_.at(sw).digest;
+  }
 
-  bool slo_ok();
-  std::uint64_t slo_transitions();
-  sim::Time slo_burn_ns();
-  std::uint64_t divergences();
-  std::vector<DivergenceFinding> findings();
-  std::uint64_t selfchecks();
-  std::uint64_t selfcheck_failures();
-  std::uint64_t unverifiable_checks();
+  bool slo_ok() const { return totals_.slo_ok; }
+  std::uint64_t slo_transitions() const { return totals_.slo_transitions; }
+  sim::Time slo_burn_ns() const { return totals_.slo_burn_ns; }
+  std::uint64_t divergences() const { return totals_.divergences; }
+  std::vector<DivergenceFinding> findings() const;
+  std::uint64_t selfchecks() const { return totals_.selfchecks; }
+  std::uint64_t selfcheck_failures() const {
+    return totals_.selfcheck_failures;
+  }
+  std::uint64_t unverifiable_checks() const { return totals_.unverifiable; }
 
   void set_divergence_callback(DivergenceCallback cb);
 
   /// Registers the observer's pull metrics (lag gauges per switch, SLO
   /// state/burn/transitions, divergence + self-check counters) and the
-  /// fleet lag histogram on `registry`.
+  /// fleet lag histogram on `registry`. They read the published copy.
   void bind_metrics(MetricsRegistry& registry);
 
   /// /fleet scrape body: lag distribution, per-switch table, SLO, alarms.
-  std::string to_text();
+  std::string to_text() const;
   /// /fleet.json scrape body (machine-readable mirror of to_text()).
-  std::string to_json();
+  std::string to_json() const;
 
  private:
-  /// One deferred hot-path feed (see the cost model above): the four
-  /// update-heavy feeds buffer one of these and return; replay_locked()
-  /// applies them in order with their recorded timestamps.
-  struct FeedEvent {
-    enum class Kind : std::uint8_t {
-      kAppendUpdate = 0,
-      kMirrorUpdate = 1,
-      kDelivery = 2,
-      kWatermark = 3,
-    };
-    Kind kind;
-    bool changed;       ///< Membership changed: toggle the member token.
-    std::uint32_t sw;   ///< Unused for kAppendUpdate.
-    std::uint64_t pos;  ///< Journal position (kWatermark: the watermark).
-    sim::Time at;
-    net::Endpoint vip;  ///< Unused for kWatermark.
-    net::Endpoint dip;  ///< Unused for kWatermark.
-  };
-  struct SwitchCell {
+  /// A switch as the scrape surface shows it.
+  struct SwitchView {
     SwitchState state = SwitchState::kLive;
-    std::uint64_t watermark = 0;      ///< Contiguous, from on_watermark.
-    std::set<std::uint64_t> oob;      ///< Out-of-band applied positions > W.
-    std::uint64_t digest = 0;         ///< XOR-fold of its VIP digests.
-    std::uint64_t active_session = 0;
-    std::deque<DivergenceFinding::SessionRecord> sessions;
+    std::uint64_t watermark = 0;  ///< Contiguous, from on_watermark.
+    std::uint64_t digest = 0;     ///< XOR-fold of its VIP digests.
     /// Dedup latch: one finding per divergence episode; re-arms when the
     /// digests agree again at a checkable position.
     bool divergent = false;
-    bool lagging = false;             ///< SLO hysteresis state.
-    // Cached by evaluate() for the pull gauges.
-    std::uint64_t cached_lag = 0;
-    sim::Time cached_age = 0;
+    bool lagging = false;  ///< SLO hysteresis state.
+    // Cached by the last evaluation.
+    std::uint64_t lag = 0;
+    sim::Time age = 0;
+  };
+  struct SwitchCell : SwitchView {
+    std::set<std::uint64_t> oob;  ///< Out-of-band applied positions > W.
+    std::uint64_t active_session = 0;
+  };
+  /// The fold's scalars.
+  struct Totals {
+    std::uint64_t head = 0;
+    std::uint64_t desired_digest = 0;
+    bool slo_ok = true;
+    std::uint64_t slo_transitions = 0;
+    sim::Time slo_burn_ns = 0;
+    double lagging_fraction = 0.0;
+    std::uint64_t divergences = 0;
+    std::uint64_t selfchecks = 0;
+    std::uint64_t selfcheck_failures = 0;
+    std::uint64_t unverifiable = 0;
+  };
+  /// What the scrape thread reads.
+  struct Published {
+    struct Row : SwitchView {
+      std::uint64_t effective = 0;
+      /// Recent resync sessions, newest last.
+      std::deque<DivergenceFinding::SessionRecord> sessions;
+    };
+    Totals totals;
+    std::vector<Row> rows;
+    std::vector<DivergenceFinding> findings;
   };
   struct HistoryEntry {
     std::uint64_t digest_after = 0;
     sim::Time appended_at = 0;
   };
 
-  /// The hot-path append: one sequential store and a threshold test, no
-  /// lock (pending_ is simulation-thread-only). Inline so a buffered feed
-  /// costs no out-of-line call.
-  void enqueue(const FeedEvent& ev) {
-    pending_.push_back(ev);
-    if (pending_.size() >= kDrainEvery) drain();
-  }
-  /// Applies and clears the buffered feed events, in order with their
-  /// recorded timestamps. Simulation thread only (it consumes pending_).
-  void replay_locked() SR_REQUIRES(mu_);
-  /// The tail of every entry point, once the fleet's state and the digests
-  /// agree again: runs the self-checks that fell due and hands back the
-  /// findings to deliver.
-  std::vector<DivergenceFinding> settle_locked() SR_REQUIRES(mu_);
-  /// Locks, replays, settles, and delivers findings — the hot-path drain
-  /// and the getter prologue.
-  void drain() SR_EXCLUDES(mu_);
-
-  void drain_oob_locked(SwitchCell& cell) SR_REQUIRES(mu_);
-  std::uint64_t effective_locked(const SwitchCell& cell) const
-      SR_REQUIRES(mu_);
+  /// Drops the out-of-band positions the watermark has reached.
+  void prune_oob(SwitchCell& cell);
+  std::uint64_t effective(const SwitchCell& cell) const;
   /// True when `cell`'s applied membership must equal desired state at
-  /// exactly effective_locked(cell).
-  bool checkable_locked(const SwitchCell& cell) const SR_REQUIRES(mu_);
+  /// exactly effective(cell).
+  bool checkable(const SwitchCell& cell) const;
   /// Desired digest at `pos` from the history ring; false when compacted
   /// out of the retained window.
-  bool digest_at_locked(std::uint64_t pos, std::uint64_t* digest) const
-      SR_REQUIRES(mu_);
-  void append_history_locked(sim::Time now) SR_REQUIRES(mu_);
+  bool digest_at(std::uint64_t pos, std::uint64_t* digest) const;
+  void append_history(sim::Time now);
   /// Ring entry at offset `off` (< history_size_) from the oldest retained.
-  const HistoryEntry& history_entry_locked(std::size_t off) const
-      SR_REQUIRES(mu_);
-  /// Runs the digest comparison for switch `sw` if checkable; fills
-  /// `finding` and returns true on a fresh mismatch.
-  bool check_switch_locked(std::size_t sw, sim::Time now,
-                           DivergenceFinding* finding) SR_REQUIRES(mu_);
-  void attribute_locked(std::size_t sw, DivergenceFinding* finding) const
-      SR_REQUIRES(mu_);
-  void evaluate_locked(sim::Time now) SR_REQUIRES(mu_);
-  /// Shared tail of every replayed/synchronous feed: self-check cadence +
-  /// evaluation + divergence checks (into unfired_). `touched` bounds the
-  /// digest comparison to the switch the feed mutated (kAll for explicit
-  /// evaluate(), kNone for pure journal appends, which cannot change any
-  /// switch's checkable digest).
+  const HistoryEntry& history_entry(std::size_t off) const;
+  /// Runs the digest comparison for switch `sw` if checkable; a fresh
+  /// mismatch is attributed, published and handed to the callback.
+  void check_switch(std::size_t sw, sim::Time now);
+  void attribute(std::size_t sw, DivergenceFinding* finding) const;
+  /// Lags and the SLO; the caller publishes.
+  void evaluate_lags(sim::Time now);
+  /// Shared tail of every feed: self-check cadence + evaluation +
+  /// divergence checks. `touched` bounds the digest comparison to the
+  /// switch the feed mutated (kAll for explicit evaluate(), kNone for pure
+  /// journal appends, which cannot change any switch's checkable digest).
   static constexpr std::size_t kAllSwitches = static_cast<std::size_t>(-1);
   static constexpr std::size_t kNoSwitch = static_cast<std::size_t>(-2);
-  void tick_locked(sim::Time now, std::size_t touched) SR_REQUIRES(mu_);
-  /// Counts one feed toward the round-robin self-check; when the countdown
-  /// expires the check falls due and settle_locked() runs it.
-  void count_selfcheck_locked() SR_REQUIRES(mu_);
+  void tick(sim::Time now, std::size_t touched);
+  /// Evaluates, checks the switches selected by `touched`, and publishes.
+  void evaluate_and_check(sim::Time now, std::size_t touched);
+  /// Counts one feed toward the round-robin self-check and runs it when
+  /// the countdown expires.
+  void count_selfcheck();
   /// Decrements the evaluation countdown; true when it expired (reloads).
-  bool eval_due_locked() SR_REQUIRES(mu_);
-  /// Digest comparisons for the switches selected by `touched`; fresh
-  /// findings land in unfired_.
-  void check_switches_locked(sim::Time now, std::size_t touched)
-      SR_REQUIRES(mu_);
-  void fire(std::vector<DivergenceFinding> findings);
+  bool eval_due();
+  void check_switches(sim::Time now, std::size_t touched);
+  void publish() SR_EXCLUDES(mu_);
+  void publish_locked() SR_REQUIRES(mu_);
 
   /// Lag distribution over the non-down switches, from the cached lags
   /// (order statistics, not the bound histogram, so rendering needs no
@@ -434,62 +395,34 @@ class FleetObserver {
     std::size_t live = 0;
     std::size_t lagging = 0;
   };
-  LagSummary lag_summary_locked() const SR_REQUIRES(mu_);
+  static LagSummary lag_summary(const Published& published);
 
+  // The fold: simulation-thread-only, deliberately not guarded by mu_.
   const std::size_t switch_count_;
-
-  // Hot field first: a buffered feed touches only pending_, so the fast
-  // path faults at most one line of the object plus the sequential event
-  // store.
-  /// Feed journal. Simulation-thread-only (deliberately NOT guarded by
-  /// mu_): written by the inline feeds without a lock, consumed by
-  /// replay_locked() from simulation-thread entry points. The scrape thread
-  /// never touches it — to_text()/to_json()/bound metrics render the last
-  /// drained fold instead.
-  std::vector<FeedEvent> pending_;
-  mutable sr::Mutex mu_;
-  /// The fleet's memberships (read on cold paths only, under mu_).
+  /// The fleet's memberships: read by cold feeds, attribution and the
+  /// self-checks, never under mu_.
   const Source& source_;
-  /// Findings detected under the lock and not yet delivered: fired by the
-  /// next feed-path/evaluate entry point (never by queries — DESIGN.md §13
-  /// keeps the divergence callback on the simulation thread).
-  std::vector<DivergenceFinding> unfired_ SR_GUARDED_BY(mu_);
-
-  std::vector<SwitchCell> cells_ SR_GUARDED_BY(mu_);
-  std::uint64_t desired_digest_ SR_GUARDED_BY(mu_) = 0;
-  std::uint64_t head_ SR_GUARDED_BY(mu_) = 0;
+  std::vector<SwitchCell> cells_;
+  Totals totals_;
   /// Digest history ring (fixed flat storage — no per-append allocation or
   /// deque node churn): the entry for journal position p, for p in
   /// [history_base_, history_base_ + history_size_), lives at ring offset
   /// p - history_base_ from history_start_.
-  std::uint64_t history_base_ SR_GUARDED_BY(mu_) = 1;
-  std::vector<HistoryEntry> history_ SR_GUARDED_BY(mu_);
-  std::size_t history_start_ SR_GUARDED_BY(mu_) = 0;
-  std::size_t history_size_ SR_GUARDED_BY(mu_) = 0;
-
-  // SLO.
-  bool slo_ok_ SR_GUARDED_BY(mu_) = true;
-  std::uint64_t slo_transitions_ SR_GUARDED_BY(mu_) = 0;
-  sim::Time slo_burn_ns_ SR_GUARDED_BY(mu_) = 0;
-  sim::Time last_eval_ SR_GUARDED_BY(mu_) = 0;
-  double lagging_fraction_ SR_GUARDED_BY(mu_) = 0.0;
-
-  // Divergence + self-check accounting.
-  std::vector<DivergenceFinding> findings_ SR_GUARDED_BY(mu_);
-  std::uint64_t divergences_ SR_GUARDED_BY(mu_) = 0;
-  std::uint64_t selfchecks_ SR_GUARDED_BY(mu_) = 0;
-  std::uint64_t selfcheck_failures_ SR_GUARDED_BY(mu_) = 0;
-  std::uint64_t unverifiable_ SR_GUARDED_BY(mu_) = 0;
-  /// Cadence countdowns (reloaded from the constants): a decrement-and-test per
-  /// feed instead of two 64-bit modulo ops on the replay path.
-  std::size_t selfcheck_countdown_ SR_GUARDED_BY(mu_) = 0;
-  std::size_t eval_countdown_ SR_GUARDED_BY(mu_) = 0;
-  std::size_t selfcheck_cursor_ SR_GUARDED_BY(mu_) = 0;
-  /// Round-robin self-checks fallen due and not yet run (settle_locked).
-  std::size_t selfchecks_due_ SR_GUARDED_BY(mu_) = 0;
-
+  std::uint64_t history_base_ = 1;
+  std::vector<HistoryEntry> history_;
+  std::size_t history_start_ = 0;
+  std::size_t history_size_ = 0;
+  sim::Time last_eval_ = 0;
+  /// Cadence countdowns (reloaded from the constants): a decrement-and-test
+  /// per feed instead of two 64-bit modulo ops.
+  std::size_t selfcheck_countdown_ = kSelfcheckEvery;
+  std::size_t eval_countdown_ = kEvalEvery;
+  std::size_t selfcheck_cursor_ = 0;
   Histogram* h_lag_ = nullptr;  ///< Bound fleet lag histogram (positions).
   DivergenceCallback divergence_cb_;
+
+  mutable sr::Mutex mu_;
+  Published published_ SR_GUARDED_BY(mu_);
 };
 
 }  // namespace silkroad::obs

@@ -280,6 +280,32 @@ TEST(FleetObserver, SilentDivergenceAttributesPerVipDeltas) {
   EXPECT_TRUE(observer.verify_digests());
 }
 
+TEST(FleetObserver, DivergenceCallbackFiresFromTheDetectingFeed) {
+  ObservedFleet fleet(1);
+  FleetObserver& observer = fleet.observer;
+  std::vector<DivergenceFinding> fired;
+  std::size_t findings_seen = 0;
+  observer.set_divergence_callback([&](const DivergenceFinding& finding) {
+    fired.push_back(finding);
+    // The callback runs without the observer's mutex, so it may read the
+    // published findings.
+    findings_seen = observer.findings().size();
+  });
+  const auto dips = make_dips(2);
+  fleet.config(1, 10, vip_ep(), dips);
+  fleet.provision(0, vip_ep(), dips, 1, 10);
+  // No getter, evaluate() or cold feed runs between the corrupting feed and
+  // the assertions: the finding was delivered by that feed.
+  fleet.corrupt(0, vip_ep(), dips[1], false, 20);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].switch_index, 0u);
+  EXPECT_EQ(fired[0].at, 20u);
+  ASSERT_EQ(fired[0].deltas.size(), 1u);
+  ASSERT_EQ(fired[0].deltas[0].missing.size(), 1u);
+  EXPECT_EQ(fired[0].deltas[0].missing[0], dips[1]);
+  EXPECT_EQ(findings_seen, 1u);
+}
+
 TEST(FleetObserver, EpisodeLatchDedupsUntilDigestsAgreeAgain) {
   ObservedFleet fleet(1);
   FleetObserver& observer = fleet.observer;
@@ -339,11 +365,88 @@ TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
   observer.on_watermark(0, 5, kHead * 10);
   EXPECT_GE(observer.unverifiable_checks(), 1u);
   EXPECT_EQ(observer.divergences(), 0u);
-  // Over kSelfcheckEvery feeds, so round-robin self-checks fell due inside
-  // replays while the fake fleet was already ahead of the journal; they
-  // must have waited for the drain to finish.
+  // Over kSelfcheckEvery feeds, so round-robin self-checks ran inside
+  // appends. Each read the fake fleet right after the append it reported,
+  // when the Source and the digests agree.
   EXPECT_GT(observer.selfchecks(), 0u);
   EXPECT_EQ(observer.selfcheck_failures(), 0u);
+}
+
+TEST(FleetObserver, BoundMetricsAndJsonAgreeWithTheGetters) {
+  // The scrape surface reads the copy published at each evaluation, cold
+  // feed, verify_digests() and divergence. A second thread snapshots the
+  // observer's own registry while the fake fleet is fed (run under TSan in
+  // CI); at the end the published values must equal the fold's.
+  constexpr std::size_t kSwitches = 2;
+  ObservedFleet fleet(kSwitches);
+  FleetObserver& observer = fleet.observer;
+  MetricsRegistry registry;
+  observer.bind_metrics(registry);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> snapshots{0};
+  std::thread scraper([&registry, &stop, &snapshots] {
+    while (!stop.load()) {
+      const Snapshot snap = registry.snapshot();
+      if (snap.find("silkroad_fleet_divergences_total") != nullptr) {
+        snapshots.fetch_add(1);
+      }
+    }
+  });
+  const auto dips = make_dips(4);
+  fleet.config(1, 10, vip_ep(), dips);
+  for (std::size_t sw = 0; sw < kSwitches; ++sw) {
+    fleet.provision(sw, vip_ep(), dips, 1, 10);
+  }
+  // Every position removes or re-adds one DIP. Switch 0 applies them all;
+  // switch 1 stops at kStalled, so it lags.
+  constexpr std::uint64_t kHead = 3 * FleetObserver::kSelfcheckEvery;
+  constexpr std::uint64_t kStalled = 100;
+  for (std::uint64_t pos = 2; pos <= kHead; ++pos) {
+    const net::Endpoint& dip = dips[(pos / 2) % dips.size()];
+    const bool add = pos % 2 != 0;
+    const sim::Time now = static_cast<sim::Time>(pos) * 10;
+    fleet.append(pos, now, vip_ep(), dip, add);
+    fleet.deliver(0, vip_ep(), dip, add, pos, now);
+    if (pos <= kStalled) fleet.deliver(1, vip_ep(), dip, add, pos, now);
+  }
+  // Switch 1 drifts while stalled: one silent divergence.
+  fleet.corrupt(1, vip_ep(), dip_ep(99), true, kHead * 10);
+  while (snapshots.load() < 2) std::this_thread::yield();
+  stop.store(true);
+  scraper.join();
+
+  observer.evaluate(kHead * 10);
+  EXPECT_TRUE(observer.verify_digests());
+  EXPECT_EQ(observer.divergences(), 1u);
+  EXPECT_GT(observer.selfchecks(), 1u);
+  EXPECT_EQ(observer.lag_positions(0), 0u);
+  EXPECT_EQ(observer.lag_positions(1), kHead - kStalled);
+  const Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.value_of("silkroad_fleet_digest_selfchecks_total"),
+            static_cast<double>(observer.selfchecks()));
+  EXPECT_EQ(snap.value_of("silkroad_fleet_divergences_total"),
+            static_cast<double>(observer.divergences()));
+  EXPECT_EQ(snap.value_of("silkroad_fleet_journal_lag_slo_ok"),
+            observer.slo_ok() ? 1.0 : 0.0);
+  const std::string json = observer.to_json();
+  const auto has = [&json](const std::string& field, std::uint64_t value,
+                           std::size_t from = 0) {
+    return json.find("\"" + field + "\":" + std::to_string(value) + ",",
+                     from) != std::string::npos;
+  };
+  EXPECT_TRUE(has("journal_head", observer.head()));
+  EXPECT_TRUE(has("selfchecks", observer.selfchecks()));
+  EXPECT_TRUE(has("divergences", observer.divergences()));
+  for (std::size_t sw = 0; sw < kSwitches; ++sw) {
+    const std::string labels = "switch=\"" + std::to_string(sw) + "\"";
+    EXPECT_EQ(snap.value_of("silkroad_fleet_switch_lag_positions", labels),
+              static_cast<double>(observer.lag_positions(sw)))
+        << "switch " << sw;
+    const std::size_t row = json.find("{\"index\":" + std::to_string(sw));
+    ASSERT_NE(row, std::string::npos) << "switch " << sw;
+    EXPECT_TRUE(has("lag_positions", observer.lag_positions(sw), row))
+        << "switch " << sw;
+  }
 }
 
 // --- Through a real fleet ----------------------------------------------------
@@ -477,10 +580,9 @@ TEST(FleetConvergence, UpdateForUnknownVipIsDroppedBeforeTheJournal) {
 
 TEST(FleetConvergence, UpdateStormSelfChecksAllPass) {
   // bench/fleet_obs_overhead's geometry over 50 batches: 3 switches, 2 VIPs
-  // x 16 DIPs, paired remove/add updates. The round-robin self-checks fall
-  // due inside replays while the journal still holds later events; they
-  // must wait for the drain, or the fleet's state (the Source) is ahead of
-  // the digests they recompute and they fail.
+  // x 16 DIPs, paired remove/add updates. The round-robin self-checks run
+  // inside the fleet's feeds; they pass only if the fleet changes its state
+  // (the Source) before it feeds each change.
   sim::Simulator sim;
   fault::ControlChannel::Config channel;
   channel.base_delay = 100 * sim::kMicrosecond;

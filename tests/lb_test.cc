@@ -282,8 +282,8 @@ TEST(PccTracker, UnmappedCountsAsViolation) {
 TEST(PccTracker, RestartedFlowKeepsItsFirstMapping) {
   PccTracker tracker;
   const auto dips = make_dips(2);
-  tracker.flow_started(make_flow(1), dips[0], 0);
-  tracker.flow_started(make_flow(1), dips[1], 1);
+  EXPECT_TRUE(tracker.flow_started(make_flow(1), dips[0], 0));
+  EXPECT_FALSE(tracker.flow_started(make_flow(1), dips[1], 1));
   EXPECT_EQ(tracker.flows_seen(), 2u);
   EXPECT_EQ(tracker.active_flows(), 1u);
   tracker.observe(make_flow(1), dips[0], 2);
@@ -584,6 +584,28 @@ TEST(ScenarioDeathTest, RejectsAReplayFlowEndingBeforeItStarts) {
   RecordingBalancer recorder(sim);
   Scenario scenario(sim, recorder, config);
   EXPECT_DEATH(scenario.run(), "replay flow 5 ends before it starts");
+}
+
+TEST(ScenarioDeathTest, RejectsATupleThatStartsAgainWhileOpen) {
+  // Two overlapping 2 s flows on one tuple: the second start would add its
+  // rate to the traffic split, and no end would ever subtract it.
+  ScenarioConfig config;
+  config.horizon = sim::kMinute;
+  config.vip_loads = {{vip_ep(), 0.0, workload::FlowProfile::hadoop(), false}};
+  config.dip_pools = {make_dips(4)};
+  for (const sim::Time start : {sim::Time{0}, sim::kSecond}) {
+    workload::Flow flow;
+    flow.tuple = make_flow(7);
+    flow.start = start;
+    flow.end = start + 2 * sim::kSecond;
+    flow.rate_bps = 8e6;
+    config.replay_flows.push_back(flow);
+  }
+  sim::Simulator sim;
+  SoftwareLoadBalancer slb;
+  Scenario scenario(sim, slb, config);
+  EXPECT_DEATH(scenario.run(), "starts while a flow with its 5-tuple is still "
+                               "open");
 }
 
 /// The client ports of the packets mapping-risk sweeps sent (neither SYN
