@@ -4,10 +4,12 @@
 //
 //   ./build/examples/fleet_failover
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/health_checker.h"
 #include "deploy/fleet.h"
@@ -70,7 +72,8 @@ int main() {
 
   // Optional live scrape endpoint over the fleet-wide aggregate
   // (SILKROAD_SCRAPE_PORT, see quickstart for the endpoint list; /tables
-  // shows switch 0's ConnTable).
+  // shows switch 0's ConnTable). The handlers run in publish() on this
+  // thread: at start() and at the end of each of the three phases below.
   std::optional<obs::ScrapeServer> server;
   std::uint16_t scrape_port = 0;
   if (obs::scrape_port_from_env(scrape_port)) {
@@ -88,12 +91,13 @@ int main() {
                    [&fleet] { return fleet.spans().to_json(); });
     server->handle("/spans/trace.json", "application/json",
                    [&fleet] { return fleet.spans().to_chrome_trace(); });
-    server->handle_prefix("/update", "application/json", [&fleet](
-                                         const std::string& suffix) {
-      char* end = nullptr;
-      const unsigned long long id = std::strtoull(suffix.c_str(), &end, 10);
-      if (end == suffix.c_str() || *end != '\0') return std::string();
-      return fleet.spans().span_json(id);
+    server->handle_prefix("/update", "application/json", [&fleet] {
+      std::vector<std::pair<std::string, std::string>> bodies;
+      for (const obs::UpdateSpan* span : fleet.spans().all()) {
+        bodies.emplace_back(std::to_string(span->id),
+                            fleet.spans().span_json(span->id));
+      }
+      return bodies;
     });
     if (server->start()) {
       std::printf("scrape server on http://127.0.0.1:%u\n", server->port());
@@ -109,6 +113,7 @@ int main() {
   sim.run_until(sim.now() + sim::kSecond);
   std::printf("fleet of %zu switches, %zu DIPs, 2000 connections\n",
               fleet.size(), dips.size());
+  if (server) server->publish();
 
   // --- Event 1: a server dies -------------------------------------------------
   dead_servers.insert(dips[3]);
@@ -128,6 +133,7 @@ int main() {
   std::printf("  %d connections re-mapped, all %d of them victims of the "
               "dead server (no collateral re-mapping)\n",
               moved, victims);
+  if (server) server->publish();
 
   // --- Event 2: a pool update, then a switch dies --------------------------------
   // The update makes the standing connections "stale" (bound to the previous
@@ -157,6 +163,7 @@ int main() {
               "lose their ConnTable pin and re-hash under the new pool). "
               "The same blast radius as losing one SLB's ConnTable.\n",
               broken);
+  if (server) server->publish();
 
   recorder.detach();
   const auto live = recorder.find("silkroad_fleet_switches_live");

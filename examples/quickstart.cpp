@@ -233,11 +233,12 @@ int main() {
     if (!ok) return 1;
   }
 
-  // With SILKROAD_SCRAPE_PORT set (0 = ephemeral), serve the live telemetry
-  // over loopback HTTP so curl/Prometheus can watch:
+  // With SILKROAD_SCRAPE_PORT set (0 = ephemeral), serve the run's final
+  // telemetry over loopback HTTP so curl/Prometheus can read it:
   //   SILKROAD_SCRAPE_PORT=9100 ./quickstart &
   //   curl localhost:9100/metrics   (also /healthz /timeseries.json /tables)
-  // The process lingers SILKROAD_SCRAPE_LINGER_S wall seconds (default 30).
+  // start() renders every route once, here, after the run has ended. The
+  // process lingers SILKROAD_SCRAPE_LINGER_S wall seconds (default 30).
   std::uint16_t scrape_port = 0;
   if (obs::scrape_port_from_env(scrape_port)) {
     obs::ScrapeServer::Options sopts;

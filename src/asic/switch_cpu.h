@@ -12,7 +12,6 @@
 #include <deque>
 #include <functional>
 
-#include "check/thread_annotations.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 
@@ -52,7 +51,6 @@ class SwitchCpu {
   /// shard execute in FIFO order, each consuming one service time. The task
   /// body runs at completion time.
   void enqueue(Task task, std::uint64_t shard = 0) {
-    const sr::MutexLock lock(mu_);
     Pipe& pipe = pipes_[shard % pipes_.size()];
     pipe.queue.push_back(std::move(task));
     if (!pipe.busy) {
@@ -77,27 +75,18 @@ class SwitchCpu {
   }
 
   std::size_t queue_depth() const {
-    const sr::MutexLock lock(mu_);
     std::size_t total = 0;
     for (const auto& pipe : pipes_) total += pipe.queue.size();
     return total;
   }
   bool idle() const {
-    const sr::MutexLock lock(mu_);
     for (const auto& pipe : pipes_) {
       if (pipe.busy) return false;
     }
     return true;
   }
-  std::uint64_t completed_tasks() const {
-    const sr::MutexLock lock(mu_);
-    return completed_;
-  }
-  std::size_t pipe_count() const noexcept {
-    // pipes_ never resizes after construction; only element state is guarded.
-    const sr::MutexLock lock(mu_);
-    return pipes_.size();
-  }
+  std::uint64_t completed_tasks() const { return completed_; }
+  std::size_t pipe_count() const noexcept { return pipes_.size(); }
 
   void set_delay_hook(DelayHook hook) { delay_hook_ = std::move(hook); }
 
@@ -107,22 +96,18 @@ class SwitchCpu {
     bool busy = false;
   };
 
-  void schedule_next(Pipe& pipe) SR_REQUIRES(mu_) {
+  void schedule_next(Pipe& pipe) {
     const sim::Time delay =
         delay_hook_ ? delay_hook_(service_time_) : service_time_;
     // `pipe` outlives the lambda: pipes_ is sized in the constructor and
-    // never reallocates. The task body runs UNLOCKED — it may re-enter
-    // enqueue() (relearn re-queues, protocol continuations).
+    // never reallocates. The task is moved out of the queue before it runs,
+    // because it may re-enter enqueue() (relearn re-queues, protocol
+    // continuations).
     sim_.schedule_after(delay, [this, &pipe] {
-      Task task;
-      {
-        const sr::MutexLock lock(mu_);
-        task = std::move(pipe.queue.front());
-        pipe.queue.pop_front();
-        ++completed_;
-      }
+      Task task = std::move(pipe.queue.front());
+      pipe.queue.pop_front();
+      ++completed_;
       task();
-      const sr::MutexLock lock(mu_);
       if (pipe.queue.empty()) {
         pipe.busy = false;
       } else {
@@ -133,9 +118,8 @@ class SwitchCpu {
 
   sim::Simulator& sim_;
   sim::Time service_time_;
-  mutable sr::Mutex mu_;
-  std::vector<Pipe> pipes_ SR_GUARDED_BY(mu_);
-  std::uint64_t completed_ SR_GUARDED_BY(mu_) = 0;
+  std::vector<Pipe> pipes_;
+  std::uint64_t completed_ = 0;
   DelayHook delay_hook_;
 };
 

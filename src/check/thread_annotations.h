@@ -1,13 +1,14 @@
 // Clang thread-safety annotations (DESIGN.md §13) and the annotated mutex
-// wrappers every library mutex must use (lint rule R9).
+// wrappers every library mutex must use (lint rule R9). The simulation thread
+// is the only thread that touches a model object, so the one library lock is
+// obs::ScrapeServer's, over the copy its server thread serves (lint rule R15).
 //
 // The macros expand to Clang's capability attributes when the compiler
 // supports them and to nothing otherwise, so annotated code builds
 // identically under gcc. Turn the analysis on with
 // -DSILKROAD_THREAD_SAFETY=ON (requires Clang); it adds
 // -Wthread-safety -Werror=thread-safety-analysis, making every guarded-field
-// access without its lock a compile error before worker threads exist to hit
-// the race at runtime.
+// access without its lock a compile error instead of a race at runtime.
 //
 // Convention: a class owning shared state declares one `sr::Mutex mu_`
 // (mutable when const accessors lock), marks each field it protects

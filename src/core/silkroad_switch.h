@@ -517,7 +517,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// lookup in process_packet_impl() (control-plane lookups are not packets).
   obs::StageProfiler conn_profiler_;
   /// Counter handles into metrics_, resolved once in init_metrics(); a bump
-  /// is one relaxed atomic add on a pre-resolved pointer.
+  /// is one plain add through a pre-resolved pointer.
   struct CounterHandles {
     obs::Counter* packets = nullptr;
     obs::Counter* conn_table_hits = nullptr;

@@ -79,51 +79,31 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
         });
   }
   spans_.bind_metrics(fleet_metrics_);
-  // Sync-subsystem telemetry. The journal/snapshot stores are guarded fleet
-  // state, so they export as pull callbacks that take mu_ at snapshot time
-  // (metrics_snapshot() never holds it); the session-rung counters are
-  // simulation-thread plain members, same convention as the channels'.
+  // Sync-subsystem telemetry: pull callbacks over the journal and snapshot
+  // stores, and the session-rung counters.
   fleet_metrics_.register_callback(
       "silkroad_ctrl_journal_entries", obs::MetricKind::kGauge,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(journal_.size());
-      },
+      [this] { return static_cast<double>(journal_.size()); },
       "desired-state journal entries retained (compaction horizon window)");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_journal_head", obs::MetricKind::kGauge,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(journal_.head_pos());
-      },
+      [this] { return static_cast<double>(journal_.head_pos()); },
       "newest journal log position");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_journal_appended_total", obs::MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(journal_.appended());
-      },
+      [this] { return static_cast<double>(journal_.appended()); },
       "desired-state mutations journaled");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_journal_compactions_total", obs::MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(journal_.compacted());
-      },
+      [this] { return static_cast<double>(journal_.compacted()); },
       "journal entries dropped by compaction");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_snapshot_checkpoints_total", obs::MetricKind::kCounter,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(snapshots_.checkpoints());
-      },
+      [this] { return static_cast<double>(snapshots_.checkpoints()); },
       "switch snapshot checkpoints taken");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_snapshot_bytes", obs::MetricKind::kGauge,
-      [this] {
-        const sr::MutexLock lock(mu_);
-        return static_cast<double>(snapshots_.total_wire_size());
-      },
+      [this] { return static_cast<double>(snapshots_.total_wire_size()); },
       "modeled serialized size of every durable switch snapshot");
   fleet_metrics_.register_callback(
       "silkroad_ctrl_resync_sessions_total", obs::MetricKind::kCounter,
@@ -144,26 +124,19 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
 
 void SilkRoadFleet::add_vip(const net::Endpoint& vip,
                             const std::vector<net::Endpoint>& dips) {
-  std::uint64_t pos = 0;
-  {
-    const sr::MutexLock lock(mu_);
-    if (!membership_.contains(vip)) vip_order_.push_back(vip);
-    membership_[vip] = dips;
-    pos = journal_.append(fault::VipConfig{vip, dips});
-  }
+  if (!membership_.contains(vip)) vip_order_.push_back(vip);
+  membership_[vip] = dips;
+  const std::uint64_t pos = journal_.append(fault::VipConfig{vip, dips});
   if (observer_ != nullptr) observer_->on_append_config(pos, sim_.now());
   // Each switch's mirror is fed right after it changes: the observer reads
   // mirrors back, and must never find one ahead of what it was told.
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     if (!alive_[i]) continue;
-    {
-      const sr::MutexLock lock(mu_);
-      applied_[i][vip] = DipSet(dips.begin(), dips.end());
-      // The synchronous config does not advance the watermark — a delta
-      // session replays the VipConfig record and the diff no-ops — so the
-      // cadence checkpoint below is what makes it durable.
-      note_applied_locked(i);
-    }
+    applied_[i][vip] = DipSet(dips.begin(), dips.end());
+    // The synchronous config does not advance the watermark — a delta
+    // session replays the VipConfig record and the diff no-ops — so the
+    // cadence checkpoint below is what makes it durable.
+    note_applied(i);
     // The synchronous application lands at an out-of-band journal position:
     // the observer extends the switch's effective watermark through it.
     if (observer_ != nullptr) observer_->on_mirror_config(i, pos, sim_.now());
@@ -174,40 +147,34 @@ void SilkRoadFleet::add_vip(const net::Endpoint& vip,
 }
 
 void SilkRoadFleet::request_update(const workload::DipUpdate& update) {
-  std::uint64_t pos = 0;
-  bool changed = false;
-  {
-    const sr::MutexLock lock(mu_);
-    const auto it = membership_.find(update.vip);
-    // A VIP that was never provisioned: every switch would abandon the
-    // update (as SilkRoadSwitch does), so drop it before it gets a journal
-    // position, a span, or a channel send.
-    if (it == membership_.end()) return;
-    auto& members = it->second;
-    const auto found = std::find(members.begin(), members.end(), update.dip);
-    const bool add = update.action == workload::UpdateAction::kAddDip;
-    changed = add == (found == members.end());
-    if (changed && add) {
-      members.push_back(update.dip);
-    } else if (changed) {
-      members.erase(std::remove(found, members.end(), update.dip),
-                    members.end());
-    }
-    // Journal the intent under its fleet log position; the journaled copy is
-    // untraced (span ids are per-send, the journal is per-mutation).
-    workload::DipUpdate journaled = update;
-    journaled.update_id = 0;
-    journaled.log_pos = 0;
-    pos = journal_.append(std::move(journaled));
+  const auto it = membership_.find(update.vip);
+  // A VIP that was never provisioned: every switch would abandon the update
+  // (as SilkRoadSwitch does), so drop it before it gets a journal position,
+  // a span, or a channel send.
+  if (it == membership_.end()) return;
+  auto& members = it->second;
+  const auto found = std::find(members.begin(), members.end(), update.dip);
+  const bool add = update.action == workload::UpdateAction::kAddDip;
+  const bool changed = add == (found == members.end());
+  if (changed && add) {
+    members.push_back(update.dip);
+  } else if (changed) {
+    members.erase(std::remove(found, members.end(), update.dip),
+                  members.end());
   }
+  // Journal the intent under its fleet log position; the journaled copy is
+  // untraced (span ids are per-send, the journal is per-mutation).
+  workload::DipUpdate journaled = update;
+  journaled.update_id = 0;
+  journaled.log_pos = 0;
+  const std::uint64_t pos = journal_.append(std::move(journaled));
   if (observer_ != nullptr) {
     observer_->on_append_update(pos, sim_.now(), update.vip, update.dip,
                                 changed);
   }
   // Mint the intent span; the stamped id rides in every channel copy and
-  // survives retransmits, duplicates, and resync escalation. Sends happen
-  // outside mu_ — a zero-delay channel can deliver synchronously, and
-  // deliver_to() takes the lock again.
+  // survives retransmits, duplicates, and resync escalation. A zero-delay
+  // channel delivers synchronously, re-entering deliver_to().
   workload::DipUpdate traced = update;
   traced.log_pos = pos;
   spans_.begin_update(traced, sim_.now());
@@ -255,24 +222,17 @@ void SilkRoadFleet::deliver_to(std::size_t index,
                   sim_.now(), 0, 0);
     return;
   }
-  bool duplicate = false;
-  {
-    const sr::MutexLock lock(mu_);
-    auto& dips = applied_[index][update.vip];
-    if (update.action == workload::UpdateAction::kAddDip) {
-      // Duplicate delivery (lost ack / retransmit race): already applied.
-      duplicate = !dips.insert(update.dip).second;
-    } else {
-      duplicate = dips.erase(update.dip) == 0;
-    }
-    // In-order delivery applied (or confirmed as already-applied) this log
-    // position: the replica is caught up through it.
-    if (update.log_pos != 0) {
-      applied_through_[index] =
-          std::max(applied_through_[index], update.log_pos);
-    }
-    if (!duplicate) note_applied_locked(index);
+  auto& dips = applied_[index][update.vip];
+  // Duplicate delivery (lost ack / retransmit race): already applied.
+  const bool duplicate = update.action == workload::UpdateAction::kAddDip
+                             ? !dips.insert(update.dip).second
+                             : dips.erase(update.dip) == 0;
+  // In-order delivery applied (or confirmed as already-applied) this log
+  // position: the replica is caught up through it.
+  if (update.log_pos != 0) {
+    applied_through_[index] = std::max(applied_through_[index], update.log_pos);
   }
+  if (!duplicate) note_applied(index);
   if (observer_ != nullptr) {
     // Mirror mutation and watermark advance as one fused feed: the digest
     // check at the new position sees the state that position produced. A
@@ -294,29 +254,23 @@ void SilkRoadFleet::deliver_to(std::size_t index,
 }
 
 void SilkRoadFleet::begin_resync_session(std::size_t index) {
-  // Compute the catch-up under mu_, send it after release: the chunks travel
-  // the ordinary lossy channel, and a zero-delay channel delivers
-  // synchronously back into apply_chunk which takes the lock again.
+  // Compute the whole catch-up before the first send: the chunks travel the
+  // ordinary lossy channel, and a zero-delay channel delivers synchronously
+  // back into apply_chunk.
   std::vector<fault::JournalRecord> records;
-  bool full = false;
-  std::uint64_t watermark = 0;
-  std::uint64_t head = 0;
-  {
-    const sr::MutexLock lock(mu_);
-    watermark = applied_through_[index];
-    head = journal_.head_pos();
-    if (journal_.covers(watermark)) {
-      records = journal_.suffix_since(watermark);
-    } else {
-      // Compacted past the watermark: escalate to a full-state transfer —
-      // one synthetic config record per VIP, still chunked and lossy.
-      full = true;
-      records.reserve(vip_order_.size());
-      for (auto& entry : desired_locked()) {
-        fault::JournalRecord record;
-        record.mutation = fault::VipConfig{entry.vip, std::move(entry.dips)};
-        records.push_back(std::move(record));
-      }
+  const std::uint64_t watermark = applied_through_[index];
+  const std::uint64_t head = journal_.head_pos();
+  const bool full = !journal_.covers(watermark);
+  if (!full) {
+    records = journal_.suffix_since(watermark);
+  } else {
+    // Compacted past the watermark: escalate to a full-state transfer — one
+    // synthetic config record per VIP, still chunked and lossy.
+    records.reserve(vip_order_.size());
+    for (auto& entry : desired()) {
+      fault::JournalRecord record;
+      record.mutation = fault::VipConfig{entry.vip, std::move(entry.dips)};
+      records.push_back(std::move(record));
     }
   }
   if (full) {
@@ -383,14 +337,11 @@ void SilkRoadFleet::apply_chunk(std::size_t index,
                              chunk.resync_id);
     }
   }
-  {
-    const sr::MutexLock lock(mu_);
-    applied_through_[index] =
-        std::max(applied_through_[index], chunk.watermark_after);
-    // Every chunk boundary checkpoints: a crash mid-session restarts the
-    // next session from this chunk's watermark, not from zero.
-    checkpoint_switch_locked(index);
-  }
+  applied_through_[index] =
+      std::max(applied_through_[index], chunk.watermark_after);
+  // Every chunk boundary checkpoints: a crash mid-session restarts the next
+  // session from this chunk's watermark, not from zero.
+  checkpoint_switch(index);
   if (observer_ != nullptr) {
     observer_->on_watermark(index, chunk.watermark_after, sim_.now());
   }
@@ -417,54 +368,49 @@ void SilkRoadFleet::apply_vip_config(std::size_t index,
                                      std::uint64_t parent_id) {
   auto& sw = *switches_[index];
   if (sw.version_manager(config.vip) == nullptr) {
-    {
-      const sr::MutexLock lock(mu_);
-      applied_[index][config.vip] =
-          DipSet(config.dips.begin(), config.dips.end());
-    }
+    applied_[index][config.vip] =
+        DipSet(config.dips.begin(), config.dips.end());
     if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
     sw.add_vip(config.vip, config.dips);
     return;
   }
   // The switch already serves this VIP: diff its applied membership against
   // the config and issue the delta as ordinary updates (each runs the 3-step
-  // protocol, keeping existing flows consistent). Deltas are collected under
-  // mu_ and issued after release — request_update fires span and
-  // mapping-risk callbacks whose probe sweeps re-enter the fleet.
+  // protocol, keeping existing flows consistent). Every delta is collected
+  // and the mirror updated before the first is issued — request_update
+  // fires span and mapping-risk callbacks whose probe sweeps re-enter the
+  // fleet.
   std::vector<workload::DipUpdate> deltas;
-  {
-    const sr::MutexLock lock(mu_);
-    auto& have = applied_[index][config.vip];
-    const DipSet want(config.dips.begin(), config.dips.end());
-    for (const auto& dip : config.dips) {
-      if (have.contains(dip)) continue;
-      workload::DipUpdate update;
-      update.at = sim_.now();
-      update.vip = config.vip;
-      update.dip = dip;
-      update.action = workload::UpdateAction::kAddDip;
-      update.cause = workload::UpdateCause::kProvisioning;
-      deltas.push_back(std::move(update));
-    }
-    // `have` is an unordered set (R10): snapshot and sort the stale DIPs so
-    // the re-issued removals — and therefore their span ids and 3-step
-    // executions — happen in the same order on every platform and run.
-    std::vector<net::Endpoint> stale;
-    for (const auto& dip : have) {
-      if (!want.contains(dip)) stale.push_back(dip);
-    }
-    std::sort(stale.begin(), stale.end());
-    for (const auto& dip : stale) {
-      workload::DipUpdate update;
-      update.at = sim_.now();
-      update.vip = config.vip;
-      update.dip = dip;
-      update.action = workload::UpdateAction::kRemoveDip;
-      update.cause = workload::UpdateCause::kRemoval;
-      deltas.push_back(std::move(update));
-    }
-    have = want;
+  auto& have = applied_[index][config.vip];
+  const DipSet want(config.dips.begin(), config.dips.end());
+  for (const auto& dip : config.dips) {
+    if (have.contains(dip)) continue;
+    workload::DipUpdate update;
+    update.at = sim_.now();
+    update.vip = config.vip;
+    update.dip = dip;
+    update.action = workload::UpdateAction::kAddDip;
+    update.cause = workload::UpdateCause::kProvisioning;
+    deltas.push_back(std::move(update));
   }
+  // `have` is an unordered set (R10): snapshot and sort the stale DIPs so the
+  // re-issued removals — and therefore their span ids and 3-step executions
+  // — happen in the same order on every platform and run.
+  std::vector<net::Endpoint> stale;
+  for (const auto& dip : have) {
+    if (!want.contains(dip)) stale.push_back(dip);
+  }
+  std::sort(stale.begin(), stale.end());
+  for (const auto& dip : stale) {
+    workload::DipUpdate update;
+    update.at = sim_.now();
+    update.vip = config.vip;
+    update.dip = dip;
+    update.action = workload::UpdateAction::kRemoveDip;
+    update.cause = workload::UpdateCause::kRemoval;
+    deltas.push_back(std::move(update));
+  }
+  have = want;
   if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
   for (auto& update : deltas) {
     spans_.begin_update(update, sim_.now(), parent_id);
@@ -479,16 +425,10 @@ void SilkRoadFleet::apply_journaled_update(std::size_t index,
   // Journal order guarantees the VIP's config record precedes its updates;
   // this guard is belt-and-braces against a snapshot/journal mismatch.
   if (sw.version_manager(update.vip) == nullptr) return;
-  bool duplicate = false;
-  {
-    const sr::MutexLock lock(mu_);
-    auto& dips = applied_[index][update.vip];
-    if (update.action == workload::UpdateAction::kAddDip) {
-      duplicate = !dips.insert(update.dip).second;
-    } else {
-      duplicate = dips.erase(update.dip) == 0;
-    }
-  }
+  auto& dips = applied_[index][update.vip];
+  const bool duplicate = update.action == workload::UpdateAction::kAddDip
+                             ? !dips.insert(update.dip).second
+                             : dips.erase(update.dip) == 0;
   // Already applied (the snapshot or an earlier delivery carried it): the
   // replay is idempotent, nothing to re-execute.
   if (duplicate) return;
@@ -504,22 +444,21 @@ void SilkRoadFleet::apply_journaled_update(std::size_t index,
   sw.request_update(replay);
 }
 
-void SilkRoadFleet::note_applied_locked(std::size_t index) {
+void SilkRoadFleet::note_applied(std::size_t index) {
   if (++since_checkpoint_[index] >= sync_.checkpoint_every) {
-    checkpoint_switch_locked(index);
+    checkpoint_switch(index);
   }
 }
 
-void SilkRoadFleet::checkpoint_switch_locked(std::size_t index) {
+void SilkRoadFleet::checkpoint_switch(std::size_t index) {
   SwitchSnapshot snapshot;
   snapshot.watermark = applied_through_[index];
-  snapshot.vips = applied_locked(index);
+  snapshot.vips = applied(index);
   snapshots_.checkpoint(index, std::move(snapshot));
   since_checkpoint_[index] = 0;
 }
 
-std::vector<net::VipMembers> SilkRoadFleet::applied_locked(
-    std::size_t index) const {
+std::vector<net::VipMembers> SilkRoadFleet::applied(std::size_t index) const {
   std::vector<net::VipMembers> out;
   out.reserve(applied_[index].size());
   for (const auto& vip : vip_order_) {
@@ -536,21 +475,11 @@ std::vector<net::VipMembers> SilkRoadFleet::applied_locked(
   return out;
 }
 
-std::vector<net::VipMembers> SilkRoadFleet::desired_locked() const {
+std::vector<net::VipMembers> SilkRoadFleet::desired() const {
   std::vector<net::VipMembers> out;
   out.reserve(vip_order_.size());
   for (const auto& vip : vip_order_) out.push_back({vip, membership_.at(vip)});
   return out;
-}
-
-std::vector<net::VipMembers> SilkRoadFleet::applied(std::size_t index) const {
-  const sr::MutexLock lock(mu_);
-  return applied_locked(index);
-}
-
-std::vector<net::VipMembers> SilkRoadFleet::desired() const {
-  const sr::MutexLock lock(mu_);
-  return desired_locked();
 }
 
 void SilkRoadFleet::set_mapping_risk_callback(MappingRiskCallback cb) {
@@ -602,12 +531,9 @@ void SilkRoadFleet::fail_switch(std::size_t index) {
   alive_[index] = false;
   restoring_[index] = false;
   channels_[index]->set_offline(true);
-  {
-    const sr::MutexLock lock(mu_);
-    // Whatever it had applied in memory died with it; the durable snapshot
-    // in snapshots_ survives — that is the restore-time recovery anchor.
-    applied_[index].clear();
-  }
+  // Whatever it had applied in memory died with it; the durable snapshot in
+  // snapshots_ survives — that is the restore-time recovery anchor.
+  applied_[index].clear();
   if (observer_ != nullptr) observer_->on_switch_down(index, sim_.now());
   if (membership_cb_) membership_cb_(index, false);
   // Flows the failed switch carried re-hash to survivors on their next
@@ -623,24 +549,17 @@ void SilkRoadFleet::restore_switch(std::size_t index) {
   // that watermark. Only once the session's final chunk lands does the
   // switch re-enter ECMP (apply_chunk flips alive_).
   switches_[index]->reset();
-  SwitchSnapshot snapshot;
-  {
-    const sr::MutexLock lock(mu_);
-    snapshot = snapshots_.at(index);
-    applied_[index].clear();
-    applied_through_[index] = snapshot.watermark;
-    since_checkpoint_[index] = 0;
-  }
+  const SwitchSnapshot snapshot = snapshots_.at(index);
+  applied_[index].clear();
+  applied_through_[index] = snapshot.watermark;
+  since_checkpoint_[index] = 0;
   if (observer_ != nullptr) {
     observer_->on_restore_begin(index, snapshot.watermark, sim_.now());
   }
   // The snapshot's VIPs land in the mirror one at a time, each fed to the
   // observer right after it lands (see add_vip).
   for (const auto& entry : snapshot.vips) {
-    {
-      const sr::MutexLock lock(mu_);
-      applied_[index][entry.vip] = DipSet(entry.dips.begin(), entry.dips.end());
-    }
+    applied_[index][entry.vip] = DipSet(entry.dips.begin(), entry.dips.end());
     if (observer_ != nullptr) observer_->on_mirror_config(index, 0, sim_.now());
   }
   for (const auto& entry : snapshot.vips) {
@@ -652,9 +571,6 @@ void SilkRoadFleet::restore_switch(std::size_t index) {
 }
 
 bool SilkRoadFleet::converged() const {
-  // Read-only audit: holding mu_ across the switch/channel getters is safe
-  // (none of them call back into the fleet).
-  const sr::MutexLock lock(mu_);
   for (std::size_t i = 0; i < switches_.size(); ++i) {
     // A mid-resync switch is about to rejoin with chunks in flight.
     if (restoring_[i]) return false;
@@ -718,27 +634,22 @@ std::uint64_t SilkRoadFleet::ctrl_resync_bytes() const {
 }
 
 std::uint64_t SilkRoadFleet::applied_through(std::size_t index) const {
-  const sr::MutexLock lock(mu_);
   return applied_through_.at(index);
 }
 
 SwitchSnapshot SilkRoadFleet::snapshot_of(std::size_t index) const {
-  const sr::MutexLock lock(mu_);
   return snapshots_.at(index);
 }
 
 std::uint64_t SilkRoadFleet::journal_head() const {
-  const sr::MutexLock lock(mu_);
   return journal_.head_pos();
 }
 
 std::uint64_t SilkRoadFleet::journal_compacted() const {
-  const sr::MutexLock lock(mu_);
   return journal_.compacted();
 }
 
 std::uint64_t SilkRoadFleet::snapshot_checkpoints() const {
-  const sr::MutexLock lock(mu_);
   return snapshots_.checkpoints();
 }
 
@@ -774,14 +685,11 @@ void SilkRoadFleet::inject_mirror_corruption(std::size_t index,
                                              const net::Endpoint& vip,
                                              const net::Endpoint& dip,
                                              bool add) {
-  bool changed = false;
-  {
-    const sr::MutexLock lock(mu_);
-    const auto it = applied_.at(index).find(vip);
-    SR_CHECKF(it != applied_[index].end(),
-              "mirror corruption needs a VIP switch %zu holds", index);
-    changed = add ? it->second.insert(dip).second : it->second.erase(dip) != 0;
-  }
+  const auto it = applied_.at(index).find(vip);
+  SR_CHECKF(it != applied_[index].end(),
+            "mirror corruption needs a VIP switch %zu holds", index);
+  const bool changed =
+      add ? it->second.insert(dip).second : it->second.erase(dip) != 0;
   if (observer_ != nullptr) {
     observer_->on_mirror_update(index, vip, dip, changed, sim_.now());
   }

@@ -21,7 +21,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/thread_annotations.h"
 #include "core/silkroad_switch.h"
 #include "deploy/journal.h"
 #include "deploy/snapshot.h"
@@ -235,21 +234,16 @@ class SilkRoadFleet : public lb::LoadBalancer,
                               const workload::DipUpdate& update,
                               std::uint64_t parent_id);
   /// Counts one applied mutation toward the checkpoint cadence.
-  void note_applied_locked(std::size_t index) SR_REQUIRES(mu_);
+  void note_applied(std::size_t index);
   /// Captures switch `index`'s mirror + watermark into the snapshot store.
-  void checkpoint_switch_locked(std::size_t index) SR_REQUIRES(mu_);
-  /// Switch `index`'s mirror: VIPs in provisioning order, DIPs sorted.
-  std::vector<net::VipMembers> applied_locked(std::size_t index) const
-      SR_REQUIRES(mu_);
-  /// The desired membership, VIPs in provisioning order.
-  std::vector<net::VipMembers> desired_locked() const SR_REQUIRES(mu_);
+  void checkpoint_switch(std::size_t index);
 
-  // obs::FleetObserver::Source: the observer's cold-path view of applied_
-  // and membership_. Takes mu_, and the observer calls it from inside its
-  // feeds, so the fleet feeds the observer only outside mu_.
-  std::vector<net::VipMembers> applied(std::size_t index) const override
-      SR_EXCLUDES(mu_);
-  std::vector<net::VipMembers> desired() const override SR_EXCLUDES(mu_);
+  // obs::FleetObserver::Source, also the checkpoint and full-transfer
+  // listings.
+  /// Switch `index`'s mirror: VIPs in provisioning order, DIPs sorted.
+  std::vector<net::VipMembers> applied(std::size_t index) const override;
+  /// The desired membership, VIPs in provisioning order.
+  std::vector<net::VipMembers> desired() const override;
 
   sim::Simulator& sim_;
   /// Declared before the switches/channels that hold raw pointers into it,
@@ -262,37 +256,28 @@ class SilkRoadFleet : public lb::LoadBalancer,
   std::vector<bool> restoring_;
   std::uint64_t ecmp_seed_;
 
-  /// Guards the controller's desired-state bookkeeping below — the maps a
-  /// multi-threaded control plane shares between the operator-facing API
-  /// (add_vip/request_update) and the channel delivery/resync callbacks.
-  /// Locking discipline: mutate under mu_, release, THEN call out (channel
-  /// sends, switch updates, span records) — those paths re-enter the fleet.
-  /// alive_/restoring_ and the switch/channel vectors stay simulation-thread
-  /// -only (packet path) and are deliberately not guarded here.
-  mutable sr::Mutex mu_;
   /// Controller desired state: VIP -> live members, in provisioning order.
   std::unordered_map<net::Endpoint, std::vector<net::Endpoint>,
                      net::EndpointHash>
-      membership_ SR_GUARDED_BY(mu_);
-  std::vector<net::Endpoint> vip_order_ SR_GUARDED_BY(mu_);
+      membership_;
+  std::vector<net::Endpoint> vip_order_;
   /// Per-switch mirror of what this controller has asked it to apply.
   std::vector<std::unordered_map<net::Endpoint, DipSet, net::EndpointHash>>
-      applied_ SR_GUARDED_BY(mu_);
+      applied_;
   /// Versioned desired-state mutation journal (DESIGN.md §16).
-  MutationJournal journal_ SR_GUARDED_BY(mu_);
+  MutationJournal journal_;
   /// Durable per-switch checkpoints; deliberately NOT cleared by
   /// fail_switch() — they model storage that survives the crash.
-  SnapshotStore snapshots_ SR_GUARDED_BY(mu_);
+  SnapshotStore snapshots_;
   /// Journal position each switch has applied through (advanced by in-order
   /// delivery and by chunk boundaries; synchronous provisioning is replayed
   /// idempotently instead of advancing it).
-  std::vector<std::uint64_t> applied_through_ SR_GUARDED_BY(mu_);
+  std::vector<std::uint64_t> applied_through_;
   /// Mutations applied since the last checkpoint (cadence counter).
-  std::vector<std::size_t> since_checkpoint_ SR_GUARDED_BY(mu_);
+  std::vector<std::size_t> since_checkpoint_;
 
   SyncConfig sync_;
-  /// Session start times / escalation-rung counters (simulation-thread-only,
-  /// like the channel counters).
+  /// Session start times / escalation-rung counters.
   std::vector<sim::Time> resync_started_;
   std::uint64_t delta_sessions_ = 0;
   std::uint64_t full_sessions_ = 0;
@@ -305,13 +290,10 @@ class SilkRoadFleet : public lb::LoadBalancer,
   MembershipCallback membership_cb_;
   /// Convergence observatory: keeps digests only and reads applied_ and
   /// membership_ through this fleet's Source view, so it is declared after
-  /// them and destroyed first. Fed on the simulation thread, which owns its
-  /// fold; its mutex guards only the copy the scrape thread renders, and it
-  /// calls nothing under it. A feed may call the Source, which takes mu_, so
-  /// every feed is called outside mu_, right after the one guarded mutation
-  /// it reports.
+  /// them and destroyed first. Every feed comes right after the one mutation
+  /// it reports, so the Source never runs ahead of the digests.
   std::unique_ptr<obs::FleetObserver> observer_;
-  /// One report per detected silent-divergence episode (sim-thread-only).
+  /// One report per detected silent-divergence episode.
   std::vector<obs::ForensicsReport> divergence_reports_;
 };
 

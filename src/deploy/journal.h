@@ -5,9 +5,6 @@
 // replica's resync session replays only the suffix past its applied-through
 // watermark; the journal is bounded, and once compaction has dropped entries
 // the watermark still needs, the session escalates to a full-state transfer.
-//
-// Thread safety: none of its own — the fleet guards its journal with the
-// same mutex that guards the desired-state maps the journal records.
 #pragma once
 
 #include <cstdint>

@@ -9,9 +9,6 @@
 // The store survives fail_switch() (it models durable storage on the switch
 // management plane); restore_switch() replays the snapshot into the wiped
 // switch before requesting the journal suffix past its watermark.
-//
-// Thread safety: none of its own — the fleet guards its store with the same
-// mutex that guards the applied-state mirrors the snapshots capture.
 #pragma once
 
 #include <cstdint>

@@ -9,33 +9,29 @@ void SoftwareLoadBalancer::add_vip(const net::Endpoint& vip,
   VipState state;
   state.dips = dips;
   state.maglev = MaglevTable(dips, config_.maglev_table_size);
-  const sr::MutexLock lock(mu_);
   vips_.insert_or_assign(vip, std::move(state));
 }
 
 void SoftwareLoadBalancer::request_update(const workload::DipUpdate& update) {
-  {
-    const sr::MutexLock lock(mu_);
-    const auto it = vips_.find(update.vip);
-    if (it == vips_.end()) return;
-    VipState& state = it->second;
-    // Atomic update semantics (§2.1): VIPTable is locked and new connections
-    // buffered while the Maglev table rebuilds, so existing flows — pinned in
-    // ConnTable — are never re-hashed. In simulation the swap is a single
-    // synchronous step, faithfully giving zero PCC violations.
-    if (update.action == workload::UpdateAction::kAddDip) {
-      state.dips.push_back(update.dip);
-    } else {
-      state.dips.erase(
-          std::remove(state.dips.begin(), state.dips.end(), update.dip),
-          state.dips.end());
-    }
-    state.maglev.set_backends(state.dips);
+  const auto it = vips_.find(update.vip);
+  if (it == vips_.end()) return;
+  VipState& state = it->second;
+  // Atomic update semantics (§2.1): VIPTable is locked and new connections
+  // buffered while the Maglev table rebuilds, so existing flows — pinned in
+  // ConnTable — are never re-hashed. In simulation the swap is a single
+  // synchronous step, faithfully giving zero PCC violations.
+  if (update.action == workload::UpdateAction::kAddDip) {
+    state.dips.push_back(update.dip);
+  } else {
+    state.dips.erase(
+        std::remove(state.dips.begin(), state.dips.end(), update.dip),
+        state.dips.end());
   }
+  state.maglev.set_backends(state.dips);
   // Existing connections stay pinned via conn_table_, so no mapping-risk
   // event is raised for them; the callback is still invoked so the auditor
-  // can verify that claim rather than trust it. Called outside mu_: the
-  // probe sweep it triggers re-enters process_packet().
+  // can verify that claim rather than trust it. The probe sweep it triggers
+  // re-enters process_packet().
   if (risk_cb_) risk_cb_(update.vip);
 }
 
@@ -50,7 +46,6 @@ void SoftwareLoadBalancer::bind_metrics(obs::MetricsRegistry& registry) {
 }
 
 PacketResult SoftwareLoadBalancer::process_packet(const net::Packet& packet) {
-  const sr::MutexLock lock(mu_);
   const auto vip_it = vips_.find(packet.flow.dst);
   if (vip_it == vips_.end()) return {};
   if (packets_ != nullptr) packets_->inc();

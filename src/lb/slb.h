@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "check/thread_annotations.h"
 #include "lb/load_balancer.h"
 #include "lb/maglev.h"
 #include "obs/metrics.h"
@@ -52,16 +51,12 @@ class SoftwareLoadBalancer : public LoadBalancer {
   }
   bool vip_at_slb(const net::Endpoint&) const override { return true; }
 
-  std::size_t conn_table_size() const {
-    const sr::MutexLock lock(mu_);
-    return conn_table_.size();
-  }
+  std::size_t conn_table_size() const { return conn_table_.size(); }
   const Config& config() const noexcept { return config_; }
 
   /// Optional telemetry: registers the SLB's packet-path counters
-  /// (silkroad_slb_*) in `registry`. The counters are atomic, so worker
-  /// threads sharing one instance may bump them. Call before traffic; the
-  /// registry must outlive the balancer.
+  /// (silkroad_slb_*) in `registry`. Call before traffic; the registry must
+  /// outlive the balancer.
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -74,18 +69,12 @@ class SoftwareLoadBalancer : public LoadBalancer {
   /// Per-packet software latency (batching + queueing): log-normal with the
   /// paper's 50 µs - 1 ms envelope (§2.2).
   sim::LogNormalByQuantiles latency_dist_;
-  /// The "VIPTable is locked and new connections buffered" atomic-update
-  /// contract of §2.1, made literal: one mutex over the whole per-packet /
-  /// per-update state so worker threads can share an SLB instance.
-  mutable sr::Mutex mu_;
-  sim::Rng latency_rng_ SR_GUARDED_BY(mu_);
-  std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_
-      SR_GUARDED_BY(mu_);
+  sim::Rng latency_rng_;
+  std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_;
   std::unordered_map<net::FiveTuple, net::Endpoint, net::FiveTupleHash>
-      conn_table_ SR_GUARDED_BY(mu_);
+      conn_table_;
   MappingRiskCallback risk_cb_;
-  /// Null until bind_metrics(); atomic, so bumps take no lock and the
-  /// handles may be used while mu_ is held without ordering concerns.
+  /// Null until bind_metrics().
   obs::Counter* packets_ = nullptr;
   obs::Counter* new_conns_ = nullptr;
   obs::Counter* conn_table_hits_ = nullptr;

@@ -207,8 +207,6 @@ std::string DivergenceFinding::to_json() const {
 FleetObserver::FleetObserver(std::size_t switches, const Source& source)
     : switch_count_(switches), source_(source), cells_(switches) {
   history_.resize(kDigestHistory);
-  const sr::MutexLock lock(mu_);
-  published_.rows.resize(switches);
 }
 
 // --- Feed: journal appends ---------------------------------------------------
@@ -219,7 +217,6 @@ void FleetObserver::on_append_config(std::uint64_t pos, sim::Time now) {
   totals_.desired_digest = fold(source_.desired());
   append_history(now);
   tick(now, kNoSwitch);
-  publish();
 }
 
 void FleetObserver::on_append_update(std::uint64_t pos, sim::Time now,
@@ -240,7 +237,6 @@ void FleetObserver::on_mirror_config(std::size_t sw, std::uint64_t pos,
   cell.digest = fold(source_.applied(sw));
   if (pos != 0 && pos > cell.watermark) cell.oob.insert(pos);
   tick(now, sw);
-  publish();
 }
 
 void FleetObserver::on_mirror_update(std::size_t sw, const net::Endpoint& vip,
@@ -292,7 +288,7 @@ void FleetObserver::on_switch_down(std::size_t sw, sim::Time now) {
   cell.watermark = 0;
   cell.divergent = false;
   cell.lagging = false;
-  tick(now, kAllSwitches);  // Live set changed: re-evaluate (and publish).
+  tick(now, kAllSwitches);  // Live set changed: re-evaluate.
 }
 
 void FleetObserver::on_restore_begin(std::size_t sw,
@@ -304,7 +300,7 @@ void FleetObserver::on_restore_begin(std::size_t sw,
   cell.oob.clear();
   cell.watermark = snapshot_watermark;
   cell.divergent = false;
-  tick(now, kAllSwitches);  // Live set changed: re-evaluate (and publish).
+  tick(now, kAllSwitches);  // Live set changed: re-evaluate.
 }
 
 void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
@@ -312,9 +308,7 @@ void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
   SwitchCell& cell = cells_.at(sw);
   if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
   cell.active_session = session_id;
-  const sr::MutexLock lock(mu_);
-  push_session(published_.rows[sw].sessions, {session_id, 0, now, 0});
-  publish_locked();
+  push_session(cell.sessions, {session_id, 0, now, 0});
 }
 
 void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
@@ -322,14 +316,12 @@ void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
   SwitchCell& cell = cells_.at(sw);
   if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
   cell.active_session = session_id;
-  const sr::MutexLock lock(mu_);
-  auto& sessions = published_.rows[sw].sessions;
+  auto& sessions = cell.sessions;
   if (sessions.empty() || sessions.back().session_id != session_id) {
     push_session(sessions, {session_id, static_cast<int>(kind), now, 0});
   } else {
     sessions.back().kind = static_cast<int>(kind);
   }
-  publish_locked();
 }
 
 void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
@@ -338,19 +330,14 @@ void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
   if (cell.active_session == session_id) {  // Else a newer session won.
     cell.active_session = 0;
     cell.state = SwitchState::kLive;
-    {
-      const sr::MutexLock lock(mu_);
-      auto& sessions = published_.rows[sw].sessions;
-      for (auto it = sessions.rbegin(); it != sessions.rend(); ++it) {
-        if (it->session_id == session_id) {
-          it->ended = now;
-          break;
-        }
+    for (auto it = cell.sessions.rbegin(); it != cell.sessions.rend(); ++it) {
+      if (it->session_id == session_id) {
+        it->ended = now;
+        break;
       }
     }
     tick(now, sw);
   }
-  publish();
 }
 
 // --- Checkability + digests --------------------------------------------------
@@ -439,13 +426,8 @@ void FleetObserver::check_switch(std::size_t sw, sim::Time now) {
   finding.actual_digest = cell.digest;
   finding.at = now;
   attribute(sw, &finding);
-  {
-    const sr::MutexLock lock(mu_);
-    const auto& sessions = published_.rows[sw].sessions;
-    finding.sessions.assign(sessions.begin(), sessions.end());
-    published_.findings.push_back(finding);
-    publish_locked();
-  }
+  finding.sessions.assign(cell.sessions.begin(), cell.sessions.end());
+  findings_.push_back(finding);
   if (divergence_cb_) divergence_cb_(finding);
 }
 
@@ -568,7 +550,6 @@ void FleetObserver::check_switches(sim::Time now, std::size_t touched) {
 void FleetObserver::evaluate_and_check(sim::Time now, std::size_t touched) {
   evaluate_lags(now);
   check_switches(now, touched);
-  publish();
 }
 
 void FleetObserver::tick(sim::Time now, std::size_t touched) {
@@ -582,20 +563,6 @@ void FleetObserver::tick(sim::Time now, std::size_t touched) {
   }
 }
 
-void FleetObserver::publish() {
-  const sr::MutexLock lock(mu_);
-  publish_locked();
-}
-
-void FleetObserver::publish_locked() {
-  published_.totals = totals_;
-  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
-    Published::Row& row = published_.rows[sw];
-    static_cast<SwitchView&>(row) = cells_[sw];
-    row.effective = effective(cells_[sw]);
-  }
-}
-
 void FleetObserver::evaluate(sim::Time now) { tick(now, kAllSwitches); }
 
 bool FleetObserver::verify_digests() {
@@ -606,58 +573,46 @@ bool FleetObserver::verify_digests() {
   if (fold(source_.desired()) != totals_.desired_digest) ok = false;
   ++totals_.selfchecks;
   if (!ok) ++totals_.selfcheck_failures;
-  publish();
   return ok;
 }
 
 // --- Introspection -----------------------------------------------------------
-
-std::vector<DivergenceFinding> FleetObserver::findings() const {
-  const sr::MutexLock lock(mu_);
-  return published_.findings;
-}
 
 void FleetObserver::set_divergence_callback(DivergenceCallback cb) {
   divergence_cb_ = std::move(cb);
 }
 
 void FleetObserver::bind_metrics(MetricsRegistry& registry) {
-  // Every callback may run on the scrape thread: it reads the published
-  // copy under the mutex.
   const auto bind = [this, &registry](const char* name, MetricKind kind,
                                       auto read, const char* help,
                                       const std::string& labels = {}) {
     registry.register_callback(
-        name, kind,
-        [this, read] {
-          const sr::MutexLock lock(mu_);
-          return static_cast<double>(read(published_));
-        },
+        name, kind, [this, read] { return static_cast<double>(read(*this)); },
         help, labels);
   };
   bind("silkroad_fleet_journal_lag_slo_ok", MetricKind::kGauge,
-       [](const Published& p) { return p.totals.slo_ok ? 1.0 : 0.0; },
+       [](const FleetObserver& o) { return o.totals_.slo_ok ? 1.0 : 0.0; },
        "1 while the convergence SLO holds (lagging fraction within target)");
   bind("silkroad_fleet_lagging_fraction", MetricKind::kGauge,
-       [](const Published& p) { return p.totals.lagging_fraction; },
+       [](const FleetObserver& o) { return o.totals_.lagging_fraction; },
        "Fraction of live switches currently in the lagging hysteresis state");
   bind("silkroad_fleet_slo_burn_ns_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.slo_burn_ns; },
+       [](const FleetObserver& o) { return o.totals_.slo_burn_ns; },
        "Sim-time nanoseconds spent with the convergence SLO violated");
   bind("silkroad_fleet_slo_transitions_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.slo_transitions; },
+       [](const FleetObserver& o) { return o.totals_.slo_transitions; },
        "Convergence SLO ok<->violated flips");
   bind("silkroad_fleet_divergences_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.divergences; },
+       [](const FleetObserver& o) { return o.totals_.divergences; },
        "Silent divergences detected (digest mismatch at equal watermark)");
   bind("silkroad_fleet_digest_selfchecks_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.selfchecks; },
+       [](const FleetObserver& o) { return o.totals_.selfchecks; },
        "Full-recompute digest self-checks performed");
   bind("silkroad_fleet_digest_selfcheck_failures_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.selfcheck_failures; },
+       [](const FleetObserver& o) { return o.totals_.selfcheck_failures; },
        "Digest self-checks where incremental and recomputed values disagreed");
   bind("silkroad_fleet_unverifiable_checks_total", MetricKind::kCounter,
-       [](const Published& p) { return p.totals.unverifiable; },
+       [](const FleetObserver& o) { return o.totals_.unverifiable; },
        "Digest checks skipped because history was compacted past the "
        "switch's watermark");
   h_lag_ = registry.histogram(
@@ -667,12 +622,12 @@ void FleetObserver::bind_metrics(MetricsRegistry& registry) {
   for (std::size_t sw = 0; sw < switch_count_; ++sw) {
     const std::string labels = "switch=\"" + std::to_string(sw) + "\"";
     bind("silkroad_fleet_switch_lag_positions", MetricKind::kGauge,
-         [sw](const Published& p) { return p.rows[sw].lag; },
+         [sw](const FleetObserver& o) { return o.cells_[sw].lag; },
          "Journal positions between the head and this switch's effective "
          "watermark",
          labels);
     bind("silkroad_fleet_switch_lag_age_ns", MetricKind::kGauge,
-         [sw](const Published& p) { return p.rows[sw].age; },
+         [sw](const FleetObserver& o) { return o.cells_[sw].age; },
          "Sim-time age of this switch's oldest unapplied journal mutation",
          labels);
   }
@@ -680,15 +635,14 @@ void FleetObserver::bind_metrics(MetricsRegistry& registry) {
 
 // --- Rendering ---------------------------------------------------------------
 
-FleetObserver::LagSummary FleetObserver::lag_summary(
-    const Published& published) {
+FleetObserver::LagSummary FleetObserver::lag_summary() const {
   LagSummary out;
   std::vector<std::uint64_t> lags;
-  for (const Published::Row& row : published.rows) {
-    if (row.state == SwitchState::kDown) continue;
+  for (const SwitchCell& cell : cells_) {
+    if (cell.state == SwitchState::kDown) continue;
     ++out.live;
-    lags.push_back(row.lag);
-    if (row.lagging) ++out.lagging;
+    lags.push_back(cell.lag);
+    if (cell.lagging) ++out.lagging;
   }
   if (lags.empty()) return out;
   std::sort(lags.begin(), lags.end());
@@ -704,13 +658,12 @@ FleetObserver::LagSummary FleetObserver::lag_summary(
 }
 
 std::string FleetObserver::to_text() const {
-  const sr::MutexLock lock(mu_);
-  const Totals& t = published_.totals;
+  const Totals& t = totals_;
   std::string out;
   out += "=== fleet convergence observatory (DESIGN.md \xC2\xA7"
          "17) ===\n";
   append(out, "journal head: %" PRIu64 "\n", t.head);
-  const LagSummary lag = lag_summary(published_);
+  const LagSummary lag = lag_summary();
   append(out,
          "lag positions: p50=%" PRIu64 " p99=%" PRIu64 " max=%" PRIu64
          " (over %zu live switches)\n",
@@ -731,22 +684,22 @@ std::string FleetObserver::to_text() const {
          t.divergences == 0 ? "" : "  << SILENT DIVERGENCE");
   out += "switch  state      watermark  effective  lag  age_ms   digest"
          "              resync\n";
-  for (std::size_t sw = 0; sw < published_.rows.size(); ++sw) {
-    const Published::Row& row = published_.rows[sw];
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
+    const SwitchCell& cell = cells_[sw];
     std::string resync = "-";
-    if (!row.sessions.empty()) {
-      const auto& last = row.sessions.back();
+    if (!cell.sessions.empty()) {
+      const auto& last = cell.sessions.back();
       resync = std::string(kind_name(last.kind)) +
                (last.ended == 0 ? " (open)" : "");
     }
     append(out,
            "%-7zu %-10s %-10" PRIu64 " %-10" PRIu64 " %-4" PRIu64
            " %-8.3f 0x%016" PRIx64 "  %s%s\n",
-           sw, state_name(row.state), row.watermark, row.effective, row.lag,
-           static_cast<double>(row.age) / 1e6, row.digest, resync.c_str(),
-           row.divergent ? "  DIVERGED" : "");
+           sw, state_name(cell.state), cell.watermark, effective(cell),
+           cell.lag, static_cast<double>(cell.age) / 1e6, cell.digest,
+           resync.c_str(), cell.divergent ? "  DIVERGED" : "");
   }
-  for (const auto& finding : published_.findings) {
+  for (const auto& finding : findings_) {
     out += "\n";
     out += finding.to_text();
   }
@@ -754,11 +707,10 @@ std::string FleetObserver::to_text() const {
 }
 
 std::string FleetObserver::to_json() const {
-  const sr::MutexLock lock(mu_);
-  const Totals& t = published_.totals;
+  const Totals& t = totals_;
   std::string out;
   append(out, "{\"journal_head\":%" PRIu64, t.head);
-  const LagSummary lag = lag_summary(published_);
+  const LagSummary lag = lag_summary();
   append(out,
          ",\"lag\":{\"p50\":%" PRIu64 ",\"p99\":%" PRIu64 ",\"max\":%" PRIu64
          ",\"live\":%zu,\"lagging\":%zu}",
@@ -777,20 +729,20 @@ std::string FleetObserver::to_json() const {
          t.unverifiable);
   append(out, ",\"divergences\":%" PRIu64, t.divergences);
   out += ",\"switches\":[";
-  for (std::size_t sw = 0; sw < published_.rows.size(); ++sw) {
-    const Published::Row& row = published_.rows[sw];
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
+    const SwitchCell& cell = cells_[sw];
     if (sw != 0) out += ",";
     append(out,
            "\n  {\"index\":%zu,\"state\":\"%s\",\"watermark\":%" PRIu64
            ",\"effective_watermark\":%" PRIu64 ",\"lag_positions\":%" PRIu64
            ",\"lag_age_ns\":%" PRIu64 ",\"digest\":\"0x%016" PRIx64
            "\",\"lagging\":%s,\"divergent\":%s",
-           sw, state_name(row.state), row.watermark, row.effective, row.lag,
-           row.age, row.digest, row.lagging ? "true" : "false",
-           row.divergent ? "true" : "false");
+           sw, state_name(cell.state), cell.watermark, effective(cell),
+           cell.lag, cell.age, cell.digest, cell.lagging ? "true" : "false",
+           cell.divergent ? "true" : "false");
     out += ",\"sessions\":[";
-    for (std::size_t i = 0; i < row.sessions.size(); ++i) {
-      const auto& s = row.sessions[i];
+    for (std::size_t i = 0; i < cell.sessions.size(); ++i) {
+      const auto& s = cell.sessions[i];
       if (i != 0) out += ",";
       append(out,
              "{\"session_id\":%" PRIu64 ",\"kind\":\"%s\",\"began_ns\":%"
@@ -800,9 +752,9 @@ std::string FleetObserver::to_json() const {
     out += "]}";
   }
   out += "\n],\"findings\":[";
-  for (std::size_t i = 0; i < published_.findings.size(); ++i) {
+  for (std::size_t i = 0; i < findings_.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\n  " + published_.findings[i].to_json();
+    out += "\n  " + findings_[i].to_json();
   }
   out += "\n]}\n";
   return out;

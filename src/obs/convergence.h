@@ -52,21 +52,16 @@
 // resyncing, or gapped — is reported as unverifiable-at-the-moment rather
 // than checked against the wrong reference.
 //
-// Concurrency (DESIGN.md §13): the simulation thread owns the fold (the
-// digests, watermarks, out-of-band sets, history ring and counters). It
-// feeds the observer, reads it through the getters, and is the only caller
-// of the Source. Every feed folds synchronously and takes no lock; the fleet
-// changes its state before it feeds the change, so the Source agrees with
-// the digests after every feed and the round-robin self-check runs in the
-// feed where its countdown expires. The scrape thread renders
-// to_text()/to_json() and pulls the bound metric callbacks from a Published
-// copy under the observer's mutex. The copy is refreshed at every
-// evaluation (at most `kEvalEvery` feeds apart), at every cold entry point,
-// after verify_digests() and on each divergence; resync-session records and
-// findings live only there. The observer never holds its mutex while it
-// calls out: the Source (which takes the fleet's lock) and the divergence
-// callback run unlocked, and the callback fires from the feed that found
-// the divergence.
+// One writer thread (DESIGN.md §13): the simulation thread owns the fold
+// (the digests, watermarks, out-of-band sets, resync-session records,
+// findings, history ring and counters). It feeds the observer, reads it
+// through the getters and renderers, and is the only caller of the Source.
+// Every feed folds synchronously; the fleet changes its state before it
+// feeds the change, so the Source agrees with the digests after every feed
+// and the round-robin self-check runs in the feed where its countdown
+// expires. The divergence callback fires from the feed that found the
+// divergence. A scrape server serves the renderings its publish() took on
+// the simulation thread.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +72,6 @@
 #include <string>
 #include <vector>
 
-#include "check/thread_annotations.h"
 #include "net/endpoint.h"
 #include "net/hash.h"
 #include "obs/metrics.h"
@@ -157,10 +151,9 @@ class FleetObserver {
   static constexpr std::size_t kDigestHistory = 4096;
   /// Full-recompute digest self-check cadence, in feed events.
   static constexpr std::size_t kSelfcheckEvery = 1024;
-  /// Lag/SLO re-evaluation cadence, in feed events; it also bounds how stale
-  /// the scrape surface can be. Divergence checks run alongside every
-  /// evaluation; explicit evaluate() and switch-lifecycle edges always
-  /// re-evaluate.
+  /// Lag/SLO re-evaluation cadence, in feed events. Divergence checks run
+  /// alongside every evaluation; explicit evaluate() and switch-lifecycle
+  /// edges always re-evaluate.
   static constexpr std::size_t kEvalEvery = 64;
   /// Resync-session records retained per switch for forensics.
   static constexpr std::size_t kSessionHistory = 16;
@@ -173,8 +166,7 @@ class FleetObserver {
 
   /// Read-only view of the memberships the digests summarize, implemented
   /// by the fleet that holds them (never deleted through this base). Called
-  /// from the simulation thread's feeds and verify_digests(), never under
-  /// the observer's mutex.
+  /// from the feeds and verify_digests().
   class Source {
    public:
     /// Switch `sw`'s applied membership: VIPs in provisioning order, DIPs
@@ -257,8 +249,8 @@ class FleetObserver {
   bool verify_digests();
 
   // --- Introspection ----------------------------------------------------------
-  // Simulation thread only: the getters read the fold, which already holds
-  // every feed delivered so far. findings() reads the published copy.
+  // The getters read the fold, which already holds every feed delivered so
+  // far. Lags and the SLO date from the last evaluation.
 
   std::size_t switches() const noexcept { return switch_count_; }
   std::uint64_t head() const { return totals_.head; }
@@ -283,7 +275,7 @@ class FleetObserver {
   std::uint64_t slo_transitions() const { return totals_.slo_transitions; }
   sim::Time slo_burn_ns() const { return totals_.slo_burn_ns; }
   std::uint64_t divergences() const { return totals_.divergences; }
-  std::vector<DivergenceFinding> findings() const;
+  const std::vector<DivergenceFinding>& findings() const { return findings_; }
   std::uint64_t selfchecks() const { return totals_.selfchecks; }
   std::uint64_t selfcheck_failures() const {
     return totals_.selfcheck_failures;
@@ -294,7 +286,7 @@ class FleetObserver {
 
   /// Registers the observer's pull metrics (lag gauges per switch, SLO
   /// state/burn/transitions, divergence + self-check counters) and the
-  /// fleet lag histogram on `registry`. They read the published copy.
+  /// fleet lag histogram on `registry`. They read the fold.
   void bind_metrics(MetricsRegistry& registry);
 
   /// /fleet scrape body: lag distribution, per-switch table, SLO, alarms.
@@ -303,8 +295,8 @@ class FleetObserver {
   std::string to_json() const;
 
  private:
-  /// A switch as the scrape surface shows it.
-  struct SwitchView {
+  /// One switch's slice of the fold.
+  struct SwitchCell {
     SwitchState state = SwitchState::kLive;
     std::uint64_t watermark = 0;  ///< Contiguous, from on_watermark.
     std::uint64_t digest = 0;     ///< XOR-fold of its VIP digests.
@@ -315,10 +307,10 @@ class FleetObserver {
     // Cached by the last evaluation.
     std::uint64_t lag = 0;
     sim::Time age = 0;
-  };
-  struct SwitchCell : SwitchView {
     std::set<std::uint64_t> oob;  ///< Out-of-band applied positions > W.
     std::uint64_t active_session = 0;
+    /// Recent resync sessions, newest last.
+    std::deque<DivergenceFinding::SessionRecord> sessions;
   };
   /// The fold's scalars.
   struct Totals {
@@ -332,17 +324,6 @@ class FleetObserver {
     std::uint64_t selfchecks = 0;
     std::uint64_t selfcheck_failures = 0;
     std::uint64_t unverifiable = 0;
-  };
-  /// What the scrape thread reads.
-  struct Published {
-    struct Row : SwitchView {
-      std::uint64_t effective = 0;
-      /// Recent resync sessions, newest last.
-      std::deque<DivergenceFinding::SessionRecord> sessions;
-    };
-    Totals totals;
-    std::vector<Row> rows;
-    std::vector<DivergenceFinding> findings;
   };
   struct HistoryEntry {
     std::uint64_t digest_after = 0;
@@ -362,10 +343,10 @@ class FleetObserver {
   /// Ring entry at offset `off` (< history_size_) from the oldest retained.
   const HistoryEntry& history_entry(std::size_t off) const;
   /// Runs the digest comparison for switch `sw` if checkable; a fresh
-  /// mismatch is attributed, published and handed to the callback.
+  /// mismatch is attributed, recorded and handed to the callback.
   void check_switch(std::size_t sw, sim::Time now);
   void attribute(std::size_t sw, DivergenceFinding* finding) const;
-  /// Lags and the SLO; the caller publishes.
+  /// Lags and the SLO.
   void evaluate_lags(sim::Time now);
   /// Shared tail of every feed: self-check cadence + evaluation +
   /// divergence checks. `touched` bounds the digest comparison to the
@@ -374,7 +355,7 @@ class FleetObserver {
   static constexpr std::size_t kAllSwitches = static_cast<std::size_t>(-1);
   static constexpr std::size_t kNoSwitch = static_cast<std::size_t>(-2);
   void tick(sim::Time now, std::size_t touched);
-  /// Evaluates, checks the switches selected by `touched`, and publishes.
+  /// Evaluates and checks the switches selected by `touched`.
   void evaluate_and_check(sim::Time now, std::size_t touched);
   /// Counts one feed toward the round-robin self-check and runs it when
   /// the countdown expires.
@@ -382,8 +363,6 @@ class FleetObserver {
   /// Decrements the evaluation countdown; true when it expired (reloads).
   bool eval_due();
   void check_switches(sim::Time now, std::size_t touched);
-  void publish() SR_EXCLUDES(mu_);
-  void publish_locked() SR_REQUIRES(mu_);
 
   /// Lag distribution over the non-down switches, from the cached lags
   /// (order statistics, not the bound histogram, so rendering needs no
@@ -395,15 +374,15 @@ class FleetObserver {
     std::size_t live = 0;
     std::size_t lagging = 0;
   };
-  static LagSummary lag_summary(const Published& published);
+  LagSummary lag_summary() const;
 
-  // The fold: simulation-thread-only, deliberately not guarded by mu_.
   const std::size_t switch_count_;
   /// The fleet's memberships: read by cold feeds, attribution and the
-  /// self-checks, never under mu_.
+  /// self-checks.
   const Source& source_;
   std::vector<SwitchCell> cells_;
   Totals totals_;
+  std::vector<DivergenceFinding> findings_;
   /// Digest history ring (fixed flat storage — no per-append allocation or
   /// deque node churn): the entry for journal position p, for p in
   /// [history_base_, history_base_ + history_size_), lives at ring offset
@@ -420,9 +399,6 @@ class FleetObserver {
   std::size_t selfcheck_cursor_ = 0;
   Histogram* h_lag_ = nullptr;  ///< Bound fleet lag histogram (positions).
   DivergenceCallback divergence_cb_;
-
-  mutable sr::Mutex mu_;
-  Published published_ SR_GUARDED_BY(mu_);
 };
 
 }  // namespace silkroad::obs

@@ -5,12 +5,6 @@
 // All exporters are pure string builders over immutable snapshots — safe to
 // call at any point of a run; write_file() is the only one touching the
 // filesystem (cstdio, atomicity not required for telemetry dumps).
-//
-// Concurrency (DESIGN.md §13): exporters hold no state, so they carry no
-// SR_GUARDED_BY annotations — thread safety comes from their inputs.
-// Snapshot/TraceRing values passed in must be owned by the calling thread
-// (MetricsRegistry::snapshot() returns a private copy, which is why the
-// ScrapeServer may render one while the simulation keeps counting).
 #pragma once
 
 #include <string>

@@ -53,7 +53,7 @@ std::uint64_t hdr_bucket_lower_bound(std::size_t index,
 Histogram::Histogram(const Options& options)
     : log2_sub_(std::min(options.log2_subdivisions, 6u)),
       bucket_count_(hdr_bucket_count(log2_sub_)),
-      buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(bucket_count_)) {}
+      buckets_(std::make_unique<std::uint64_t[]>(bucket_count_)) {}
 
 std::uint64_t Histogram::count() const noexcept {
   std::uint64_t total = 0;
@@ -145,13 +145,11 @@ MetricsRegistry::Series* MetricsRegistry::find_or_create(
 Counter* MetricsRegistry::counter(const std::string& name,
                                   const std::string& help,
                                   const std::string& labels) {
-  const sr::MutexLock lock(mu_);
   return &find_or_create(name, labels, help, MetricKind::kCounter)->counter;
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, const std::string& help,
                               const std::string& labels) {
-  const sr::MutexLock lock(mu_);
   return &find_or_create(name, labels, help, MetricKind::kGauge)->gauge;
 }
 
@@ -159,7 +157,6 @@ Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       const std::string& labels,
                                       const Histogram::Options& options) {
-  const sr::MutexLock lock(mu_);
   Series* series = find_or_create(name, labels, help, MetricKind::kHistogram);
   if (!series->histogram) {
     series->histogram = std::make_unique<Histogram>(options);
@@ -173,15 +170,11 @@ void MetricsRegistry::register_callback(const std::string& name,
                                         const std::string& help,
                                         const std::string& labels) {
   SR_CHECK(kind != MetricKind::kHistogram);
-  const sr::MutexLock lock(mu_);
   Series* series = find_or_create(name, labels, help, kind);
   series->callback = std::move(fn);
 }
 
-std::size_t MetricsRegistry::series_count() const {
-  const sr::MutexLock lock(mu_);
-  return series_.size();
-}
+std::size_t MetricsRegistry::series_count() const { return series_.size(); }
 
 namespace {
 
@@ -214,26 +207,23 @@ void render_histogram(const Histogram& hist, MetricSample& sample) {
 
 Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
-  {
-    const sr::MutexLock lock(mu_);
-    snap.samples.reserve(series_.size());
-    for (const auto& series : series_) {
-      MetricSample sample;
-      sample.name = series.name;
-      sample.labels = series.labels;
-      sample.help = series.help;
-      sample.kind = series.kind;
-      if (series.callback) {
-        sample.value = series.callback();
-      } else if (series.kind == MetricKind::kCounter) {
-        sample.value = static_cast<double>(series.counter.value());
-      } else if (series.kind == MetricKind::kGauge) {
-        sample.value = series.gauge.value();
-      } else if (series.histogram) {
-        render_histogram(*series.histogram, sample);
-      }
-      snap.samples.push_back(std::move(sample));
+  snap.samples.reserve(series_.size());
+  for (const auto& series : series_) {
+    MetricSample sample;
+    sample.name = series.name;
+    sample.labels = series.labels;
+    sample.help = series.help;
+    sample.kind = series.kind;
+    if (series.callback) {
+      sample.value = series.callback();
+    } else if (series.kind == MetricKind::kCounter) {
+      sample.value = static_cast<double>(series.counter.value());
+    } else if (series.kind == MetricKind::kGauge) {
+      sample.value = series.gauge.value();
+    } else if (series.histogram) {
+      render_histogram(*series.histogram, sample);
     }
+    snap.samples.push_back(std::move(sample));
   }
   std::sort(snap.samples.begin(), snap.samples.end(),
             [](const MetricSample& a, const MetricSample& b) {

@@ -1,8 +1,8 @@
 // Unified metrics registry — the single source of truth for every counter,
 // gauge, and histogram in the repository (DESIGN.md §9).
 //
-// Hot-path cost is one relaxed atomic add on a pre-resolved handle; nothing
-// is formatted, hashed, or allocated per event. Aggregation happens only at
+// Hot-path cost is one plain add on a pre-resolved handle; nothing is
+// formatted, hashed, or allocated per event. Aggregation happens only at
 // snapshot() time, which walks the registry and materializes a Snapshot the
 // exporters (exporters.h) render as Prometheus text or JSON.
 //
@@ -17,19 +17,16 @@
 // Counters wrap modulo 2^64 (overflow is defined, not checked): at one
 // increment per simulated nanosecond that is ~584 years of sim time.
 // Handles stay valid for the registry's lifetime (deque storage, no
-// reallocation); increments are thread-safe, registration and snapshot take
-// a mutex.
+// reallocation). A registry has one writer thread, the simulation thread,
+// which also takes every snapshot (DESIGN.md §13).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
-
-#include "check/thread_annotations.h"
 
 namespace silkroad::obs {
 
@@ -50,45 +47,32 @@ std::size_t hdr_bucket_index(std::uint64_t value,
 std::uint64_t hdr_bucket_lower_bound(std::size_t index,
                                      unsigned log2_subdivisions) noexcept;
 
-/// Monotone event count. Increments are relaxed atomics: cheap, correct from
-/// any thread (a scrape thread may read while the simulation thread bumps),
-/// and wrap modulo 2^64.
+/// Monotone event count; wraps modulo 2^64.
 class Counter {
  public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t delta = 1) noexcept { value_ += delta; }
+  std::uint64_t value() const noexcept { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
-/// Point-in-time level (queue depth, occupancy). Set/add are thread-safe.
+/// Point-in-time level (queue depth, occupancy).
 class Gauge {
  public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) noexcept {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void set(double v) noexcept { value_ = v; }
+  void add(double delta) noexcept { value_ += delta; }
+  double value() const noexcept { return value_; }
 
  private:
-  std::atomic<double> value_{0.0};
+  double value_ = 0.0;
 };
 
 /// Log-linear histogram over unsigned 64-bit values (HdrHistogram-style):
 /// each power-of-two range is subdivided into 2^log2_subdivisions linear
 /// buckets, giving a bounded relative error of 1/subdivisions across the
 /// whole 64-bit range with ~256 buckets. record() is branch-light bit
-/// arithmetic plus two relaxed atomic adds (bucket and sum).
+/// arithmetic plus two adds (bucket and sum).
 class Histogram {
  public:
   struct Options {
@@ -100,8 +84,8 @@ class Histogram {
   explicit Histogram(const Options& options);
 
   void record(std::uint64_t value) noexcept {
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    ++buckets_[bucket_index(value)];
+    sum_ += value;
   }
 
   /// Bucket holding `value`. Values below the subdivision count get exact
@@ -117,19 +101,17 @@ class Histogram {
   }
   std::size_t bucket_count() const noexcept { return bucket_count_; }
   std::uint64_t bucket_value(std::size_t index) const noexcept {
-    return buckets_[index].load(std::memory_order_relaxed);
+    return buckets_[index];
   }
 
   std::uint64_t count() const noexcept;
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sum() const noexcept { return sum_; }
 
  private:
   unsigned log2_sub_;
   std::size_t bucket_count_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> sum_{0};
+  std::unique_ptr<std::uint64_t[]> buckets_;
+  std::uint64_t sum_ = 0;
 };
 
 /// One non-empty histogram bucket in a snapshot: cumulative count of values
@@ -224,13 +206,9 @@ class MetricsRegistry {
   };
 
   Series* find_or_create(const std::string& name, const std::string& labels,
-                         const std::string& help, MetricKind kind)
-      SR_REQUIRES(mu_);
+                         const std::string& help, MetricKind kind);
 
-  mutable sr::Mutex mu_;
-  /// Registration and snapshot walk take mu_; the handles the deque stores
-  /// are lock-free (atomics), so increments never touch the mutex.
-  std::deque<Series> series_ SR_GUARDED_BY(mu_);
+  std::deque<Series> series_;
 };
 
 }  // namespace silkroad::obs

@@ -32,7 +32,10 @@ std::string parse_get_path(const std::string& request) {
 void send_all(int fd, const std::string& data) {
   std::size_t sent = 0;
   while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
+    // MSG_NOSIGNAL: a scraper that hung up (a timed-out curl) must cost an
+    // EPIPE, not a SIGPIPE that kills the process.
+    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                             MSG_NOSIGNAL);
     if (n <= 0) return;  // peer gone; telemetry is best-effort
     sent += static_cast<std::size_t>(n);
   }
@@ -60,27 +63,41 @@ ScrapeServer::ScrapeServer(const Options& options) : options_(options) {}
 
 void ScrapeServer::handle(const std::string& path,
                           const std::string& content_type, Handler handler) {
-  if (running_.load()) return;
-  const sr::MutexLock lock(mu_);
   routes_[path] = {content_type, std::move(handler)};
 }
 
 void ScrapeServer::handle_prefix(const std::string& prefix,
                                  const std::string& content_type,
                                  PrefixHandler handler) {
-  if (running_.load()) return;
-  const sr::MutexLock lock(mu_);
   prefix_routes_[prefix] = {content_type, std::move(handler)};
+}
+
+void ScrapeServer::publish() {
+  std::map<std::string, Response> bodies;
+  // routes_ is a std::map, so the index is sorted and deterministic.
+  std::string index = "routes:\n";
+  for (const auto& [path, route] : routes_) {
+    bodies[path] = {route.content_type, route.handler()};
+    index += "  " + path + "\n";
+  }
+  for (const auto& [prefix, route] : prefix_routes_) {
+    for (auto& [suffix, body] : route.handler()) {
+      bodies.try_emplace(prefix + "/" + suffix,
+                         Response{route.content_type, std::move(body)});
+    }
+    index += "  " + prefix + "/<id>\n";
+  }
+  const sr::MutexLock lock(mu_);
+  published_.swap(bodies);
+  route_index_.swap(index);
 }
 
 bool ScrapeServer::start() {
   if (running_.load()) return true;
-  {
-    const sr::MutexLock lock(mu_);
-    if (routes_.find("/healthz") == routes_.end()) {
-      routes_["/healthz"] = {"text/plain", [] { return std::string("ok\n"); }};
-    }
+  if (!routes_.contains("/healthz")) {
+    routes_["/healthz"] = {"text/plain", [] { return std::string("ok\n"); }};
   }
+  publish();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return false;
@@ -150,47 +167,21 @@ void ScrapeServer::serve_one(int fd) {
                                "GET only\n"));
     return;
   }
-  // Held across the handler call: handlers only touch thread-safe snapshot
-  // state (header contract), and route registration after start() is already
-  // a documented no-op, so there is nothing to contend with.
-  const sr::MutexLock lock(mu_);
-  const auto it = routes_.find(path);
-  if (it != routes_.end()) {
-    send_all(fd, http_response(200, "OK", it->second.content_type,
-                               it->second.handler()));
-    return;
+  // Copy the response out under the lock and send it after releasing it, so
+  // publish() never waits on a slow scraper. An unknown path answers with
+  // the index of every route instead of a bare 404, so a mistyped scrape is
+  // self-correcting.
+  std::string response;
+  {
+    const sr::MutexLock lock(mu_);
+    const auto it = published_.find(path);
+    response = it != published_.end()
+                   ? http_response(200, "OK", it->second.content_type,
+                                   it->second.body)
+                   : http_response(404, "Not Found", "text/plain",
+                                   "not found: " + path + "\n" + route_index_);
   }
-  // Longest prefix route whose "<prefix>/" starts the path; the handler
-  // receives the remainder and decides whether that suffix exists.
-  const PrefixRoute* best = nullptr;
-  std::size_t best_len = 0;
-  for (const auto& [prefix, route] : prefix_routes_) {
-    if (prefix.size() + 1 >= path.size()) continue;
-    if (path.compare(0, prefix.size(), prefix) != 0) continue;
-    if (path[prefix.size()] != '/') continue;
-    if (prefix.size() >= best_len) {
-      best = &route;
-      best_len = prefix.size();
-    }
-  }
-  if (best != nullptr) {
-    const std::string body = best->handler(path.substr(best_len + 1));
-    if (!body.empty()) {
-      send_all(fd, http_response(200, "OK", best->content_type, body));
-      return;
-    }
-  }
-  // Unknown path: answer with an index of every registered route instead of
-  // a bare 404, so a mistyped scrape is self-correcting. routes_ is a
-  // std::map, so the listing is sorted and deterministic.
-  std::string body = "not found: " + path + "\nroutes:\n";
-  for (const auto& entry : routes_) {
-    body += "  " + entry.first + "\n";
-  }
-  for (const auto& entry : prefix_routes_) {
-    body += "  " + entry.first + "/<id>\n";
-  }
-  send_all(fd, http_response(404, "Not Found", "text/plain", body));
+  send_all(fd, response);
 }
 
 bool scrape_port_from_env(std::uint16_t& port) {

@@ -8,13 +8,12 @@
 // background thread. It binds 127.0.0.1 only and is off unless explicitly
 // started, so it never widens the attack surface of a batch run.
 //
-// Handlers are std::function<std::string()> registered per path before
-// start(); they run on the server thread, so they must only touch
-// thread-safe state (MetricsRegistry::snapshot() and every TimeSeriesRecorder
-// accessor qualify). Registry pull callbacks read plain fields of the
-// simulated switch; scraping while the simulation thread is mid-event is a
-// benign telemetry race — tests scrape only while the sim is idle so
-// sanitizer runs stay clean.
+// One writer thread (DESIGN.md §13): route handlers run only inside
+// publish(), on the thread that calls it — the simulation thread, the only
+// thread that touches a model object. publish() swaps the rendered bodies
+// into one published copy under the server's mutex, and the server thread
+// serves that copy and nothing else. A scrape therefore shows the state of
+// the last publish(); start() publishes once.
 #pragma once
 
 #include <atomic>
@@ -23,6 +22,8 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "check/thread_annotations.h"
 
@@ -30,7 +31,7 @@ namespace silkroad::obs {
 
 class ScrapeServer {
  public:
-  /// Body producer for one path; runs on the server thread per request.
+  /// Body producer for one path; runs inside publish().
   using Handler = std::function<std::string()>;
 
   struct Options {
@@ -44,25 +45,30 @@ class ScrapeServer {
   ScrapeServer(const ScrapeServer&) = delete;
   ScrapeServer& operator=(const ScrapeServer&) = delete;
 
-  /// Registers `handler` for exact path `path` (e.g. "/metrics"). Must be
-  /// called before start(); later registrations are ignored.
+  /// Registers `handler` for exact path `path` (e.g. "/metrics"). It is
+  /// served from the next publish() on.
   void handle(const std::string& path, const std::string& content_type,
               Handler handler);
 
-  /// Body producer for a path family; receives the part of the request path
-  /// after the registered prefix (no leading '/'). An empty return serves a
-  /// 404 — the handler decides what suffixes exist.
-  using PrefixHandler = std::function<std::string(const std::string& suffix)>;
+  /// Body producer for a path family: every (suffix, body) pair the family
+  /// serves right now. Suffixes carry no leading '/'.
+  using PrefixHandler =
+      std::function<std::vector<std::pair<std::string, std::string>>()>;
 
-  /// Registers `handler` for every path starting with `prefix` + "/" (e.g.
-  /// prefix "/update" serves "/update/17"). Exact routes win over prefixes;
-  /// among prefixes the longest match wins. Must be called before start().
+  /// Registers `handler` for the paths `prefix` + "/" + suffix (e.g. prefix
+  /// "/update" serves "/update/17"). A path that is also an exact route is
+  /// served by the exact route.
   void handle_prefix(const std::string& prefix, const std::string& content_type,
                      PrefixHandler handler);
 
-  /// Binds 127.0.0.1:<port>, spawns the server thread. Registers a default
-  /// "/healthz" ("ok\n") if none was added. Returns false if the socket
-  /// could not be bound (port taken, sandbox).
+  /// Runs every handler on the calling thread and swaps the bodies in as
+  /// the copy the server thread serves. It never waits on a scraper: the
+  /// server holds the lock only to copy one response out.
+  void publish();
+
+  /// Registers a default "/healthz" ("ok\n") if none was added, publishes,
+  /// binds 127.0.0.1:<port> and spawns the server thread. Returns false if
+  /// the socket could not be bound (port taken, sandbox).
   bool start();
 
   /// Shuts the listening socket and joins the thread. Idempotent.
@@ -82,17 +88,24 @@ class ScrapeServer {
     std::string content_type;
     PrefixHandler handler;
   };
+  struct Response {
+    std::string content_type;
+    std::string body;
+  };
 
   void serve_loop();
   void serve_one(int fd);
 
   Options options_;
-  /// Written by handle()/handle_prefix()/start() on the owning thread, read
-  /// per request on the server thread; mu_ makes late registration a benign
-  /// no-op instead of a race once multi-threaded drivers appear.
-  mutable sr::Mutex mu_;
-  std::map<std::string, Route> routes_ SR_GUARDED_BY(mu_);
-  std::map<std::string, PrefixRoute> prefix_routes_ SR_GUARDED_BY(mu_);
+  /// Registered and run on the publishing thread only.
+  std::map<std::string, Route> routes_;
+  std::map<std::string, PrefixRoute> prefix_routes_;
+  /// The state the two threads share: written by publish(), read per
+  /// request on the server thread.
+  sr::Mutex mu_;
+  std::map<std::string, Response> published_ SR_GUARDED_BY(mu_);
+  /// Sorted listing of every route, the body of a 404.
+  std::string route_index_ SR_GUARDED_BY(mu_);
   /// Set by start() before the serve thread exists and cleared by stop()
   /// only after joining it, so the serve loop reads it without a lock.
   int listen_fd_ = -1;

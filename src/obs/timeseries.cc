@@ -67,8 +67,7 @@ void TimeSeriesRecorder::push(const SeriesKey& key, sim::Time at,
 }
 
 void TimeSeriesRecorder::sample(sim::Time at) {
-  Snapshot snap = source_();  // outside the lock: sources take their own
-  const sr::MutexLock lock(mu_);
+  Snapshot snap = source_();
   const bool derive = have_prev_ && at > prev_at_;
   const double dt = derive ? sim::to_seconds(at - prev_at_) : 0.0;
   for (const auto& sample : snap.samples) {
@@ -208,7 +207,6 @@ void TimeSeriesRecorder::detach() { pending_.cancel(); }
 
 std::vector<TimeSeriesRecorder::Point> TimeSeriesRecorder::find(
     const std::string& name, const std::string& labels) const {
-  const sr::MutexLock lock(mu_);
   const auto it = series_.find({name, labels});
   if (it == series_.end()) return {};
   return {it->second.begin(), it->second.end()};
@@ -217,7 +215,6 @@ std::vector<TimeSeriesRecorder::Point> TimeSeriesRecorder::find(
 TimeSeriesRecorder::WindowStats TimeSeriesRecorder::window(
     const std::string& name, const std::string& labels,
     std::size_t last_n) const {
-  const sr::MutexLock lock(mu_);
   WindowStats stats;
   const auto it = series_.find({name, labels});
   if (it == series_.end() || it->second.empty()) return stats;
@@ -236,18 +233,11 @@ TimeSeriesRecorder::WindowStats TimeSeriesRecorder::window(
   return stats;
 }
 
-std::size_t TimeSeriesRecorder::sample_count() const {
-  const sr::MutexLock lock(mu_);
-  return samples_;
-}
+std::size_t TimeSeriesRecorder::sample_count() const { return samples_; }
 
-std::size_t TimeSeriesRecorder::series_count() const {
-  const sr::MutexLock lock(mu_);
-  return series_.size();
-}
+std::size_t TimeSeriesRecorder::series_count() const { return series_.size(); }
 
 std::string TimeSeriesRecorder::to_csv() const {
-  const sr::MutexLock lock(mu_);
   std::string out = "t_seconds,name,labels,value\n";
   for (const auto& [key, points] : series_) {
     std::string labels = "\"";
@@ -272,7 +262,6 @@ std::string TimeSeriesRecorder::to_csv() const {
 
 TimeSeriesRecorder::ImbalanceStat TimeSeriesRecorder::imbalance(
     const std::string& metric, const std::string& vip) const {
-  const sr::MutexLock lock(mu_);
   const auto it = imbalance_.find({metric, vip});
   return it == imbalance_.end() ? ImbalanceStat{} : it->second;
 }
@@ -295,7 +284,6 @@ void TimeSeriesRecorder::window_of(const std::string& name,
 }
 
 std::string TimeSeriesRecorder::imbalance_json() const {
-  const sr::MutexLock lock(mu_);
   std::string out = "{\"interval_ns\":";
   out += std::to_string(options_.interval);
   out += ",\"metrics\":[";
@@ -350,7 +338,6 @@ std::string TimeSeriesRecorder::imbalance_json() const {
 }
 
 std::string TimeSeriesRecorder::to_json() const {
-  const sr::MutexLock lock(mu_);
   std::string out = "{\"interval_ns\":";
   out += std::to_string(options_.interval);
   out += ",\"samples\":";

@@ -18,8 +18,8 @@
 // recordings produce no :pNN/:mean points (gaps, not zeros).
 //
 // Storage is a bounded deque per series (Options::capacity points); sampling
-// is O(series). All public methods are thread-safe (internal mutex), so a
-// ScrapeServer thread may export while the simulation thread samples.
+// is O(series). The recorder belongs to the simulation thread, which samples
+// it and renders it (DESIGN.md §13).
 #pragma once
 
 #include <array>
@@ -31,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "check/thread_annotations.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -148,30 +147,24 @@ class TimeSeriesRecorder {
  private:
   using SeriesKey = std::pair<std::string, std::string>;  // (name, labels)
 
-  void push(const SeriesKey& key, sim::Time at, double value)
-      SR_REQUIRES(mu_);
-  void compute_imbalance(const Snapshot& snap, sim::Time at, bool derive)
-      SR_REQUIRES(mu_);
+  void push(const SeriesKey& key, sim::Time at, double value);
+  void compute_imbalance(const Snapshot& snap, sim::Time at, bool derive);
   /// Windowed mean/max over a derived series' retained points.
   void window_of(const std::string& name, const std::string& labels,
-                 double& mean, double& max, std::size_t& points) const
-      SR_REQUIRES(mu_);
+                 double& mean, double& max, std::size_t& points) const;
   void schedule_next();
 
   Source source_;
   Options options_;
 
-  mutable sr::Mutex mu_;
-  std::map<SeriesKey, std::deque<Point>> series_ SR_GUARDED_BY(mu_);
+  std::map<SeriesKey, std::deque<Point>> series_;
   /// Latest imbalance stats keyed by (metric, vip).
-  std::map<SeriesKey, ImbalanceStat> imbalance_ SR_GUARDED_BY(mu_);
-  Snapshot prev_ SR_GUARDED_BY(mu_);
-  sim::Time prev_at_ SR_GUARDED_BY(mu_) = 0;
-  bool have_prev_ SR_GUARDED_BY(mu_) = false;
-  std::size_t samples_ SR_GUARDED_BY(mu_) = 0;
+  std::map<SeriesKey, ImbalanceStat> imbalance_;
+  Snapshot prev_;
+  sim::Time prev_at_ = 0;
+  bool have_prev_ = false;
+  std::size_t samples_ = 0;
 
-  // Attach/detach state is touched only from the simulation thread (the
-  // event loop that fires the self-scheduled sample), never from scrapers.
   sim::Simulator* sim_ = nullptr;
   sim::Time until_ = sim::kTimeInfinity;
   sim::EventHandle pending_;

@@ -1,19 +1,26 @@
 // Fleet convergence observatory (DESIGN.md §17): VipDigest token algebra,
 // watermark-lag SLO hysteresis, checkability around resync sessions, silent
-// divergence detection with per-VIP attribution, and the property that the
+// divergence detection with per-VIP attribution, the property that the
 // incrementally-maintained digests equal a full recompute after randomized
-// interleavings of updates, crashes, and restores through a real fleet.
+// interleavings of updates, crashes, and restores through a real fleet, and
+// scraping every route while such a fleet runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "deploy/fleet.h"
 #include "obs/convergence.h"
+#include "obs/exporters.h"
+#include "obs/scrape_server.h"
+#include "obs/timeseries.h"
+#include "http_get.h"
 
 namespace silkroad::obs {
 namespace {
@@ -373,25 +380,12 @@ TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
 }
 
 TEST(FleetObserver, BoundMetricsAndJsonAgreeWithTheGetters) {
-  // The scrape surface reads the copy published at each evaluation, cold
-  // feed, verify_digests() and divergence. A second thread snapshots the
-  // observer's own registry while the fake fleet is fed (run under TSan in
-  // CI); at the end the published values must equal the fold's.
+  // The bound callbacks and to_json() read the same fold as the getters.
   constexpr std::size_t kSwitches = 2;
   ObservedFleet fleet(kSwitches);
   FleetObserver& observer = fleet.observer;
   MetricsRegistry registry;
   observer.bind_metrics(registry);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> snapshots{0};
-  std::thread scraper([&registry, &stop, &snapshots] {
-    while (!stop.load()) {
-      const Snapshot snap = registry.snapshot();
-      if (snap.find("silkroad_fleet_divergences_total") != nullptr) {
-        snapshots.fetch_add(1);
-      }
-    }
-  });
   const auto dips = make_dips(4);
   fleet.config(1, 10, vip_ep(), dips);
   for (std::size_t sw = 0; sw < kSwitches; ++sw) {
@@ -411,9 +405,6 @@ TEST(FleetObserver, BoundMetricsAndJsonAgreeWithTheGetters) {
   }
   // Switch 1 drifts while stalled: one silent divergence.
   fleet.corrupt(1, vip_ep(), dip_ep(99), true, kHead * 10);
-  while (snapshots.load() < 2) std::this_thread::yield();
-  stop.store(true);
-  scraper.join();
 
   observer.evaluate(kHead * 10);
   EXPECT_TRUE(observer.verify_digests());
@@ -620,11 +611,11 @@ TEST(FleetConvergence, UpdateStormSelfChecksAllPass) {
   EXPECT_TRUE(observer.verify_digests());
 }
 
-TEST(FleetConvergence, RendersFromAnotherThreadWhileFed) {
-  // The /fleet scrape routes render on the scrape thread while the
-  // simulation thread feeds the observer (run under TSan in CI). Only the
-  // observer renders there: the fleet's own counters are simulation-thread
-  // state.
+TEST(FleetConvergence, ScrapesEveryRouteWhileTheFleetRuns) {
+  // Live scraping (run under TSan in CI): a second thread GETs every route
+  // in a loop while this thread runs a lossy fleet through update rounds, a
+  // crash and a restore, and publishes after each round. Only publish()
+  // reads the model, on this thread; a race here means something else did.
   sim::Simulator sim;
   fault::ControlChannel::Config channel;
   channel.base_delay = 100 * sim::kMicrosecond;
@@ -634,27 +625,76 @@ TEST(FleetConvergence, RendersFromAnotherThreadWhileFed) {
   fleet.add_vip(vip_ep(), dips);
   sim.run();
   FleetObserver& observer = *fleet.observer();
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> renders{0};
-  std::thread renderer([&observer, &stop, &renders] {
-    while (!stop.load()) {
-      const std::string body = observer.to_json() + observer.to_text();
-      if (!body.empty()) renders.fetch_add(1);
-    }
-  });
-  for (int round = 0; round < 40; ++round) {
+  TimeSeriesRecorder recorder(fleet.snapshot_source());
+  const auto run_round = [&](int round) {
     const net::Endpoint& dip = dips[static_cast<std::size_t>(round) % 6];
     fleet.request_update(update_of(vip_ep(), dip, false));
     fleet.request_update(update_of(vip_ep(), dip, true));
     if (round == 10) fleet.fail_switch(2);
     if (round == 20) fleet.restore_switch(2);
     sim.run();
+    recorder.sample(sim.now());
+  };
+  // Round 0 mints span 1, so every route below exists from start() on.
+  run_round(0);
+
+  ScrapeServer server;
+  server.handle("/metrics", "text/plain; version=0.0.4",
+                [&fleet] { return to_prometheus(fleet.metrics_snapshot()); });
+  server.handle("/timeseries.json", "application/json",
+                [&recorder] { return recorder.to_json(); });
+  server.handle("/tables", "application/json",
+                [&fleet] { return fleet.switch_at(0).tables_json(); });
+  server.handle("/fleet", "text/plain",
+                [&observer] { return observer.to_text(); });
+  server.handle("/fleet.json", "application/json",
+                [&observer] { return observer.to_json(); });
+  server.handle("/spans", "application/json",
+                [&fleet] { return fleet.spans().to_json(); });
+  server.handle_prefix("/update", "application/json", [&fleet] {
+    std::vector<std::pair<std::string, std::string>> bodies;
+    for (const UpdateSpan* span : fleet.spans().all()) {
+      bodies.emplace_back(std::to_string(span->id),
+                          fleet.spans().span_json(span->id));
+    }
+    return bodies;
+  });
+  ASSERT_TRUE(server.start());
+
+  const std::vector<std::string> routes = {
+      "/metrics", "/timeseries.json", "/tables", "/fleet",
+      "/fleet.json", "/spans", "/update/1", "/healthz"};
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> sweeps{0};
+  std::atomic<std::uint64_t> failed{0};
+  std::thread scraper([&] {
+    while (!stop.load()) {
+      for (const std::string& route : routes) {
+        if (http_get(server.port(), route).find("200 OK") ==
+            std::string::npos) {
+          failed.fetch_add(1);
+        }
+      }
+      sweeps.fetch_add(1);
+    }
+  });
+  for (int round = 1; round < 40; ++round) {
+    run_round(round);
+    server.publish();
   }
   fleet.inject_mirror_corruption(1, vip_ep(), dips[0], /*add=*/false);
   observer.evaluate(sim.now());
-  while (renders.load() < 2) std::this_thread::yield();
+  server.publish();
+  // At least one whole sweep runs after the last publish().
+  const std::uint64_t seen = sweeps.load();
+  while (sweeps.load() < seen + 2) std::this_thread::yield();
   stop.store(true);
-  renderer.join();
+  scraper.join();
+
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_NE(http_get(server.port(), "/fleet.json").find("\"divergences\":1"),
+            std::string::npos);
+  server.stop();
   EXPECT_EQ(observer.divergences(), 1u);
   EXPECT_TRUE(observer.verify_digests());
   EXPECT_EQ(observer.selfcheck_failures(), 0u);

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -20,6 +20,7 @@
 #include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "http_get.h"
 
 namespace silkroad::obs {
 namespace {
@@ -74,21 +75,6 @@ TEST(MetricsRegistry, CallbackIsEvaluatedAtSnapshotTime) {
   EXPECT_EQ(registry.snapshot().value_of("depth"), 1.0);
   level = 42.0;
   EXPECT_EQ(registry.snapshot().value_of("depth"), 42.0);
-}
-
-TEST(MetricsRegistry, ConcurrentIncrementsAreLossless) {
-  MetricsRegistry registry;
-  Counter* counter = registry.counter("hits");
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 100'000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([counter] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) counter->inc();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter->value(), kThreads * kPerThread);
 }
 
 TEST(Counter, OverflowWrapsModulo64Bits) {
@@ -164,30 +150,6 @@ TEST(Histogram, CountAndSumTrackRecords) {
   ASSERT_FALSE(sample->buckets.empty());
   // Buckets are cumulative: the last non-empty bucket holds the full count.
   EXPECT_EQ(sample->buckets.back().cumulative_count, 3u);
-}
-
-TEST(Histogram, ConcurrentRecordsAreLossless) {
-  MetricsRegistry registry;
-  Histogram* h = registry.histogram("lat");
-  std::vector<std::thread> threads;
-  constexpr std::uint64_t kPerThread = 20'000;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([h, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        h->record(static_cast<std::uint64_t>(t) * 1000 + 7);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(h->count(), 8 * kPerThread);
-  std::uint64_t expected_sum = 0;
-  for (int t = 0; t < 8; ++t) {
-    const std::uint64_t v = static_cast<std::uint64_t>(t) * 1000 + 7;
-    expected_sum += v * kPerThread;
-    // Each thread's value has a bucket of its own.
-    EXPECT_EQ(h->bucket_value(h->bucket_index(v)), kPerThread) << "value " << v;
-  }
-  EXPECT_EQ(h->sum(), expected_sum);
 }
 
 // ---------------------------------------------------------------------------
@@ -673,56 +635,54 @@ TEST(FlowJourney, ChromeTraceHasFlowTracksAndInstallSpan) {
 // ScrapeServer (real sockets on loopback, ephemeral port)
 // ---------------------------------------------------------------------------
 
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)!::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 TEST(ScrapeServer, ServesAllEndpointsOverLoopback) {
   MetricsRegistry registry;
-  registry.counter("silkroad_packets_total")->inc(12);
+  Counter* packets = registry.counter("silkroad_packets_total");
+  packets->inc(12);
   registry.histogram("lat_ns")->record(500);
   registry.gauge("silkroad_dip_active_conns", "", "dip=\"d\",vip=\"V\"")
       ->set(4);
   TimeSeriesRecorder recorder(registry);
   recorder.sample(sim::kSecond);
 
+  // Every handler notes whether it ran anywhere but on this, the publishing
+  // thread: the server thread must only ever serve the published copy.
+  const std::thread::id publisher = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  const auto on_publisher = [&](auto render) {
+    return [&off_thread, publisher, render] {
+      if (std::this_thread::get_id() != publisher) off_thread.fetch_add(1);
+      return render();
+    };
+  };
   ScrapeServer server;  // port 0 = ephemeral
-  server.handle("/metrics", "text/plain; version=0.0.4",
-                [&registry] { return to_prometheus(registry.snapshot()); });
+  server.handle("/metrics", "text/plain; version=0.0.4", on_publisher([&] {
+                  return to_prometheus(registry.snapshot());
+                }));
   server.handle("/timeseries.json", "application/json",
-                [&recorder] { return recorder.to_json(); });
-  server.handle("/tables", "application/json",
-                [] { return std::string("{\"conn_table\":{}}"); });
-  server.handle("/profile", "application/json", [&registry] {
-    return to_profile_json(registry.snapshot());
-  });
+                on_publisher([&] { return recorder.to_json(); }));
+  server.handle("/tables", "application/json", on_publisher([] {
+                  return std::string("{\"conn_table\":{}}");
+                }));
+  server.handle("/profile", "application/json", on_publisher([&] {
+                  return to_profile_json(registry.snapshot());
+                }));
   server.handle("/imbalance.json", "application/json",
-                [&recorder] { return recorder.imbalance_json(); });
+                on_publisher([&] { return recorder.imbalance_json(); }));
   ASSERT_TRUE(server.start());
   ASSERT_NE(server.port(), 0u);
 
   const std::string metrics = http_get(server.port(), "/metrics");
   EXPECT_NE(metrics.find("200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("silkroad_packets_total 12"), std::string::npos);
+
+  // A scrape serves the last publish(), not the live registry.
+  packets->inc(30);
+  const std::string stale = http_get(server.port(), "/metrics");
+  EXPECT_NE(stale.find("silkroad_packets_total 12"), std::string::npos);
+  server.publish();
+  const std::string fresh = http_get(server.port(), "/metrics");
+  EXPECT_NE(fresh.find("silkroad_packets_total 42"), std::string::npos);
 
   const std::string healthz = http_get(server.port(), "/healthz");
   EXPECT_NE(healthz.find("200 OK"), std::string::npos);
@@ -749,10 +709,11 @@ TEST(ScrapeServer, ServesAllEndpointsOverLoopback) {
   const std::string missing = http_get(server.port(), "/nope");
   EXPECT_NE(missing.find("404"), std::string::npos);
 
-  EXPECT_GE(server.requests_served(), 7u);
+  EXPECT_GE(server.requests_served(), 9u);
   server.stop();
   EXPECT_FALSE(server.running());
   server.stop();  // idempotent
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ScrapeServer, UnknownPathAnswersWithRouteIndex) {
@@ -763,8 +724,9 @@ TEST(ScrapeServer, UnknownPathAnswersWithRouteIndex) {
                 [] { return std::string("{}"); });
   server.handle("/imbalance.json", "application/json",
                 [] { return std::string("{}"); });
-  server.handle_prefix("/update", "text/plain",
-                       [](const std::string&) { return std::string("{}"); });
+  server.handle_prefix("/update", "text/plain", [] {
+    return std::vector<std::pair<std::string, std::string>>{{"1", "{}"}};
+  });
   ASSERT_TRUE(server.start());
 
   // A mistyped scrape is self-correcting: the 404 body indexes every
@@ -779,6 +741,38 @@ TEST(ScrapeServer, UnknownPathAnswersWithRouteIndex) {
   EXPECT_NE(missing.find("/imbalance.json"), std::string::npos);
   EXPECT_NE(missing.find("/healthz"), std::string::npos);
   EXPECT_NE(missing.find("/update/<id>"), std::string::npos);
+  EXPECT_NE(http_get(server.port(), "/update/1").find("200 OK"),
+            std::string::npos);
+  EXPECT_NE(http_get(server.port(), "/update/2").find("404"),
+            std::string::npos);
+  server.stop();
+}
+
+TEST(ScrapeServer, SurvivesAScraperThatHangsUp) {
+  // A timed-out scraper sends its GET and closes before reading. The
+  // server's next send on that socket fails with EPIPE; it must not raise
+  // SIGPIPE, which would kill the process.
+  ScrapeServer server;
+  server.handle("/big", "text/plain",
+                [] { return std::string(16u << 20, 'x'); });
+  ASSERT_TRUE(server.start());
+  for (int i = 0; i < 3; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    const std::string request = "GET /big HTTP/1.0\r\n\r\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ::close(fd);
+  }
+  EXPECT_NE(http_get(server.port(), "/healthz").find("200 OK"),
+            std::string::npos);
+  EXPECT_EQ(server.requests_served(), 4u);
   server.stop();
 }
 

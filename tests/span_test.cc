@@ -3,15 +3,12 @@
 // per-hop histograms, the /update/<id> scrape route, and the acceptance
 // criterion — a forced PCC violation whose ForensicsReport interleaves the
 // violating flow's journey with the overlapping update span's retransmit leg.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deploy/fleet.h"
@@ -19,6 +16,7 @@
 #include "lb/scenario.h"
 #include "obs/forensics.h"
 #include "obs/scrape_server.h"
+#include "http_get.h"
 
 namespace silkroad {
 namespace {
@@ -188,29 +186,6 @@ TEST(SpanPropagation, DisabledCollectorStampsNothing) {
 // Scrape routes: /spans and the /update/<id> prefix route
 // ---------------------------------------------------------------------------
 
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)!::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 TEST(SpanScrape, UpdateEndpointServesOneSpan) {
   obs::SpanCollector spans;
   workload::DipUpdate update = add_update(test_dips(1)[0]);
@@ -221,16 +196,13 @@ TEST(SpanScrape, UpdateEndpointServesOneSpan) {
   obs::ScrapeServer server;  // ephemeral port
   server.handle("/spans", "application/json",
                 [&spans] { return spans.to_json(); });
-  server.handle_prefix("/update", "application/json",
-                       [&spans](const std::string& suffix) {
-                         char* end = nullptr;
-                         const unsigned long long want =
-                             std::strtoull(suffix.c_str(), &end, 10);
-                         if (end == suffix.c_str() || *end != '\0') {
-                           return std::string();
-                         }
-                         return spans.span_json(want);
-                       });
+  server.handle_prefix("/update", "application/json", [&spans] {
+    std::vector<std::pair<std::string, std::string>> bodies;
+    for (const obs::UpdateSpan* span : spans.all()) {
+      bodies.emplace_back(std::to_string(span->id), spans.span_json(span->id));
+    }
+    return bodies;
+  });
   ASSERT_TRUE(server.start());
 
   const std::string all = http_get(server.port(), "/spans");
@@ -243,9 +215,10 @@ TEST(SpanScrape, UpdateEndpointServesOneSpan) {
   EXPECT_NE(one.find("channel-send"), std::string::npos)
       << "expected event kinds in span json, got: " << one;
 
-  // Unknown id and non-numeric suffix both 404 (span_json -> "null" is a
-  // valid body, so probe an id the collector never minted).
+  // A non-numeric suffix and an id the collector never minted both 404.
   EXPECT_NE(http_get(server.port(), "/update/abc").find("404"),
+            std::string::npos);
+  EXPECT_NE(http_get(server.port(), "/update/999").find("404"),
             std::string::npos);
   server.stop();
 }

@@ -21,8 +21,8 @@ void positive() {
 }
 
 void negatives() {
-  silkroad::sr::Mutex mu;  // the annotated wrapper — clean
-  const silkroad::sr::MutexLock lock(mu);
+  silkroad::sr::Mutex mu;  // the annotated wrapper — srlint-expect: R15
+  const silkroad::sr::MutexLock lock(mu);  // srlint-expect: R15
   my::mutex theirs;  // scoped in another namespace — clean
   (void)theirs;
   // std::mutex in a comment is clean

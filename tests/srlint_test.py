@@ -6,7 +6,7 @@ Two halves:
 1. Fixtures: runs srlint over tests/srlint_fixtures/ (a miniature repo tree)
    and compares the reported (file, line, rule) triples — exact line
    numbers — against the `// srlint-expect: RN` markers embedded in the
-   fixture files. Every rule R1–R10 and R12–R14 (R11 is retired) and the
+   fixture files. Every rule R1–R10 and R12–R15 (R11 is retired) and the
    S1/S2 suppression diagnostics have positive cases; negative cases
    (tokens in strings/comments/raw strings, scope carve-outs, member calls)
    must stay silent.
@@ -39,7 +39,7 @@ CXX_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
 EXPECT = re.compile(r"srlint-expect:\s*([A-Z0-9, ]+)")
 # R11 (striped packet-path counters) was retired with the striped counters;
 # later rules keep their ids because suppressions in src/ name them.
-ACTIVE_RULES = [f"R{n}" for n in range(1, 15) if n != 11]
+ACTIVE_RULES = [f"R{n}" for n in range(1, 16) if n != 11]
 
 
 def expected_from_markers() -> Counter:

@@ -77,6 +77,19 @@ R14 no ad-hoc membership-digest hashing in src/deploy/ or src/obs/ —
                                       derivation, ECMP ranking) either avoid
                                       the XOR-fold shape or carry
                                       `srlint: allow(R14)`.
+R15 one writer thread: no sr::Mutex/sr::MutexLock (qualified or not), no
+                                      thread-safety annotation (SR_GUARDED_BY
+                                      and friends) and no std::atomic/
+                                      std::thread/std::jthread in src/ — the
+                                      simulation thread is the
+                                      only thread that touches a model object
+                                      (DESIGN.md §13), so a lock or an atomic
+                                      there guards against a thread that does
+                                      not exist. The scrape server, whose
+                                      thread serves only what publish()
+                                      copied, and the header defining
+                                      sr::Mutex carry exemptions.json
+                                      entries.
 """
 
 from __future__ import annotations
@@ -742,6 +755,63 @@ def check_r14(model: FileModel) -> list[Violation]:
     return out
 
 
+# --- R15 --------------------------------------------------------------------
+
+# std:: names that start a second thread or share a variable with one.
+_R15_STD = {"atomic", "thread", "jthread"}
+# The repo's own lock types (check/thread_annotations.h).
+_R15_SR = {"Mutex", "MutexLock"}
+# Its thread-safety annotations; SR_CHECK and the other SR_ macros are not.
+_R15_ANNOTATIONS = {
+    "SR_CAPABILITY",
+    "SR_SCOPED_CAPABILITY",
+    "SR_GUARDED_BY",
+    "SR_PT_GUARDED_BY",
+    "SR_REQUIRES",
+    "SR_ACQUIRE",
+    "SR_RELEASE",
+    "SR_TRY_ACQUIRE",
+    "SR_EXCLUDES",
+    "SR_RETURN_CAPABILITY",
+    "SR_NO_THREAD_SAFETY_ANALYSIS",
+}
+
+
+def check_r15(model: FileModel) -> list[Violation]:
+    if not _in_src(model):
+        return []
+    out = []
+    toks = model.tokens
+    for i, t in enumerate(toks):
+        if t.kind != "ident":
+            continue
+        prev = toks[i - 1].value if i > 0 else ""
+        scope = toks[i - 2].value if i > 1 and prev == "::" else None
+        if t.value in _R15_STD:
+            flagged = scope == "std"
+        elif t.value in _R15_SR:
+            # sr::Mutex, or a bare Mutex brought in by a using-declaration;
+            # another scope's Mutex, a member or a new type of that name is
+            # someone else's.
+            flagged = (scope == "sr" if prev == "::"
+                       else prev not in (".", "->", "struct", "class"))
+        else:
+            flagged = t.value in _R15_ANNOTATIONS
+        if flagged:
+            out.append(
+                Violation(
+                    model.rel,
+                    t.line,
+                    "R15",
+                    f"'{t.value}' names a lock, a thread-safety annotation, an "
+                    "atomic or a thread — the simulation thread is the only "
+                    "thread that touches model state; share state with the "
+                    "scrape server through ScrapeServer::publish()",
+                )
+            )
+    return out
+
+
 RULES: list[Rule] = [
     Rule("R1", "no raw assert() in src/ (use SR_CHECK/SR_DCHECK)", check_r1),
     Rule("R2", "no rand()/std::rand() anywhere (use sim::Rng)", check_r2),
@@ -756,6 +826,7 @@ RULES: list[Rule] = [
     Rule("R12", "no ad-hoc SRAM byte aggregation outside capacity sources", check_r12),
     Rule("R13", "no direct resync-machinery invocation outside the channel", check_r13),
     Rule("R14", "no ad-hoc membership-digest hashing in src/deploy|obs", check_r14),
+    Rule("R15", "one writer thread: no lock/atomic/thread in src/", check_r15),
 ]
 
 RULE_IDS = {r.rule_id for r in RULES}
