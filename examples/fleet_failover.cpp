@@ -89,8 +89,9 @@ int main() {
                    [&fleet] { return fleet.switch_at(0).tables_json(); });
     server->handle("/spans", "application/json",
                    [&fleet] { return fleet.spans().to_json(); });
-    server->handle("/spans/trace.json", "application/json",
-                   [&fleet] { return fleet.spans().to_chrome_trace(); });
+    server->handle("/spans/trace.json", "application/json", [&fleet] {
+      return obs::to_chrome_trace(obs::span_tracks(fleet.spans()));
+    });
     server->handle_prefix("/update", "application/json", [&fleet] {
       std::vector<std::pair<std::string, std::string>> bodies;
       for (const obs::UpdateSpan* span : fleet.spans().all()) {

@@ -12,7 +12,7 @@
 #include "core/silkroad_switch.h"
 #include "deploy/fleet.h"
 #include "obs/exporters.h"
-#include "obs/journey.h"
+#include "obs/forensics.h"
 #include "obs/scrape_server.h"
 #include "obs/timeseries.h"
 #include "sim/event_queue.h"
@@ -152,7 +152,7 @@ int main() {
   std::printf("\nrecorder: %zu samples, %zu series; insert-latency p99 has "
               "%zu points\n",
               recorder.sample_count(), recorder.series_count(), p99.size());
-  const auto journeys = obs::FlowJourneyTracer::reconstruct(lb.trace());
+  const auto journeys = obs::journeys(lb.trace());
   std::printf("journeys: %zu flows reconstructed from the trace ring "
               "(%llu events dropped to wraparound)\n",
               journeys.size(),
@@ -204,22 +204,31 @@ int main() {
                         observer.slo_ok() && digests_ok;
 
   // With SILKROAD_TELEMETRY_DIR set, dump all three telemetry formats: the
-  // Prometheus text and JSON snapshot of every metric, and the trace ring as
-  // Chrome trace-event JSON (open trace.json in chrome://tracing or
-  // https://ui.perfetto.dev to see the 3-step update spans per VIP).
+  // Prometheus text and JSON snapshot of every metric, and Chrome trace-event
+  // JSON (open trace.json in chrome://tracing or https://ui.perfetto.dev to
+  // see the trace ring's events per VIP and one track per update span, its
+  // 3-step protocol drawn as an "update" duration).
   if (const char* dir = std::getenv("SILKROAD_TELEMETRY_DIR")) {
     const std::string base = std::string(dir) + "/";
     const obs::Snapshot snapshot = lb.metrics().snapshot();
+    std::vector<obs::ChromeTrack> tracks = obs::ring_tracks(lb.trace());
+    for (auto& track : obs::span_tracks(lb.spans())) {
+      tracks.push_back(std::move(track));
+    }
+    std::string ring_counts;
+    obs::append(ring_counts, "{\"recorded\":%llu,\"dropped\":%llu}",
+                static_cast<unsigned long long>(lb.trace().total_recorded()),
+                static_cast<unsigned long long>(lb.trace().dropped()));
     const bool ok =
         obs::write_file(base + "metrics.prom", obs::to_prometheus(snapshot)) &&
         obs::write_file(base + "metrics.json", obs::to_json(snapshot)) &&
         obs::write_file(base + "trace.json",
-                        obs::to_chrome_trace(lb.trace())) &&
+                        obs::to_chrome_trace(tracks, ring_counts)) &&
         obs::write_file(base + "timeseries.json", recorder.to_json()) &&
         obs::write_file(base + "timeseries.csv", recorder.to_csv()) &&
         obs::write_file(base + "journeys.json",
-                        obs::FlowJourneyTracer::to_chrome_trace(lb.trace(),
-                                                                journeys)) &&
+                        obs::to_chrome_trace(
+                            obs::journey_tracks(lb.trace(), journeys))) &&
         obs::write_file(base + "tables.json", lb.tables_json()) &&
         obs::write_file(base + "profile.json", obs::to_profile_json(snapshot)) &&
         obs::write_file(base + "imbalance.json", recorder.imbalance_json()) &&

@@ -120,8 +120,8 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
   if (const auto free = find_free_slot(key)) {
     place(key, value, *free);
     if (trace_ != nullptr) {
-      trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope, value,
-                     0, net::flow_id(key));
+      trace_->record(obs::EventKind::kCuckooInsert, obs::kNoScope, value,
+                     net::flow_id(key));
     }
     return InsertResult{true, 0};
   }
@@ -164,10 +164,10 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
           place(key, value, to);
           if (trace_ != nullptr) {
             const std::uint64_t fid = net::flow_id(key);
-            trace_->record(obs::TraceEventKind::kCuckooInsert, obs::kNoScope,
-                           value, moves, fid);
-            trace_->record(obs::TraceEventKind::kCuckooEvict, obs::kNoScope,
-                           value, moves, fid);
+            trace_->record(obs::EventKind::kCuckooInsert, obs::kNoScope,
+                           value, fid, moves);
+            trace_->record(obs::EventKind::kCuckooEvict, obs::kNoScope,
+                           value, fid, moves);
           }
           return InsertResult{true, moves};
         }
@@ -182,8 +182,8 @@ DigestCuckooTable::InsertResult DigestCuckooTable::insert(
   }
   failed_inserts_.inc();
   if (trace_ != nullptr) {
-    trace_->record(obs::TraceEventKind::kCuckooInsertFail, obs::kNoScope,
-                   value, 0, net::flow_id(key));
+    trace_->record(obs::EventKind::kCuckooInsertFail, obs::kNoScope,
+                   value, net::flow_id(key));
   }
   return InsertResult{false, 0};
 }

@@ -570,7 +570,8 @@ void SilkRoadSwitch::self_check() const {
   }
   if (!violations.empty()) {
     // Causal context for the failure: the offending VIP's (and version's)
-    // recent TraceRing timeline, oldest first.
+    // recent ring events merged by time with the steps of the VIP's update
+    // spans on this switch's leg, oldest first.
     constexpr std::size_t kTailEvents = 16;
     if (trace_.dropped() > 0) {
       std::fprintf(stderr,
@@ -578,40 +579,61 @@ void SilkRoadSwitch::self_check() const {
                    "tails below may start mid-story\n",
                    static_cast<unsigned long long>(trace_.dropped()));
     }
+    using Tail = std::vector<std::pair<sim::Time, std::string>>;
+    const auto print = [](const std::string& header, Tail tail) {
+      std::stable_sort(tail.begin(), tail.end(), [](const auto& a,
+                                                    const auto& b) {
+        return a.first < b.first;
+      });
+      if (tail.size() > kTailEvents) {
+        tail.erase(tail.begin(),
+                   tail.end() - static_cast<std::ptrdiff_t>(kTailEvents));
+      }
+      std::fprintf(stderr, "%s (%zu events):\n", header.c_str(), tail.size());
+      for (const auto& [at, line] : tail) {
+        std::fprintf(stderr, "  [%.6fs] %s\n", sim::to_seconds(at),
+                     line.c_str());
+      }
+    };
+    const auto ring_tail = [this](const std::vector<obs::Event>& events) {
+      Tail tail;
+      for (const auto& event : events) {
+        tail.emplace_back(event.at,
+                          obs::format_event(event, trace_.where(event)));
+      }
+      return tail;
+    };
     std::set<std::pair<std::string, std::optional<std::uint32_t>>> dumped;
     for (const auto& violation : violations) {
       if (violation.vip.empty()) continue;
       if (!dumped.insert({violation.vip, violation.version}).second) continue;
-      const auto scope = trace_.find_scope(violation.vip);
-      if (!scope) continue;
-      const auto tail = trace_.tail_for(*scope, violation.version, kTailEvents);
+      Tail tail;
+      if (const auto scope = trace_.find_scope(violation.vip)) {
+        tail = ring_tail(
+            trace_.tail_for(*scope, violation.version, kTailEvents));
+      }
+      for (const obs::UpdateSpan* span : spans_->all()) {
+        if (span->resync || span->chunk ||
+            span->intent.vip.to_string() != violation.vip) {
+          continue;
+        }
+        for (const auto& event : span->leg(span_switch_)) {
+          tail.emplace_back(event.at, obs::format_event(event, span->label()));
+        }
+      }
+      std::string header;
+      obs::append(header, "trace tail for vip %s", violation.vip.c_str());
       if (violation.version) {
-        std::fprintf(stderr, "trace tail for vip %s version %u (%zu events):\n",
-                     violation.vip.c_str(), *violation.version, tail.size());
-      } else {
-        std::fprintf(stderr, "trace tail for vip %s (%zu events):\n",
-                     violation.vip.c_str(), tail.size());
+        obs::append(header, " version %u", *violation.version);
       }
-      for (const auto& event : tail) {
-        std::fprintf(stderr, "  %s\n",
-                     obs::format_event(trace_, event).c_str());
-      }
+      print(header, std::move(tail));
     }
-    if (dumped.empty()) {
-      const auto all = trace_.events();
-      const std::size_t start =
-          all.size() > kTailEvents ? all.size() - kTailEvents : 0;
-      std::fprintf(stderr, "trace tail (%zu events):\n", all.size() - start);
-      for (std::size_t i = start; i < all.size(); ++i) {
-        std::fprintf(stderr, "  %s\n",
-                     obs::format_event(trace_, all[i]).c_str());
-      }
-    }
+    if (dumped.empty()) print("trace tail", ring_tail(trace_.events()));
   }
   if (!violations.empty()) {
     // Durable incident record: the trace ring interleaved with every
     // overlapping update/resync span, written to SILKROAD_TELEMETRY_DIR
-    // (no-op when the env var is unset or the switch is untraced).
+    // (no-op when the env var is unset).
     const std::string dir = obs::telemetry_dir_from_env();
     if (!dir.empty()) {
       std::string reason = "invariant auditor: " + violations.front().invariant;

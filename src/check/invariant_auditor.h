@@ -49,7 +49,7 @@ struct Violation {
   std::string detail;     ///< Human-readable specifics.
   /// Offending VIP (its interned trace-scope name) when the violation is
   /// attributable to one; empty otherwise. self_check() uses it to dump the
-  /// VIP's recent TraceRing events alongside the failure.
+  /// VIP's recent ring events and update steps alongside the failure.
   std::string vip;
   /// Offending DIP-pool version, when one is implicated.
   std::optional<std::uint32_t> version;

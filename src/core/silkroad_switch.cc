@@ -526,7 +526,7 @@ std::uint32_t SilkRoadSwitch::version_for_miss(const net::Endpoint& vip,
     // to repair it; the hazard this models is what Fig. 18 sizes the filter
     // against.
     c_.transit_false_positives->inc();
-    trace_.record(obs::TraceEventKind::kTransitFalsePositive, state.trace_scope,
+    trace_.record(obs::EventKind::kTransitFalsePositive, state.trace_scope,
                   update_old_version_, net::flow_id(packet.flow));
     if (packet.syn && redirected_to_cpu != nullptr) {
       *redirected_to_cpu = true;
@@ -541,7 +541,7 @@ void SilkRoadSwitch::learn_new_flow(const net::Endpoint& vip, VipState& state,
                                     std::uint32_t version,
                                     const net::Endpoint& dip) {
   c_.learns->inc();
-  trace_.record(obs::TraceEventKind::kLearn, state.trace_scope, version,
+  trace_.record(obs::EventKind::kLearn, state.trace_scope, version,
                 net::flow_id(flow));
   // The record comes first: a full filter flushes inside learn(), and the
   // flush hands the CPU the handle the event carries.
@@ -674,7 +674,7 @@ void SilkRoadSwitch::resolve_digest_conflicts(FlowId inserted) {
     if (hit && conn_table_.is_false_positive(flow, hit->slot)) {
       if (!conn_table_.relocate_for(flow, hit->slot)) {
         c_.relocation_failures->inc();
-        trace_.record(obs::TraceEventKind::kRelocationFail);
+        trace_.record(obs::EventKind::kRelocationFail);
       }
     }
   }
@@ -709,13 +709,13 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
         break;
       case asic::MeterColor::kYellow:
         c_.meter_yellow->inc();
-        trace_.record(obs::TraceEventKind::kMeterColor, state->trace_scope,
-                      obs::kNoVersion, static_cast<std::uint64_t>(color));
+        trace_.record(obs::EventKind::kMeterColor, state->trace_scope,
+                      obs::kNoVersion, 0, static_cast<std::uint64_t>(color));
         break;
       case asic::MeterColor::kRed:
         c_.meter_red->inc();
-        trace_.record(obs::TraceEventKind::kMeterColor, state->trace_scope,
-                      obs::kNoVersion, static_cast<std::uint64_t>(color));
+        trace_.record(obs::EventKind::kMeterColor, state->trace_scope,
+                      obs::kNoVersion, 0, static_cast<std::uint64_t>(color));
         break;
     }
     if (color == asic::MeterColor::kRed) {
@@ -737,15 +737,15 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
         // few-ms redirect delays connection setup but packets before the
         // re-injected SYN do not exist, so consistency is unaffected.
         c_.syn_false_positives->inc();
-        trace_.record(obs::TraceEventKind::kDigestCollision,
+        trace_.record(obs::EventKind::kDigestCollision,
                       state->trace_scope, hit->value,
-                      conn_table_.digest_of(packet.flow),
-                      net::flow_id(packet.flow));
+                      net::flow_id(packet.flow),
+                      conn_table_.digest_of(packet.flow));
         result.redirected_to_cpu = true;
         result.added_latency += kSynRedirectDelay;
         if (!conn_table_.relocate_for(packet.flow, hit->slot)) {
           c_.relocation_failures->inc();
-          trace_.record(obs::TraceEventKind::kRelocationFail,
+          trace_.record(obs::EventKind::kRelocationFail,
                         state->trace_scope);
           // No conflict-free placement: pin the new flow in the slow-path
           // exact table instead. A flow that already has a record keeps it.
@@ -757,7 +757,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
             records_[new_record(packet.flow, FlowState::kSoftware)]
                 .software_dip = *dip;
             c_.software_fallback_conns->inc();
-            trace_.record(obs::TraceEventKind::kSoftwareFallback,
+            trace_.record(obs::EventKind::kSoftwareFallback,
                           state->trace_scope, version,
                           net::flow_id(packet.flow));
           }
@@ -926,7 +926,7 @@ void SilkRoadSwitch::complete_insertion(FlowHandle handle) {
       const auto dip = state->versions->select(record->version, record->flow);
       if (dip) {
         c_.software_fallback_conns->inc();
-        trace_.record(obs::TraceEventKind::kSoftwareFallback,
+        trace_.record(obs::EventKind::kSoftwareFallback,
                       state->trace_scope, record->version,
                       net::flow_id(record->flow));
       }
@@ -987,8 +987,11 @@ void SilkRoadSwitch::release_conn(VipState& state, FlowId id) {
 
 void SilkRoadSwitch::request_update(const workload::DipUpdate& update) {
   c_.updates_requested->inc();
-  span_event(update.update_id, obs::SpanEventKind::kQueueStage);
-  update_queue_.push_back(update);
+  workload::DipUpdate& queued = update_queue_.emplace_back(update);
+  // An update no fleet traced gets its span here (a disabled collector
+  // returns 0 and leaves it untraced).
+  if (queued.update_id == 0) spans_->begin_update(queued, sim_.now());
+  span_event(queued.update_id, obs::EventKind::kQueueStage);
   // Defer the start by one event: requests landing at the same instant
   // (rolling-reboot bursts) are then all queued before the control plane
   // picks them up and can be staged as one atomic batch.
@@ -1001,7 +1004,7 @@ void SilkRoadSwitch::try_start_next_update() {
     update_queue_.pop_front();
     VipState* state = find_vip(update.vip);
     if (state == nullptr) {
-      span_event(update.update_id, obs::SpanEventKind::kAbandon, 0, 0);
+      span_event(update.update_id, obs::EventKind::kAbandon, 0, 0);
       continue;
     }
 
@@ -1028,7 +1031,7 @@ void SilkRoadSwitch::try_start_next_update() {
       }
       if (!staged) {
         // cannot stage (degenerate config); drop
-        span_batch_event(obs::SpanEventKind::kAbandon, 0, 1);
+        span_batch_event(obs::EventKind::kAbandon, 0, 1);
         span_batch_.clear();
         continue;
       }
@@ -1045,27 +1048,18 @@ void SilkRoadSwitch::try_start_next_update() {
       // in the current version, so the pool mutation is already in place and
       // no VIPTable flip is needed, or the ablation (Figs. 16/17) flips
       // immediately and flows pending insertion flap to the new version until
-      // their (old-version) entries land. The span still records the full
-      // quadruple (at one instant) so the completeness audit is uniform
-      // across completion paths.
+      // their (old-version) entries land. The span still records every step
+      // (at one instant) so a leg reads the same on every completion path.
       if (update_new_version_ != update_old_version_) {
         state->versions->commit(update_new_version_);
-        trace_.record(obs::TraceEventKind::kUpdateFlip, state->trace_scope,
-                      update_new_version_, update_old_version_,
-                      update_new_version_);
       }
       c_.updates_completed->inc();
       c_.update_duration_ns->record(0);
-      trace_.record(obs::TraceEventKind::kUpdateFinish, state->trace_scope,
-                    update_new_version_, update_old_version_,
-                    update_new_version_);
-      span_batch_event(obs::SpanEventKind::kStep1Open, update_old_version_,
+      span_batch_event(obs::EventKind::kStep1Open, update_old_version_,
                        update_new_version_);
-      span_batch_event(obs::SpanEventKind::kFlip, update_old_version_,
+      span_batch_event(obs::EventKind::kFlip, update_old_version_,
                        update_new_version_);
-      span_batch_event(obs::SpanEventKind::kCommit, update_old_version_,
-                       update_new_version_);
-      span_batch_event(obs::SpanEventKind::kFinish);
+      span_batch_event(obs::EventKind::kFinish);
       span_batch_.clear();
       if (risk_cb_) risk_cb_(update.vip);
       continue;
@@ -1074,10 +1068,7 @@ void SilkRoadSwitch::try_start_next_update() {
     // Step 1 (t_req): record new flows in the TransitTable; flip only after
     // every flow that arrived before t_req has its entry installed.
     phase_ = Phase::kStep1;
-    trace_.record(obs::TraceEventKind::kUpdateStep1Open, state->trace_scope,
-                  update_new_version_, update_old_version_,
-                  update_new_version_);
-    span_batch_event(obs::SpanEventKind::kStep1Open, update_old_version_,
+    span_batch_event(obs::EventKind::kStep1Open, update_old_version_,
                      update_new_version_);
     SR_DCHECK(awaiting_pre_count_ == 0 && transit_member_count_ == 0);
     for (const auto& members : state->conns_by_version) {
@@ -1103,11 +1094,7 @@ void SilkRoadSwitch::execute_flip() {
             update_vip_.to_string().c_str());
   state->versions->commit(update_new_version_);
   phase_ = Phase::kStep2;
-  trace_.record(obs::TraceEventKind::kUpdateFlip, state->trace_scope,
-                update_new_version_, update_old_version_, update_new_version_);
-  span_batch_event(obs::SpanEventKind::kFlip, update_old_version_,
-                   update_new_version_);
-  span_batch_event(obs::SpanEventKind::kCommit, update_old_version_,
+  span_batch_event(obs::EventKind::kFlip, update_old_version_,
                    update_new_version_);
   if (risk_cb_) risk_cb_(update_vip_);
   if (transit_member_count_ == 0) finish_update();
@@ -1119,29 +1106,23 @@ void SilkRoadSwitch::finish_update() {
   phase_ = Phase::kIdle;
   c_.updates_completed->inc();
   c_.update_duration_ns->record(sim_.now() - update_started_at_);
-  if (const VipState* state = find_vip(update_vip_); state != nullptr) {
-    trace_.record(obs::TraceEventKind::kUpdateFinish, state->trace_scope,
-                  update_new_version_, update_old_version_,
-                  update_new_version_);
-  }
-  span_batch_event(obs::SpanEventKind::kFinish);
+  span_batch_event(obs::EventKind::kFinish);
   span_batch_.clear();
   try_start_next_update();
 }
 
 void SilkRoadSwitch::bind_spans(obs::SpanCollector* spans,
                                 std::uint32_t switch_index) {
-  spans_ = spans;
+  spans_ = spans != nullptr ? spans : &own_spans_;
   span_switch_ = switch_index;
 }
 
-void SilkRoadSwitch::span_event(std::uint64_t id, obs::SpanEventKind kind,
+void SilkRoadSwitch::span_event(std::uint64_t id, obs::EventKind kind,
                                 std::uint64_t arg0, std::uint64_t arg1) {
-  if (spans_ == nullptr || id == 0) return;
   spans_->record(id, kind, span_switch_, sim_.now(), arg0, arg1);
 }
 
-void SilkRoadSwitch::span_batch_event(obs::SpanEventKind kind,
+void SilkRoadSwitch::span_batch_event(obs::EventKind kind,
                                       std::uint64_t arg0, std::uint64_t arg1) {
   for (const std::uint64_t id : span_batch_) span_event(id, kind, arg0, arg1);
 }
@@ -1170,7 +1151,7 @@ bool SilkRoadSwitch::evict_version_for(VipState& state) {
       const bool pin = dip.has_value() && !record.dead;
       if (pin) {
         c_.software_fallback_conns->inc();
-        trace_.record(obs::TraceEventKind::kSoftwareFallback,
+        trace_.record(obs::EventKind::kSoftwareFallback,
                       state.trace_scope, *victim, net::flow_id(record.flow));
       }
       // The flow leaves version tracking wholesale (no release_conn), so
@@ -1224,7 +1205,7 @@ void SilkRoadSwitch::aging_sweep() {
       record.aging_queued = true;
       c_.aged_out->inc();
       if (const VipState* state = find_vip(flow.dst); state != nullptr) {
-        trace_.record(obs::TraceEventKind::kAgedOut, state->trace_scope,
+        trace_.record(obs::EventKind::kAgedOut, state->trace_scope,
                       record.version, net::flow_id(flow));
       }
       enqueue_erase(*id);
@@ -1289,7 +1270,7 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
   }
   if (shed) {
     c_.pending_shed->inc();
-    trace_.record(obs::TraceEventKind::kInsertShed, state.trace_scope, version,
+    trace_.record(obs::EventKind::kInsertShed, state.trace_scope, version,
                   net::flow_id(flow));
   } else {
     c_.degraded_admits->inc();
@@ -1308,8 +1289,8 @@ void SilkRoadSwitch::maybe_update_degraded() {
         backlog >= config_.degraded_enter_backlog) {
       degraded_ = true;
       c_.degraded_transitions->inc();
-      trace_.record(obs::TraceEventKind::kDegradedEnter, obs::kNoScope,
-                    obs::kNoVersion, backlog, pending_insertions());
+      trace_.record(obs::EventKind::kDegradedEnter, obs::kNoScope,
+                    obs::kNoVersion, 0, backlog, pending_insertions());
       arm_degraded_poll();
     }
     return;
@@ -1318,8 +1299,8 @@ void SilkRoadSwitch::maybe_update_degraded() {
       backlog <= config_.degraded_exit_backlog) {
     degraded_ = false;
     c_.degraded_transitions->inc();
-    trace_.record(obs::TraceEventKind::kDegradedExit, obs::kNoScope,
-                  obs::kNoVersion, backlog, pending_insertions());
+    trace_.record(obs::EventKind::kDegradedExit, obs::kNoScope,
+                  obs::kNoVersion, 0, backlog, pending_insertions());
   }
 }
 
@@ -1367,7 +1348,7 @@ void SilkRoadSwitch::relearn_sweep() {
     record.enqueued = true;
     c_.relearns->inc();
     if (const VipState* state = find_vip(record.flow.dst); state != nullptr) {
-      trace_.record(obs::TraceEventKind::kRelearn, state->trace_scope,
+      trace_.record(obs::EventKind::kRelearn, state->trace_scope,
                     record.version, net::flow_id(record.flow));
     }
     enqueue_insertion(handle_of(id), record.flow);
@@ -1380,9 +1361,9 @@ void SilkRoadSwitch::reset() {
   // both the queued ones and the coalesced batch mid-protocol. The
   // controller's restore-time resync subsumes them.
   for (const auto& queued : update_queue_) {
-    span_event(queued.update_id, obs::SpanEventKind::kAbandon, 0, 2);
+    span_event(queued.update_id, obs::EventKind::kAbandon, 0, 2);
   }
-  span_batch_event(obs::SpanEventKind::kAbandon, 0, 2);
+  span_batch_event(obs::EventKind::kAbandon, 0, 2);
   span_batch_.clear();
   conn_table_.clear();
   learning_filter_.reset();

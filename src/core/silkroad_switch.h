@@ -211,11 +211,14 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// (naming scheme: silkroad_<subsystem>_<quantity>[_total|_bytes|_ns]).
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
-  /// Structured event ring covering the 3-step PCC update protocol, version
-  /// lifecycle, cuckoo insertions, and digest collisions, timestamped with
-  /// sim time. Scopes are interned VIP names (scope 0 = the switch itself).
+  /// Structured ring of flow and table events (learning, cuckoo insertions,
+  /// digest collisions, version lifecycle), timestamped with sim time.
+  /// Scopes are interned VIP names (scope 0 = the switch itself).
   obs::TraceRing& trace() noexcept { return trace_; }
   const obs::TraceRing& trace() const noexcept { return trace_; }
+  /// The collector of this switch's update spans (3-step protocol steps):
+  /// the fleet's while bind_spans() names one, otherwise the switch's own.
+  const obs::SpanCollector& spans() const noexcept { return *spans_; }
   /// Live SRAM capacity ledger: per-table occupancy/headroom/fragmentation,
   /// insertion-pressure counters, per-VIP attribution, alarm levels, and the
   /// time-to-exhaustion forecast. Empty (no tables) when
@@ -223,10 +226,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   obs::ResourceLedger& capacity() noexcept { return capacity_; }
   const obs::ResourceLedger& capacity() const noexcept { return capacity_; }
 
-  /// Attaches the fleet's causal-trace collector: traced DipUpdates record
-  /// their CPU-queue wait and 3-step protocol execution (step1 open, flip,
-  /// commit, finish — or abandonment) on their span under this switch's leg.
-  /// Pass nullptr to detach.
+  /// Attaches the fleet's causal-trace collector: DipUpdates record their
+  /// CPU-queue wait and 3-step protocol execution (step1-open, flip, finish —
+  /// or abandonment) on their span under this switch's leg. An update that
+  /// arrives untraced (update_id 0) has its span opened here. Pass nullptr to
+  /// record onto the switch's own collector again.
   void bind_spans(obs::SpanCollector* spans, std::uint32_t switch_index);
 
   /// On-chip memory in use: ConnTable geometry + DIPPoolTable contents +
@@ -491,11 +495,11 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   void try_start_next_update();
   void execute_flip();
   void finish_update();
-  /// Records `kind` on one traced update's span (no-op when unbound / id 0).
-  void span_event(std::uint64_t id, obs::SpanEventKind kind,
+  /// Records `kind` on one update's span (no-op for id 0).
+  void span_event(std::uint64_t id, obs::EventKind kind,
                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
   /// Records `kind` on every span of the in-flight coalesced batch.
-  void span_batch_event(obs::SpanEventKind kind, std::uint64_t arg0 = 0,
+  void span_batch_event(obs::EventKind kind, std::uint64_t arg0 = 0,
                         std::uint64_t arg1 = 0);
   /// Runs the Step1/Step2 completion gates after a pending flow of `vip`
   /// resolved.
@@ -547,7 +551,7 @@ class SilkRoadSwitch : public lb::LoadBalancer {
     obs::Histogram* learn_batch_size = nullptr;
     /// learn -> ConnTable-entry-landed, per installed connection.
     obs::Histogram* insert_latency_ns = nullptr;
-    /// request-staged -> update-finish, per completed 3-step update.
+    /// request-staged -> finish, per completed 3-step update.
     obs::Histogram* update_duration_ns = nullptr;
   } c_;
   asic::DigestCuckooTable conn_table_;
@@ -576,8 +580,10 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// Audit stamp for FlowRecord::audit_stamp (InvariantAuditor).
   mutable std::uint32_t audit_epoch_ = 0;
 
-  /// Fleet-level span collector (optional) and this switch's leg index.
-  obs::SpanCollector* spans_ = nullptr;
+  /// The switch's own span collector, and the one it records onto (this
+  /// one, or its fleet's), with this switch's leg index.
+  obs::SpanCollector own_spans_;
+  obs::SpanCollector* spans_ = &own_spans_;
   std::uint32_t span_switch_ = 0;
   /// Span ids of the in-flight coalesced batch (one flip covers them all).
   std::vector<std::uint64_t> span_batch_;

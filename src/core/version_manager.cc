@@ -34,7 +34,7 @@ void VipVersionManager::install(std::uint32_t version, lb::DipPool pool) {
 }
 
 void VipVersionManager::destroy(std::uint32_t version,
-                                obs::TraceEventKind kind) {
+                                obs::EventKind kind) {
   pools_[version].reset();
   --live_count_;
   free_versions_.push_back(version);
@@ -49,7 +49,7 @@ std::optional<std::uint32_t> VipVersionManager::allocate_version() {
   const std::uint32_t v = free_versions_.front();
   free_versions_.pop_front();
   ++allocations_;
-  trace_event(obs::TraceEventKind::kVersionAllocate, v);
+  trace_event(obs::EventKind::kVersionAllocate, v);
   return v;
 }
 
@@ -107,7 +107,7 @@ std::optional<VipVersionManager::StagedUpdate> VipVersionManager::stage_update(
         pools_[*best_version]->pool.replace_member(best_slot_dip, update.dip);
         ++reuses_;
         down_dips_.erase(update.dip);  // the server is back in service
-        trace_event(obs::TraceEventKind::kVersionReuse, *best_version);
+        trace_event(obs::EventKind::kVersionReuse, *best_version);
         return StagedUpdate{*best_version, true};
       }
     }
@@ -161,7 +161,7 @@ void VipVersionManager::commit(std::uint32_t target_version) {
   if (previous != current_) {
     const PoolInfo* info = find(previous);
     if (info != nullptr && info->refcount == 0) {
-      destroy(previous, obs::TraceEventKind::kVersionRecycle);
+      destroy(previous, obs::EventKind::kVersionRecycle);
     }
   }
 }
@@ -177,7 +177,7 @@ void VipVersionManager::release(std::uint32_t version) {
   if (info == nullptr) return;
   SR_CHECKF(info->refcount > 0, "release of version %u underflows its refcount", version);
   if (--info->refcount == 0 && version != current_) {
-    destroy(version, obs::TraceEventKind::kVersionRecycle);
+    destroy(version, obs::EventKind::kVersionRecycle);
   }
 }
 
@@ -203,7 +203,7 @@ std::optional<std::uint32_t> VipVersionManager::eviction_candidate() const {
 void VipVersionManager::force_destroy(std::uint32_t version) {
   SR_CHECKF(version != current_, "cannot destroy current version %u", version);
   if (find(version) == nullptr) return;
-  destroy(version, obs::TraceEventKind::kVersionEvict);
+  destroy(version, obs::EventKind::kVersionEvict);
 }
 
 std::size_t VipVersionManager::mark_dip_down(const net::Endpoint& dip) {

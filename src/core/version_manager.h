@@ -141,7 +141,7 @@ class VipVersionManager {
   /// no pointer from find() or pool() survives this call.
   void install(std::uint32_t version, lb::DipPool pool);
   /// Destroys `version`'s pool and returns its number to the ring buffer.
-  void destroy(std::uint32_t version, obs::TraceEventKind kind);
+  void destroy(std::uint32_t version, obs::EventKind kind);
 
   net::Endpoint vip_;
   Config config_;
@@ -161,7 +161,7 @@ class VipVersionManager {
   obs::TraceRing* trace_ = nullptr;
   std::uint32_t trace_scope_ = obs::kNoScope;
 
-  void trace_event(obs::TraceEventKind kind, std::uint32_t version) {
+  void trace_event(obs::EventKind kind, std::uint32_t version) {
     if (trace_ != nullptr) trace_->record(kind, trace_scope_, version);
   }
 };

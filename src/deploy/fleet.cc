@@ -218,7 +218,7 @@ void SilkRoadFleet::deliver_to(std::size_t index,
     // The replica is not provisioned with this VIP yet (its resync is still
     // in flight); the resync chunks will carry the membership over. The
     // watermark deliberately does not advance — the mutation was not applied.
-    spans_.record(update.update_id, obs::SpanEventKind::kSkipped, leg,
+    spans_.record(update.update_id, obs::EventKind::kSkipped, leg,
                   sim_.now(), 0, 0);
     return;
   }
@@ -246,7 +246,7 @@ void SilkRoadFleet::deliver_to(std::size_t index,
     }
   }
   if (duplicate) {
-    spans_.record(update.update_id, obs::SpanEventKind::kSkipped, leg,
+    spans_.record(update.update_id, obs::EventKind::kSkipped, leg,
                   sim_.now(), 0, 1);
     return;
   }
@@ -346,10 +346,10 @@ void SilkRoadFleet::apply_chunk(std::size_t index,
     observer_->on_watermark(index, chunk.watermark_after, sim_.now());
   }
   const auto leg = static_cast<std::uint32_t>(index);
-  spans_.record(chunk.span_id, obs::SpanEventKind::kResyncApply, leg,
+  spans_.record(chunk.span_id, obs::EventKind::kResyncApply, leg,
                 sim_.now(), chunk.chunk_index, chunk.entries.size());
   if (!chunk.final_chunk) return;
-  spans_.record(chunk.resync_id, obs::SpanEventKind::kResyncApply, leg,
+  spans_.record(chunk.resync_id, obs::EventKind::kResyncApply, leg,
                 sim_.now(), chunk.chunk_index, 0);
   h_resync_duration_->record(
       static_cast<std::uint64_t>(sim_.now() - resync_started_[index]));

@@ -21,15 +21,15 @@ ControlChannel::ControlChannel(sim::Simulator& simulator, const Config& config,
 void ControlChannel::send(Payload payload) {
   ++sent_;
   const std::uint64_t id = payload_update_id(payload);
-  span_event(id, obs::SpanEventKind::kChannelSend);
+  span_event(id, obs::EventKind::kChannelSend);
   if (offline_) {
     // The peer is dead: the message is gone, and only a full resync on
     // restore can re-establish a consistent state.
     ++dropped_;
     needs_resync_ = true;
     // The span leg terminates here; the restore-time resync subsumes it.
-    span_event(id, obs::SpanEventKind::kChannelDrop, 0, 2);
-    span_event(id, obs::SpanEventKind::kAbandon, 0, 3);
+    span_event(id, obs::EventKind::kChannelDrop, 0, 2);
+    span_event(id, obs::EventKind::kAbandon, 0, 3);
     if (spans_ != nullptr && id != 0) pending_subsume_.push_back(id);
     return;
   }
@@ -66,10 +66,10 @@ void ControlChannel::transmit(std::uint64_t seq) {
   if (!drop && loss_hook_ && loss_hook_(now)) drop = true;
   if (drop) {
     ++dropped_;
-    span_event(id, obs::SpanEventKind::kChannelDrop, attempt, 0);
+    span_event(id, obs::EventKind::kChannelDrop, attempt, 0);
     return;  // The retry timer is still armed; the message will come back.
   }
-  span_event(id, obs::SpanEventKind::kChannelXmit, attempt);
+  span_event(id, obs::EventKind::kChannelXmit, attempt);
   sim::Time delay = config_.base_delay;
   if (config_.jitter > 0) {
     delay += static_cast<sim::Time>(rng_.uniform() *
@@ -112,7 +112,7 @@ void ControlChannel::on_retry_timeout(std::uint64_t seq) {
   }
   ++retries_;
   span_event(payload_update_id(it->second.payload),
-             obs::SpanEventKind::kChannelRetry,
+             obs::EventKind::kChannelRetry,
              static_cast<std::uint64_t>(it->second.retries));
   it->second.timeout = static_cast<sim::Time>(
       static_cast<double>(it->second.timeout) * config_.retry_backoff);
@@ -135,7 +135,7 @@ void ControlChannel::on_message_arrival(std::uint64_t seq,
     ++duplicates_;
     if (const auto it = outstanding_.find(seq); it != outstanding_.end()) {
       span_event(payload_update_id(it->second.payload),
-                 obs::SpanEventKind::kChannelDup);
+                 obs::EventKind::kChannelDup);
     }
     ack(seq);
     return;
@@ -145,7 +145,7 @@ void ControlChannel::on_message_arrival(std::uint64_t seq,
   if (!reorder_buffer_.emplace(seq, it->second.payload).second) {
     ++duplicates_;  // Retransmit raced its own earlier copy.
     span_event(payload_update_id(it->second.payload),
-               obs::SpanEventKind::kChannelDup);
+               obs::EventKind::kChannelDup);
   }
   ack(seq);
   drain_in_order();
@@ -160,7 +160,7 @@ void ControlChannel::ack(std::uint64_t seq) {
     ++dropped_;
     if (const auto it = outstanding_.find(seq); it != outstanding_.end()) {
       span_event(payload_update_id(it->second.payload),
-                 obs::SpanEventKind::kChannelDrop, 0, 1);
+                 obs::EventKind::kChannelDrop, 0, 1);
     }
     return;
   }
@@ -186,7 +186,7 @@ void ControlChannel::drain_in_order() {
     reorder_buffer_.erase(it);
     ++next_expected_;
     ++delivered_;
-    span_event(payload_update_id(payload), obs::SpanEventKind::kChannelDeliver);
+    span_event(payload_update_id(payload), obs::EventKind::kChannelDeliver);
     deliver_(payload);
   }
 }
@@ -200,7 +200,7 @@ void ControlChannel::wipe_window() {
     const auto abandon = [this](const Payload& payload) {
       const std::uint64_t id = payload_update_id(payload);
       if (id == 0) return;
-      span_event(id, obs::SpanEventKind::kAbandon, 0, 3);
+      span_event(id, obs::EventKind::kAbandon, 0, 3);
       pending_subsume_.push_back(id);
     };
     for (const auto& [seq, msg] : outstanding_) abandon(msg.payload);
@@ -305,7 +305,7 @@ std::uint64_t ControlChannel::payload_update_id(
   return 0;  // VipConfig payloads are untraced.
 }
 
-void ControlChannel::span_event(std::uint64_t id, obs::SpanEventKind kind,
+void ControlChannel::span_event(std::uint64_t id, obs::EventKind kind,
                                 std::uint64_t arg0, std::uint64_t arg1) {
   if (spans_ == nullptr || id == 0) return;
   spans_->record(id, kind, span_switch_, sim_.now(), arg0, arg1);

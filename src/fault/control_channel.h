@@ -157,7 +157,7 @@ class ControlChannel {
 
   /// The causal-trace id riding in `payload` (0 for VipConfig / untraced).
   static std::uint64_t payload_update_id(const Payload& payload) noexcept;
-  void span_event(std::uint64_t id, obs::SpanEventKind kind,
+  void span_event(std::uint64_t id, obs::EventKind kind,
                   std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
   sim::Simulator& sim_;

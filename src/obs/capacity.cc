@@ -151,8 +151,8 @@ void ResourceLedger::run_alarm(Table& table, double occupancy) {
     ++table.transitions;
     ++transitions_;
     if (trace_ != nullptr) {
-      trace_->record(TraceEventKind::kCapacityAlarmRaise, table.trace_scope,
-                     kNoVersion, static_cast<std::uint64_t>(table.level),
+      trace_->record(EventKind::kCapacityAlarmRaise, table.trace_scope,
+                     kNoVersion, 0, static_cast<std::uint64_t>(table.level),
                      static_cast<std::uint64_t>(occupancy * 10000));
     }
   }
@@ -163,8 +163,8 @@ void ResourceLedger::run_alarm(Table& table, double occupancy) {
     ++table.transitions;
     ++transitions_;
     if (trace_ != nullptr) {
-      trace_->record(TraceEventKind::kCapacityAlarmClear, table.trace_scope,
-                     kNoVersion, static_cast<std::uint64_t>(table.level),
+      trace_->record(EventKind::kCapacityAlarmClear, table.trace_scope,
+                     kNoVersion, 0, static_cast<std::uint64_t>(table.level),
                      static_cast<std::uint64_t>(occupancy * 10000));
     }
   }

@@ -155,62 +155,71 @@ std::string to_profile_json(const Snapshot& snapshot) {
   return out;
 }
 
-std::string to_chrome_trace(const TraceRing& ring) {
+void append_event_args(std::string& out, const Event& event) {
+  if (is_span_kind(event.kind)) {
+    if (event.scope == kControllerLeg) {
+      out += "\"switch\":null";
+    } else {
+      append(out, "\"switch\":%u", event.scope);
+    }
+  } else if (event.version == kNoVersion) {
+    append(out, "\"version\":null,\"id\":%" PRIu64, event.id);
+  } else {
+    append(out, "\"version\":%u,\"id\":%" PRIu64, event.version, event.id);
+  }
+  append(out, ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64, event.arg0,
+         event.arg1);
+}
+
+std::string to_chrome_trace(const std::vector<ChromeTrack>& tracks,
+                            std::string_view other_data) {
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&out, &first](const char* fmt, auto... args) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  ";
-    append(out, fmt, args...);
-  };
-
-  // Track names: pid 0 is the switch; each scope (VIP) is a tid.
-  std::vector<bool> seen_scope;
-  for (const auto& event : ring.events()) {
-    if (event.scope >= seen_scope.size()) seen_scope.resize(event.scope + 1);
-    if (!seen_scope[event.scope]) {
-      seen_scope[event.scope] = true;
-      const std::string name = event.scope == kNoScope
-                                   ? std::string("switch")
-                                   : ring.scope_name(event.scope);
-      emit("{\"ph\":\"M\",\"pid\":0,\"tid\":%u,\"name\":\"thread_name\","
-           "\"args\":{\"name\":\"%s\"}}",
-           event.scope, json_escape(name).c_str());
+  const char* sep = "\n  ";
+  for (const ChromeTrack& track : tracks) {
+    append(out, "%s{\"ph\":\"M\",\"pid\":%u,\"tid\":%" PRIu64
+                ",\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
+           sep, track.pid, track.tid, json_escape(track.name).c_str());
+    sep = ",\n  ";
+    if (const auto& span = track.duration) {
+      append(out, "%s{\"ph\":\"X\",\"pid\":%u,\"tid\":%" PRIu64
+                  ",\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\"}",
+             sep, track.pid, track.tid, static_cast<double>(span->begin) / 1e3,
+             static_cast<double>(span->end - span->begin) / 1e3,
+             json_escape(span->name).c_str());
+    }
+    for (const Event& event : track.events) {
+      append(out, "%s{\"ph\":\"i\",\"pid\":%u,\"tid\":%" PRIu64
+                  ",\"ts\":%.3f,\"name\":\"%s\",\"s\":\"t\",\"args\":{",
+             sep, track.pid, track.tid, static_cast<double>(event.at) / 1e3,
+             to_string(event.kind));
+      append_event_args(out, event);
+      out += "}}";
     }
   }
-
-  for (const auto& event : ring.events()) {
-    const double us = static_cast<double>(event.at) / 1e3;
-    const char* name = to_string(event.kind);
-    const std::string args =
-        "{\"version\":" +
-        (event.version == kNoVersion ? std::string("null")
-                                     : std::to_string(event.version)) +
-        ",\"arg0\":" + std::to_string(event.arg0) +
-        ",\"arg1\":" + std::to_string(event.arg1) + "}";
-    switch (event.kind) {
-      case TraceEventKind::kUpdateStep1Open:
-        emit("{\"ph\":\"B\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
-             "\"name\":\"pcc-update\",\"args\":%s}",
-             event.scope, us, args.c_str());
-        break;
-      case TraceEventKind::kUpdateFinish:
-        emit("{\"ph\":\"E\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
-             "\"name\":\"pcc-update\",\"args\":%s}",
-             event.scope, us, args.c_str());
-        break;
-      default:
-        emit("{\"ph\":\"i\",\"pid\":0,\"tid\":%u,\"ts\":%.3f,"
-             "\"name\":\"%s\",\"s\":\"t\",\"args\":%s}",
-             event.scope, us, name, args.c_str());
-        break;
-    }
+  out += "\n],\"displayTimeUnit\":\"ms\"";
+  if (!other_data.empty()) {
+    out += ",\"otherData\":";
+    out += other_data;
   }
-  append(out, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":"
-              "{\"recorded\":%" PRIu64 ",\"dropped\":%" PRIu64 "}}\n",
-         ring.total_recorded(), ring.dropped());
+  out += "}\n";
   return out;
+}
+
+std::vector<ChromeTrack> ring_tracks(const TraceRing& ring) {
+  std::vector<ChromeTrack> tracks;
+  std::vector<std::size_t> track_of;  // scope -> index + 1, 0 = none yet
+  for (const Event& event : ring.events()) {
+    if (event.scope >= track_of.size()) track_of.resize(event.scope + 1);
+    if (track_of[event.scope] == 0) {
+      ChromeTrack& track = tracks.emplace_back();
+      track.tid = event.scope;
+      track.name = event.scope == kNoScope ? std::string("switch")
+                                           : ring.scope_name(event.scope);
+      track_of[event.scope] = tracks.size();
+    }
+    tracks[track_of[event.scope] - 1].events.push_back(event);
+  }
+  return tracks;
 }
 
 bool write_file(const std::string& path, std::string_view content) {

@@ -1,5 +1,5 @@
 // Exporters for the telemetry layer (DESIGN.md §9): render a metrics
-// Snapshot as Prometheus text-format or JSON, and a TraceRing as Chrome
+// Snapshot as Prometheus text-format or JSON, and tracks of events as Chrome
 // trace-event JSON loadable in chrome://tracing / https://ui.perfetto.dev.
 //
 // All exporters are pure string builders over immutable snapshots — safe to
@@ -7,8 +7,11 @@
 // filesystem (cstdio, atomicity not required for telemetry dumps).
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -43,11 +46,35 @@ std::string to_json(const Snapshot& snapshot);
 /// silkroad_insert_latency_ns.
 std::string to_profile_json(const Snapshot& snapshot);
 
-/// Chrome trace-event JSON. The 3-step PCC protocol renders as duration
-/// events (update-step1-open opens a span on the VIP's track, update-finish
-/// closes it, the flip is an instant marker inside); all other events are
-/// instants on their scope's track. Timestamps are sim-time microseconds.
-std::string to_chrome_trace(const TraceRing& ring);
+/// A duration bar on a Chrome track.
+struct ChromeDuration {
+  std::string name;
+  sim::Time begin = 0;
+  sim::Time end = 0;
+};
+
+/// One Chrome trace thread: a named (pid, tid) track with an instant per
+/// event and at most one duration.
+struct ChromeTrack {
+  std::uint32_t pid = 0;
+  std::uint64_t tid = 0;
+  std::string name;
+  std::vector<Event> events;
+  std::optional<ChromeDuration> duration;
+};
+
+/// An event's arguments as JSON members: "switch" for a span event,
+/// "version" and "id" for a ring event, then "arg0" and "arg1".
+void append_event_args(std::string& out, const Event& event);
+
+/// Chrome trace-event JSON of `tracks` (sim-time microseconds), with
+/// `other_data`, a JSON object, as "otherData" when given.
+std::string to_chrome_trace(const std::vector<ChromeTrack>& tracks,
+                            std::string_view other_data = {});
+
+/// A trace ring's tracks: pid 0, one per scope (tid = scope id), named after
+/// its VIP ("switch" for scope 0).
+std::vector<ChromeTrack> ring_tracks(const TraceRing& ring);
 
 /// Writes `content` to `path` (truncating). Returns false on I/O error.
 bool write_file(const std::string& path, std::string_view content);

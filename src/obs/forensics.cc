@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "obs/exporters.h"
 
@@ -11,65 +12,86 @@ namespace silkroad::obs {
 
 namespace {
 
-std::string span_source(const UpdateSpan& span) {
+/// format_event()'s `where` for a span event: its switch leg, or "" at the
+/// controller.
+std::string leg_where(std::uint32_t leg) {
   std::string out;
-  append(out, "%s#%" PRIu64, span.resync ? "resync" : "update", span.id);
+  if (leg != kControllerLeg) append(out, "sw=%u", leg);
   return out;
 }
 
-std::string span_event_line(const UpdateSpan& span, const SpanEvent& event) {
-  std::string out = to_string(event.kind);
-  if (event.switch_index != kControllerLeg) {
-    append(out, " sw=%u", event.switch_index);
+void add_event(FlowJourney& journey, const Event& event) {
+  if (journey.events.empty()) {
+    journey.flow_id = event.id;
+    journey.first = event.at;
   }
+  journey.last = event.at;
+  if (journey.scope == kNoScope) journey.scope = event.scope;
+  if (journey.version == kNoVersion) journey.version = event.version;
   switch (event.kind) {
-    case SpanEventKind::kIntent:
-      if (!span.resync) {
-        append(out, " %s dip=%s vip=%s cause=%s",
-               span.intent.action == workload::UpdateAction::kAddDip
-                   ? "add-dip"
-                   : "remove-dip",
-               span.intent.dip.to_string().c_str(),
-               span.intent.vip.to_string().c_str(),
-               workload::to_string(span.intent.cause));
-      }
-      if (span.parent_id != 0) {
-        append(out, " parent=%" PRIu64, span.parent_id);
-      }
-      break;
-    case SpanEventKind::kSubsume:
-      append(out, " update#%" PRIu64, event.arg0);
-      break;
-    case SpanEventKind::kChannelXmit:
-    case SpanEventKind::kChannelRetry:
-      append(out, " attempt=%" PRIu64, event.arg0);
-      break;
-    case SpanEventKind::kChannelDrop:
-      out += event.arg1 == 1   ? " (ack)"
-             : event.arg1 == 2 ? " (offline)"
-                               : " (message)";
-      break;
-    case SpanEventKind::kSkipped:
-      out += event.arg1 == 0 ? " (unprovisioned)" : " (already applied)";
-      break;
-    case SpanEventKind::kStep1Open:
-    case SpanEventKind::kFlip:
-    case SpanEventKind::kCommit:
-      append(out, " v=%" PRIu64 "->%" PRIu64, event.arg0, event.arg1);
-      break;
-    case SpanEventKind::kAbandon:
-      out += event.arg1 == 0   ? " (unknown vip)"
-             : event.arg1 == 1 ? " (stage failure)"
-             : event.arg1 == 2 ? " (crash wipe)"
-                               : " (window wipe)";
-      break;
-    default:
-      break;
+    case EventKind::kCuckooInsert: journey.installed = true; break;
+    case EventKind::kCuckooInsertFail: journey.install_failed = true; break;
+    case EventKind::kSoftwareFallback: journey.software_fallback = true; break;
+    case EventKind::kAgedOut: journey.aged_out = true; break;
+    default: break;
   }
-  return out;
+  journey.events.push_back(event);
 }
 
 }  // namespace
+
+std::vector<FlowJourney> journeys(const TraceRing& ring) {
+  std::vector<FlowJourney> out;
+  std::unordered_map<std::uint64_t, std::size_t> index;
+  for (const Event& event : ring.events()) {
+    if (event.id == 0) continue;
+    auto it = index.find(event.id);
+    if (it == index.end()) {
+      if (out.size() >= kMaxJourneys) continue;
+      it = index.emplace(event.id, out.size()).first;
+      out.emplace_back();
+    }
+    add_event(out[it->second], event);
+  }
+  return out;
+}
+
+std::optional<FlowJourney> journey_of(const TraceRing& ring,
+                                      std::uint64_t flow_id) {
+  FlowJourney journey;
+  for (const Event& event : ring.events()) {
+    if (flow_id != 0 && event.id == flow_id) add_event(journey, event);
+  }
+  if (journey.events.empty()) return std::nullopt;
+  return journey;
+}
+
+std::vector<ChromeTrack> journey_tracks(
+    const TraceRing& ring, const std::vector<FlowJourney>& journeys) {
+  std::vector<ChromeTrack> tracks;
+  for (const FlowJourney& journey : journeys) {
+    ChromeTrack& track = tracks.emplace_back();
+    track.pid = 1;
+    track.tid = tracks.size();
+    append(track.name, "flow 0x%016" PRIx64, journey.flow_id);
+    if (journey.scope != kNoScope) {
+      append(track.name, " vip=%s", ring.scope_name(journey.scope).c_str());
+    }
+    track.events = journey.events;
+    // The learn→install span: from the first learn to the first placement
+    // after it.
+    const Event* learn = nullptr;
+    for (const Event& event : journey.events) {
+      if (learn == nullptr && event.kind == EventKind::kLearn) learn = &event;
+      if (learn != nullptr && (event.kind == EventKind::kCuckooInsert ||
+                               event.kind == EventKind::kSoftwareFallback)) {
+        track.duration = ChromeDuration{"install", learn->at, event.at};
+        break;
+      }
+    }
+  }
+  return tracks;
+}
 
 ForensicsReport assemble_forensics(const TraceRing& ring,
                                    const SpanCollector* spans,
@@ -79,9 +101,7 @@ ForensicsReport assemble_forensics(const TraceRing& ring,
   report.reason = std::move(reason);
   report.flow_id = flow_id;
 
-  if (flow_id != 0) {
-    report.journey = FlowJourneyTracer::journey_of(ring, flow_id);
-  }
+  if (flow_id != 0) report.journey = journey_of(ring, flow_id);
   if (report.journey) {
     report.window_first = report.journey->first;
     report.window_last = report.journey->last;
@@ -109,17 +129,14 @@ ForensicsReport assemble_forensics(const TraceRing& ring,
   if (report.journey) {
     for (const auto& event : report.journey->events) {
       report.timeline.push_back(
-          {event.at, "flow", format_event(ring, event)});
-    }
-    for (const auto& event : report.journey->context) {
-      report.timeline.push_back({event.at, "ctx", format_event(ring, event)});
+          {event.at, "flow", format_event(event, ring.where(event))});
     }
   }
   for (const auto& span : report.spans) {
-    const std::string source = span_source(span);
+    const std::string source = span.label();
     for (const auto& event : span.events) {
-      report.timeline.push_back({event.at, source,
-                                 span_event_line(span, event)});
+      report.timeline.push_back(
+          {event.at, source, format_event(event, leg_where(event.scope))});
     }
   }
   std::stable_sort(report.timeline.begin(), report.timeline.end(),
@@ -148,20 +165,7 @@ std::string ForensicsReport::to_text() const {
   }
   append(out, "overlapping spans: %zu\n", spans.size());
   for (const auto& span : spans) {
-    append(out, "  %s", span_source(span).c_str());
-    if (span.resync) {
-      append(out, " switch=%u subsumes %zu update(s)", span.resync_switch,
-             span.subsumed.size());
-    } else {
-      append(out, " %s dip=%s vip=%s",
-             span.intent.action == workload::UpdateAction::kAddDip
-                 ? "add-dip"
-                 : "remove-dip",
-             span.intent.dip.to_string().c_str(),
-             span.intent.vip.to_string().c_str());
-      if (span.parent_id != 0) append(out, " parent=%" PRIu64, span.parent_id);
-    }
-    out += "\n";
+    append(out, "  %s\n", span.describe().c_str());
   }
   out += "timeline (ordered by sim time):\n";
   for (const auto& entry : timeline) {
@@ -188,9 +192,12 @@ std::string ForensicsReport::to_json() const {
   append(out, ",\"journey_found\":%s", journey ? "true" : "false");
   if (journey) {
     append(out, ",\"journey\":{\"events\":%zu,\"installed\":%s,"
-                "\"software_fallback\":%s}",
+                "\"install_failed\":%s,\"software_fallback\":%s,"
+                "\"aged_out\":%s}",
            journey->events.size(), journey->installed ? "true" : "false",
-           journey->software_fallback ? "true" : "false");
+           journey->install_failed ? "true" : "false",
+           journey->software_fallback ? "true" : "false",
+           journey->aged_out ? "true" : "false");
   }
   out += ",\"span_ids\":[";
   bool first = true;

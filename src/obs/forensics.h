@@ -1,13 +1,16 @@
-// PCC incident forensics (DESIGN.md §12).
+// Views over the two event stores (DESIGN.md §10, §12).
+//
+// A flow journey is one connection's events from a switch's trace ring
+// (learn → transit-false-positive? → cuckoo-insert | insert-fail →
+// software-fallback? → aged-out); ring wraparound truncates it.
 //
 // When the invariant auditor trips or a chaos run fails its PCC audit, the
-// question is always causal: which update window was in flight while this
-// flow's packets were being mapped, and what did the lossy control channel
-// do to it? A ForensicsReport answers that offline: it interleaves the
-// offending flow's journey (journey.h) with every update/resync span
-// (span.h) that overlapped it — including dropped and retransmitted channel
-// legs — into one timeline ordered by sim time, rendered as text and JSON
-// and written to SILKROAD_TELEMETRY_DIR.
+// question is causal: which update window was in flight while this flow's
+// packets were being mapped, and what did the lossy control channel do to
+// it? A ForensicsReport interleaves the flow's journey with every span that
+// overlapped it — channel legs and each step of the 3-step protocol — into
+// one timeline ordered by sim time, rendered as text and JSON and written
+// to SILKROAD_TELEMETRY_DIR.
 #pragma once
 
 #include <cstdint>
@@ -15,11 +18,42 @@
 #include <string>
 #include <vector>
 
-#include "obs/journey.h"
+#include "obs/exporters.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 
 namespace silkroad::obs {
+
+/// One connection's events from a switch's trace ring.
+struct FlowJourney {
+  std::uint64_t flow_id = 0;           ///< net::flow_id, never 0
+  std::uint32_t scope = kNoScope;      ///< VIP scope, first one seen
+  std::uint32_t version = kNoVersion;  ///< DIP-pool version, first one seen
+  sim::Time first = 0;                 ///< timestamp of the first event
+  sim::Time last = 0;                  ///< timestamp of the last event
+  std::vector<Event> events;           ///< this flow's events, oldest first
+
+  bool installed = false;          ///< reached the ConnTable (cuckoo insert)
+  bool install_failed = false;     ///< BFS budget exhausted at least once
+  bool software_fallback = false;  ///< pinned to the slow-path exact table
+  bool aged_out = false;           ///< collected by the aging sweep
+};
+
+/// Most flows journeys() reconstructs: the ring holds a sample of traffic
+/// anyway, so this bounds work, not fidelity.
+inline constexpr std::size_t kMaxJourneys = 256;
+
+/// The ring's events grouped by flow, first-seen order, kMaxJourneys at most.
+std::vector<FlowJourney> journeys(const TraceRing& ring);
+
+/// The journey of `flow_id`, or nullopt if the ring has no events for it.
+std::optional<FlowJourney> journey_of(const TraceRing& ring,
+                                      std::uint64_t flow_id);
+
+/// Chrome tracks of `journeys`: pid 1, one per flow ("flow 0x<id>
+/// vip=<name>"), with an "install" duration from learn to placement.
+std::vector<ChromeTrack> journey_tracks(
+    const TraceRing& ring, const std::vector<FlowJourney>& journeys);
 
 struct ForensicsReport {
   std::string reason;
@@ -35,7 +69,7 @@ struct ForensicsReport {
 
   struct Entry {
     sim::Time at = 0;
-    std::string source;  ///< "flow", "ctx", "update#<id>", "resync#<id>"
+    std::string source;  ///< "flow" or the span's label ("update#<id>", ...)
     std::string line;
   };
   /// The merged story, ordered by sim time (stable: flow events before span
@@ -68,8 +102,8 @@ struct ForensicsReport {
   std::string to_json() const;
 };
 
-/// Builds the report from one switch's trace ring and the fleet's span
-/// collector. `flow_id` of 0 (no specific flow — e.g. an invariant-audit
+/// Builds the report from one switch's trace ring and the span collector it
+/// records onto. `flow_id` of 0 (no specific flow — e.g. an invariant-audit
 /// failure) widens the window to the whole ring and omits the journey.
 /// `spans` may be null (report then carries trace events only).
 /// `detected_at` is when the failure was detected (the PCC audit's charge

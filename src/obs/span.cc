@@ -11,41 +11,56 @@
 
 namespace silkroad::obs {
 
-const char* to_string(SpanEventKind kind) noexcept {
-  switch (kind) {
-    case SpanEventKind::kIntent: return "intent";
-    case SpanEventKind::kResyncBegin: return "resync-begin";
-    case SpanEventKind::kSubsume: return "subsume";
-    case SpanEventKind::kChannelSend: return "channel-send";
-    case SpanEventKind::kChannelXmit: return "channel-xmit";
-    case SpanEventKind::kChannelDrop: return "channel-drop";
-    case SpanEventKind::kChannelRetry: return "channel-retry";
-    case SpanEventKind::kChannelDeliver: return "channel-deliver";
-    case SpanEventKind::kChannelDup: return "channel-duplicate";
-    case SpanEventKind::kSkipped: return "skipped";
-    case SpanEventKind::kQueueStage: return "queue-stage";
-    case SpanEventKind::kStep1Open: return "step1-open";
-    case SpanEventKind::kFlip: return "flip";
-    case SpanEventKind::kCommit: return "commit";
-    case SpanEventKind::kFinish: return "finish";
-    case SpanEventKind::kAbandon: return "abandon";
-    case SpanEventKind::kResyncApply: return "resync-apply";
-    case SpanEventKind::kChunkBegin: return "chunk-begin";
-  }
-  return "?";
+namespace {
+
+/// "update", "resync" or "chunk": the word of a span's label and of its
+/// Chrome duration.
+const char* span_type(const UpdateSpan& span) {
+  return span.chunk ? "chunk" : (span.resync ? "resync" : "update");
 }
 
-std::vector<SpanEvent> UpdateSpan::leg(std::uint32_t switch_index) const {
-  std::vector<SpanEvent> out;
-  for (const auto& event : events) {
-    if (event.switch_index == switch_index) out.push_back(event);
+const char* action_name(workload::UpdateAction action) {
+  return action == workload::UpdateAction::kAddDip ? "add-dip" : "remove-dip";
+}
+
+/// Events reserved per span: a lone switch's whole record (intent,
+/// queue-stage, step1-open, flip, finish) fits without regrowth.
+constexpr std::size_t kReservedEvents = 8;
+
+}  // namespace
+
+std::string UpdateSpan::label() const {
+  std::string out;
+  append(out, "%s#%" PRIu64, span_type(*this), id);
+  return out;
+}
+
+std::string UpdateSpan::describe() const {
+  std::string out = label();
+  if (chunk) {
+    append(out, " switch=%u of resync#%" PRIu64, resync_switch, parent_id);
+  } else if (resync) {
+    append(out, " switch=%u subsumes %zu update(s)", resync_switch,
+           subsumed.size());
+  } else {
+    append(out, " %s dip=%s vip=%s", action_name(intent.action),
+           intent.dip.to_string().c_str(), intent.vip.to_string().c_str());
+    if (parent_id != 0) append(out, " parent=%" PRIu64, parent_id);
   }
   return out;
 }
 
-bool UpdateSpan::has(SpanEventKind kind, std::uint32_t switch_index) const {
+std::vector<Event> UpdateSpan::leg(std::uint32_t switch_index) const {
+  std::vector<Event> out;
   for (const auto& event : events) {
-    if (event.kind == kind && event.switch_index == switch_index) return true;
+    if (event.scope == switch_index) out.push_back(event);
+  }
+  return out;
+}
+
+bool UpdateSpan::has(EventKind kind, std::uint32_t switch_index) const {
+  for (const auto& event : events) {
+    if (event.kind == kind && event.scope == switch_index) return true;
   }
   return false;
 }
@@ -66,6 +81,22 @@ SpanCollector::SpanCollector(std::size_t capacity) : capacity_(capacity) {
   SR_CHECK(capacity_ > 0);
 }
 
+UpdateSpan& SpanCollector::open(sim::Time now, Event first) {
+  if (spans_.size() >= capacity_) {
+    spans_.erase(spans_.begin());
+    ++evicted_;
+  }
+  const std::uint64_t id = next_id_++;
+  UpdateSpan& span = spans_[id];
+  span.id = id;
+  span.intent_at = now;
+  span.events.reserve(kReservedEvents);
+  first.id = id;
+  span.events.push_back(first);
+  ++events_recorded_;
+  return span;
+}
+
 std::uint64_t SpanCollector::begin_update(workload::DipUpdate& update,
                                           sim::Time now,
                                           std::uint64_t parent_id) {
@@ -73,45 +104,28 @@ std::uint64_t SpanCollector::begin_update(workload::DipUpdate& update,
     update.update_id = 0;
     return 0;
   }
-  const std::uint64_t id = next_id_++;
-  update.update_id = id;
-  UpdateSpan& span = spans_[id];
-  span.id = id;
+  UpdateSpan& span = open(now, {now, EventKind::kIntent, kControllerLeg,
+                                kNoVersion, 0, parent_id, 0});
+  update.update_id = span.id;
   span.parent_id = parent_id;
   span.intent = update;
-  span.intent_at = now;
-  span.events.push_back({now, SpanEventKind::kIntent, kControllerLeg,
-                         parent_id, 0});
-  ++events_recorded_;
-  while (spans_.size() > capacity_) {
-    spans_.erase(spans_.begin());
-    ++evicted_;
-  }
-  return id;
+  return span.id;
 }
 
 std::uint64_t SpanCollector::begin_resync(
     std::uint32_t switch_index, sim::Time now,
     const std::vector<std::uint64_t>& subsumed) {
   if (!enabled_) return 0;
-  const std::uint64_t id = next_id_++;
-  UpdateSpan& span = spans_[id];
-  span.id = id;
+  UpdateSpan& span = open(now, {now, EventKind::kResyncBegin, switch_index});
   span.resync = true;
   span.resync_switch = switch_index;
-  span.intent_at = now;
-  span.events.push_back(
-      {now, SpanEventKind::kResyncBegin, switch_index, 0, 0});
+  span.subsumed = subsumed;
   for (const std::uint64_t sub : subsumed) {
-    span.subsumed.push_back(sub);
-    span.events.push_back({now, SpanEventKind::kSubsume, switch_index, sub, 0});
+    span.events.push_back(
+        {now, EventKind::kSubsume, switch_index, kNoVersion, span.id, sub, 0});
   }
-  events_recorded_ += 1 + subsumed.size();
-  while (spans_.size() > capacity_) {
-    spans_.erase(spans_.begin());
-    ++evicted_;
-  }
-  return id;
+  events_recorded_ += subsumed.size();
+  return span.id;
 }
 
 std::uint64_t SpanCollector::begin_chunk(std::uint32_t switch_index,
@@ -120,32 +134,24 @@ std::uint64_t SpanCollector::begin_chunk(std::uint32_t switch_index,
                                          std::uint64_t chunk_index,
                                          std::uint64_t entries) {
   if (!enabled_) return 0;
-  const std::uint64_t id = next_id_++;
-  UpdateSpan& span = spans_[id];
-  span.id = id;
+  UpdateSpan& span = open(now, {now, EventKind::kChunkBegin, switch_index,
+                                kNoVersion, 0, chunk_index, entries});
   span.parent_id = parent_id;
   span.chunk = true;
   span.resync_switch = switch_index;
-  span.intent_at = now;
-  span.events.push_back(
-      {now, SpanEventKind::kChunkBegin, switch_index, chunk_index, entries});
-  ++events_recorded_;
-  while (spans_.size() > capacity_) {
-    spans_.erase(spans_.begin());
-    ++evicted_;
-  }
-  return id;
+  return span.id;
 }
 
-void SpanCollector::record(std::uint64_t id, SpanEventKind kind,
+void SpanCollector::record(std::uint64_t id, EventKind kind,
                            std::uint32_t switch_index, sim::Time at,
                            std::uint64_t arg0, std::uint64_t arg1) {
   if (id == 0 || !enabled_) return;
   const auto it = spans_.find(id);
   if (it == spans_.end()) return;  // evicted — the tail of a long run
-  it->second.events.push_back({at, kind, switch_index, arg0, arg1});
+  it->second.events.push_back(
+      {at, kind, switch_index, kNoVersion, id, arg0, arg1});
   ++events_recorded_;
-  if (kind == SpanEventKind::kFinish) {
+  if (kind == EventKind::kFinish) {
     finish_histograms(it->second, switch_index, at);
   }
 }
@@ -157,29 +163,16 @@ void SpanCollector::finish_histograms(const UpdateSpan& span,
   // Earliest occurrence of each hop boundary on this leg; a resync-child
   // span has no channel leg, so those hops are simply not recorded for it.
   constexpr sim::Time kUnset = sim::kTimeInfinity;
-  sim::Time send = kUnset;
-  sim::Time deliver = kUnset;
-  sim::Time stage = kUnset;
-  sim::Time step1 = kUnset;
-  for (const auto& event : span.events) {
-    if (event.switch_index != switch_index) continue;
-    switch (event.kind) {
-      case SpanEventKind::kChannelSend:
-        if (send == kUnset) send = event.at;
-        break;
-      case SpanEventKind::kChannelDeliver:
-        if (deliver == kUnset) deliver = event.at;
-        break;
-      case SpanEventKind::kQueueStage:
-        if (stage == kUnset) stage = event.at;
-        break;
-      case SpanEventKind::kStep1Open:
-        if (step1 == kUnset) step1 = event.at;
-        break;
-      default:
-        break;
+  const auto earliest = [&span, switch_index](EventKind kind) {
+    for (const auto& event : span.events) {
+      if (event.scope == switch_index && event.kind == kind) return event.at;
     }
-  }
+    return kUnset;
+  };
+  const sim::Time send = earliest(EventKind::kChannelSend);
+  const sim::Time deliver = earliest(EventKind::kChannelDeliver);
+  const sim::Time stage = earliest(EventKind::kQueueStage);
+  const sim::Time step1 = earliest(EventKind::kStep1Open);
   if (send != kUnset && deliver != kUnset && deliver >= send) {
     h_channel_->record(deliver - send);
   }
@@ -247,6 +240,11 @@ std::vector<std::string> SpanCollector::audit_complete() const {
     auto& set = subsumed_by[span.resync_switch];
     set.insert(span.subsumed.begin(), span.subsumed.end());
   }
+  const auto subsumed = [&subsumed_by](const UpdateSpan& span,
+                                       std::uint32_t leg) {
+    const auto it = subsumed_by.find(leg);
+    return it != subsumed_by.end() && it->second.contains(span.id);
+  };
   const auto complain = [&problems](const UpdateSpan& span,
                                     std::uint32_t leg_index,
                                     const char* what) {
@@ -259,48 +257,42 @@ std::vector<std::string> SpanCollector::audit_complete() const {
     if (span.resync) continue;
     std::unordered_set<std::uint32_t> legs;
     for (const auto& event : span.events) {
-      if (event.switch_index != kControllerLeg) legs.insert(event.switch_index);
+      if (event.scope != kControllerLeg) legs.insert(event.scope);
     }
     if (span.chunk) {
       // A chunk leg has no 3-step protocol of its own: its terminal states
       // are applied at the receiver (kResyncApply), abandoned by a window
       // wipe, or subsumed by the switch's next resync session.
       for (const std::uint32_t leg : legs) {
-        const bool delivered = span.has(SpanEventKind::kChannelDeliver, leg);
-        const bool applied = span.has(SpanEventKind::kResyncApply, leg);
-        const bool abandoned = span.has(SpanEventKind::kAbandon, leg);
-        const bool sent = span.has(SpanEventKind::kChannelSend, leg);
+        const bool delivered = span.has(EventKind::kChannelDeliver, leg);
+        const bool applied = span.has(EventKind::kResyncApply, leg);
+        const bool abandoned = span.has(EventKind::kAbandon, leg);
+        const bool sent = span.has(EventKind::kChannelSend, leg);
         if (delivered && !applied) {
           complain(span, leg, "chunk delivered but never applied");
         }
-        if (sent && !delivered && !abandoned) {
-          const auto it = subsumed_by.find(leg);
-          if (it == subsumed_by.end() || !it->second.contains(span.id)) {
-            complain(span, leg,
-                     "chunk sent but never delivered, abandoned, or "
-                     "resync-subsumed");
-          }
+        if (sent && !delivered && !abandoned && !subsumed(span, leg)) {
+          complain(span, leg,
+                   "chunk sent but never delivered, abandoned, or "
+                   "resync-subsumed");
         }
       }
       continue;
     }
     for (const std::uint32_t leg : legs) {
-      const bool finished = span.has(SpanEventKind::kFinish, leg);
-      const bool staged = span.has(SpanEventKind::kQueueStage, leg);
-      const bool abandoned = span.has(SpanEventKind::kAbandon, leg);
-      const bool delivered = span.has(SpanEventKind::kChannelDeliver, leg);
-      const bool skipped = span.has(SpanEventKind::kSkipped, leg);
-      const bool sent = span.has(SpanEventKind::kChannelSend, leg);
+      const bool finished = span.has(EventKind::kFinish, leg);
+      const bool staged = span.has(EventKind::kQueueStage, leg);
+      const bool abandoned = span.has(EventKind::kAbandon, leg);
+      const bool delivered = span.has(EventKind::kChannelDeliver, leg);
+      const bool skipped = span.has(EventKind::kSkipped, leg);
+      const bool sent = span.has(EventKind::kChannelSend, leg);
       if (finished) {
         if (!staged) complain(span, leg, "finished without queue-stage");
-        if (!span.has(SpanEventKind::kStep1Open, leg)) {
+        if (!span.has(EventKind::kStep1Open, leg)) {
           complain(span, leg, "finished without step1-open");
         }
-        if (!span.has(SpanEventKind::kFlip, leg)) {
+        if (!span.has(EventKind::kFlip, leg)) {
           complain(span, leg, "finished without flip");
-        }
-        if (!span.has(SpanEventKind::kCommit, leg)) {
-          complain(span, leg, "finished without commit");
         }
       } else if (staged && !abandoned) {
         complain(span, leg, "staged but neither finished nor abandoned");
@@ -308,12 +300,9 @@ std::vector<std::string> SpanCollector::audit_complete() const {
       if (delivered && !staged && !skipped) {
         complain(span, leg, "delivered but neither staged nor skipped");
       }
-      if (sent && !delivered && !abandoned) {
-        const auto it = subsumed_by.find(leg);
-        if (it == subsumed_by.end() || !it->second.contains(span.id)) {
-          complain(span, leg,
-                   "sent but never delivered, abandoned, or resync-subsumed");
-        }
+      if (sent && !delivered && !abandoned && !subsumed(span, leg)) {
+        complain(span, leg,
+                 "sent but never delivered, abandoned, or resync-subsumed");
       }
     }
   }
@@ -344,8 +333,7 @@ void append_span_json(std::string& out, const UpdateSpan& span) {
                 "\"cause\":\"%s\"",
            json_escape(span.intent.vip.to_string()).c_str(),
            json_escape(span.intent.dip.to_string()).c_str(),
-           span.intent.action == workload::UpdateAction::kAddDip ? "add-dip"
-                                                                 : "remove-dip",
+           action_name(span.intent.action),
            workload::to_string(span.intent.cause));
   }
   out += ",\"events\":[";
@@ -355,13 +343,8 @@ void append_span_json(std::string& out, const UpdateSpan& span) {
     first = false;
     append(out, "{\"at_ns\":%" PRId64 ",\"kind\":\"%s\",",
            static_cast<std::int64_t>(event.at), to_string(event.kind));
-    if (event.switch_index == kControllerLeg) {
-      out += "\"switch\":null";
-    } else {
-      append(out, "\"switch\":%u", event.switch_index);
-    }
-    append(out, ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64 "}", event.arg0,
-           event.arg1);
+    append_event_args(out, event);
+    out += "}";
   }
   out += "]}";
 }
@@ -393,55 +376,18 @@ std::string SpanCollector::span_json(std::uint64_t id) const {
   return out;
 }
 
-std::string SpanCollector::to_chrome_trace() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&out, &first](const char* fmt, auto... args) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  ";
-    append(out, fmt, args...);
-  };
-  for (const auto& [id, span] : spans_) {
-    std::string name;
-    if (span.chunk) {
-      append(name, "chunk#%" PRIu64 " switch=%u", span.id, span.resync_switch);
-    } else if (span.resync) {
-      append(name, "resync#%" PRIu64 " switch=%u", span.id, span.resync_switch);
-    } else {
-      append(name, "update#%" PRIu64 " %s %s", span.id,
-             span.intent.action == workload::UpdateAction::kAddDip
-                 ? "add"
-                 : "remove",
-             span.intent.dip.to_string().c_str());
-    }
-    emit("{\"ph\":\"M\",\"pid\":1,\"tid\":%" PRIu64
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-         span.id, json_escape(name).c_str());
-    const double begin_us = static_cast<double>(span.first()) / 1e3;
-    const double dur_us =
-        static_cast<double>(span.last() - span.first()) / 1e3;
-    emit("{\"ph\":\"X\",\"pid\":1,\"tid\":%" PRIu64 ",\"ts\":%.3f,"
-         "\"dur\":%.3f,\"name\":\"%s\"}",
-         span.id, begin_us, dur_us,
-         span.chunk ? "chunk" : (span.resync ? "resync" : "update"));
-    for (const auto& event : span.events) {
-      const double us = static_cast<double>(event.at) / 1e3;
-      std::string args;
-      if (event.switch_index == kControllerLeg) {
-        args = "{\"switch\":null";
-      } else {
-        append(args, "{\"switch\":%u", event.switch_index);
-      }
-      append(args, ",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64 "}", event.arg0,
-             event.arg1);
-      emit("{\"ph\":\"i\",\"pid\":1,\"tid\":%" PRIu64 ",\"ts\":%.3f,"
-           "\"name\":\"%s\",\"s\":\"t\",\"args\":%s}",
-           span.id, us, to_string(event.kind), args.c_str());
-    }
+std::vector<ChromeTrack> span_tracks(const SpanCollector& spans) {
+  std::vector<ChromeTrack> tracks;
+  for (const UpdateSpan* span : spans.all()) {
+    ChromeTrack& track = tracks.emplace_back();
+    track.pid = 1;
+    track.tid = span->id;
+    track.name = span->describe();
+    track.events = span->events;
+    track.duration = ChromeDuration{span_type(*span), span->first(),
+                                    span->last()};
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  return tracks;
 }
 
 }  // namespace silkroad::obs

@@ -1,15 +1,18 @@
-// Causal update-span tracing across the fleet (DESIGN.md §12).
+// Causal update-span tracing (DESIGN.md §12).
 //
-// Every controller DIP-update intent is assigned a fleet-unique update_id
-// that rides inside the ControlChannel payload — surviving retransmits,
-// duplicate deliveries, and resync escalation — and is stamped onto the
-// switch-side 3-step protocol execution it causes. The SpanCollector gathers
-// these observations into one UpdateSpan per intent, forming a tree:
+// Every DIP-update intent is assigned an update_id that rides inside the
+// ControlChannel payload — surviving retransmits, duplicate deliveries, and
+// resync escalation — and is stamped onto the switch-side 3-step protocol
+// execution it causes. The SpanCollector gathers these observations into one
+// UpdateSpan per intent, forming a tree:
 //
 //   intent (controller)
 //     ├─ per-switch channel leg: send → transmit/drop/retry* → deliver|dup
 //     ├─ per-switch CPU queue wait: queue-stage → step1-open
-//     └─ per-switch protocol execution: step1 → flip → commit → finish
+//     └─ per-switch protocol execution: step1-open → flip → finish
+//
+// A fleet's switches record onto the fleet's collector, a lone switch onto
+// its own (its spans have no channel leg).
 //
 // Resync escalations mint their own spans that link (subsume) every update
 // the bulk transfer supersedes; the diff updates a resync synthesizes are
@@ -29,50 +32,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/exporters.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/time.h"
 #include "workload/update_gen.h"
 
 namespace silkroad::obs {
-
-/// switch_index value for events that happen at the controller, not on any
-/// particular switch leg (intent minting, resync synthesis).
-inline constexpr std::uint32_t kControllerLeg = ~std::uint32_t{0};
-
-enum class SpanEventKind : std::uint8_t {
-  kIntent,         ///< controller minted the update (root of the tree)
-  kResyncBegin,    ///< retry exhaustion / restore escalated to a bulk resync
-  kSubsume,        ///< resync span absorbed an in-flight update (arg0 = id)
-  kChannelSend,    ///< sender queued the message on this switch's channel
-  kChannelXmit,    ///< one transmission attempt left the sender (arg0 = retry#)
-  kChannelDrop,    ///< a transmission was lost (arg1: 0=msg, 1=ack, 2=offline)
-  kChannelRetry,   ///< ack timeout fired; retransmission follows (arg0 = retry#)
-  kChannelDeliver, ///< receiver delivered the message in order
-  kChannelDup,     ///< duplicate delivery suppressed (the ack was lost)
-  kSkipped,        ///< receiver agent dropped it (arg1: 0=unprovisioned,
-                   ///< 1=already applied — duplicate content after a resync)
-  kQueueStage,     ///< switch queued the update behind the one in flight
-  kStep1Open,      ///< t_req: TransitTable opened (arg0=old, arg1=new version)
-  kFlip,           ///< t_exec: VIPTable flipped (arg0=old, arg1=new version)
-  kCommit,         ///< version transition durable (arg0=old, arg1=new version)
-  kFinish,         ///< TransitTable cleared; the 3-step window closed
-  kAbandon,        ///< leg terminated without effect (arg1: 0=unknown VIP,
-                   ///< 1=stage failure, 2=crash wipe, 3=channel window wipe)
-  kResyncApply,    ///< a resync chunk (or, on the session span, the final
-                   ///< chunk) landed and was applied at the switch agent
-  kChunkBegin,     ///< controller packed one resync chunk (arg0 = chunk
-                   ///< index, arg1 = journal entries carried)
-};
-
-const char* to_string(SpanEventKind kind) noexcept;
-
-struct SpanEvent {
-  sim::Time at = 0;
-  SpanEventKind kind = SpanEventKind::kIntent;
-  std::uint32_t switch_index = kControllerLeg;
-  std::uint64_t arg0 = 0;
-  std::uint64_t arg1 = 0;
-};
 
 /// One update intent's (or resync escalation's) full causal record.
 struct UpdateSpan {
@@ -86,16 +52,22 @@ struct UpdateSpan {
   bool chunk = false;
   /// For resync/chunk spans: the switch whose channel escalated.
   std::uint32_t resync_switch = kControllerLeg;
-  /// The intent as minted (resync spans leave this zeroed).
+  /// The intent as minted (resync and chunk spans leave this zeroed).
   workload::DipUpdate intent;
   sim::Time intent_at = 0;
-  std::vector<SpanEvent> events;  ///< record order == causal order per leg
+  std::vector<Event> events;  ///< record order == causal order per leg
   /// Resync spans: ids of the updates the bulk transfer superseded.
   std::vector<std::uint64_t> subsumed;
 
+  /// "update#<id>", "resync#<id>" or "chunk#<id>".
+  std::string label() const;
+  /// label() and what the span carries: "update#3 add-dip dip=.. vip=..",
+  /// "resync#4 switch=1 subsumes 2 update(s)", "chunk#5 switch=1 of
+  /// resync#4". Forensics lists spans by it; it names their Chrome tracks.
+  std::string describe() const;
   /// This span's events on one switch leg, in record order.
-  std::vector<SpanEvent> leg(std::uint32_t switch_index) const;
-  bool has(SpanEventKind kind, std::uint32_t switch_index) const;
+  std::vector<Event> leg(std::uint32_t switch_index) const;
+  bool has(EventKind kind, std::uint32_t switch_index) const;
   sim::Time first() const;
   sim::Time last() const;
 };
@@ -108,10 +80,10 @@ class SpanCollector {
   /// While disabled, begin_update() returns 0 (payloads stay untraced) and
   /// record() is a cheap early-out.
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  bool enabled() const noexcept { return enabled_; }
 
-  /// Mints a fleet-unique id, stamps it into `update`, and opens the span
-  /// with a kIntent event. `parent_id` links resync-synthesized children.
+  /// Mints a collector-unique id, stamps it into `update`, and opens the
+  /// span with a kIntent event. `parent_id` links resync-synthesized
+  /// children.
   std::uint64_t begin_update(workload::DipUpdate& update, sim::Time now,
                              std::uint64_t parent_id = 0);
 
@@ -130,7 +102,7 @@ class SpanCollector {
 
   /// Appends one event to span `id`; no-op when id is 0, tracing is
   /// disabled, or the span was evicted. kFinish feeds the per-hop histograms.
-  void record(std::uint64_t id, SpanEventKind kind, std::uint32_t switch_index,
+  void record(std::uint64_t id, EventKind kind, std::uint32_t switch_index,
               sim::Time at, std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);
 
   /// Registers silkroad_update_propagation_ns{hop=...} histograms plus the
@@ -145,13 +117,12 @@ class SpanCollector {
 
   std::size_t size() const noexcept { return spans_.size(); }
   std::uint64_t total_started() const noexcept { return next_id_ - 1; }
-  std::uint64_t evicted() const noexcept { return evicted_; }
   std::uint64_t events_recorded() const noexcept { return events_recorded_; }
 
   /// Structural audit over every retained span: each observed channel leg
   /// must reach a terminal state (delivered→staged→finished, skipped,
   /// abandoned, or subsumed by a resync of the same switch), every finished
-  /// leg must carry the full step1/flip/commit chain, and every resync chunk
+  /// leg must carry the full step1-open/flip chain, and every resync chunk
   /// leg must end applied (kResyncApply), abandoned, or subsumed. Returns one
   /// human-readable problem per violation; empty == complete. Call only at
   /// quiesce (an in-flight update is legitimately incomplete).
@@ -161,11 +132,11 @@ class SpanCollector {
   std::string to_json() const;
   /// One span as a JSON object, or "null" for an unknown id.
   std::string span_json(std::uint64_t id) const;
-  /// Chrome trace-event JSON: one track per span, a duration event from
-  /// intent to the last leg event, instants for every span event.
-  std::string to_chrome_trace() const;
 
  private:
+  /// Mints the next id and opens its span with `first` (its id filled in),
+  /// evicting the oldest span past capacity.
+  UpdateSpan& open(sim::Time now, Event first);
   void finish_histograms(const UpdateSpan& span, std::uint32_t switch_index,
                          sim::Time finish_at);
 
@@ -180,5 +151,10 @@ class SpanCollector {
   Histogram* h_execute_ = nullptr;
   Histogram* h_total_ = nullptr;
 };
+
+/// Chrome tracks of every retained span: pid 1, one track per span (tid =
+/// span id) with a duration from its first to its last event and an instant
+/// per event.
+std::vector<ChromeTrack> span_tracks(const SpanCollector& spans);
 
 }  // namespace silkroad::obs

@@ -1,38 +1,106 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include <cinttypes>
 
 #include "check/sr_check.h"
+#include "obs/exporters.h"
 
 namespace silkroad::obs {
 
-const char* to_string(TraceEventKind kind) noexcept {
+const char* to_string(EventKind kind) noexcept {
   switch (kind) {
-    case TraceEventKind::kUpdateStep1Open: return "update-step1-open";
-    case TraceEventKind::kUpdateFlip: return "update-flip";
-    case TraceEventKind::kUpdateFinish: return "update-finish";
-    case TraceEventKind::kVersionAllocate: return "version-allocate";
-    case TraceEventKind::kVersionReuse: return "version-reuse";
-    case TraceEventKind::kVersionRecycle: return "version-recycle";
-    case TraceEventKind::kVersionEvict: return "version-evict";
-    case TraceEventKind::kCuckooInsert: return "cuckoo-insert";
-    case TraceEventKind::kCuckooEvict: return "cuckoo-evict";
-    case TraceEventKind::kCuckooInsertFail: return "cuckoo-insert-fail";
-    case TraceEventKind::kDigestCollision: return "digest-collision";
-    case TraceEventKind::kRelocationFail: return "relocation-fail";
-    case TraceEventKind::kTransitFalsePositive: return "transit-false-positive";
-    case TraceEventKind::kMeterColor: return "meter-color";
-    case TraceEventKind::kLearn: return "learn";
-    case TraceEventKind::kSoftwareFallback: return "software-fallback";
-    case TraceEventKind::kAgedOut: return "aged-out";
-    case TraceEventKind::kDegradedEnter: return "degraded-enter";
-    case TraceEventKind::kDegradedExit: return "degraded-exit";
-    case TraceEventKind::kInsertShed: return "insert-shed";
-    case TraceEventKind::kRelearn: return "relearn";
-    case TraceEventKind::kCapacityAlarmRaise: return "capacity-alarm-raise";
-    case TraceEventKind::kCapacityAlarmClear: return "capacity-alarm-clear";
+    case EventKind::kVersionAllocate: return "version-allocate";
+    case EventKind::kVersionReuse: return "version-reuse";
+    case EventKind::kVersionRecycle: return "version-recycle";
+    case EventKind::kVersionEvict: return "version-evict";
+    case EventKind::kCuckooInsert: return "cuckoo-insert";
+    case EventKind::kCuckooEvict: return "cuckoo-evict";
+    case EventKind::kCuckooInsertFail: return "cuckoo-insert-fail";
+    case EventKind::kDigestCollision: return "digest-collision";
+    case EventKind::kRelocationFail: return "relocation-fail";
+    case EventKind::kTransitFalsePositive: return "transit-false-positive";
+    case EventKind::kMeterColor: return "meter-color";
+    case EventKind::kLearn: return "learn";
+    case EventKind::kSoftwareFallback: return "software-fallback";
+    case EventKind::kAgedOut: return "aged-out";
+    case EventKind::kDegradedEnter: return "degraded-enter";
+    case EventKind::kDegradedExit: return "degraded-exit";
+    case EventKind::kInsertShed: return "insert-shed";
+    case EventKind::kRelearn: return "relearn";
+    case EventKind::kCapacityAlarmRaise: return "capacity-alarm-raise";
+    case EventKind::kCapacityAlarmClear: return "capacity-alarm-clear";
+    case EventKind::kIntent: return "intent";
+    case EventKind::kResyncBegin: return "resync-begin";
+    case EventKind::kSubsume: return "subsume";
+    case EventKind::kChannelSend: return "channel-send";
+    case EventKind::kChannelXmit: return "channel-xmit";
+    case EventKind::kChannelDrop: return "channel-drop";
+    case EventKind::kChannelRetry: return "channel-retry";
+    case EventKind::kChannelDeliver: return "channel-deliver";
+    case EventKind::kChannelDup: return "channel-duplicate";
+    case EventKind::kSkipped: return "skipped";
+    case EventKind::kQueueStage: return "queue-stage";
+    case EventKind::kStep1Open: return "step1-open";
+    case EventKind::kFlip: return "flip";
+    case EventKind::kFinish: return "finish";
+    case EventKind::kAbandon: return "abandon";
+    case EventKind::kResyncApply: return "resync-apply";
+    case EventKind::kChunkBegin: return "chunk-begin";
   }
   return "unknown";
+}
+
+std::string format_event(const Event& event, std::string_view where) {
+  std::string out = to_string(event.kind);
+  if (!where.empty()) {
+    out += ' ';
+    out += where;
+  }
+  if (event.version != kNoVersion) append(out, " v=%u", event.version);
+  if (!is_span_kind(event.kind)) {
+    if (event.id != 0) append(out, " flow=0x%016" PRIx64, event.id);
+    if (event.arg0 != 0 || event.arg1 != 0) {
+      append(out, " args=%" PRIu64 ",%" PRIu64, event.arg0, event.arg1);
+    }
+    return out;
+  }
+  switch (event.kind) {
+    case EventKind::kIntent:
+      if (event.arg0 != 0) append(out, " parent=%" PRIu64, event.arg0);
+      break;
+    case EventKind::kSubsume:
+      append(out, " update#%" PRIu64, event.arg0);
+      break;
+    case EventKind::kChannelXmit:
+    case EventKind::kChannelRetry:
+      append(out, " attempt=%" PRIu64, event.arg0);
+      break;
+    case EventKind::kChannelDrop:
+      out += event.arg1 == 1   ? " (ack)"
+             : event.arg1 == 2 ? " (offline)"
+                               : " (message)";
+      break;
+    case EventKind::kSkipped:
+      out += event.arg1 == 0 ? " (unprovisioned)" : " (already applied)";
+      break;
+    case EventKind::kStep1Open:
+    case EventKind::kFlip:
+      append(out, " v=%" PRIu64 "->%" PRIu64, event.arg0, event.arg1);
+      break;
+    case EventKind::kAbandon:
+      out += event.arg1 == 0   ? " (unknown vip)"
+             : event.arg1 == 1 ? " (stage failure)"
+             : event.arg1 == 2 ? " (crash wipe)"
+                               : " (window wipe)";
+      break;
+    case EventKind::kChunkBegin:
+      append(out, " chunk=%" PRIu64 " entries=%" PRIu64, event.arg0,
+             event.arg1);
+      break;
+    default:
+      break;
+  }
+  return out;
 }
 
 TraceRing::TraceRing(std::size_t capacity, Clock clock)
@@ -41,9 +109,7 @@ TraceRing::TraceRing(std::size_t capacity, Clock clock)
       scopes_{""} {}
 
 std::uint32_t TraceRing::intern(std::string_view name) {
-  for (std::size_t i = 1; i < scopes_.size(); ++i) {
-    if (scopes_[i] == name) return static_cast<std::uint32_t>(i);
-  }
+  if (const auto id = find_scope(name)) return *id;
   scopes_.emplace_back(name);
   return static_cast<std::uint32_t>(scopes_.size() - 1);
 }
@@ -61,17 +127,26 @@ const std::string& TraceRing::scope_name(std::uint32_t id) const {
   return scopes_[id];
 }
 
-void TraceRing::record_at(sim::Time at, TraceEventKind kind,
-                          std::uint32_t scope, std::uint32_t version,
+std::string TraceRing::where(const Event& event) const {
+  std::string out;
+  if (event.scope != kNoScope) {
+    append(out, "vip=%s", scope_name(event.scope).c_str());
+  }
+  return out;
+}
+
+void TraceRing::record_at(sim::Time at, EventKind kind, std::uint32_t scope,
+                          std::uint32_t version, std::uint64_t id,
                           std::uint64_t arg0, std::uint64_t arg1) {
-  buffer_[next_] = TraceEvent{at, kind, scope, version, arg0, arg1};
+  SR_DCHECK(!is_span_kind(kind));
+  buffer_[next_] = Event{at, kind, scope, version, id, arg0, arg1};
   next_ = (next_ + 1) % buffer_.size();
   if (count_ < buffer_.size()) ++count_;
   ++total_;
 }
 
-std::vector<TraceEvent> TraceRing::events() const {
-  std::vector<TraceEvent> out;
+std::vector<Event> TraceRing::events() const {
+  std::vector<Event> out;
   out.reserve(count_);
   const std::size_t start = (next_ + buffer_.size() - count_) % buffer_.size();
   for (std::size_t i = 0; i < count_; ++i) {
@@ -80,10 +155,10 @@ std::vector<TraceEvent> TraceRing::events() const {
   return out;
 }
 
-std::vector<TraceEvent> TraceRing::tail_for(
-    std::uint32_t scope, std::optional<std::uint32_t> version,
-    std::size_t limit) const {
-  std::vector<TraceEvent> matched;
+std::vector<Event> TraceRing::tail_for(std::uint32_t scope,
+                                       std::optional<std::uint32_t> version,
+                                       std::size_t limit) const {
+  std::vector<Event> matched;
   for (const auto& event : events()) {
     if (event.scope != scope) continue;
     if (version && event.version != kNoVersion && event.version != *version) {
@@ -97,35 +172,6 @@ std::vector<TraceEvent> TraceRing::tail_for(
                       static_cast<std::ptrdiff_t>(matched.size() - limit));
   }
   return matched;
-}
-
-void TraceRing::clear() {
-  next_ = 0;
-  count_ = 0;
-  total_ = 0;
-}
-
-std::string format_event(const TraceRing& ring, const TraceEvent& event) {
-  char buf[192];
-  std::string out;
-  std::snprintf(buf, sizeof buf, "[%.6fs] %-22s", sim::to_seconds(event.at),
-                to_string(event.kind));
-  out += buf;
-  if (event.scope != kNoScope) {
-    out += " vip=";
-    out += ring.scope_name(event.scope);
-  }
-  if (event.version != kNoVersion) {
-    std::snprintf(buf, sizeof buf, " v=%u", event.version);
-    out += buf;
-  }
-  if (event.arg0 != 0 || event.arg1 != 0) {
-    std::snprintf(buf, sizeof buf, " args=%llu,%llu",
-                  static_cast<unsigned long long>(event.arg0),
-                  static_cast<unsigned long long>(event.arg1));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace silkroad::obs

@@ -152,9 +152,9 @@ struct AlarmCounts {
 AlarmCounts count_alarm_events(const obs::TraceRing& ring) {
   AlarmCounts counts;
   for (const auto& event : ring.events()) {
-    if (event.kind == obs::TraceEventKind::kCapacityAlarmRaise) {
+    if (event.kind == obs::EventKind::kCapacityAlarmRaise) {
       ++counts.raises;
-    } else if (event.kind == obs::TraceEventKind::kCapacityAlarmClear) {
+    } else if (event.kind == obs::EventKind::kCapacityAlarmClear) {
       ++counts.clears;
     }
   }
@@ -208,7 +208,7 @@ TEST(CapacityLedger, AlarmHysteresisOneEventPerCrossing) {
   // Each event's arg0 is the level AFTER the crossing; the first raise
   // lands on kWatch.
   for (const auto& event : ring.events()) {
-    if (event.kind == obs::TraceEventKind::kCapacityAlarmRaise) {
+    if (event.kind == obs::EventKind::kCapacityAlarmRaise) {
       EXPECT_EQ(event.arg0, static_cast<std::uint64_t>(Level::kWatch));
       break;
     }

@@ -229,6 +229,22 @@ TEST_F(CheckTest, AuditStaysCleanAcrossAnUpdate) {
   EXPECT_EQ(sw_.stats().updates_completed, 1u);
 }
 
+TEST_F(CheckTest, SelfCheckDumpsTheVipTailWithItsUpdateSteps) {
+  establish(20);
+  workload::DipUpdate update;
+  update.at = sim_.now();
+  update.vip = vip_ep();
+  update.dip = {net::IpAddress::v4(0x0A0000FF), 20};
+  update.action = workload::UpdateAction::kAddDip;
+  sw_.request_update(update);
+  sim_.run();
+  ASSERT_EQ(sw_.stats().updates_completed, 1u);
+  check::TestingHooks::skew_refcount(sw_, vip_ep());
+  // The stderr tail names the violating VIP and shows the update's flip: the
+  // causal context printed when an invariant fails.
+  EXPECT_DEATH(sw_.self_check(), "trace tail for vip 20\\.0\\.0\\.1:80.*flip");
+}
+
 // ---------------------------------------------------------------------------
 // Golden audit: a 3-VIP switch, each corruption alone and then all at once.
 // Every violation is compared in full (family, detail, VIP, version) and in

@@ -651,6 +651,9 @@ TEST(FleetConvergence, ScrapesEveryRouteWhileTheFleetRuns) {
                 [&observer] { return observer.to_json(); });
   server.handle("/spans", "application/json",
                 [&fleet] { return fleet.spans().to_json(); });
+  server.handle("/spans/trace.json", "application/json", [&fleet] {
+    return to_chrome_trace(span_tracks(fleet.spans()));
+  });
   server.handle_prefix("/update", "application/json", [&fleet] {
     std::vector<std::pair<std::string, std::string>> bodies;
     for (const UpdateSpan* span : fleet.spans().all()) {
@@ -662,8 +665,8 @@ TEST(FleetConvergence, ScrapesEveryRouteWhileTheFleetRuns) {
   ASSERT_TRUE(server.start());
 
   const std::vector<std::string> routes = {
-      "/metrics", "/timeseries.json", "/tables", "/fleet",
-      "/fleet.json", "/spans", "/update/1", "/healthz"};
+      "/metrics", "/timeseries.json", "/tables", "/fleet", "/fleet.json",
+      "/spans", "/spans/trace.json", "/update/1", "/healthz"};
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> sweeps{0};
   std::atomic<std::uint64_t> failed{0};

@@ -403,11 +403,11 @@ TEST(ControlChannelSpans, LostAckDuplicateIsIdempotentAndVisibleInSpan) {
 
   const obs::UpdateSpan* span = fleet.spans().find(1);
   ASSERT_NE(span, nullptr);
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelDeliver, 0));
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelDrop, 0));  // the lost ack
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelRetry, 0));
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelDup, 0));
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kFinish, 0));
+  EXPECT_TRUE(span->has(obs::EventKind::kChannelDeliver, 0));
+  EXPECT_TRUE(span->has(obs::EventKind::kChannelDrop, 0));  // the lost ack
+  EXPECT_TRUE(span->has(obs::EventKind::kChannelRetry, 0));
+  EXPECT_TRUE(span->has(obs::EventKind::kChannelDup, 0));
+  EXPECT_TRUE(span->has(obs::EventKind::kFinish, 0));
   EXPECT_TRUE(fleet.spans().audit_complete().empty());
 
   // Duplicate *content* (same add re-issued) is a distinct span that the
@@ -416,7 +416,7 @@ TEST(ControlChannelSpans, LostAckDuplicateIsIdempotentAndVisibleInSpan) {
   sim.run();
   const obs::UpdateSpan* dup = fleet.spans().find(2);
   ASSERT_NE(dup, nullptr);
-  EXPECT_TRUE(dup->has(obs::SpanEventKind::kSkipped, 0));
+  EXPECT_TRUE(dup->has(obs::EventKind::kSkipped, 0));
   EXPECT_EQ(fleet.switch_at(0).stats().updates_requested, 1u);
 
   // Satellite gauges: in-flight transmissions and reorder-buffer depth are

@@ -14,7 +14,7 @@
 #include "core/silkroad_switch.h"
 #include "lb/slb.h"
 #include "obs/exporters.h"
-#include "obs/journey.h"
+#include "obs/forensics.h"
 #include "obs/metrics.h"
 #include "obs/scrape_server.h"
 #include "obs/stage_profiler.h"
@@ -311,7 +311,7 @@ TEST(Aggregate, HistogramBucketsMergeCumulatively) {
 TEST(TraceRing, WraparoundKeepsNewestEvents) {
   TraceRing ring(4);
   for (std::uint64_t i = 0; i < 6; ++i) {
-    ring.record_at(static_cast<sim::Time>(i), TraceEventKind::kLearn, kNoScope,
+    ring.record_at(static_cast<sim::Time>(i), EventKind::kLearn, kNoScope,
                    kNoVersion, i);
   }
   EXPECT_EQ(ring.size(), 4u);
@@ -320,7 +320,7 @@ TEST(TraceRing, WraparoundKeepsNewestEvents) {
   const auto events = ring.events();
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].arg0, i + 2) << "oldest-first order";
+    EXPECT_EQ(events[i].id, i + 2) << "oldest-first order";
   }
 }
 
@@ -339,29 +339,29 @@ TEST(TraceRing, TailForFiltersByScopeAndVersion) {
   TraceRing ring(16);
   const std::uint32_t vip1 = ring.intern("vip1");
   const std::uint32_t vip2 = ring.intern("vip2");
-  ring.record(TraceEventKind::kUpdateFlip, vip1, 3);
-  ring.record(TraceEventKind::kUpdateFlip, vip1, 4);
-  ring.record(TraceEventKind::kUpdateFlip, vip2, 3);
-  ring.record(TraceEventKind::kLearn, vip1);  // version-less event of vip1
+  ring.record(EventKind::kVersionAllocate, vip1, 3);
+  ring.record(EventKind::kVersionAllocate, vip1, 4);
+  ring.record(EventKind::kVersionAllocate, vip2, 3);
+  ring.record(EventKind::kLearn, vip1);  // version-less event of vip1
 
   const auto all_vip1 = ring.tail_for(vip1, std::nullopt, 16);
   EXPECT_EQ(all_vip1.size(), 3u);
 
   const auto v3 = ring.tail_for(vip1, 3, 16);
-  ASSERT_EQ(v3.size(), 2u);  // the v=3 flip plus the version-less learn
+  ASSERT_EQ(v3.size(), 2u);  // the v=3 allocation plus the version-less learn
   EXPECT_EQ(v3[0].version, 3u);
-  EXPECT_EQ(v3[1].kind, TraceEventKind::kLearn);
+  EXPECT_EQ(v3[1].kind, EventKind::kLearn);
 
   const auto limited = ring.tail_for(vip1, std::nullopt, 2);
   ASSERT_EQ(limited.size(), 2u);
-  EXPECT_EQ(limited[1].kind, TraceEventKind::kLearn);  // newest retained
+  EXPECT_EQ(limited[1].kind, EventKind::kLearn);  // newest retained
 }
 
 TEST(TraceRing, ClockStampsEvents) {
   sim::Time now = 0;
   TraceRing ring(4, [&now] { return now; });
   now = 1500;
-  ring.record(TraceEventKind::kLearn);
+  ring.record(EventKind::kLearn);
   EXPECT_EQ(ring.events().at(0).at, 1500);
 }
 
@@ -406,25 +406,54 @@ TEST(Exporters, JsonGolden) {
             "]}\n");
 }
 
-TEST(Exporters, ChromeTracePairsStep1WithFinish) {
+TEST(Exporters, ChromeTraceRendersEveryTrack) {
+  // The ring's tracks: one per scope, in first-seen order.
   TraceRing ring(16);
   const std::uint32_t vip = ring.intern("20.0.0.1:80");
-  ring.record_at(1000, TraceEventKind::kUpdateStep1Open, vip, 2, 1, 2);
-  ring.record_at(2000, TraceEventKind::kUpdateFlip, vip, 2, 1, 2);
-  ring.record_at(3000, TraceEventKind::kUpdateFinish, vip, 2);
-  const std::string out = to_chrome_trace(ring);
-  // Span open (B) before instant flip before span close (E), on the VIP track.
-  const auto open = out.find("\"ph\":\"B\"");
-  const auto flip = out.find("\"name\":\"update-flip\"");
-  const auto close = out.find("\"ph\":\"E\"");
-  EXPECT_NE(open, std::string::npos);
-  EXPECT_NE(flip, std::string::npos);
-  EXPECT_NE(close, std::string::npos);
-  EXPECT_LT(open, flip);
-  EXPECT_LT(flip, close);
-  EXPECT_NE(out.find("\"args\":{\"name\":\"20.0.0.1:80\"}"),
+  ring.record_at(1000, EventKind::kLearn, vip, 2, /*id=*/0x42);
+  ring.record_at(2000, EventKind::kDegradedEnter, kNoScope);
+  ring.record_at(3000, EventKind::kCuckooInsert, vip, 2, 0x42);
+  std::vector<ChromeTrack> tracks = ring_tracks(ring);
+  ASSERT_EQ(tracks.size(), 2u);
+  EXPECT_EQ(tracks[0].tid, vip);
+  EXPECT_EQ(tracks[0].name, "20.0.0.1:80");
+  EXPECT_EQ(tracks[0].events.size(), 2u);
+  EXPECT_EQ(tracks[1].tid, kNoScope);
+  EXPECT_EQ(tracks[1].name, "switch");
+  // A span's track, with its duration.
+  ChromeTrack& span_track = tracks.emplace_back();
+  span_track.pid = 1;
+  span_track.tid = 7;
+  span_track.name = "update#7";
+  span_track.events.push_back(
+      {2000, EventKind::kFlip, 0, kNoVersion, 7, 1, 2});
+  span_track.events.push_back(
+      {2500, EventKind::kIntent, kControllerLeg, kNoVersion, 7, 0, 0});
+  span_track.duration = ChromeDuration{"update", 1500, 3000};
+
+  const std::string out = to_chrome_trace(tracks, "{\"recorded\":3}");
+  EXPECT_NE(out.find("\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":"
+                     "\"20.0.0.1:80\"}"),
             std::string::npos);
-  EXPECT_NE(out.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
+  EXPECT_NE(out.find("\"args\":{\"name\":\"update#7\"}"), std::string::npos);
+  EXPECT_NE(out.find("{\"ph\":\"X\",\"pid\":1,\"tid\":7,\"ts\":1.500,"
+                     "\"dur\":1.500,\"name\":\"update\"}"),
+            std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"learn\",\"s\":\"t\",\"args\":{\"version\":2,"
+                     "\"id\":66,\"arg0\":0,\"arg1\":0}"),
+            std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"flip\",\"s\":\"t\",\"args\":{\"switch\":0,"
+                     "\"arg0\":1,\"arg1\":2}"),
+            std::string::npos);
+  EXPECT_NE(out.find("\"name\":\"intent\",\"s\":\"t\",\"args\":{\"switch\":"
+                     "null"),
+            std::string::npos);
+  EXPECT_EQ(out.find("\"ph\":\"X\",\"pid\":0"), std::string::npos)
+      << "a track without a duration draws none";
+  EXPECT_NE(out.find("\"displayTimeUnit\":\"ms\",\"otherData\":"
+                     "{\"recorded\":3}}"),
+            std::string::npos);
+  EXPECT_EQ(to_chrome_trace({}).find("otherData"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -565,70 +594,77 @@ TEST(TimeSeriesRecorder, AttachSamplesOnTheSimClock) {
 }
 
 // ---------------------------------------------------------------------------
-// FlowJourneyTracer
+// Flow journeys (forensics.h)
 // ---------------------------------------------------------------------------
 
-TEST(FlowJourney, ReconstructsOneFlowWithUpdateContext) {
+TEST(FlowJourney, ReconstructsOneFlow) {
   TraceRing ring(64);
   const std::uint32_t vip = ring.intern("20.0.0.1:80");
   const std::uint64_t flow = 0xABCDEF0123456789ull;
-  ring.record_at(100, TraceEventKind::kLearn, vip, 7, flow);
-  ring.record_at(150, TraceEventKind::kUpdateStep1Open, vip, 8, 7, 8);
-  ring.record_at(200, TraceEventKind::kCuckooInsert, vip, 7, /*moves=*/0,
-                 flow);
-  ring.record_at(250, TraceEventKind::kUpdateFlip, vip, 8, 7, 8);
-  // Outside [first, last]: must NOT appear as context.
-  ring.record_at(900, TraceEventKind::kUpdateFinish, vip, 8);
+  ring.record_at(100, EventKind::kLearn, vip, 7, flow);
+  ring.record_at(150, EventKind::kRelearn, vip, 7, flow);
+  ring.record_at(200, EventKind::kCuckooInsert, vip, 7, flow, /*moves=*/0);
   // A different flow: must not leak into this journey.
-  ring.record_at(120, TraceEventKind::kLearn, vip, 7, flow + 1);
+  ring.record_at(120, EventKind::kLearn, vip, 7, flow + 1);
+  // A flow the pending queue shed has a journey of its own.
+  ring.record_at(300, EventKind::kLearn, vip, 7, flow + 2);
+  ring.record_at(310, EventKind::kInsertShed, vip, 7, flow + 2);
 
-  const auto journey = FlowJourneyTracer::journey_of(ring, flow);
+  const auto journey = journey_of(ring, flow);
   ASSERT_TRUE(journey.has_value());
   EXPECT_EQ(journey->flow_id, flow);
   EXPECT_EQ(journey->scope, vip);
   EXPECT_EQ(journey->version, 7u);
   EXPECT_EQ(journey->first, 100u);
   EXPECT_EQ(journey->last, 200u);
-  ASSERT_EQ(journey->events.size(), 2u);
-  EXPECT_EQ(journey->events[0].kind, TraceEventKind::kLearn);
-  EXPECT_EQ(journey->events[1].kind, TraceEventKind::kCuckooInsert);
+  ASSERT_EQ(journey->events.size(), 3u);
+  EXPECT_EQ(journey->events[0].kind, EventKind::kLearn);
+  EXPECT_EQ(journey->events[1].kind, EventKind::kRelearn);
+  EXPECT_EQ(journey->events[2].kind, EventKind::kCuckooInsert);
   EXPECT_TRUE(journey->installed);
   EXPECT_FALSE(journey->software_fallback);
-  ASSERT_EQ(journey->context.size(), 1u);  // only the in-window step1
-  EXPECT_EQ(journey->context[0].kind, TraceEventKind::kUpdateStep1Open);
 
-  EXPECT_EQ(FlowJourneyTracer::journey_of(ring, 0x1234).has_value(), false);
+  const auto shed = journey_of(ring, flow + 2);
+  ASSERT_TRUE(shed.has_value());
+  ASSERT_EQ(shed->events.size(), 2u);
+  EXPECT_EQ(shed->events[1].kind, EventKind::kInsertShed);
+  EXPECT_FALSE(shed->installed);
+
+  EXPECT_EQ(journey_of(ring, 0x1234).has_value(), false);
 }
 
 TEST(FlowJourney, ReconstructCapsFlowsFirstSeen) {
-  TraceRing ring(64);
-  for (std::uint64_t f = 1; f <= 10; ++f) {
-    ring.record_at(f, TraceEventKind::kLearn, kNoScope, kNoVersion, f);
+  TraceRing ring(2 * kMaxJourneys);
+  for (std::uint64_t f = 1; f <= kMaxJourneys + 10; ++f) {
+    ring.record_at(static_cast<sim::Time>(f), EventKind::kLearn, kNoScope,
+                   kNoVersion, f);
   }
-  JourneyOptions options;
-  options.max_flows = 3;
-  const auto journeys = FlowJourneyTracer::reconstruct(ring, options);
-  ASSERT_EQ(journeys.size(), 3u);
-  EXPECT_EQ(journeys[0].flow_id, 1u);  // first-seen order
-  EXPECT_EQ(journeys[2].flow_id, 3u);
+  const auto all = journeys(ring);
+  ASSERT_EQ(all.size(), kMaxJourneys);
+  EXPECT_EQ(all.front().flow_id, 1u);  // first-seen order
+  EXPECT_EQ(all.back().flow_id, kMaxJourneys);
+  // journey_of() is uncapped: a flow past the cap still has its journey.
+  EXPECT_TRUE(journey_of(ring, kMaxJourneys + 10).has_value());
 }
 
 TEST(FlowJourney, ChromeTraceHasFlowTracksAndInstallSpan) {
   TraceRing ring(64);
   const std::uint32_t vip = ring.intern("20.0.0.1:80");
   const std::uint64_t flow = 0x42;
-  ring.record_at(100, TraceEventKind::kLearn, vip, 1, flow);
-  ring.record_at(150, TraceEventKind::kUpdateFlip, vip, 2, 1, 2);
-  ring.record_at(200, TraceEventKind::kCuckooInsert, vip, 1, 0, flow);
-  const auto journeys = FlowJourneyTracer::reconstruct(ring);
-  ASSERT_EQ(journeys.size(), 1u);
-  const std::string out = FlowJourneyTracer::to_chrome_trace(ring, journeys);
-  EXPECT_NE(out.find("flow 0x0000000000000042"), std::string::npos);
+  ring.record_at(100, EventKind::kLearn, vip, 1, flow);
+  ring.record_at(200, EventKind::kCuckooInsert, vip, 1, flow);
+  const auto all = journeys(ring);
+  ASSERT_EQ(all.size(), 1u);
+  const auto tracks = journey_tracks(ring, all);
+  ASSERT_EQ(tracks.size(), 1u);
+  EXPECT_EQ(tracks[0].name, "flow 0x0000000000000042 vip=20.0.0.1:80");
+  ASSERT_TRUE(tracks[0].duration.has_value());
+  EXPECT_EQ(tracks[0].duration->name, "install");
+  EXPECT_EQ(tracks[0].duration->begin, 100);
+  EXPECT_EQ(tracks[0].duration->end, 200);
+  const std::string out = to_chrome_trace(tracks);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);  // install span
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);  // event instants
-  EXPECT_NE(out.find("ctx:"), std::string::npos);  // overlapping flip
-  const std::string text = FlowJourneyTracer::format(ring, journeys[0]);
-  EXPECT_NE(text.find("installed"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -836,21 +872,22 @@ TEST(SwitchTelemetry, PccUpdateEventsArriveInProtocolOrder) {
                      workload::UpdateCause::kServiceUpgrade});
   sim.run();
 
-  const auto scope = sw.trace().find_scope(vip_ep().to_string());
-  ASSERT_TRUE(scope.has_value());
-  std::vector<TraceEventKind> protocol;
-  for (const auto& event : sw.trace().events()) {
-    if (event.scope != *scope) continue;
-    if (event.kind == TraceEventKind::kUpdateStep1Open ||
-        event.kind == TraceEventKind::kUpdateFlip ||
-        event.kind == TraceEventKind::kUpdateFinish) {
-      protocol.push_back(event.kind);
-    }
+  // A switch outside a fleet records the update on a span of its own.
+  ASSERT_EQ(sw.spans().total_started(), 1u);
+  const UpdateSpan* span = sw.spans().find(1);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->intent.dip, dips[0]);
+  std::vector<EventKind> protocol;
+  for (const Event& event : span->events) protocol.push_back(event.kind);
+  const std::vector<EventKind> expected = {
+      EventKind::kIntent, EventKind::kQueueStage, EventKind::kStep1Open,
+      EventKind::kFlip, EventKind::kFinish};
+  EXPECT_EQ(protocol, expected) << "one update => step1-open, flip, finish";
+  EXPECT_TRUE(sw.spans().audit_complete().empty());
+  // The ring keeps flow and table events only.
+  for (const Event& event : sw.trace().events()) {
+    EXPECT_FALSE(is_span_kind(event.kind)) << to_string(event.kind);
   }
-  ASSERT_EQ(protocol.size(), 3u) << "one update => step1, flip, finish";
-  EXPECT_EQ(protocol[0], TraceEventKind::kUpdateStep1Open);
-  EXPECT_EQ(protocol[1], TraceEventKind::kUpdateFlip);
-  EXPECT_EQ(protocol[2], TraceEventKind::kUpdateFinish);
 }
 
 TEST(SwitchTelemetry, LegacyStatsViewMatchesRegistryExactly) {
@@ -947,18 +984,18 @@ TEST(SwitchTelemetry, JourneysReconstructFromSwitchTrace) {
   for (std::uint32_t i = 0; i < 64; ++i) sw.process_packet(packet_of(i, true));
   sim.run();
 
-  const auto journeys = FlowJourneyTracer::reconstruct(sw.trace());
-  ASSERT_GE(journeys.size(), 32u);
-  for (const auto& journey : journeys) {
+  const auto all = journeys(sw.trace());
+  ASSERT_GE(all.size(), 32u);
+  for (const auto& journey : all) {
     EXPECT_NE(journey.flow_id, 0u);
     ASSERT_FALSE(journey.events.empty());
-    EXPECT_EQ(journey.events.front().kind, TraceEventKind::kLearn);
+    EXPECT_EQ(journey.events.front().kind, EventKind::kLearn);
     for (std::size_t i = 1; i < journey.events.size(); ++i) {
       EXPECT_LE(journey.events[i - 1].at, journey.events[i].at);
     }
   }
   // The install pipeline ran: some journey reached the ConnTable.
-  EXPECT_TRUE(std::any_of(journeys.begin(), journeys.end(),
+  EXPECT_TRUE(std::any_of(all.begin(), all.end(),
                           [](const FlowJourney& j) { return j.installed; }));
 }
 
@@ -968,7 +1005,7 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
   EXPECT_EQ(sw.metrics().snapshot().value_of("obs_trace_dropped_total"), 0.0);
   // Overflow the 4096-slot ring directly; the pull counter must follow.
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    sw.trace().record(TraceEventKind::kLearn, kNoScope, kNoVersion, i);
+    sw.trace().record(EventKind::kLearn, kNoScope, kNoVersion, i);
   }
   EXPECT_GT(sw.trace().dropped(), 0u);
   EXPECT_EQ(sw.metrics().snapshot().value_of("obs_trace_dropped_total"),

@@ -63,16 +63,15 @@ TEST(SpanPropagation, HappyPathAcrossTwoSwitchFleet) {
   ASSERT_NE(span, nullptr);
   EXPECT_EQ(span->intent.action, workload::UpdateAction::kAddDip);
   EXPECT_EQ(span->intent.update_id, 1u);
-  EXPECT_TRUE(span->has(obs::SpanEventKind::kIntent, obs::kControllerLeg));
+  EXPECT_TRUE(span->has(obs::EventKind::kIntent, obs::kControllerLeg));
   for (std::uint32_t leg = 0; leg < 2; ++leg) {
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelSend, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelXmit, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelDeliver, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kQueueStage, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kStep1Open, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kFlip, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kCommit, leg));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kFinish, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kChannelSend, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kChannelXmit, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kChannelDeliver, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kQueueStage, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kStep1Open, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kFlip, leg));
+    EXPECT_TRUE(span->has(obs::EventKind::kFinish, leg));
     // Per-leg events are in causal order.
     const auto events = span->leg(leg);
     for (std::size_t i = 1; i < events.size(); ++i) {
@@ -132,9 +131,9 @@ TEST(SpanPropagation, ResyncSubsumesLostUpdateAndLinksChildren) {
   // The intent span never delivered: its leg ends in drops/retries...
   const obs::UpdateSpan* intent = fleet.spans().find(1);
   ASSERT_NE(intent, nullptr);
-  EXPECT_TRUE(intent->has(obs::SpanEventKind::kChannelDrop, 0));
-  EXPECT_TRUE(intent->has(obs::SpanEventKind::kChannelRetry, 0));
-  EXPECT_FALSE(intent->has(obs::SpanEventKind::kChannelDeliver, 0));
+  EXPECT_TRUE(intent->has(obs::EventKind::kChannelDrop, 0));
+  EXPECT_TRUE(intent->has(obs::EventKind::kChannelRetry, 0));
+  EXPECT_FALSE(intent->has(obs::EventKind::kChannelDeliver, 0));
 
   // ...and is closed by the resync span that subsumed it.
   const obs::UpdateSpan* resync = nullptr;
@@ -145,8 +144,8 @@ TEST(SpanPropagation, ResyncSubsumesLostUpdateAndLinksChildren) {
   EXPECT_EQ(resync->resync_switch, 0u);
   ASSERT_EQ(resync->subsumed.size(), 1u);
   EXPECT_EQ(resync->subsumed[0], intent->id);
-  EXPECT_TRUE(resync->has(obs::SpanEventKind::kSubsume, 0));
-  EXPECT_TRUE(resync->has(obs::SpanEventKind::kResyncApply, 0));
+  EXPECT_TRUE(resync->has(obs::EventKind::kSubsume, 0));
+  EXPECT_TRUE(resync->has(obs::EventKind::kResyncApply, 0));
 
   // The diff update the resync synthesized is a child span that ran the full
   // 3-step protocol on the switch.
@@ -156,7 +155,7 @@ TEST(SpanPropagation, ResyncSubsumesLostUpdateAndLinksChildren) {
   }
   ASSERT_NE(child, nullptr);
   EXPECT_FALSE(child->resync);
-  EXPECT_TRUE(child->has(obs::SpanEventKind::kFinish, 0));
+  EXPECT_TRUE(child->has(obs::EventKind::kFinish, 0));
 
   // With the subsume link in place the whole tree audits complete.
   const auto problems = fleet.spans().audit_complete();
@@ -190,8 +189,8 @@ TEST(SpanScrape, UpdateEndpointServesOneSpan) {
   obs::SpanCollector spans;
   workload::DipUpdate update = add_update(test_dips(1)[0]);
   const std::uint64_t id = spans.begin_update(update, 0);
-  spans.record(id, obs::SpanEventKind::kChannelSend, 0, 10);
-  spans.record(id, obs::SpanEventKind::kFinish, 0, 500);
+  spans.record(id, obs::EventKind::kChannelSend, 0, 10);
+  spans.record(id, obs::EventKind::kFinish, 0, 500);
 
   obs::ScrapeServer server;  // ephemeral port
   server.handle("/spans", "application/json",
@@ -299,9 +298,9 @@ TEST(SpanForensics, ForcedViolationReportInterleavesJourneyAndSpan) {
     EXPECT_GE(r.window_last, charge.at);
     bool saw_retransmit_leg = false;
     for (const auto& span : r.spans) {
-      if (span.has(obs::SpanEventKind::kChannelDrop, 0) &&
-          span.has(obs::SpanEventKind::kChannelRetry, 0) &&
-          span.has(obs::SpanEventKind::kFlip, 0)) {
+      if (span.has(obs::EventKind::kChannelDrop, 0) &&
+          span.has(obs::EventKind::kChannelRetry, 0) &&
+          span.has(obs::EventKind::kFlip, 0)) {
         saw_retransmit_leg = true;
       }
     }
@@ -348,6 +347,29 @@ TEST(SpanForensics, ForcedViolationReportInterleavesJourneyAndSpan) {
     ::unlink(path.c_str());
   }
   ::rmdir(dir);
+}
+
+TEST(SpanForensics, ChunkSpanIsListedAsAChunkOfItsSession) {
+  obs::SpanCollector spans;
+  const std::uint64_t session = spans.begin_resync(0, 1000, {});
+  const std::uint64_t chunk =
+      spans.begin_chunk(0, 1000, session, /*chunk_index=*/3, /*entries=*/7);
+  ASSERT_EQ(session, 1u);
+  ASSERT_EQ(chunk, 2u);
+  spans.record(chunk, obs::EventKind::kChannelSend, 0, 1100);
+  spans.record(chunk, obs::EventKind::kChannelDeliver, 0, 1200);
+  spans.record(chunk, obs::EventKind::kResyncApply, 0, 1300);
+
+  const obs::TraceRing ring(16);
+  const obs::ForensicsReport report = obs::assemble_forensics(
+      ring, &spans, 0, "span_test: one resync chunk", 1200);
+  ASSERT_EQ(report.spans.size(), 2u);
+  const std::string text = report.to_text();
+  EXPECT_NE(text.find("chunk#2 switch=0 of resync#1"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("chunk=3 entries=7"), std::string::npos) << text;
+  EXPECT_EQ(text.find("remove-dip"), std::string::npos) << text;
+  EXPECT_EQ(text.find("update#"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -2,7 +2,5 @@
 // belongs to the switch that owns it, so core/ may use it freely.
 
 void fine(TraceRing* ring) {
-  auto begin = TraceEventKind::kUpdateBegin;
-  (void)begin;
   (void)ring;
 }

@@ -4,7 +4,7 @@
 
 /* Block comment spanning lines with contraband:
    assert(x); rand(); std::mutex mu; printf("x");
-   TraceEventKind::kUpdateBegin getenv("PATH")
+   getenv("PATH")
 */
 
 const char* kPlain = "assert(true); rand(); std::lock_guard<std::mutex> l;";

@@ -246,11 +246,11 @@ TEST(SilkRoadFleet, ResyncChunksSufferLossAndRetriesWithoutReEscalating) {
     if (span->resync) session = span;
     if (!span->chunk) continue;
     ++chunk_spans;
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kChunkBegin, 0));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kChannelDeliver, 0));
-    EXPECT_TRUE(span->has(obs::SpanEventKind::kResyncApply, 0));
-    if (span->has(obs::SpanEventKind::kChannelDrop, 0) &&
-        span->has(obs::SpanEventKind::kChannelRetry, 0)) {
+    EXPECT_TRUE(span->has(obs::EventKind::kChunkBegin, 0));
+    EXPECT_TRUE(span->has(obs::EventKind::kChannelDeliver, 0));
+    EXPECT_TRUE(span->has(obs::EventKind::kResyncApply, 0));
+    if (span->has(obs::EventKind::kChannelDrop, 0) &&
+        span->has(obs::EventKind::kChannelRetry, 0)) {
       saw_lossy_chunk = true;
     }
   }

@@ -22,10 +22,10 @@ R5  no ad-hoc `struct ...Stats` in src/ outside src/obs/ — counters belong in
 R6  no printf/fprintf in src/ outside src/obs/ and src/check/ — report
                                       through metrics, traces, or returned
                                       strings; snprintf into buffers is fine.
-R7  no raw update-lifecycle TraceEvents (TraceEventKind::kUpdate*) and no
-                                      TraceRing use in src/fault/ or
-                                      src/deploy/ — the update lifecycle is
-                                      observed through obs::SpanCollector
+R7  no TraceRing use in src/fault/ or src/deploy/ — the ring is a
+                                      switch's store of flow and table
+                                      events; the update lifecycle is
+                                      recorded on obs::SpanCollector spans
                                       (DESIGN.md §12).
 R8  no wall-clock / environment nondeterminism in src/ outside src/sim/ —
                                       getenv, time(), system_clock and
@@ -280,25 +280,16 @@ def check_r7(model: FileModel) -> list[Violation]:
     if _src_sub(model) not in ("fault", "deploy"):
         return []
     out = []
-    toks = model.tokens
     sub = _src_sub(model)
-    for i, t in enumerate(toks):
-        if t.kind != "ident":
-            continue
-        hit = t.value == "TraceRing" or (
-            t.value == "TraceEventKind"
-            and i + 2 < len(toks)
-            and toks[i + 1].value == "::"
-            and toks[i + 2].value.startswith("kUpdate")
-        )
-        if hit:
+    for t in model.tokens:
+        if t.kind == "ident" and t.value == "TraceRing":
             out.append(
                 Violation(
                     model.rel,
                     t.line,
                     "R7",
-                    f"raw update-lifecycle TraceEvent/TraceRing in {sub}/ — "
-                    "record the leg on the obs::SpanCollector instead",
+                    f"TraceRing in {sub}/ — record the update lifecycle on "
+                    "the obs::SpanCollector instead",
                 )
             )
     return out
@@ -819,7 +810,7 @@ RULES: list[Rule] = [
     Rule("R4", "#pragma once in every header", check_r4),
     Rule("R5", "no ad-hoc `struct ...Stats` in src/ outside src/obs/", check_r5),
     Rule("R6", "no printf/fprintf in src/ outside src/obs/, src/check/", check_r6),
-    Rule("R7", "no TraceRing/kUpdate* trace events in src/fault|deploy", check_r7),
+    Rule("R7", "no TraceRing in src/fault|deploy", check_r7),
     Rule("R8", "no wall-clock/getenv nondeterminism in src/ outside src/sim/", check_r8),
     Rule("R9", "no bare std::mutex family in src/ (use sr:: wrappers)", check_r9),
     Rule("R10", "no unordered iteration feeding channel/protocol calls", check_r10),
