@@ -2,8 +2,8 @@
 // maintenance cycle with Config::capacity_telemetry off vs on, priced by
 // bench::measure_overhead(). The ledger's contract is that it is cheap
 // enough to leave on everywhere: the per-packet cost is one uint64 compare
-// (the poll rate limiter) and a full probe sweep at most once per 10 ms of
-// sim time. The headline capacity_overhead_pct must stay under 5% of the
+// (the poll rate limiter) and one occupancy read per table at most once per
+// 10 ms of sim time. The headline capacity_overhead_pct must stay under 5% of the
 // untracked run, and the committed baseline pins that. The ledger only
 // observes: it must never change behavior.
 

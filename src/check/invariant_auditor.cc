@@ -631,9 +631,9 @@ void SilkRoadSwitch::self_check() const {
     if (dumped.empty()) print("trace tail", ring_tail(trace_.events()));
   }
   if (!violations.empty()) {
-    // Durable incident record: the trace ring interleaved with every
-    // overlapping update/resync span, written to SILKROAD_TELEMETRY_DIR
-    // (no-op when the env var is unset).
+    // Durable incident record: every event of the trace ring interleaved
+    // with every overlapping update/resync span, written to
+    // SILKROAD_TELEMETRY_DIR (no-op when the env var is unset).
     const std::string dir = obs::telemetry_dir_from_env();
     if (!dir.empty()) {
       std::string reason = "invariant auditor: " + violations.front().invariant;

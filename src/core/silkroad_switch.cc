@@ -10,6 +10,17 @@
 
 namespace silkroad::core {
 
+namespace {
+
+/// used / capacity, 0 for a table without capacity.
+double fraction(std::uint64_t used, std::uint64_t capacity) {
+  return capacity == 0
+             ? 0.0
+             : static_cast<double>(used) / static_cast<double>(capacity);
+}
+
+}  // namespace
+
 asic::CuckooConfig SilkRoadSwitch::conn_table_for(std::size_t connections,
                                                   unsigned digest_bits,
                                                   double occupancy) {
@@ -34,7 +45,7 @@ asic::CuckooConfig SilkRoadSwitch::conn_table_for(std::size_t connections,
 SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
     : sim_(simulator),
       config_(config),
-      trace_(4096, [this] { return sim_.now(); }),
+      trace_(4096, &simulator),
       conn_profiler_(metrics_, "silkroad_conn_table",
                      config.conn_table.stages),
       conn_table_(config.conn_table),
@@ -43,7 +54,14 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
                          on_learning_flush(batch);
                        }),
       cpu_(simulator, config.cpu),
-      transit_(config.transit_table_bytes, config.transit_hashes) {
+      transit_(config.transit_table_bytes, config.transit_hashes),
+      // Named in SramTable order, and interned in the ring before any VIP.
+      capacity_(config.capacity_telemetry
+                    ? std::vector<std::string>{"conn_table", "transit_table",
+                                               "learning_filter",
+                                               "dip_pool_table"}
+                    : std::vector<std::string>{},
+                *this, &trace_) {
   // The relearn sweep takes a pending flow with no notification at the CPU
   // for lost only once the filter must have flushed it.
   SR_CHECKF(config.relearn_timeout == 0 ||
@@ -53,7 +71,7 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
             static_cast<unsigned long long>(config.relearn_timeout),
             static_cast<unsigned long long>(config.learning.timeout));
   init_metrics();
-  init_capacity();
+  capacity_.bind_metrics(metrics_);
   conn_table_.bind_trace(&trace_);
   cpu_.bind_metrics(metrics_, "silkroad_cpu");
 }
@@ -162,10 +180,6 @@ void SilkRoadSwitch::init_metrics() {
       },
       "learning-filter notifications lost before reaching the CPU");
   metrics_.register_callback(
-      "silkroad_conn_table_occupancy", obs::MetricKind::kGauge,
-      [this] { return conn_table_.occupancy(); },
-      "ConnTable fill fraction (0..1)");
-  metrics_.register_callback(
       "silkroad_conn_table_moves_total", obs::MetricKind::kCounter,
       [this] { return static_cast<double>(conn_table_.total_moves()); },
       "cuckoo BFS relocations performed");
@@ -187,13 +201,7 @@ void SilkRoadSwitch::init_metrics() {
       "VIPs configured on the switch");
   metrics_.register_callback(
       "silkroad_versions_active", obs::MetricKind::kGauge,
-      [this] {
-        std::size_t total = 0;
-        for (const auto& [vip, state] : vips_) {
-          total += state.versions->active_versions();
-        }
-        return static_cast<double>(total);
-      },
+      [this] { return static_cast<double>(live_versions()); },
       "live DIP-pool versions across all VIPs");
   metrics_.register_callback(
       "silkroad_versions_allocated_total", obs::MetricKind::kCounter,
@@ -225,20 +233,6 @@ void SilkRoadSwitch::init_metrics() {
         return static_cast<double>(total);
       },
       "allocation attempts that found the version ring empty");
-  metrics_.register_callback(
-      "silkroad_sram_conn_table_bytes", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(memory_usage().conn_table_bytes); },
-      "SRAM held by the ConnTable geometry");
-  metrics_.register_callback(
-      "silkroad_sram_dip_pool_bytes", obs::MetricKind::kGauge,
-      [this] {
-        return static_cast<double>(memory_usage().dip_pool_table_bytes);
-      },
-      "SRAM held by live DIPPoolTable versions");
-  metrics_.register_callback(
-      "silkroad_sram_transit_bytes", obs::MetricKind::kGauge,
-      [this] { return static_cast<double>(memory_usage().transit_table_bytes); },
-      "SRAM held by the TransitTable bloom filter");
   for (std::uint32_t stage = 0; stage < config_.conn_table.stages; ++stage) {
     metrics_.register_callback(
         "silkroad_conn_table_stage_occupancy", obs::MetricKind::kGauge,
@@ -287,106 +281,109 @@ const SilkRoadSwitch::VipState* SilkRoadSwitch::find_vip(
   return it == vips_.end() ? nullptr : &it->second;
 }
 
-void SilkRoadSwitch::init_capacity() {
-  if (!config_.capacity_telemetry) return;
-  capacity_.bind_trace(&trace_);
+std::uint64_t SilkRoadSwitch::live_versions() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& [vip, state] : vips_) {
+    total += state.versions->active_versions();
+  }
+  return total;
+}
 
-  // ConnTable: the slot-sized cuckoo store, with per-stage usage so the
-  // ledger can expose the stage-skew fragmentation gauge.
-  obs::ResourceLedger::TableProbe conn;
-  conn.entries = [this] {
-    return static_cast<std::uint64_t>(conn_table_.size());
-  };
-  conn.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(conn_table_.capacity());
-  };
-  conn.bytes = [this] {
-    return static_cast<std::uint64_t>(conn_table_.sram_bytes());
-  };
-  conn.stages = [this] {
-    std::vector<obs::ResourceLedger::StageUsage> out;
-    for (const auto& stage : conn_table_.stage_occupancy(1)) {
-      out.push_back({stage.stage, stage.used, stage.capacity});
+double SilkRoadSwitch::table_occupancy(std::size_t table) const {
+  switch (static_cast<SramTable>(table)) {
+    case SramTable::kConnTable:
+      return conn_table_.occupancy();
+    case SramTable::kTransitTable:
+      // Byte-sized bloom: occupancy is its fill ratio, probabilistic fullness
+      // rather than slots.
+      return transit_.fill_ratio();
+    case SramTable::kLearningFilter:
+      return fraction(learning_filter_.pending_count(),
+                      learning_filter_.config().capacity);
+    case SramTable::kDipPoolTable:
+      // Live (VIP, version) pools against the version-number space: its
+      // occupancy is version exhaustion, the §4.2 failure mode.
+      return fraction(live_versions(), static_cast<std::uint64_t>(vips_.size())
+                                           << config_.version_bits);
+  }
+  return 0;
+}
+
+obs::TableUsage SilkRoadSwitch::table_usage(std::size_t table,
+                                            bool with_stages) const {
+  obs::TableUsage usage;
+  usage.occupancy = table_occupancy(table);
+  switch (static_cast<SramTable>(table)) {
+    case SramTable::kConnTable:
+      usage.entries = conn_table_.size();
+      usage.capacity_entries = conn_table_.capacity();
+      usage.bytes = conn_table_.sram_bytes();
+      // Per-stage usage feeds the stage-skew fragmentation gauge; it walks
+      // every slot, so only renderers ask for it.
+      if (with_stages) {
+        for (const auto& stage : conn_table_.stage_occupancy(1)) {
+          usage.stages.push_back({stage.stage, stage.used, stage.capacity});
+        }
+      }
+      usage.pressures = {
+          {"cuckoo_moves", conn_table_.total_moves()},
+          {"failed_inserts", conn_table_.failed_inserts()},
+          {"relocation_failures", c_.relocation_failures->value()},
+          {"software_fallbacks", c_.software_fallback_conns->value()},
+          {"insert_shed", c_.pending_shed->value()},
+      };
+      break;
+    case SramTable::kTransitTable:
+      usage.entries = transit_.inserted();
+      usage.bytes = transit_.byte_count();
+      usage.pressures = {
+          {"false_positives", c_.transit_false_positives->value()}};
+      break;
+    case SramTable::kLearningFilter: {
+      // A LearnTable cell carries the IPv6 five-tuple plus the pool version
+      // (296 + 6 bits, §5.2's LearnTable record).
+      constexpr std::uint64_t kLearnCellBytes = asic::bits_to_bytes(296 + 6);
+      usage.entries = learning_filter_.pending_count();
+      usage.capacity_entries = learning_filter_.config().capacity;
+      usage.bytes = kLearnCellBytes * usage.entries;
+      usage.pressures = {
+          {"dropped_events", learning_filter_.dropped_events()}};
+      break;
     }
-    return out;
-  };
-  capacity_.register_table("conn_table", std::move(conn));
-  capacity_.add_pressure("conn_table", "cuckoo_moves",
-                         [this] { return conn_table_.total_moves(); });
-  capacity_.add_pressure("conn_table", "failed_inserts",
-                         [this] { return conn_table_.failed_inserts(); });
-  capacity_.add_pressure("conn_table", "relocation_failures", [this] {
-    return c_.relocation_failures->value();
-  });
-  capacity_.add_pressure("conn_table", "software_fallbacks", [this] {
-    return c_.software_fallback_conns->value();
-  });
-  capacity_.add_pressure("conn_table", "insert_shed",
-                         [this] { return c_.pending_shed->value(); });
+    case SramTable::kDipPoolTable:
+      usage.entries = live_versions();
+      usage.capacity_entries = static_cast<std::uint64_t>(vips_.size())
+                               << config_.version_bits;
+      usage.bytes = memory_usage().dip_pool_table_bytes;
+      usage.pressures = {{"versions_evicted", c_.versions_evicted->value()}};
+      break;
+  }
+  return usage;
+}
 
-  // TransitTable: byte-sized bloom; occupancy is the fill ratio, pressure is
-  // the false-positive churn the fill produces.
-  obs::ResourceLedger::TableProbe transit;
-  transit.entries = [this] {
-    return static_cast<std::uint64_t>(transit_.inserted());
-  };
-  transit.bytes = [this] {
-    return static_cast<std::uint64_t>(transit_.byte_count());
-  };
-  transit.capacity_bytes = [this] {
-    return static_cast<std::uint64_t>(transit_.byte_count());
-  };
-  transit.occupancy = [this] { return transit_.fill_ratio(); };
-  capacity_.register_table("transit_table", std::move(transit));
-  capacity_.add_pressure("transit_table", "false_positives", [this] {
-    return c_.transit_false_positives->value();
-  });
+obs::VipUsage SilkRoadSwitch::vip_usage_of(const net::Endpoint& vip,
+                                           const VipState& state) const {
+  obs::VipUsage usage;
+  usage.vip = vip.to_string();
+  for (const auto& members : state.conns_by_version) {
+    usage.entries += members.size();
+  }
+  const std::uint64_t conn_bytes =
+      asic::bits_to_bytes(usage.entries * conn_table_.entry_bits());
+  // srlint: allow(R12) per-VIP attribution feeding the ledger — the
+  // one place live bytes are apportioned; reconciled in capacity_test.
+  usage.bytes = conn_bytes + state.versions->pool_table_bytes();
+  return usage;
+}
 
-  // LearnTable cell store: pending notifications against the filter's flow
-  // capacity. A cell carries the IPv6 five-tuple plus the pool version
-  // (296 + 6 bits, §5.2's LearnTable record).
-  constexpr std::uint64_t kLearnCellBytes = asic::bits_to_bytes(296 + 6);
-  obs::ResourceLedger::TableProbe learn;
-  learn.entries = [this] {
-    return static_cast<std::uint64_t>(learning_filter_.pending_count());
-  };
-  learn.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(learning_filter_.config().capacity);
-  };
-  learn.bytes = [this] {
-    return kLearnCellBytes *
-           static_cast<std::uint64_t>(learning_filter_.pending_count());
-  };
-  capacity_.register_table("learning_filter", std::move(learn));
-  capacity_.add_pressure("learning_filter", "dropped_events", [this] {
-    return learning_filter_.dropped_events();
-  });
-
-  // DIPPoolTable: live (VIP, version) pools against the version-number
-  // space — its occupancy is version exhaustion, the §4.2 failure mode.
-  obs::ResourceLedger::TableProbe pools;
-  pools.entries = [this] {
-    std::uint64_t versions = 0;
-    for (const auto& [vip, state] : vips_) {
-      versions += state.versions->active_versions();
-    }
-    return versions;
-  };
-  pools.capacity_entries = [this] {
-    return static_cast<std::uint64_t>(vips_.size())
-           << config_.version_bits;
-  };
-  pools.bytes = [this] {
-    return static_cast<std::uint64_t>(memory_usage().dip_pool_table_bytes);
-  };
-  capacity_.register_table("dip_pool_table", std::move(pools));
-  capacity_.add_pressure("dip_pool_table", "versions_evicted", [this] {
-    return c_.versions_evicted->value();
-  });
-
-  // Publish last so every table's gauges register in one deterministic
-  // order; VIP attribution series join as add_vip() registers them.
-  capacity_.bind_metrics(metrics_);
+std::vector<obs::VipUsage> SilkRoadSwitch::vip_usage() const {
+  std::vector<obs::VipUsage> rows;
+  rows.reserve(vips_.size());
+  for (const auto& [vip, state] : vips_) {
+    rows.push_back(vip_usage_of(vip, state));
+  }
+  std::ranges::sort(rows, {}, &obs::VipUsage::vip);
+  return rows;
 }
 
 void SilkRoadSwitch::poll_capacity() {
@@ -418,30 +415,23 @@ void SilkRoadSwitch::add_vip(const net::Endpoint& vip,
   vips_.insert_or_assign(vip, std::move(state));
 
   if (config_.capacity_telemetry) {
-    // Per-VIP SRAM attribution: version-tracked connections own their
-    // ConnTable entry's share of a word, plus the VIP's live pool rows. The
-    // probes survive reset()/re-provisioning by re-resolving the VIP.
-    const unsigned entry_bits = conn_table_.entry_bits();
-    auto vip_entries = [this, vip] {
-      const VipState* vip_state = find_vip(vip);
-      if (vip_state == nullptr) return std::uint64_t{0};
-      std::uint64_t entries = 0;
-      for (const auto& members : vip_state->conns_by_version) {
-        entries += members.size();
-      }
-      return entries;
+    // Per-VIP SRAM attribution, read through the VIP's current state (0 once
+    // reset() dropped it); adding the VIP again replaces the pair.
+    const auto usage = [this, vip] {
+      const VipState* current = find_vip(vip);
+      return current == nullptr ? obs::VipUsage{}
+                                : vip_usage_of(vip, *current);
     };
-    capacity_.register_vip(
-        vip.to_string(), vip_entries,
-        [this, vip, vip_entries, entry_bits] {
-          const VipState* vip_state = find_vip(vip);
-          if (vip_state == nullptr) return std::uint64_t{0};
-          const std::uint64_t conn_bytes = static_cast<std::uint64_t>(
-              asic::bits_to_bytes(vip_entries() * entry_bits));
-          // srlint: allow(R12) per-VIP attribution feeding the ledger — the
-          // one place live bytes are apportioned; reconciled in capacity_test.
-          return conn_bytes + vip_state->versions->pool_table_bytes();
-        });
+    const std::string labels = "vip=\"" + vip.to_string() + "\"";
+    metrics_.register_callback(
+        "silkroad_capacity_vip_entries", obs::MetricKind::kGauge,
+        [usage] { return static_cast<double>(usage().entries); },
+        "Live ConnTable entries attributed to the VIP", labels);
+    metrics_.register_callback(
+        "silkroad_capacity_vip_bytes", obs::MetricKind::kGauge,
+        [usage] { return static_cast<double>(usage().bytes); },
+        "SRAM bytes attributed to the VIP (ConnTable share + pool table)",
+        labels);
   }
 }
 
@@ -1533,7 +1523,7 @@ SilkRoadSwitch::MemoryUsage SilkRoadSwitch::memory_usage() const {
   usage.conn_table_bytes = conn_table_.sram_bytes();
   for (const auto& [vip, state] : vips_) {
     // srlint: allow(R12) the switch's own MemoryUsage snapshot — consumed by
-    // the auditor and the ledger's dip_pool probe; reconciled in capacity_test.
+    // the auditor and the ledger's dip_pool row; reconciled in capacity_test.
     usage.dip_pool_table_bytes += state.versions->pool_table_bytes();
   }
   usage.transit_table_bytes = transit_.byte_count();

@@ -48,7 +48,8 @@ struct TestingHooks;
 
 namespace silkroad::core {
 
-class SilkRoadSwitch : public lb::LoadBalancer {
+class SilkRoadSwitch : public lb::LoadBalancer,
+                       private obs::ResourceLedger::Source {
  public:
   /// How a flow the control plane cannot (or will not) insert is served.
   ///  * kPinVersion — the CPU tracks the flow in DRAM pinned to its
@@ -110,8 +111,9 @@ class SilkRoadSwitch : public lb::LoadBalancer {
 
     /// Gates the ResourceLedger: live per-table occupancy, headroom,
     /// pressure, per-VIP SRAM attribution, and exhaustion-forecast telemetry
-    /// (/capacity, /capacity.json). Disabling removes table registration and
-    /// polling entirely (bench/capacity_overhead prices the difference).
+    /// (/capacity, /capacity.json). Disabling leaves the ledger without
+    /// tables and removes polling entirely (bench/capacity_overhead prices
+    /// the difference).
     bool capacity_telemetry = true;
   };
 
@@ -223,7 +225,6 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// insertion-pressure counters, per-VIP attribution, alarm levels, and the
   /// time-to-exhaustion forecast. Empty (no tables) when
   /// Config::capacity_telemetry is off.
-  obs::ResourceLedger& capacity() noexcept { return capacity_; }
   const obs::ResourceLedger& capacity() const noexcept { return capacity_; }
 
   /// Attaches the fleet's causal-trace collector: DipUpdates record their
@@ -405,10 +406,26 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   /// constructor, after all instrumented members exist.
   void init_metrics();
 
-  /// Registers every SRAM-bearing structure with the capacity ledger
-  /// (Config::capacity_telemetry). Called once from the constructor, after
-  /// init_metrics().
-  void init_capacity();
+  /// The SRAM-bearing tables the capacity ledger reads, in its order (the
+  /// constructor names them).
+  enum class SramTable : std::uint8_t {
+    kConnTable,
+    kTransitTable,
+    kLearningFilter,
+    kDipPoolTable,
+  };
+  // obs::ResourceLedger::Source: each table read as one row, each live VIP
+  // as one row (sorted by name).
+  double table_occupancy(std::size_t table) const override;
+  obs::TableUsage table_usage(std::size_t table,
+                              bool with_stages) const override;
+  std::vector<obs::VipUsage> vip_usage() const override;
+  /// One VIP's attribution row: its version-tracked connections' share of
+  /// ConnTable words plus its live pool rows.
+  obs::VipUsage vip_usage_of(const net::Endpoint& vip,
+                             const VipState& state) const;
+  /// Live DIP-pool versions across all VIPs.
+  std::uint64_t live_versions() const noexcept;
   /// Rate-limited ledger poll (alarm state machine + forecast history);
   /// at most one poll per kCapacityPollInterval of sim time.
   void poll_capacity();
@@ -558,8 +575,8 @@ class SilkRoadSwitch : public lb::LoadBalancer {
   asic::LearningFilter learning_filter_;
   asic::SwitchCpu cpu_;
   asic::BloomFilter transit_;
-  /// SRAM capacity ledger (DESIGN.md §15); tables registered in
-  /// init_capacity(), polled via poll_capacity().
+  /// SRAM capacity ledger (DESIGN.md §15): reads this switch as its
+  /// Source, polled via poll_capacity().
   obs::ResourceLedger capacity_;
   sim::Time capacity_last_poll_ = 0;
   bool capacity_polled_ = false;

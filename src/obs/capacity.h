@@ -8,35 +8,33 @@
 // current fill trend — does the table exhaust.
 //
 // The ledger lives below asic/core in the link order, so it knows nothing
-// about cuckoo tables or blooms: owners register a named table with a set of
-// probe callbacks (entries / capacity / bytes / per-stage usage) plus any
-// number of named pressure probes (kick chains, failed inserts, filter
-// churn). SilkRoadSwitch registers its ConnTable, transit bloom, learning
-// filter, and DIP-pool tables in init_metrics(); anything else that owns
-// SRAM can do the same.
+// about cuckoo tables or blooms: it reads its owner through a read-only
+// Source that fills one plain TableUsage row per table and one VipUsage row
+// per live VIP. SilkRoadSwitch is that Source for its four tables (ConnTable,
+// transit bloom, learning filter, DIP-pool table); the ledger keeps only its
+// own state: each table's alarm level, transition count and fill history.
 //
-// poll(now) samples every probe: it refreshes the per-table occupancy
-// history ring that feeds the exhaustion forecast and runs the alarm state
-// machine. Alarms have three raised levels (kWatch/kPressure/kCritical) with
-// hysteresis — a level is entered at its enter threshold and left only at
-// the lower exit threshold, so an occupancy hovering on a boundary yields
+// poll(now) reads each table's occupancy and nothing else: it refreshes the
+// per-table history that feeds the exhaustion forecast and runs the alarm
+// state machine. Alarms have three raised levels (kWatch/kPressure/kCritical)
+// with hysteresis — a level is entered at its enter threshold and left only
+// at the lower exit threshold, so an occupancy hovering on a boundary yields
 // exactly one transition per true crossing, never a flap (same idiom as the
 // switch's degraded-mode gate). Each transition records one
-// kCapacityAlarmRaise/kCapacityAlarmClear trace event in the bound ring —
+// kCapacityAlarmRaise/kCapacityAlarmClear trace event in the owner's ring —
 // the same ring the degradation machinery and forensics reports consume.
 //
-// bind_metrics() publishes everything as pull callbacks on the registry
-// (silkroad_capacity_* gauges/counters), so /metrics, TimeSeriesRecorder
-// retention, and the JSON exporters see the ledger with no double-counting:
-// the ledger never re-registers a series an owner already exports, it only
-// adds the capacity view. to_text()/to_json() render the /capacity and
-// /capacity.json scrape routes.
+// bind_metrics() publishes the per-table view as pull callbacks on the
+// registry (silkroad_capacity_* gauges/counters), so /metrics,
+// TimeSeriesRecorder retention, and the JSON exporters see the ledger with no
+// double-counting: the ledger never re-registers a series an owner already
+// exports, it only adds the capacity view. to_text()/to_json() render the
+// /capacity and /capacity.json scrape routes.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -63,26 +61,52 @@ struct CapacityForecast {
   double seconds_to_full = -1;  ///< time until occupancy 1.0; -1 = not filling
 };
 
-class ResourceLedger {
- public:
-  struct StageUsage {
+/// One SRAM-bearing table as its owner reads it.
+struct TableUsage {
+  struct Stage {
     unsigned stage = 0;
     std::uint64_t used = 0;
     std::uint64_t capacity = 0;
   };
 
-  /// Probe callbacks for one SRAM-bearing table. `entries`/`bytes` are
-  /// required; `capacity_entries` of 0 means the structure is byte-sized
-  /// rather than slot-sized (occupancy then comes from `occupancy` if set,
-  /// else stays 0). All callbacks run on the caller of poll()/render — they
-  /// must be cheap and touch only state safe to read from there.
-  struct TableProbe {
-    std::function<std::uint64_t()> entries;
-    std::function<std::uint64_t()> capacity_entries;
-    std::function<std::uint64_t()> bytes;
-    std::function<std::uint64_t()> capacity_bytes;      ///< optional budget
-    std::function<double()> occupancy;                  ///< optional override
-    std::function<std::vector<StageUsage>()> stages;    ///< optional
+  std::uint64_t entries = 0;
+  /// 0 for a byte-sized table (the transit bloom).
+  std::uint64_t capacity_entries = 0;
+  std::uint64_t bytes = 0;
+  double occupancy = 0;  ///< live fill fraction (0..1)
+  /// Per-stage usage of a staged table, filled only when asked for.
+  std::vector<Stage> stages;
+  /// Monotonic counters of the insertion machinery (kick chains, failed
+  /// inserts, evictions, filter false-positive churn), in render order.
+  std::vector<std::pair<const char*, std::uint64_t>> pressures;
+
+  std::uint64_t headroom_entries() const noexcept {
+    return capacity_entries > entries ? capacity_entries - entries : 0;
+  }
+};
+
+/// One VIP's share of the SRAM: live entries and attributed bytes.
+struct VipUsage {
+  std::string vip;
+  std::uint64_t entries = 0;
+  std::uint64_t bytes = 0;
+};
+
+class ResourceLedger {
+ public:
+  /// Read-only view of the tables, implemented by their owner (never
+  /// deleted through this base). Reads run on the caller of poll() or of a
+  /// renderer.
+  class Source {
+   public:
+    /// Table `table`'s live fill fraction: the only read poll() makes, so it
+    /// must not allocate.
+    virtual double table_occupancy(std::size_t table) const = 0;
+    /// Table `table`'s row; per-stage usage only when `with_stages`.
+    virtual TableUsage table_usage(std::size_t table,
+                                   bool with_stages) const = 0;
+    /// One row per live VIP, sorted by name.
+    virtual std::vector<VipUsage> vip_usage() const = 0;
   };
 
   /// Alarm thresholds, as occupancy fractions: a raised level is entered
@@ -104,46 +128,29 @@ class ResourceLedger {
   static constexpr std::size_t kForecastMinSamples = 8;
   static_assert(kForecastMinSamples >= 2 && kForecastMinSamples <= kHistory);
 
-  /// Registers a table under `name` (unique; re-registering replaces the
-  /// probes but keeps alarm state and history — a reconfigured owner does
-  /// not reset its trend). Returns the table index.
-  std::size_t register_table(const std::string& name, TableProbe probe);
+  /// Table i of `source` is named `table_names[i]`; each name is interned in
+  /// `trace` (may be null), where alarm transitions are recorded under it.
+  /// `source` must outlive the ledger.
+  ResourceLedger(const std::vector<std::string>& table_names,
+                 const Source& source, TraceRing* trace);
 
-  /// Adds a named pressure probe under a registered table: a monotonic
-  /// counter the insertion machinery exposes (kick chains, failed inserts,
-  /// evictions, filter false-positive churn). Rendered with per-table
-  /// context in /capacity; never re-registered on the metrics registry.
-  void add_pressure(const std::string& table, const std::string& name,
-                    std::function<std::uint64_t()> value);
-
-  /// Registers per-VIP attribution probes (live entries and attributed
-  /// bytes). Re-registering a VIP replaces its probes.
-  void register_vip(const std::string& vip,
-                    std::function<std::uint64_t()> entries,
-                    std::function<std::uint64_t()> bytes);
-
-  /// Alarm transitions are recorded here (scope = interned table name).
-  void bind_trace(TraceRing* ring);
-
-  /// Publishes the capacity view as pull callbacks: per-table
-  /// silkroad_capacity_{occupancy,headroom_entries,used_bytes,
-  /// fragmentation,alarm_level,exhaustion_s} gauges,
-  /// silkroad_capacity_alarm_transitions_total counters, and per-VIP
-  /// silkroad_capacity_vip_{entries,bytes} gauges. Tables/VIPs registered
-  /// *after* bind_metrics are picked up on their registration.
+  /// Publishes the per-table view as pull callbacks:
+  /// silkroad_capacity_{occupancy,used_entries,headroom_entries,used_bytes,
+  /// fragmentation,alarm_level,exhaustion_s} gauges and
+  /// silkroad_capacity_alarm_transitions_total counters, labelled by table.
   void bind_metrics(MetricsRegistry& registry);
 
-  /// Samples every table: appends to the occupancy history (at most one
-  /// sample per distinct `now`) and runs the alarm state machine. Cheap
-  /// enough to call from control-plane paths; hot paths should rate-limit
-  /// (SilkRoadSwitch polls at most once per 10 ms of sim time).
+  /// Reads every table's occupancy: appends to its history (at most one
+  /// sample per distinct `now`) and runs the alarm state machine. Allocates
+  /// nothing; hot paths should still rate-limit (SilkRoadSwitch polls at most
+  /// once per 10 ms of sim time).
   void poll(sim::Time now);
 
   // --- introspection (all reflect the last poll) ---------------------------
-  CapacityLevel level(const std::string& table) const;
-  std::uint64_t transitions(const std::string& table) const;
+  CapacityLevel level(std::size_t table) const;
+  std::uint64_t transitions(std::size_t table) const;
   std::uint64_t total_transitions() const noexcept { return transitions_; }
-  CapacityForecast forecast(const std::string& table) const;
+  CapacityForecast forecast(std::size_t table) const;
   std::size_t table_count() const noexcept { return tables_.size(); }
   /// Worst level across all tables.
   CapacityLevel worst_level() const;
@@ -160,43 +167,23 @@ class ResourceLedger {
   std::string to_json() const;
 
  private:
-  struct Pressure {
-    std::string name;
-    std::function<std::uint64_t()> value;
-  };
-
   struct Table {
     std::string name;
-    TableProbe probe;
-    std::vector<Pressure> pressures;
     CapacityLevel level = CapacityLevel::kOk;
     std::uint64_t transitions = 0;
     std::uint32_t trace_scope = kNoScope;
-    std::deque<std::pair<sim::Time, double>> history;
-    double last_occupancy = 0;
+    /// Oldest first, at most kHistory samples (reserved up front).
+    std::vector<std::pair<sim::Time, double>> history;
   };
 
-  struct Vip {
-    std::string vip;
-    std::function<std::uint64_t()> entries;
-    std::function<std::uint64_t()> bytes;
-  };
-
-  const Table* find_table(const std::string& name) const;
-  Table* find_table(const std::string& name);
-  double sample_occupancy(const Table& table) const;
+  const Table& table_at(std::size_t table) const;
   void run_alarm(Table& table, double occupancy);
-  void publish_table_metrics(std::size_t index);
-  void publish_vip_metrics(std::size_t index);
-  static double fragmentation_of(const std::vector<StageUsage>& stages);
+  static double fragmentation_of(const std::vector<TableUsage::Stage>& stages);
 
+  const Source& source_;
+  TraceRing* trace_;
   std::vector<Table> tables_;
-  std::vector<Vip> vips_;
-  TraceRing* trace_ = nullptr;
-  MetricsRegistry* registry_ = nullptr;
   std::uint64_t transitions_ = 0;
-  bool polled_ = false;
-  sim::Time last_poll_ = 0;
 };
 
 }  // namespace silkroad::obs

@@ -102,11 +102,13 @@ ForensicsReport assemble_forensics(const TraceRing& ring,
   report.flow_id = flow_id;
 
   if (flow_id != 0) report.journey = journey_of(ring, flow_id);
+  // A report without a journey covers the whole ring and tells all of it.
+  std::vector<Event> all;
   if (report.journey) {
     report.window_first = report.journey->first;
     report.window_last = report.journey->last;
   } else {
-    const auto all = ring.events();
+    all = ring.events();
     report.window_first = all.empty() ? 0 : all.front().at;
     report.window_last = all.empty() ? 0 : all.back().at;
     for (const auto& event : all) {
@@ -126,11 +128,10 @@ ForensicsReport assemble_forensics(const TraceRing& ring,
     }
   }
 
-  if (report.journey) {
-    for (const auto& event : report.journey->events) {
-      report.timeline.push_back(
-          {event.at, "flow", format_event(event, ring.where(event))});
-    }
+  const char* ring_source = report.journey ? "flow" : "ring";
+  for (const auto& event : report.journey ? report.journey->events : all) {
+    report.timeline.push_back(
+        {event.at, ring_source, format_event(event, ring.where(event))});
   }
   for (const auto& span : report.spans) {
     const std::string source = span.label();

@@ -7,10 +7,11 @@
 // When the invariant auditor trips or a chaos run fails its PCC audit, the
 // question is causal: which update window was in flight while this flow's
 // packets were being mapped, and what did the lossy control channel do to
-// it? A ForensicsReport interleaves the flow's journey with every span that
-// overlapped it — channel legs and each step of the 3-step protocol — into
-// one timeline ordered by sim time, rendered as text and JSON and written
-// to SILKROAD_TELEMETRY_DIR.
+// it? A ForensicsReport interleaves the flow's journey (or, for a report
+// without a flow, the whole ring) with every span that overlapped it —
+// channel legs and each step of the 3-step protocol — into one timeline
+// ordered by sim time, rendered as text and JSON and written to
+// SILKROAD_TELEMETRY_DIR.
 #pragma once
 
 #include <cstdint>
@@ -69,10 +70,12 @@ struct ForensicsReport {
 
   struct Entry {
     sim::Time at = 0;
-    std::string source;  ///< "flow" or the span's label ("update#<id>", ...)
+    /// "flow" (the journey), "ring" (any ring event, when there is no
+    /// journey) or the span's label ("update#<id>", ...).
+    std::string source;
     std::string line;
   };
-  /// The merged story, ordered by sim time (stable: flow events before span
+  /// The merged story, ordered by sim time (stable: ring events before span
   /// events at equal timestamps).
   std::vector<Entry> timeline;
 
@@ -104,8 +107,9 @@ struct ForensicsReport {
 
 /// Builds the report from one switch's trace ring and the span collector it
 /// records onto. `flow_id` of 0 (no specific flow — e.g. an invariant-audit
-/// failure) widens the window to the whole ring and omits the journey.
-/// `spans` may be null (report then carries trace events only).
+/// failure or a fleet divergence) omits the journey; a report without a
+/// journey widens the window to the whole ring and its timeline carries
+/// every ring event. `spans` may be null (no span lines then).
 /// `detected_at` is when the failure was detected (the PCC audit's charge
 /// time). A flow can break without a traced event of its own — one still
 /// waiting for its ConnTable insert when the VIPTable flips last appears at

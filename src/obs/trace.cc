@@ -103,8 +103,8 @@ std::string format_event(const Event& event, std::string_view where) {
   return out;
 }
 
-TraceRing::TraceRing(std::size_t capacity, Clock clock)
-    : clock_(std::move(clock)),
+TraceRing::TraceRing(std::size_t capacity, const sim::Simulator* clock)
+    : clock_(clock),
       buffer_(capacity == 0 ? 1 : capacity),
       scopes_{""} {}
 

@@ -8,12 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/time.h"
 
 namespace silkroad::obs {
@@ -94,11 +94,11 @@ std::string format_event(const Event& event, std::string_view where);
 
 class TraceRing {
  public:
-  /// Time source consulted by record(); when null, events carry t=0 unless
-  /// recorded via record_at(). A SilkRoadSwitch binds its simulator's clock.
-  using Clock = std::function<sim::Time()>;
-
-  explicit TraceRing(std::size_t capacity = 4096, Clock clock = nullptr);
+  /// `clock` is the simulator whose now() record() stamps; when null,
+  /// events carry t=0 unless recorded via record_at(). A SilkRoadSwitch
+  /// passes its own simulator.
+  explicit TraceRing(std::size_t capacity = 4096,
+                     const sim::Simulator* clock = nullptr);
 
   /// Interns `name` (idempotent) and returns its scope id (>= 1).
   std::uint32_t intern(std::string_view name);
@@ -112,8 +112,8 @@ class TraceRing {
   void record(EventKind kind, std::uint32_t scope = kNoScope,
               std::uint32_t version = kNoVersion, std::uint64_t id = 0,
               std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
-    record_at(clock_ ? clock_() : sim::Time{0}, kind, scope, version, id, arg0,
-              arg1);
+    record_at(clock_ != nullptr ? clock_->now() : sim::Time{0}, kind, scope,
+              version, id, arg0, arg1);
   }
   void record_at(sim::Time at, EventKind kind, std::uint32_t scope = kNoScope,
                  std::uint32_t version = kNoVersion, std::uint64_t id = 0,
@@ -133,7 +133,7 @@ class TraceRing {
   std::uint64_t dropped() const noexcept { return total_ - count_; }
 
  private:
-  Clock clock_;
+  const sim::Simulator* clock_;
   std::vector<Event> buffer_;
   std::size_t next_ = 0;   ///< slot the next event lands in
   std::size_t count_ = 0;  ///< retained events (<= capacity)

@@ -5,8 +5,8 @@
 // core/memory_model.h must agree on the ConnTable and TransitTable bytes,
 // so the runtime telemetry can never drift from the sizing math; (2) the
 // alarm state machine — hysteresis yields exactly one trace event per true
-// threshold crossing, never a flap; (3) the exhaustion forecast and the
-// rendered /capacity(.json) documents.
+// threshold crossing, never a flap, and a poll reads occupancy only; (3) the
+// exhaustion forecast and the rendered /capacity(.json) documents.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,6 +44,30 @@ double gauge(const obs::Snapshot& snap, const char* name,
              const std::string& labels) {
   return snap.value_of(name, labels, -1.0);
 }
+
+/// A one-table Source whose occupancy the test sets; it counts its reads.
+class FakeSource : public obs::ResourceLedger::Source {
+ public:
+  double occupancy = 0;
+  mutable std::size_t occupancy_reads = 0;
+  mutable std::size_t usage_reads = 0;
+  mutable std::size_t vip_reads = 0;
+
+  double table_occupancy(std::size_t) const override {
+    ++occupancy_reads;
+    return occupancy;
+  }
+  obs::TableUsage table_usage(std::size_t, bool) const override {
+    ++usage_reads;
+    obs::TableUsage usage;
+    usage.occupancy = occupancy;
+    return usage;
+  }
+  std::vector<obs::VipUsage> vip_usage() const override {
+    ++vip_reads;
+    return {};
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Reconciliation: ledger == MemoryUsage auditor == Fig. 12 formulas
@@ -163,15 +187,9 @@ AlarmCounts count_alarm_events(const obs::TraceRing& ring) {
 
 TEST(CapacityLedger, AlarmHysteresisOneEventPerCrossing) {
   obs::TraceRing ring(256);
-  obs::ResourceLedger ledger;
-  ledger.bind_trace(&ring);
-
-  double occ = 0;
-  obs::ResourceLedger::TableProbe probe;
-  probe.entries = [&occ] { return static_cast<std::uint64_t>(occ * 1000); };
-  probe.bytes = [] { return std::uint64_t{0}; };
-  probe.occupancy = [&occ] { return occ; };
-  ledger.register_table("t", probe);
+  FakeSource source;
+  obs::ResourceLedger ledger({"t"}, source, &ring);
+  EXPECT_EQ(ring.find_scope("t").value_or(0), 1u);  // interned up front
 
   using Level = obs::CapacityLevel;
   const std::vector<std::tuple<double, Level, std::uint64_t>> steps = {
@@ -189,14 +207,14 @@ TEST(CapacityLedger, AlarmHysteresisOneEventPerCrossing) {
   };
   sim::Time now = 0;
   for (const auto& [occupancy, level, transitions] : steps) {
-    occ = occupancy;
+    source.occupancy = occupancy;
     now += sim::kSecond;
     ledger.poll(now);
-    EXPECT_EQ(ledger.level("t"), level) << "at occupancy " << occupancy;
+    EXPECT_EQ(ledger.level(0), level) << "at occupancy " << occupancy;
     EXPECT_EQ(ledger.total_transitions(), transitions)
         << "at occupancy " << occupancy;
   }
-  EXPECT_EQ(ledger.transitions("t"), 8u);
+  EXPECT_EQ(ledger.transitions(0), 8u);
   EXPECT_EQ(ledger.worst_level(), Level::kOk);
 
   // The trace ring saw exactly one event per transition: 4 raises (watch,
@@ -248,34 +266,46 @@ TEST(CapacityLedger, ForecastFlatAndShortWindows) {
 }
 
 TEST(CapacityLedger, ForecastThroughPolledHistory) {
-  obs::ResourceLedger ledger;
-
-  double occ = 0;
-  obs::ResourceLedger::TableProbe probe;
-  probe.entries = [] { return std::uint64_t{0}; };
-  probe.bytes = [] { return std::uint64_t{0}; };
-  probe.occupancy = [&occ] { return occ; };
-  ledger.register_table("ramp", probe);
+  FakeSource source;
+  obs::ResourceLedger ledger({"ramp"}, source, nullptr);
 
   static_assert(obs::ResourceLedger::kForecastMinSamples == 8);
   for (int i = 0; i < 8; ++i) {
     // No forecast until the eighth sample lands.
-    EXPECT_FALSE(ledger.forecast("ramp").valid) << "after " << i << " samples";
-    occ = 0.10 * i;
+    EXPECT_FALSE(ledger.forecast(0).valid) << "after " << i << " samples";
+    source.occupancy = 0.10 * i;
     ledger.poll(static_cast<sim::Time>(i) * sim::kSecond);
   }
-  const auto forecast = ledger.forecast("ramp");
+  const auto forecast = ledger.forecast(0);
   ASSERT_TRUE(forecast.valid);
   EXPECT_NEAR(forecast.slope_per_s, 0.10, 1e-9);
   EXPECT_NEAR(forecast.seconds_to_full, (1.0 - 0.70) / 0.10, 1e-6);
 
   // Re-polling the same timestamp replaces the sample instead of duplicating
   // the time point (keeps the regression well-conditioned).
-  occ = 0.75;
+  source.occupancy = 0.75;
   ledger.poll(7 * sim::kSecond);
-  const auto updated = ledger.forecast("ramp");
+  const auto updated = ledger.forecast(0);
   ASSERT_TRUE(updated.valid);
   EXPECT_NEAR(updated.occupancy, 0.75, 1e-9);
+}
+
+TEST(CapacityLedger, PollReadsOnlyOccupancy) {
+  FakeSource source;
+  obs::ResourceLedger ledger({"t"}, source, nullptr);
+  // 36 flat samples, then a ramp of 64: the history keeps the last
+  // kHistory samples, so the forecast sees the ramp alone.
+  static_assert(obs::ResourceLedger::kHistory == 64);
+  for (int i = 0; i < 100; ++i) {
+    source.occupancy = i < 36 ? 0.5 : 0.5 + 0.001 * (i - 36);
+    ledger.poll(static_cast<sim::Time>(i) * sim::kMillisecond);
+  }
+  EXPECT_EQ(source.occupancy_reads, 100u);
+  EXPECT_EQ(source.usage_reads, 0u);
+  EXPECT_EQ(source.vip_reads, 0u);
+  const auto forecast = ledger.forecast(0);
+  ASSERT_TRUE(forecast.valid);
+  EXPECT_NEAR(forecast.slope_per_s, 1.0, 1e-6);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +352,33 @@ TEST(CapacityLedger, RendersTextAndJson) {
   // The debug report embeds the same ledger table.
   EXPECT_NE(sw.debug_report().find("silkroad capacity ledger"),
             std::string::npos);
+}
+
+TEST(CapacityLedger, VipRowsAreLiveAndSortedByName) {
+  sim::Simulator sim;
+  core::SilkRoadSwitch::Config config;
+  config.conn_table = core::SilkRoadSwitch::conn_table_for(100'000);
+  core::SilkRoadSwitch sw(sim, config);
+  // Added in reverse name order.
+  sw.add_vip(*net::Endpoint::parse("20.0.0.2:80"), four_dips());
+  sw.add_vip(*net::Endpoint::parse("20.0.0.1:80"), four_dips());
+
+  for (const std::string& doc :
+       {sw.capacity().to_text(), sw.capacity().to_json()}) {
+    const std::size_t first = doc.find("20.0.0.1:80");
+    const std::size_t second = doc.find("20.0.0.2:80");
+    ASSERT_NE(first, std::string::npos) << doc;
+    ASSERT_NE(second, std::string::npos) << doc;
+    EXPECT_LT(first, second) << doc;
+  }
+
+  // A reset switch holds no VIP until it is provisioned again, and lists
+  // none.
+  sw.reset();
+  EXPECT_EQ(sw.capacity().to_text().find("per-VIP attribution"),
+            std::string::npos);
+  EXPECT_NE(sw.capacity().to_json().find("\"vips\":[\n]"), std::string::npos)
+      << sw.capacity().to_json();
 }
 
 }  // namespace

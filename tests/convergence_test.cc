@@ -6,6 +6,7 @@
 // scraping every route while such a fleet runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <random>
@@ -471,6 +472,10 @@ TEST(FleetConvergence, SeededMirrorCorruptionIsCaughtWithAttribution) {
   EXPECT_NE(report.reason.find("silent divergence"), std::string::npos);
   EXPECT_FALSE(report.divergence_text.empty());
   EXPECT_NE(report.to_json().find("\"divergence\":"), std::string::npos);
+  // It names no flow, so its timeline carries the diverged switch's ring.
+  EXPECT_TRUE(std::any_of(
+      report.timeline.begin(), report.timeline.end(),
+      [](const obs::ForensicsReport::Entry& e) { return e.source == "ring"; }));
 
   // Healing the mirror re-arms the episode latch; no further findings.
   fleet.inject_mirror_corruption(1, vip_ep(), dips[2], /*add=*/true);

@@ -358,10 +358,10 @@ TEST(TraceRing, TailForFiltersByScopeAndVersion) {
 }
 
 TEST(TraceRing, ClockStampsEvents) {
-  sim::Time now = 0;
-  TraceRing ring(4, [&now] { return now; });
-  now = 1500;
-  ring.record(EventKind::kLearn);
+  sim::Simulator sim;
+  TraceRing ring(4, &sim);
+  sim.schedule_at(1500, [&ring] { ring.record(EventKind::kLearn); });
+  sim.run();
   EXPECT_EQ(ring.events().at(0).at, 1500);
 }
 

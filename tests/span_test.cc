@@ -349,6 +349,42 @@ TEST(SpanForensics, ForcedViolationReportInterleavesJourneyAndSpan) {
   ::rmdir(dir);
 }
 
+TEST(SpanForensics, ReportWithoutAFlowCarriesTheWholeRing) {
+  // The invariant auditor's and the fleet's divergence reports name no
+  // flow: their window is the whole ring, and so is their timeline.
+  sim::Simulator sim;
+  core::SilkRoadSwitch sw(sim, small_config());
+  sw.add_vip(test_vip(), test_dips(4));
+  for (std::uint32_t client = 0; client < 20; ++client) {
+    net::Packet syn;
+    syn.flow = {{net::IpAddress::v4(0x0B000000 + client), 40000},
+                test_vip(),
+                net::Protocol::kTcp};
+    syn.syn = true;
+    sw.process_packet(syn);
+  }
+  sim.run();
+  sw.request_update(add_update(test_dips(5)[4], sim.now()));
+  sim.run();
+
+  const obs::ForensicsReport report = obs::assemble_forensics(
+      sw.trace(), &sw.spans(), 0, "span_test: no flow");
+  std::size_t ring_lines = 0;
+  bool saw_learn = false;
+  bool saw_insert = false;
+  bool saw_flip = false;
+  for (const auto& entry : report.timeline) {
+    if (entry.source == "ring") ++ring_lines;
+    saw_learn |= entry.line.rfind("learn ", 0) == 0;
+    saw_insert |= entry.line.rfind("cuckoo-insert ", 0) == 0;
+    saw_flip |= entry.line.rfind("flip ", 0) == 0;
+  }
+  EXPECT_EQ(ring_lines, sw.trace().events().size());
+  EXPECT_TRUE(saw_learn);
+  EXPECT_TRUE(saw_insert);
+  EXPECT_TRUE(saw_flip);  // from the update's span
+}
+
 TEST(SpanForensics, ChunkSpanIsListedAsAChunkOfItsSession) {
   obs::SpanCollector spans;
   const std::uint64_t session = spans.begin_resync(0, 1000, {});
