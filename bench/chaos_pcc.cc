@@ -31,8 +31,6 @@ core::SilkRoadSwitch::Config chaos_switch_config() {
   config.max_pending_inserts = 512;
   config.degraded_enter_backlog = 256;
   config.degraded_exit_backlog = 32;
-  config.shed_policy = core::SilkRoadSwitch::ShedPolicy::kPinVersion;
-  config.degraded_poll_period = 1 * sim::kMillisecond;
   config.relearn_timeout = 20 * sim::kMillisecond;
   return config;
 }

@@ -67,7 +67,8 @@ int main() {
   // silkroad_fleet_switches_live series captures the failover itself.
   obs::TimeSeriesRecorder::Options rec_opts;
   rec_opts.interval = 250 * sim::kMillisecond;
-  obs::TimeSeriesRecorder recorder(fleet.snapshot_source(), rec_opts);
+  obs::TimeSeriesRecorder recorder(
+      [&fleet] { return fleet.metrics_snapshot(); }, rec_opts);
   recorder.attach(sim);
 
   // Optional live scrape endpoint over the fleet-wide aggregate

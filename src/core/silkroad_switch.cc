@@ -46,8 +46,7 @@ SilkRoadSwitch::SilkRoadSwitch(sim::Simulator& simulator, const Config& config)
     : sim_(simulator),
       config_(config),
       trace_(4096, &simulator),
-      conn_profiler_(metrics_, "silkroad_conn_table",
-                     config.conn_table.stages),
+      stage_lookups_(config.conn_table.stages + 1),
       conn_table_(config.conn_table),
       learning_filter_(simulator, config.learning,
                        [this](const std::vector<asic::LearnEvent>& batch) {
@@ -233,14 +232,35 @@ void SilkRoadSwitch::init_metrics() {
         return static_cast<double>(total);
       },
       "allocation attempts that found the version ring empty");
+  // Stage s examined every lookup that matched at s or later, or missed
+  // everywhere; it missed those that went on to stage s + 1.
+  const auto examined = [this](std::size_t stage) {
+    std::uint64_t total = 0;
+    for (std::size_t s = stage; s < stage_lookups_.size(); ++s) {
+      total += stage_lookups_[s];
+    }
+    return static_cast<double>(total);
+  };
   for (std::uint32_t stage = 0; stage < config_.conn_table.stages; ++stage) {
+    const std::string label = "stage=\"" + std::to_string(stage) + "\"";
     metrics_.register_callback(
         "silkroad_conn_table_stage_occupancy", obs::MetricKind::kGauge,
         [this, stage] {
           return static_cast<double>(conn_table_.used_in_stage(stage));
         },
-        "occupied ConnTable slots per physical pipeline stage",
-        "stage=\"" + std::to_string(stage) + "\"");
+        "occupied ConnTable slots per physical pipeline stage", label);
+    metrics_.register_callback(
+        "silkroad_conn_table_stage_packets_total", obs::MetricKind::kCounter,
+        [examined, stage] { return examined(stage); },
+        "packets examined by the stage", label);
+    metrics_.register_callback(
+        "silkroad_conn_table_stage_hits_total", obs::MetricKind::kCounter,
+        [this, stage] { return static_cast<double>(stage_lookups_[stage]); },
+        "table hits at the stage", label);
+    metrics_.register_callback(
+        "silkroad_conn_table_stage_misses_total", obs::MetricKind::kCounter,
+        [examined, stage] { return examined(stage + 1); },
+        "table misses at the stage", label);
   }
   metrics_.register_callback(
       "obs_trace_dropped_total", obs::MetricKind::kCounter,
@@ -717,7 +737,7 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   const net::Endpoint vip = packet.flow.dst;
 
   const auto hit = conn_table_.lookup(packet.flow);
-  conn_profiler_.record_lookup(hit ? hit->slot.stage : conn_profiler_.stages());
+  ++stage_lookups_[hit ? hit->slot.stage : stage_lookups_.size() - 1];
   if (hit) {
     if (conn_table_.is_false_positive(packet.flow, hit->slot)) {
       if (packet.syn) {
@@ -802,8 +822,8 @@ lb::PacketResult SilkRoadSwitch::process_packet_impl(
   }
 
   if (record != nullptr && record->state == FlowState::kDegraded) {
-    // Shed/degraded admission under kPinVersion: served version-routed from
-    // the pinned admission-time version, no ConnTable entry.
+    // Shed/degraded admission: served version-routed from the pinned
+    // admission-time version, no ConnTable entry.
     result.dip = state->versions->select(record->version, packet.flow);
     if (packet.fin) {
       release_conn(*state, *id);
@@ -1242,21 +1262,19 @@ std::optional<net::Endpoint> SilkRoadSwitch::admit_without_insert(
     const net::Endpoint& vip, VipState& state, const net::FiveTuple& flow,
     bool shed) {
   // current_version() directly — never version_for_miss — so the flow leaves
-  // no TransitTable record. Under kPinVersion the pin makes this equivalent
-  // to a ConnTable entry for consistency purposes: during Step1 the pin holds
-  // the old version; after a flip the pin still holds it.
+  // no TransitTable record. The pin makes this equivalent to a ConnTable
+  // entry for consistency purposes: during Step1 the pin holds the old
+  // version; after a flip the pin still holds it.
   const std::uint32_t version = state.versions->current_version();
   const auto dip = state.versions->select(version, flow);
   if (!dip) return std::nullopt;
-  if (config_.shed_policy == ShedPolicy::kPinVersion) {
-    const FlowId id = new_record(flow, FlowState::kDegraded);
-    records_[id].version = version;
-    track(state, id);
-    if (config_.data_plane_telemetry) {
-      DipConnHandles& handles = dip_handles(state, vip, *dip);
-      handles.new_conns->inc();
-      handles.active->add(1.0);
-    }
+  const FlowId id = new_record(flow, FlowState::kDegraded);
+  records_[id].version = version;
+  track(state, id);
+  if (config_.data_plane_telemetry) {
+    DipConnHandles& handles = dip_handles(state, vip, *dip);
+    handles.new_conns->inc();
+    handles.active->add(1.0);
   }
   if (shed) {
     c_.pending_shed->inc();
@@ -1297,12 +1315,9 @@ void SilkRoadSwitch::maybe_update_degraded() {
 void SilkRoadSwitch::arm_degraded_poll() {
   // Exit is re-checked on every admission; the poll covers the case where
   // traffic to this switch stops entirely while it is degraded.
-  if (!degraded_ || degraded_poll_armed_ ||
-      config_.degraded_poll_period == 0) {
-    return;
-  }
+  if (!degraded_ || degraded_poll_armed_) return;
   degraded_poll_armed_ = true;
-  sim_.schedule_after(config_.degraded_poll_period, [this] {
+  sim_.schedule_after(kDegradedPollPeriod, [this] {
     degraded_poll_armed_ = false;
     maybe_update_degraded();
     arm_degraded_poll();

@@ -37,7 +37,6 @@
 #include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "obs/stage_profiler.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"
 
@@ -51,15 +50,6 @@ namespace silkroad::core {
 class SilkRoadSwitch : public lb::LoadBalancer,
                        private obs::ResourceLedger::Source {
  public:
-  /// How a flow the control plane cannot (or will not) insert is served.
-  ///  * kPinVersion — the CPU tracks the flow in DRAM pinned to its
-  ///    admission-time pool version (the §4.2 "small software table" applied
-  ///    at version granularity): PCC-preserving, costs CPU memory only.
-  ///  * kStateless — the flow is routed by the VIPTable's current version
-  ///    with no record; cheap, but updates re-map it (the measurable PCC
-  ///    blast radius of stateless degradation).
-  enum class ShedPolicy : std::uint8_t { kPinVersion, kStateless };
-
   struct Config {
     asic::CuckooConfig conn_table;
     asic::LearningFilter::Config learning;
@@ -82,17 +72,16 @@ class SilkRoadSwitch : public lb::LoadBalancer,
     // --- Graceful degradation (all disabled by default) ---------------------
 
     /// Bounded pending-insert queue: a new flow arriving while this many
-    /// insertions are pending is shed per `shed_policy` instead of learned.
-    /// 0 = unbounded.
+    /// insertions are pending is shed instead of learned: the CPU tracks it
+    /// in DRAM pinned to its admission-time pool version (the §4.2 "small
+    /// software table" applied at version granularity), which preserves
+    /// PCC at the cost of CPU memory only. 0 = unbounded.
     std::size_t max_pending_inserts = 0;
     /// Degraded-mode hysteresis on the switch-CPU backlog: enter at or above
-    /// `enter`, leave at or below `exit`. 0 disables degraded mode.
+    /// `enter`, leave at or below `exit`. 0 disables degraded mode. Degraded
+    /// admission pins new flows like a shed does.
     std::size_t degraded_enter_backlog = 0;
     std::size_t degraded_exit_backlog = 0;
-    ShedPolicy shed_policy = ShedPolicy::kPinVersion;
-    /// While degraded, how often to re-check the exit condition when no
-    /// admission event does it first.
-    sim::Time degraded_poll_period = 1 * sim::kMillisecond;
     /// Re-learn janitor: a pending flow whose learning notification has not
     /// reached the CPU after this long is re-enqueued directly, recovering
     /// dropped learning-filter notifications. 0 = off; otherwise it must
@@ -122,6 +111,9 @@ class SilkRoadSwitch : public lb::LoadBalancer,
   static constexpr sim::Time kPipelineLatency = 400;  // ns
   /// Slow-path latency charged to a redirected SYN (§4.2: "a few ms").
   static constexpr sim::Time kSynRedirectDelay = 2 * sim::kMillisecond;
+  /// While degraded, how often to re-check the exit condition when no
+  /// admission event does it first.
+  static constexpr sim::Time kDegradedPollPeriod = 1 * sim::kMillisecond;
 
   /// Sizes a ConnTable geometry for `connections` at `occupancy` packing
   /// across 4 stages with paper-default entry layout (16b digest + 6b
@@ -304,7 +296,7 @@ class SilkRoadSwitch : public lb::LoadBalancer,
     kPending,    ///< learned; its ConnTable insertion is queued at the CPU
     kInstalled,  ///< its ConnTable entry has landed
     kSoftware,   ///< exact DIP in the slow-path "small table" (§4.2/§7)
-    kDegraded,   ///< version-pinned without an entry (ShedPolicy::kPinVersion)
+    kDegraded,   ///< version-pinned without an entry (shed/degraded admission)
   };
 
   /// One connection's control-plane state: what the switch CPU shadows for a
@@ -534,9 +526,12 @@ class SilkRoadSwitch : public lb::LoadBalancer,
   /// Telemetry first: the instrumented members below bind to these.
   obs::MetricsRegistry metrics_;
   obs::TraceRing trace_;
-  /// Per-stage ConnTable hit/miss counters, recorded once per data-plane
-  /// lookup in process_packet_impl() (control-plane lookups are not packets).
-  obs::StageProfiler conn_profiler_;
+  /// Data-plane ConnTable lookups by the stage that first matched, the last
+  /// entry counting full misses; one add per packet in process_packet_impl()
+  /// (control-plane lookups are not packets). A lookup that matched at stage
+  /// s missed at every stage before it, so init_metrics() derives each
+  /// stage's packets, hits and misses from these counts.
+  std::vector<std::uint64_t> stage_lookups_;
   /// Counter handles into metrics_, resolved once in init_metrics(); a bump
   /// is one plain add through a pre-resolved pointer.
   struct CounterHandles {

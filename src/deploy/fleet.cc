@@ -52,12 +52,6 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
     const auto leg = static_cast<std::uint32_t>(i);
     channels_.back()->bind_spans(&spans_, leg);
     switches_.back()->bind_spans(&spans_, leg);
-    // Resync-session open notification (window-wipe edge): the observer
-    // suspends digest checks for the session before any chunk is computed.
-    channels_.back()->set_session_hook(
-        [this, i](std::uint64_t session, sim::Time now) {
-          if (observer_ != nullptr) observer_->on_session_open(i, session, now);
-        });
   }
   if (sync_.observe_convergence) {
     const obs::FleetObserver::Source& source = *this;
@@ -79,6 +73,15 @@ SilkRoadFleet::SilkRoadFleet(sim::Simulator& simulator,
         });
   }
   spans_.bind_metrics(fleet_metrics_);
+  // Fleet-level gauges that no member registry can know about.
+  fleet_metrics_.register_callback(
+      "silkroad_fleet_switches", obs::MetricKind::kGauge,
+      [this] { return static_cast<double>(switches_.size()); },
+      "switches configured in the fleet");
+  fleet_metrics_.register_callback(
+      "silkroad_fleet_switches_live", obs::MetricKind::kGauge,
+      [this] { return static_cast<double>(live_count()); },
+      "switches currently alive (ECMP members)");
   // Sync-subsystem telemetry: pull callbacks over the journal and snapshot
   // stores, and the session-rung counters.
   fleet_metrics_.register_callback(
@@ -660,25 +663,7 @@ obs::Snapshot SilkRoadFleet::metrics_snapshot() const {
     parts.push_back(sw->metrics().snapshot());
   }
   parts.push_back(fleet_metrics_.snapshot());
-  obs::Snapshot merged = obs::MetricsRegistry::aggregate(parts);
-  // Fleet-level gauges that no member registry can know about.
-  obs::MetricSample switches;
-  switches.name = "silkroad_fleet_switches";
-  switches.help = "switches configured in the fleet";
-  switches.kind = obs::MetricKind::kGauge;
-  switches.value = static_cast<double>(switches_.size());
-  obs::MetricSample live;
-  live.name = "silkroad_fleet_switches_live";
-  live.help = "switches currently alive (ECMP members)";
-  live.kind = obs::MetricKind::kGauge;
-  live.value = static_cast<double>(live_count());
-  merged.samples.push_back(std::move(switches));
-  merged.samples.push_back(std::move(live));
-  return obs::MetricsRegistry::aggregate({std::move(merged)});  // re-sort
-}
-
-std::function<obs::Snapshot()> SilkRoadFleet::snapshot_source() const {
-  return [this] { return metrics_snapshot(); };
+  return obs::MetricsRegistry::aggregate(parts);
 }
 
 void SilkRoadFleet::inject_mirror_corruption(std::size_t index,

@@ -181,10 +181,6 @@ class SilkRoadFleet : public lb::LoadBalancer,
   /// restore_switch() resets them.
   obs::Snapshot metrics_snapshot() const;
 
-  /// The fleet-wide snapshot as a callable — plugs directly into
-  /// obs::TimeSeriesRecorder so one recorder tracks the whole fleet.
-  std::function<obs::Snapshot()> snapshot_source() const;
-
   // --- Convergence observatory (DESIGN.md §17) --------------------------------
 
   /// The fleet's convergence observer, or nullptr when

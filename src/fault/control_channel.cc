@@ -238,7 +238,6 @@ void ControlChannel::force_resync() {
         spans_->begin_resync(span_switch_, sim_.now(), pending_subsume_);
     pending_subsume_.clear();
   }
-  if (session_hook_) session_hook_(active_resync_id_, sim_.now());
   // Ask the controller to send the chunked catch-up. The chunks go through
   // send()/transmit() like every other message — there is no reliable
   // delivery fiction here; the session span gets its kResyncApply when the

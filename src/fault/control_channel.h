@@ -62,19 +62,15 @@ class ControlChannel {
   /// Begin-resync-session request: the callee computes the catch-up (journal
   /// suffix past the replica's watermark, or full state after compaction)
   /// and sends it back through this channel as sequenced ResyncChunk
-  /// payloads. Invoked synchronously from force_resync(); nothing about the
-  /// transfer itself is reliable (srlint R13 keeps direct invocations out of
-  /// the rest of the tree).
+  /// payloads. Invoked synchronously from force_resync(), after the window
+  /// wipe and with the session's span id in active_resync_id(), so the
+  /// callee is the one place a session opens: the fleet's also tells its
+  /// convergence observer (DESIGN.md §17) before the first chunk leaves.
+  /// Nothing about the transfer itself is reliable (srlint R13 keeps direct
+  /// invocations out of the rest of the tree).
   using ResyncFn = std::function<void()>;
   /// Fault-injection hook: returns true to force-drop this transmission.
   using LossHook = std::function<bool(sim::Time now)>;
-  /// Resync-session state notification, fired at the window-wipe edge of
-  /// force_resync() — before the ResyncFn computes the catch-up — with the
-  /// freshly minted session span id (0 when no span collector is bound).
-  /// The convergence observatory (DESIGN.md §17) uses it to suspend digest
-  /// checks for the duration of the session.
-  using SessionHook = std::function<void(std::uint64_t session_id,
-                                         sim::Time now)>;
 
   ControlChannel(sim::Simulator& simulator, const Config& config,
                  DeliverFn deliver, ResyncFn resync);
@@ -100,7 +96,6 @@ class ControlChannel {
   void force_resync();
 
   void set_loss_hook(LossHook hook) { loss_hook_ = std::move(hook); }
-  void set_session_hook(SessionHook hook) { session_hook_ = std::move(hook); }
 
   /// Registers this channel's counters in `registry` under the
   /// silkroad_ctrl_* names with `labels` (e.g. switch="2").
@@ -165,7 +160,6 @@ class ControlChannel {
   DeliverFn deliver_;
   ResyncFn resync_;
   LossHook loss_hook_;
-  SessionHook session_hook_;
   sim::Rng rng_;
 
   obs::SpanCollector* spans_ = nullptr;

@@ -86,13 +86,20 @@ std::map<net::Endpoint, std::vector<net::Endpoint>> by_vip(
   return out;
 }
 
-// Appends a resync-session record, keeping the newest kSessionHistory.
-void push_session(std::deque<DivergenceFinding::SessionRecord>& sessions,
-                  const DivergenceFinding::SessionRecord& record) {
-  sessions.push_back(record);
-  while (sessions.size() > FleetObserver::kSessionHistory) {
-    sessions.pop_front();
+// ,"sessions":[...] — resync-session records, oldest first. Shared by a
+// finding and a switch row of /fleet.json.
+void append_sessions_json(std::string& out, const auto& sessions) {
+  out += ",\"sessions\":[";
+  bool first = true;
+  for (const DivergenceFinding::SessionRecord& s : sessions) {
+    if (!first) out += ",";
+    first = false;
+    append(out,
+           "{\"session_id\":%" PRIu64 ",\"kind\":\"%s\",\"began_ns\":%" PRIu64
+           ",\"ended_ns\":%" PRIu64 "}",
+           s.session_id, kind_name(s.kind), s.began, s.ended);
   }
+  out += "]";
 }
 
 }  // namespace
@@ -188,45 +195,31 @@ std::string DivergenceFinding::to_json() const {
     }
     out += "]}";
   }
-  out += "],\"sessions\":[";
-  first = true;
-  for (const auto& s : sessions) {
-    if (!first) out += ",";
-    first = false;
-    append(out,
-           "{\"session_id\":%" PRIu64 ",\"kind\":\"%s\",\"began_ns\":%" PRIu64
-           ",\"ended_ns\":%" PRIu64 "}",
-           s.session_id, kind_name(s.kind), s.began, s.ended);
-  }
-  out += "]}";
+  out += "]";
+  append_sessions_json(out, sessions);
+  out += "}";
   return out;
 }
 
 // --- FleetObserver -----------------------------------------------------------
 
 FleetObserver::FleetObserver(std::size_t switches, const Source& source)
-    : switch_count_(switches), source_(source), cells_(switches) {
-  history_.resize(kDigestHistory);
-}
+    : source_(source), cells_(switches), history_(kDigestHistory) {}
 
 // --- Feed: journal appends ---------------------------------------------------
 
 void FleetObserver::on_append_config(std::uint64_t pos, sim::Time now) {
-  SR_DCHECKF(pos > totals_.head, "journal positions are monotone");
-  totals_.head = pos;
   totals_.desired_digest = fold(source_.desired());
-  append_history(now);
-  tick(now, kNoSwitch);
+  append_history(pos, now);
+  tick(now);
 }
 
 void FleetObserver::on_append_update(std::uint64_t pos, sim::Time now,
                                      const net::Endpoint& vip,
                                      const net::Endpoint& dip, bool changed) {
-  SR_DCHECKF(pos > totals_.head, "journal positions are monotone");
-  totals_.head = pos;
   if (changed) totals_.desired_digest ^= VipDigest::member_token(vip, dip);
-  append_history(now);
-  tick(now, kNoSwitch);
+  append_history(pos, now);
+  tick(now);
 }
 
 // --- Feed: per-switch applied membership -------------------------------------
@@ -236,7 +229,8 @@ void FleetObserver::on_mirror_config(std::size_t sw, std::uint64_t pos,
   SwitchCell& cell = cells_.at(sw);
   cell.digest = fold(source_.applied(sw));
   if (pos != 0 && pos > cell.watermark) cell.oob.insert(pos);
-  tick(now, sw);
+  tick(now);
+  check_switch(sw, now);
 }
 
 void FleetObserver::on_mirror_update(std::size_t sw, const net::Endpoint& vip,
@@ -245,7 +239,8 @@ void FleetObserver::on_mirror_update(std::size_t sw, const net::Endpoint& vip,
   if (changed) cells_[sw].digest ^= VipDigest::member_token(vip, dip);
   // Out-of-band mutations (resync replays, fault injection) are checked
   // right away against the unchanged effective watermark.
-  tick(now, sw);
+  tick(now);
+  check_switch(sw, now);
 }
 
 void FleetObserver::on_delivery(std::size_t sw, const net::Endpoint& vip,
@@ -265,8 +260,7 @@ void FleetObserver::on_delivery(std::size_t sw, const net::Endpoint& vip,
   // delivery-path divergence is therefore bounded by kEvalEvery feeds;
   // out-of-band mutations, lifecycle edges, and explicit evaluate() still
   // check immediately (DESIGN.md §17).
-  count_selfcheck();
-  if (eval_due()) evaluate_and_check(now, kAllSwitches);
+  if (tick(now)) check_all(now);
 }
 
 void FleetObserver::on_watermark(std::size_t sw, std::uint64_t watermark,
@@ -274,7 +268,8 @@ void FleetObserver::on_watermark(std::size_t sw, std::uint64_t watermark,
   SwitchCell& cell = cells_[sw];
   cell.watermark = std::max(cell.watermark, watermark);
   prune_oob(cell);
-  tick(now, sw);
+  tick(now);
+  check_switch(sw, now);
 }
 
 // --- Feed: lifecycle ---------------------------------------------------------
@@ -288,7 +283,7 @@ void FleetObserver::on_switch_down(std::size_t sw, sim::Time now) {
   cell.watermark = 0;
   cell.divergent = false;
   cell.lagging = false;
-  tick(now, kAllSwitches);  // Live set changed: re-evaluate.
+  evaluate(now);  // Live set changed: re-evaluate.
 }
 
 void FleetObserver::on_restore_begin(std::size_t sw,
@@ -300,15 +295,7 @@ void FleetObserver::on_restore_begin(std::size_t sw,
   cell.oob.clear();
   cell.watermark = snapshot_watermark;
   cell.divergent = false;
-  tick(now, kAllSwitches);  // Live set changed: re-evaluate.
-}
-
-void FleetObserver::on_session_open(std::size_t sw, std::uint64_t session_id,
-                                    sim::Time now) {
-  SwitchCell& cell = cells_.at(sw);
-  if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
-  cell.active_session = session_id;
-  push_session(cell.sessions, {session_id, 0, now, 0});
+  evaluate(now);  // Live set changed: re-evaluate.
 }
 
 void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
@@ -316,12 +303,8 @@ void FleetObserver::on_resync_begin(std::size_t sw, std::uint64_t session_id,
   SwitchCell& cell = cells_.at(sw);
   if (cell.state == SwitchState::kLive) cell.state = SwitchState::kResyncing;
   cell.active_session = session_id;
-  auto& sessions = cell.sessions;
-  if (sessions.empty() || sessions.back().session_id != session_id) {
-    push_session(sessions, {session_id, static_cast<int>(kind), now, 0});
-  } else {
-    sessions.back().kind = static_cast<int>(kind);
-  }
+  cell.sessions.push_back({session_id, static_cast<int>(kind), now, 0});
+  if (cell.sessions.size() > kSessionHistory) cell.sessions.pop_front();
 }
 
 void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
@@ -336,7 +319,8 @@ void FleetObserver::on_resync_end(std::size_t sw, std::uint64_t session_id,
         break;
       }
     }
-    tick(now, sw);
+    tick(now);
+    check_switch(sw, now);
   }
 }
 
@@ -364,43 +348,26 @@ bool FleetObserver::checkable(const SwitchCell& cell) const {
   return *cell.oob.rbegin() <= effective(cell);
 }
 
+std::uint64_t FleetObserver::oldest_retained() const {
+  return totals_.head > kDigestHistory ? totals_.head - kDigestHistory + 1
+                                       : 1;
+}
+
 bool FleetObserver::digest_at(std::uint64_t pos, std::uint64_t* digest) const {
-  if (pos == 0) {
-    // Before the first journaled mutation the desired state is empty —
-    // unless history already scrolled past retention.
-    if (history_base_ > 1) return false;
-    *digest = 0;
-    return true;
-  }
-  if (pos < history_base_ || pos >= history_base_ + history_size_) {
+  // Position 0, the empty state before the first append, is known for as
+  // long as position 1 is.
+  if (pos > totals_.head ||
+      std::max<std::uint64_t>(pos, 1) < oldest_retained()) {
     return false;
   }
-  *digest = history_entry(pos - history_base_).digest_after;
+  *digest = pos == 0 ? 0 : history_[pos % kDigestHistory].digest_after;
   return true;
 }
 
-const FleetObserver::HistoryEntry& FleetObserver::history_entry(
-    std::size_t off) const {
-  std::size_t idx = history_start_ + off;
-  if (idx >= history_.size()) idx -= history_.size();
-  return history_[idx];
-}
-
-void FleetObserver::append_history(sim::Time now) {
-  // Caller just advanced the head to the appended position.
-  const std::size_t cap = history_.size();
-  if (history_size_ == 0) history_base_ = totals_.head;
-  std::size_t idx;
-  if (history_size_ == cap) {
-    idx = history_start_;  // Full: the oldest entry is recycled.
-    history_start_ = history_start_ + 1 == cap ? 0 : history_start_ + 1;
-    ++history_base_;
-  } else {
-    idx = history_start_ + history_size_;
-    if (idx >= cap) idx -= cap;
-    ++history_size_;
-  }
-  history_[idx] = {totals_.desired_digest, now};
+void FleetObserver::append_history(std::uint64_t pos, sim::Time now) {
+  SR_CHECKF(pos == totals_.head + 1, "journal positions are dense");
+  totals_.head = pos;
+  history_[pos % kDigestHistory] = {totals_.desired_digest, now};
 }
 
 void FleetObserver::check_switch(std::size_t sw, sim::Time now) {
@@ -418,7 +385,6 @@ void FleetObserver::check_switch(std::size_t sw, sim::Time now) {
   }
   if (cell.divergent) return;  // Already reported this episode.
   cell.divergent = true;
-  ++totals_.divergences;
   DivergenceFinding finding;
   finding.switch_index = sw;
   finding.position = position;
@@ -479,17 +445,14 @@ void FleetObserver::evaluate_lags(sim::Time now) {
     const std::uint64_t lag =
         totals_.head > position ? totals_.head - position : 0;
     cell.lag = lag;
-    if (lag == 0 || history_size_ == 0) {
+    if (lag == 0) {
       cell.age = 0;
     } else {
-      // Age of the oldest unapplied mutation. When it predates the retained
-      // history the oldest entry's timestamp is a (documented) lower bound.
-      const std::uint64_t next = position + 1;
+      // Age of the oldest unapplied mutation (position + 1 <= head). When it
+      // predates the retained history the oldest entry's timestamp is a
+      // (documented) lower bound.
       const HistoryEntry& entry =
-          next < history_base_ ? history_entry(0)
-          : next >= history_base_ + history_size_
-              ? history_entry(history_size_ - 1)
-              : history_entry(next - history_base_);
+          history_[std::max(position + 1, oldest_retained()) % kDigestHistory];
       cell.age = now > entry.appended_at ? now - entry.appended_at : 0;
     }
     if (cell.lagging) {
@@ -515,55 +478,36 @@ void FleetObserver::evaluate_lags(sim::Time now) {
   last_eval_ = std::max(last_eval_, now);
 }
 
-void FleetObserver::count_selfcheck() {
-  if (cells_.empty() || --selfcheck_countdown_ != 0) return;
-  selfcheck_countdown_ = kSelfcheckEvery;
-  // Round-robin one switch (plus the desired digest) per cadence hit —
-  // bounded work per feed, full coverage over time. The fleet changes its
-  // state before it feeds, so here the Source agrees with the digests.
-  ++totals_.selfchecks;
-  const std::size_t sw = selfcheck_cursor_;
-  selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
-  if (fold(source_.applied(sw)) != cells_[sw].digest ||
-      fold(source_.desired()) != totals_.desired_digest) {
-    ++totals_.selfcheck_failures;
+bool FleetObserver::tick(sim::Time now) {
+  if (!cells_.empty() && --selfcheck_countdown_ == 0) {
+    selfcheck_countdown_ = kSelfcheckEvery;
+    // Round-robin one switch (plus the desired digest) per cadence hit —
+    // bounded work per feed, full coverage over time. The fleet changes its
+    // state before it feeds, so here the Source agrees with the digests.
+    ++totals_.selfchecks;
+    const std::size_t sw = selfcheck_cursor_;
+    selfcheck_cursor_ = (selfcheck_cursor_ + 1) % cells_.size();
+    if (fold(source_.applied(sw)) != cells_[sw].digest ||
+        fold(source_.desired()) != totals_.desired_digest) {
+      ++totals_.selfcheck_failures;
+    }
   }
+  // The O(switches) lag/SLO recompute is amortized over the feed stream;
+  // explicit evaluate() and lifecycle edges always run it.
+  if (--eval_countdown_ != 0) return false;
+  eval_countdown_ = kEvalEvery;
+  evaluate_lags(now);
+  return true;
 }
 
-bool FleetObserver::eval_due() {
-  if (--eval_countdown_ == 0) {
-    eval_countdown_ = kEvalEvery;
-    return true;
-  }
-  return false;
-}
-
-void FleetObserver::check_switches(sim::Time now, std::size_t touched) {
-  if (touched == kNoSwitch) return;  // Pure appends check nothing.
-  if (touched != kAllSwitches) {
-    check_switch(touched, now);
-    return;
-  }
+void FleetObserver::check_all(sim::Time now) {
   for (std::size_t sw = 0; sw < cells_.size(); ++sw) check_switch(sw, now);
 }
 
-void FleetObserver::evaluate_and_check(sim::Time now, std::size_t touched) {
-  evaluate_lags(now);
-  check_switches(now, touched);
+void FleetObserver::evaluate(sim::Time now) {
+  if (!tick(now)) evaluate_lags(now);
+  check_all(now);
 }
-
-void FleetObserver::tick(sim::Time now, std::size_t touched) {
-  count_selfcheck();
-  // The O(switches) lag/SLO recompute is amortized over the feed stream;
-  // explicit evaluate() and lifecycle edges (kAllSwitches) always run it.
-  if (eval_due() || touched == kAllSwitches) {
-    evaluate_and_check(now, touched);
-  } else {
-    check_switches(now, touched);
-  }
-}
-
-void FleetObserver::evaluate(sim::Time now) { tick(now, kAllSwitches); }
 
 bool FleetObserver::verify_digests() {
   bool ok = true;
@@ -603,7 +547,7 @@ void FleetObserver::bind_metrics(MetricsRegistry& registry) {
        [](const FleetObserver& o) { return o.totals_.slo_transitions; },
        "Convergence SLO ok<->violated flips");
   bind("silkroad_fleet_divergences_total", MetricKind::kCounter,
-       [](const FleetObserver& o) { return o.totals_.divergences; },
+       [](const FleetObserver& o) { return o.findings_.size(); },
        "Silent divergences detected (digest mismatch at equal watermark)");
   bind("silkroad_fleet_digest_selfchecks_total", MetricKind::kCounter,
        [](const FleetObserver& o) { return o.totals_.selfchecks; },
@@ -619,7 +563,7 @@ void FleetObserver::bind_metrics(MetricsRegistry& registry) {
       "silkroad_fleet_lag_positions",
       "Per-switch watermark lag in journal positions, recorded per "
       "evaluation");
-  for (std::size_t sw = 0; sw < switch_count_; ++sw) {
+  for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
     const std::string labels = "switch=\"" + std::to_string(sw) + "\"";
     bind("silkroad_fleet_switch_lag_positions", MetricKind::kGauge,
          [sw](const FleetObserver& o) { return o.cells_[sw].lag; },
@@ -680,8 +624,8 @@ std::string FleetObserver::to_text() const {
          " failures=%" PRIu64 " unverifiable=%" PRIu64 "\n",
          t.desired_digest, t.selfchecks, t.selfcheck_failures,
          t.unverifiable);
-  append(out, "divergences: %" PRIu64 "%s\n", t.divergences,
-         t.divergences == 0 ? "" : "  << SILENT DIVERGENCE");
+  append(out, "divergences: %zu%s\n", findings_.size(),
+         findings_.empty() ? "" : "  << SILENT DIVERGENCE");
   out += "switch  state      watermark  effective  lag  age_ms   digest"
          "              resync\n";
   for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
@@ -727,7 +671,7 @@ std::string FleetObserver::to_json() const {
          ",\"unverifiable\":%" PRIu64 "}",
          t.desired_digest, t.selfchecks, t.selfcheck_failures,
          t.unverifiable);
-  append(out, ",\"divergences\":%" PRIu64, t.divergences);
+  append(out, ",\"divergences\":%zu", findings_.size());
   out += ",\"switches\":[";
   for (std::size_t sw = 0; sw < cells_.size(); ++sw) {
     const SwitchCell& cell = cells_[sw];
@@ -740,16 +684,8 @@ std::string FleetObserver::to_json() const {
            sw, state_name(cell.state), cell.watermark, effective(cell),
            cell.lag, cell.age, cell.digest, cell.lagging ? "true" : "false",
            cell.divergent ? "true" : "false");
-    out += ",\"sessions\":[";
-    for (std::size_t i = 0; i < cell.sessions.size(); ++i) {
-      const auto& s = cell.sessions[i];
-      if (i != 0) out += ",";
-      append(out,
-             "{\"session_id\":%" PRIu64 ",\"kind\":\"%s\",\"began_ns\":%"
-             PRIu64 ",\"ended_ns\":%" PRIu64 "}",
-             s.session_id, kind_name(s.kind), s.began, s.ended);
-    }
-    out += "]}";
+    append_sessions_json(out, cell.sessions);
+    out += "}";
   }
   out += "\n],\"findings\":[";
   for (std::size_t i = 0; i < findings_.size(); ++i) {

@@ -185,7 +185,8 @@ class FleetObserver {
   // --- Feed: controller journal appends --------------------------------------
 
   /// A VipConfig was journaled at `pos`; the desired digest is recomputed
-  /// from the Source.
+  /// from the Source. Every append is fed and journal positions are dense
+  /// from 1, so `pos` is the head plus one (an SR_CHECK in every build).
   void on_append_config(std::uint64_t pos, sim::Time now);
   /// A DipUpdate was journaled at `pos`. `changed` is false when it left
   /// the desired membership as it was (adding a member, removing a
@@ -226,11 +227,9 @@ class FleetObserver {
   /// the snapshot's. One on_mirror_config(pos=0) per snapshot VIP follows.
   void on_restore_begin(std::size_t sw, std::uint64_t snapshot_watermark,
                         sim::Time now);
-  /// A resync session opened on `sw`'s channel (the window-wipe edge, fed
-  /// from fault::ControlChannel's session hook). Suspends divergence checks.
-  void on_session_open(std::size_t sw, std::uint64_t session_id,
-                       sim::Time now);
-  /// The controller chose the session's escalation rung.
+  /// A resync session opened on `sw`'s channel at escalation rung `kind`,
+  /// fed by the controller before it sends the first chunk. Suspends
+  /// divergence checks and records the session.
   void on_resync_begin(std::size_t sw, std::uint64_t session_id,
                        ResyncKind kind, sim::Time now);
   /// The session's final chunk landed; the switch is checkable again.
@@ -252,7 +251,7 @@ class FleetObserver {
   // The getters read the fold, which already holds every feed delivered so
   // far. Lags and the SLO date from the last evaluation.
 
-  std::size_t switches() const noexcept { return switch_count_; }
+  std::size_t switches() const noexcept { return cells_.size(); }
   std::uint64_t head() const { return totals_.head; }
   std::uint64_t watermark(std::size_t sw) const {
     return cells_.at(sw).watermark;
@@ -274,7 +273,7 @@ class FleetObserver {
   bool slo_ok() const { return totals_.slo_ok; }
   std::uint64_t slo_transitions() const { return totals_.slo_transitions; }
   sim::Time slo_burn_ns() const { return totals_.slo_burn_ns; }
-  std::uint64_t divergences() const { return totals_.divergences; }
+  std::uint64_t divergences() const { return findings_.size(); }
   const std::vector<DivergenceFinding>& findings() const { return findings_; }
   std::uint64_t selfchecks() const { return totals_.selfchecks; }
   std::uint64_t selfcheck_failures() const {
@@ -320,7 +319,6 @@ class FleetObserver {
     std::uint64_t slo_transitions = 0;
     sim::Time slo_burn_ns = 0;
     double lagging_fraction = 0.0;
-    std::uint64_t divergences = 0;
     std::uint64_t selfchecks = 0;
     std::uint64_t selfcheck_failures = 0;
     std::uint64_t unverifiable = 0;
@@ -336,33 +334,26 @@ class FleetObserver {
   /// True when `cell`'s applied membership must equal desired state at
   /// exactly effective(cell).
   bool checkable(const SwitchCell& cell) const;
-  /// Desired digest at `pos` from the history ring; false when compacted
-  /// out of the retained window.
+  /// Oldest journal position whose desired digest the history retains.
+  std::uint64_t oldest_retained() const;
+  /// Desired digest at `pos` (0: the empty state before the first append);
+  /// false when `pos` is past the head or scrolled out of the history.
   bool digest_at(std::uint64_t pos, std::uint64_t* digest) const;
-  void append_history(sim::Time now);
-  /// Ring entry at offset `off` (< history_size_) from the oldest retained.
-  const HistoryEntry& history_entry(std::size_t off) const;
+  /// Advances the head to `pos` and records the desired digest for it.
+  void append_history(std::uint64_t pos, sim::Time now);
   /// Runs the digest comparison for switch `sw` if checkable; a fresh
   /// mismatch is attributed, recorded and handed to the callback.
   void check_switch(std::size_t sw, sim::Time now);
+  void check_all(sim::Time now);
   void attribute(std::size_t sw, DivergenceFinding* finding) const;
   /// Lags and the SLO.
   void evaluate_lags(sim::Time now);
-  /// Shared tail of every feed: self-check cadence + evaluation +
-  /// divergence checks. `touched` bounds the digest comparison to the
-  /// switch the feed mutated (kAll for explicit evaluate(), kNone for pure
-  /// journal appends, which cannot change any switch's checkable digest).
-  static constexpr std::size_t kAllSwitches = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kNoSwitch = static_cast<std::size_t>(-2);
-  void tick(sim::Time now, std::size_t touched);
-  /// Evaluates and checks the switches selected by `touched`.
-  void evaluate_and_check(sim::Time now, std::size_t touched);
-  /// Counts one feed toward the round-robin self-check and runs it when
-  /// the countdown expires.
-  void count_selfcheck();
-  /// Decrements the evaluation countdown; true when it expired (reloads).
-  bool eval_due();
-  void check_switches(sim::Time now, std::size_t touched);
+  /// Shared tail of every feed: counts the feed toward the round-robin
+  /// self-check (run when its countdown expires) and toward the lag/SLO
+  /// evaluation; true when the evaluation ran. The feed then checks the
+  /// switch it mutated, or every switch after an evaluation; a journal
+  /// append changes no switch's checkable digest and checks none.
+  bool tick(sim::Time now);
 
   /// Lag distribution over the non-down switches, from the cached lags
   /// (order statistics, not the bound histogram, so rendering needs no
@@ -376,21 +367,15 @@ class FleetObserver {
   };
   LagSummary lag_summary() const;
 
-  const std::size_t switch_count_;
   /// The fleet's memberships: read by cold feeds, attribution and the
   /// self-checks.
   const Source& source_;
   std::vector<SwitchCell> cells_;
   Totals totals_;
   std::vector<DivergenceFinding> findings_;
-  /// Digest history ring (fixed flat storage — no per-append allocation or
-  /// deque node churn): the entry for journal position p, for p in
-  /// [history_base_, history_base_ + history_size_), lives at ring offset
-  /// p - history_base_ from history_start_.
-  std::uint64_t history_base_ = 1;
+  /// Digest history ring, indexed by journal position: the entry for
+  /// position p in [oldest_retained(), head] lives at p % kDigestHistory.
   std::vector<HistoryEntry> history_;
-  std::size_t history_start_ = 0;
-  std::size_t history_size_ = 0;
   sim::Time last_eval_ = 0;
   /// Cadence countdowns (reloaded from the constants): a decrement-and-test
   /// per feed instead of two 64-bit modulo ops.

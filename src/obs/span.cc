@@ -82,10 +82,7 @@ SpanCollector::SpanCollector(std::size_t capacity) : capacity_(capacity) {
 }
 
 UpdateSpan& SpanCollector::open(sim::Time now, Event first) {
-  if (spans_.size() >= capacity_) {
-    spans_.erase(spans_.begin());
-    ++evicted_;
-  }
+  if (spans_.size() >= capacity_) spans_.erase(spans_.begin());
   const std::uint64_t id = next_id_++;
   UpdateSpan& span = spans_[id];
   span.id = id;
@@ -355,7 +352,7 @@ std::string SpanCollector::to_json() const {
   std::string out;
   append(out, "{\"spans_started\":%" PRIu64 ",\"spans_evicted\":%" PRIu64
               ",\"spans\":[",
-         total_started(), evicted_);
+         total_started(), total_started() - spans_.size());
   bool first = true;
   for (const auto& [id, span] : spans_) {
     if (!first) out += ",";

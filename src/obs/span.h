@@ -143,7 +143,6 @@ class SpanCollector {
   bool enabled_ = true;
   std::size_t capacity_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t evicted_ = 0;
   std::uint64_t events_recorded_ = 0;
   std::map<std::uint64_t, UpdateSpan> spans_;
   Histogram* h_channel_ = nullptr;

@@ -68,7 +68,7 @@ void TimeSeriesRecorder::push(const SeriesKey& key, sim::Time at,
 
 void TimeSeriesRecorder::sample(sim::Time at) {
   Snapshot snap = source_();
-  const bool derive = have_prev_ && at > prev_at_;
+  const bool derive = samples_ > 0 && at > prev_at_;
   const double dt = derive ? sim::to_seconds(at - prev_at_) : 0.0;
   for (const auto& sample : snap.samples) {
     if (sample.kind != MetricKind::kHistogram) {
@@ -128,7 +128,6 @@ void TimeSeriesRecorder::sample(sim::Time at) {
   compute_imbalance(snap, at, derive);
   prev_ = std::move(snap);
   prev_at_ = at;
-  have_prev_ = true;
   ++samples_;
 }
 
@@ -266,23 +265,6 @@ TimeSeriesRecorder::ImbalanceStat TimeSeriesRecorder::imbalance(
   return it == imbalance_.end() ? ImbalanceStat{} : it->second;
 }
 
-void TimeSeriesRecorder::window_of(const std::string& name,
-                                   const std::string& labels, double& mean,
-                                   double& max, std::size_t& points) const {
-  mean = 0;
-  max = 0;
-  points = 0;
-  const auto it = series_.find({name, labels});
-  if (it == series_.end() || it->second.empty()) return;
-  double sum = 0;
-  for (const Point& point : it->second) {
-    sum += point.value;
-    max = std::max(max, point.value);
-  }
-  points = it->second.size();
-  mean = sum / static_cast<double>(points);
-}
-
 std::string TimeSeriesRecorder::imbalance_json() const {
   std::string out = "{\"interval_ns\":";
   out += std::to_string(options_.interval);
@@ -300,11 +282,8 @@ std::string TimeSeriesRecorder::imbalance_json() const {
       if (!first_vip) out += ",";
       first_vip = false;
       const std::string label = "vip=\"" + key.second + "\"";
-      double mm_mean = 0, mm_max = 0, cv_mean = 0, cv_max = 0;
-      std::size_t mm_points = 0, cv_points = 0;
-      window_of(metric + ":imbalance_maxmean", label, mm_mean, mm_max,
-                mm_points);
-      window_of(metric + ":imbalance_cv", label, cv_mean, cv_max, cv_points);
+      const WindowStats maxmean = window(metric + ":imbalance_maxmean", label);
+      const WindowStats cv = window(metric + ":imbalance_cv", label);
       out += "\n    {\"vip\":\"";
       out += json_escape(key.second);
       out += "\",\"at_seconds\":";
@@ -320,15 +299,15 @@ std::string TimeSeriesRecorder::imbalance_json() const {
       out += ",\"cv\":";
       out += format_number(stat.cv);
       out += ",\"window\":{\"points\":";
-      out += std::to_string(mm_points);
+      out += std::to_string(maxmean.count);
       out += ",\"maxmean_mean\":";
-      out += format_number(mm_mean);
+      out += format_number(maxmean.mean);
       out += ",\"maxmean_max\":";
-      out += format_number(mm_max);
+      out += format_number(maxmean.max);
       out += ",\"cv_mean\":";
-      out += format_number(cv_mean);
+      out += format_number(cv.mean);
       out += ",\"cv_max\":";
-      out += format_number(cv_max);
+      out += format_number(cv.max);
       out += "}}";
     }
     out += "]}";

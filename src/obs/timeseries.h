@@ -40,7 +40,7 @@ namespace silkroad::obs {
 class TimeSeriesRecorder {
  public:
   /// Produces the snapshot to sample; typically MetricsRegistry::snapshot or
-  /// a fleet-wide aggregate (deploy::SilkRoadFleet::snapshot_source).
+  /// a fleet-wide aggregate (deploy::SilkRoadFleet::metrics_snapshot).
   using Source = std::function<Snapshot()>;
 
   struct Options {
@@ -123,7 +123,6 @@ class TimeSeriesRecorder {
 
   std::size_t sample_count() const;
   std::size_t series_count() const;
-  sim::Time interval() const noexcept { return options_.interval; }
 
   /// CSV with header "t_seconds,name,labels,value"; one row per point,
   /// series in (name, labels) order, points oldest first.
@@ -149,9 +148,6 @@ class TimeSeriesRecorder {
 
   void push(const SeriesKey& key, sim::Time at, double value);
   void compute_imbalance(const Snapshot& snap, sim::Time at, bool derive);
-  /// Windowed mean/max over a derived series' retained points.
-  void window_of(const std::string& name, const std::string& labels,
-                 double& mean, double& max, std::size_t& points) const;
   void schedule_next();
 
   Source source_;
@@ -160,9 +156,9 @@ class TimeSeriesRecorder {
   std::map<SeriesKey, std::deque<Point>> series_;
   /// Latest imbalance stats keyed by (metric, vip).
   std::map<SeriesKey, ImbalanceStat> imbalance_;
+  /// The previous sample's snapshot and time (valid once samples_ > 0).
   Snapshot prev_;
   sim::Time prev_at_ = 0;
-  bool have_prev_ = false;
   std::size_t samples_ = 0;
 
   sim::Simulator* sim_ = nullptr;

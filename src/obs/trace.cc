@@ -139,18 +139,15 @@ void TraceRing::record_at(sim::Time at, EventKind kind, std::uint32_t scope,
                           std::uint32_t version, std::uint64_t id,
                           std::uint64_t arg0, std::uint64_t arg1) {
   SR_DCHECK(!is_span_kind(kind));
-  buffer_[next_] = Event{at, kind, scope, version, id, arg0, arg1};
-  next_ = (next_ + 1) % buffer_.size();
-  if (count_ < buffer_.size()) ++count_;
-  ++total_;
+  buffer_[total_++ % buffer_.size()] =
+      Event{at, kind, scope, version, id, arg0, arg1};
 }
 
 std::vector<Event> TraceRing::events() const {
   std::vector<Event> out;
-  out.reserve(count_);
-  const std::size_t start = (next_ + buffer_.size() - count_) % buffer_.size();
-  for (std::size_t i = 0; i < count_; ++i) {
-    out.push_back(buffer_[(start + i) % buffer_.size()]);
+  out.reserve(size());
+  for (std::uint64_t n = total_ - size(); n < total_; ++n) {
+    out.push_back(buffer_[n % buffer_.size()]);
   }
   return out;
 }

@@ -127,16 +127,18 @@ class TraceRing {
                               std::optional<std::uint32_t> version,
                               std::size_t limit) const;
 
-  std::size_t size() const noexcept { return count_; }
+  std::size_t size() const noexcept {
+    return total_ < buffer_.size() ? static_cast<std::size_t>(total_)
+                                   : buffer_.size();
+  }
   std::uint64_t total_recorded() const noexcept { return total_; }
   /// Events overwritten by ring wraparound.
-  std::uint64_t dropped() const noexcept { return total_ - count_; }
+  std::uint64_t dropped() const noexcept { return total_ - size(); }
 
  private:
   const sim::Simulator* clock_;
+  /// Event n (counting from 0) lands in slot n % capacity.
   std::vector<Event> buffer_;
-  std::size_t next_ = 0;   ///< slot the next event lands in
-  std::size_t count_ = 0;  ///< retained events (<= capacity)
   std::uint64_t total_ = 0;
   std::vector<std::string> scopes_;  ///< index 0 reserved for "none"
 };

@@ -339,16 +339,15 @@ TEST(FleetObserver, ChecksAreSuspendedDuringResyncSessions) {
   const auto dips = make_dips(2);
   fleet.config(1, 10, vip_ep(), dips);
   fleet.provision(0, vip_ep(), dips, 1, 10);
-  // A session opens (window-wipe edge): the switch stops being checkable,
-  // so mid-resync mirror churn is not misread as divergence.
-  observer.on_session_open(0, 77, 20);
+  // A session opens at its rung: the switch stops being checkable, so
+  // mid-resync mirror churn is not misread as divergence.
+  observer.on_resync_begin(0, 77, FleetObserver::ResyncKind::kDelta, 20);
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kResyncing);
   fleet.corrupt(0, vip_ep(), dips[0], false, 21);
   observer.evaluate(22);
   EXPECT_EQ(observer.divergences(), 0u);
   // The replay heals the mirror before the session closes; the close makes
   // the switch checkable again and finds it consistent.
-  observer.on_resync_begin(0, 77, FleetObserver::ResyncKind::kDelta, 23);
   fleet.corrupt(0, vip_ep(), dips[0], true, 24);
   observer.on_resync_end(0, 77, 25);
   EXPECT_EQ(observer.state(0), FleetObserver::SwitchState::kLive);
@@ -378,6 +377,49 @@ TEST(FleetObserver, CompactedHistoryIsUnverifiableNotDivergent) {
   // when the Source and the digests agree.
   EXPECT_GT(observer.selfchecks(), 0u);
   EXPECT_EQ(observer.selfcheck_failures(), 0u);
+}
+
+TEST(FleetObserver, HistoryRetainsExactlyTheNewestPositions) {
+  // Switch 0 stays empty at watermark 0; switch 1 is provisioned at
+  // position 1. Positions 2.. each add a member, so every position has its
+  // own desired digest.
+  ObservedFleet fleet(2);
+  FleetObserver& observer = fleet.observer;
+  constexpr std::uint64_t kHistory = FleetObserver::kDigestHistory;
+  fleet.config(1, 10, vip_ep(), {});
+  for (std::uint64_t pos = 2; pos <= kHistory; ++pos) {
+    fleet.append(pos, 10, vip_ep(), dip_ep(static_cast<std::uint32_t>(pos)),
+                 true);
+  }
+  fleet.provision(1, vip_ep(), {}, 1, 20);
+  // Head kDigestHistory: position 1 is the oldest retained, and the empty
+  // state before it is still known.
+  observer.evaluate(20);
+  EXPECT_EQ(observer.effective_watermark(0), 0u);
+  EXPECT_EQ(observer.effective_watermark(1), 1u);
+  EXPECT_EQ(observer.unverifiable_checks(), 0u);
+  EXPECT_EQ(observer.divergences(), 0u);
+  // One more append scrolls position 1 out, and the empty state with it.
+  fleet.append(kHistory + 1, 30, vip_ep(),
+               dip_ep(static_cast<std::uint32_t>(kHistory + 1)), true);
+  observer.evaluate(30);
+  EXPECT_EQ(observer.unverifiable_checks(), 2u);
+  // Position 2 is the oldest retained: switch 1 verifies there.
+  fleet.deliver(1, vip_ep(), dip_ep(2), true, 2, 40);
+  const std::uint64_t before = observer.unverifiable_checks();
+  observer.evaluate(40);
+  EXPECT_EQ(observer.effective_watermark(1), 2u);
+  EXPECT_EQ(observer.unverifiable_checks(), before + 1) << "switch 0 only";
+  EXPECT_EQ(observer.divergences(), 0u);
+}
+
+TEST(FleetObserver, JournalAppendThatSkipsAPositionAborts) {
+  // History is indexed by position, so a skipped position would leave a
+  // stale slot that reads as the desired digest there.
+  ObservedFleet fleet(1);
+  fleet.config(1, 10, vip_ep(), {});
+  EXPECT_DEATH(fleet.append(3, 20, vip_ep(), dip_ep(1), true),
+               "journal positions are dense");
 }
 
 TEST(FleetObserver, BoundMetricsAndJsonAgreeWithTheGetters) {
@@ -548,6 +590,48 @@ TEST(FleetConvergence, IncrementalDigestsEqualRecomputeAcrossInterleavings) {
   }
 }
 
+TEST(FleetConvergence, EveryResyncSessionLeavesOneRecord) {
+  // The controller feeds one on_resync_begin per session. Traced, each
+  // session carries its span id; untraced, every id is 0, and still each
+  // session leaves exactly one record with its rung.
+  for (const bool traced : {true, false}) {
+    sim::Simulator sim;
+    deploy::SilkRoadFleet fleet(sim, small_config(), 3);
+    fleet.spans().set_enabled(traced);
+    const auto dips = make_dips(4);
+    fleet.add_vip(vip_ep(), dips);
+    sim.run();
+    for (int round = 0; round < 2; ++round) {
+      fleet.fail_switch(1);
+      fleet.request_update(update_of(vip_ep(), dips[0], round != 0));
+      sim.run();
+      fleet.restore_switch(1);
+      sim.run();
+    }
+    FleetObserver& observer = *fleet.observer();
+    observer.evaluate(sim.now());
+    EXPECT_EQ(observer.state(1), FleetObserver::SwitchState::kLive);
+    EXPECT_EQ(observer.divergences(), 0u);
+    // Switch 1's row of /fleet.json, up to the next row.
+    const std::string json = observer.to_json();
+    const std::size_t row = json.find("{\"index\":1,");
+    ASSERT_NE(row, std::string::npos);
+    const std::string cell = json.substr(row, json.find("\n", row) - row);
+    const auto count = [&cell](const std::string& needle) {
+      std::size_t n = 0;
+      for (std::size_t at = cell.find(needle); at != std::string::npos;
+           at = cell.find(needle, at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    EXPECT_EQ(count("\"session_id\":"), 2u) << "traced " << traced;
+    EXPECT_EQ(count("\"kind\":\"delta\""), 2u) << "traced " << traced;
+    EXPECT_EQ(count("\"session_id\":0,"), traced ? 0u : 2u)
+        << "traced " << traced;
+  }
+}
+
 TEST(FleetConvergence, UpdateForUnknownVipIsDroppedBeforeTheJournal) {
   // Every switch abandons an update for a VIP it was never given, so the
   // controller must not journal one either: folded into the desired digest
@@ -630,7 +714,7 @@ TEST(FleetConvergence, ScrapesEveryRouteWhileTheFleetRuns) {
   fleet.add_vip(vip_ep(), dips);
   sim.run();
   FleetObserver& observer = *fleet.observer();
-  TimeSeriesRecorder recorder(fleet.snapshot_source());
+  TimeSeriesRecorder recorder([&fleet] { return fleet.metrics_snapshot(); });
   const auto run_round = [&](int round) {
     const net::Endpoint& dip = dips[static_cast<std::size_t>(round) % 6];
     fleet.request_update(update_of(vip_ep(), dip, false));

@@ -242,7 +242,6 @@ TEST(SilkRoadSwitch, BoundedPendingQueueShedsWithVersionPin) {
   config.max_pending_inserts = 1;
   config.cpu.tasks_per_second = 100;  // insertions crawl: the queue stays full
   config.learning.timeout = 100 * sim::kMicrosecond;
-  config.shed_policy = core::SilkRoadSwitch::ShedPolicy::kPinVersion;
   core::SilkRoadSwitch sw(sim, config);
   sw.add_vip(vip_ep(), make_dips(4));
   std::unordered_map<std::uint32_t, net::Endpoint> admitted;
@@ -283,7 +282,6 @@ TEST(SilkRoadSwitch, DegradedModeHysteresisOnCpuBacklog) {
   config.learning.timeout = 50 * sim::kMicrosecond;
   config.degraded_enter_backlog = 4;
   config.degraded_exit_backlog = 0;
-  config.degraded_poll_period = 500 * sim::kMicrosecond;
   core::SilkRoadSwitch sw(sim, config);
   sw.add_vip(vip_ep(), make_dips(4));
   // Pile up far more insertions than the CPU can absorb.

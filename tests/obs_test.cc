@@ -17,7 +17,6 @@
 #include "obs/forensics.h"
 #include "obs/metrics.h"
 #include "obs/scrape_server.h"
-#include "obs/stage_profiler.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "http_get.h"
@@ -1012,27 +1011,41 @@ TEST(SwitchTelemetry, TraceDroppedGaugeTracksRingWraparound) {
             static_cast<double>(sw.trace().dropped()));
 }
 
-TEST(StageProfiler, HitStageMissesEveryEarlierStage) {
-  MetricsRegistry registry;
-  StageProfiler profiler(registry, "sp", 3);
-  profiler.record_lookup(0);
-  profiler.record_lookup(2);
-  profiler.record_lookup(profiler.stages());  // full miss
-  const Snapshot snap = registry.snapshot();
-  const auto value = [&snap](const char* series, int stage) {
-    return snap.value_of(std::string("sp_stage_") + series + "_total",
-                         "stage=\"" + std::to_string(stage) + "\"");
+TEST(SwitchTelemetry, StageSeriesFollowTheStageChain) {
+  // A lookup that first matched at stage s missed at every stage before it,
+  // so each stage examines exactly the lookups its predecessor missed. A
+  // table sized for 256 connections holds 200 flows across all four stages.
+  sim::Simulator sim;
+  core::SilkRoadSwitch::Config config;
+  config.conn_table = core::SilkRoadSwitch::conn_table_for(256);
+  core::SilkRoadSwitch sw(sim, config);
+  sw.add_vip(vip_ep(), make_dips(8));
+  constexpr std::uint32_t kFlows = 200;
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    sw.process_packet(packet_of(i, true));
+  }
+  sim.run();
+  for (std::uint32_t i = 0; i < kFlows; ++i) {
+    sw.process_packet(packet_of(i, false));
+  }
+  const Snapshot snap = sw.metrics().snapshot();
+  const auto value = [&snap](const char* series, std::size_t stage) {
+    return snap.value_of(
+        std::string("silkroad_conn_table_stage_") + series + "_total",
+        "stage=\"" + std::to_string(stage) + "\"");
   };
-  EXPECT_EQ(value("hits", 0), 1.0);
-  EXPECT_EQ(value("misses", 0), 2.0);
-  EXPECT_EQ(value("hits", 1), 0.0);
-  EXPECT_EQ(value("misses", 1), 2.0);
-  EXPECT_EQ(value("hits", 2), 1.0);
-  EXPECT_EQ(value("misses", 2), 1.0);
-  // Packets are derived, never bumped: hits + misses at snapshot time.
-  EXPECT_EQ(value("packets", 0), 3.0);
-  EXPECT_EQ(value("packets", 1), 2.0);
-  EXPECT_EQ(value("packets", 2), 2.0);
+  EXPECT_EQ(value("packets", 0), snap.value_of("silkroad_packets_total"));
+  const std::size_t stages = config.conn_table.stages;
+  for (std::size_t stage = 0; stage < stages; ++stage) {
+    EXPECT_GT(value("hits", stage), 0.0) << "stage " << stage;
+    EXPECT_EQ(value("packets", stage),
+              value("hits", stage) + value("misses", stage))
+        << "stage " << stage;
+    if (stage + 1 < stages) {
+      EXPECT_EQ(value("packets", stage + 1), value("misses", stage))
+          << "stage " << stage;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
