@@ -220,14 +220,6 @@ std::vector<net::FiveTuple> DigestCuckooTable::collect_idle(
   return idle;
 }
 
-std::size_t DigestCuckooTable::used_slot_count() const noexcept {
-  std::size_t used = 0;
-  for (const auto& slot : slots_) {
-    if (slot.used) ++used;
-  }
-  return used;
-}
-
 std::size_t DigestCuckooTable::used_in_stage(
     std::uint32_t stage) const noexcept {
   if (stage >= config_.stages) return 0;

@@ -14,7 +14,9 @@
 // This is too complex for the ASIC and runs on the switch CPU — which is
 // exactly why ConnTable insertion is slow and why SilkRoad needs the
 // TransitTable to guarantee PCC (§4.3). The CPU keeps shadow state with each
-// entry's full 5-tuple; the ASIC stores only digest + value.
+// entry's full 5-tuple; the ASIC stores only digest + value. The shadow
+// tuples sit in an array parallel to the slots, so one pass in slot order
+// reads every entry as both sides see it (the invariant auditor's walk).
 #pragma once
 
 #include <cstdint>
@@ -157,20 +159,21 @@ class DigestCuckooTable {
     return failed_inserts_.value();
   }
 
-  /// Calls `visit(key, value)` for every installed entry as the control
-  /// plane sees it (shadow 5-tuple + action data), in place and in
-  /// unspecified order. Invariant-auditor input.
+  /// Calls `visit(key, value)` for every physically occupied slot, with the
+  /// slot's shadow 5-tuple and action data, in slot order, and returns how
+  /// many it visited. The count equals size() unless the word array and the
+  /// CPU shadow index have diverged: the "phantom SRAM accounting"
+  /// corruption the invariant auditor detects. Invariant-auditor input.
   template <typename Visit>
-  void for_each_entry(Visit&& visit) const {
-    for (const auto& entry : index_) {
-      visit(shadow_keys_[entry.key], slots_[entry.key].value);
+  std::size_t for_each_used_slot(Visit&& visit) const {
+    std::size_t used = 0;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].used) continue;
+      ++used;
+      visit(shadow_keys_[i], slots_[i].value);
     }
+    return used;
   }
-
-  /// Number of physically occupied slots. Always equals size() unless the
-  /// word array and the CPU shadow index have diverged — the "phantom SRAM
-  /// accounting" corruption the invariant auditor detects.
-  std::size_t used_slot_count() const noexcept;
 
   /// Occupied slots in physical stage `stage` (cuckoo fills earlier stages
   /// first, so the per-stage skew is itself a signal — paper §6.1).

@@ -66,8 +66,10 @@ struct InvariantAuditor::Pass {
   std::vector<Violation> unresolvable;
   /// Version-lists walk: wire bytes of every live pool.
   std::size_t pool_bytes = 0;
-  /// ConnTable walk: the entries that name an unknown VIP or resolve to a
-  /// version with no pool (dip-pool-coverage), in walk order.
+  /// ConnTable walk: the used slots it counted (sram-accounting), and the
+  /// entries that name an unknown VIP or resolve to a version with no pool
+  /// (dip-pool-coverage), in slot order.
+  std::size_t used_slots = 0;
   std::vector<Violation> uncovered;
 
   const Vip* find(const net::Endpoint& vip) const {
@@ -266,7 +268,7 @@ void InvariantAuditor::walk_version_lists(Pass& pass,
 }
 
 void InvariantAuditor::walk_conn_table(Pass& pass) const {
-  sw_.conn_table_.for_each_entry(
+  pass.used_slots = sw_.conn_table_.for_each_used_slot(
       [&pass](const net::FiveTuple& key, std::uint32_t value) {
         const Vip* row = pass.find(key.dst);
         if (row == nullptr) {
@@ -438,13 +440,13 @@ void InvariantAuditor::check_sram_accounting(
                            " B != geometry " +
                            std::to_string(geometry_bytes) + " B"));
   }
-  // A full slot scan, not a running count: a count kept beside the slots
-  // would agree with the index even after a slot's used bit went wrong.
-  const std::size_t used = sw_.conn_table_.used_slot_count();
-  if (used != sw_.conn_table_.size()) {
+  // Counted from the slots by the ConnTable walk, not kept beside them: a
+  // running count would agree with the index even after a used bit went
+  // wrong.
+  if (pass.used_slots != sw_.conn_table_.size()) {
     out.push_back(make("sram-accounting",
-                       "phantom SRAM occupancy: " + std::to_string(used) +
-                           " used slots vs " +
+                       "phantom SRAM occupancy: " +
+                           std::to_string(pass.used_slots) + " used slots vs " +
                            std::to_string(sw_.conn_table_.size()) +
                            " indexed entries"));
   }

@@ -8,7 +8,8 @@
 // re-derives each of those facts from scratch, reporting every divergence it
 // finds instead of aborting on the first — so tests can assert on the precise
 // violation set. It walks each structure once per audit: the flow-record slab,
-// every VIP's version lists, and the ConnTable's index (DESIGN.md §8).
+// every VIP's version lists, and the ConnTable's slots in slot order, which
+// also counts them for sram-accounting (DESIGN.md §8).
 //
 // Invariant families (the `invariant` field of each Violation):
 //   "version-liveness"    — every version referenced by a pending (non-dead)

@@ -34,6 +34,7 @@
 #include "core/version_manager.h"
 #include "lb/load_balancer.h"
 #include "net/flat_map.h"
+#include "net/slab.h"
 #include "obs/capacity.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -341,7 +342,7 @@ class SilkRoadSwitch : public lb::LoadBalancer,
   /// flow_index_ keys on record ids and is searched by 5-tuple, so it holds
   /// no copy of the tuple.
   struct RecordHash {
-    const std::deque<FlowRecord>* records;
+    const net::Slab<FlowRecord>* records;
     std::size_t operator()(const net::FiveTuple& flow) const noexcept {
       return net::FiveTupleHash{}(flow);
     }
@@ -350,7 +351,7 @@ class SilkRoadSwitch : public lb::LoadBalancer,
     }
   };
   struct RecordEq {
-    const std::deque<FlowRecord>* records;
+    const net::Slab<FlowRecord>* records;
     bool operator()(FlowId id, const net::FiveTuple& flow) const noexcept {
       return (*records)[id].flow == flow;
     }
@@ -578,9 +579,10 @@ class SilkRoadSwitch : public lb::LoadBalancer,
 
   std::unordered_map<net::Endpoint, VipState, net::EndpointHash> vips_;
   /// One record per pending, installed, software or degraded flow, found
-  /// through flow_index_. Freed ids are reused from free_ids_. A deque
-  /// grows without copying the records or holding two arrays at once.
-  std::deque<FlowRecord> records_;
+  /// through flow_index_. Freed ids are reused from free_ids_. The slab
+  /// grows by whole chunks without moving a record, and records_[id] is one
+  /// chunk-table load away.
+  net::Slab<FlowRecord> records_;
   std::vector<FlowId> free_ids_;
   net::FlatMap<FlowId, FlowId, RecordHash, RecordEq> flow_index_{
       RecordHash{&records_}, RecordEq{&records_}};

@@ -203,6 +203,47 @@ void render_histogram(const Histogram& hist, MetricSample& sample) {
   sample.sum = static_cast<double>(hist.sum());
 }
 
+bool series_less(const MetricSample& a, const MetricSample& b) {
+  if (a.name != b.name) return a.name < b.name;
+  return a.labels < b.labels;
+}
+
+bool same_series(const MetricSample& a, const MetricSample& b) {
+  return a.name == b.name && a.labels == b.labels;
+}
+
+/// Sums cumulative bucket list `b` into `a`: the union of their bounds, with
+/// the counts de-cumulated, added and re-cumulated.
+void merge_buckets(std::vector<HistogramBucket>& a,
+                   const std::vector<HistogramBucket>& b) {
+  std::vector<HistogramBucket> out;
+  std::size_t i = 0, j = 0;
+  std::uint64_t prev_a = 0, prev_b = 0, cumulative = 0;
+  while (i < a.size() || j < b.size()) {
+    std::uint64_t bound = 0;
+    std::uint64_t delta = 0;
+    const bool take_a =
+        j >= b.size() || (i < a.size() && a[i].upper_bound <= b[j].upper_bound);
+    const bool take_b =
+        i >= a.size() || (j < b.size() && b[j].upper_bound <= a[i].upper_bound);
+    if (take_a) {
+      bound = a[i].upper_bound;
+      delta += a[i].cumulative_count - prev_a;
+      prev_a = a[i].cumulative_count;
+      ++i;
+    }
+    if (take_b) {
+      bound = b[j].upper_bound;
+      delta += b[j].cumulative_count - prev_b;
+      prev_b = b[j].cumulative_count;
+      ++j;
+    }
+    cumulative += delta;
+    out.push_back({bound, cumulative});
+  }
+  a = std::move(out);
+}
+
 }  // namespace
 
 Snapshot MetricsRegistry::snapshot() const {
@@ -225,75 +266,53 @@ Snapshot MetricsRegistry::snapshot() const {
     }
     snap.samples.push_back(std::move(sample));
   }
-  std::sort(snap.samples.begin(), snap.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.labels < b.labels;
-            });
+  std::sort(snap.samples.begin(), snap.samples.end(), series_less);
   return snap;
 }
 
 Snapshot MetricsRegistry::aggregate(const std::vector<Snapshot>& parts) {
-  Snapshot merged;
   for (const auto& part : parts) {
-    for (const auto& sample : part.samples) {
-      MetricSample* existing = nullptr;
-      for (auto& candidate : merged.samples) {
-        if (candidate.name == sample.name &&
-            candidate.labels == sample.labels &&
-            candidate.kind == sample.kind) {
-          existing = &candidate;
-          break;
-        }
+    SR_CHECKF(std::is_sorted(part.samples.begin(), part.samples.end(),
+                             series_less),
+              "aggregate() takes snapshots sorted by (name, labels)");
+  }
+  // One k-way pass: each step takes the smallest (name, labels) left at any
+  // part's head and folds every part's samples of it in, in part order. A
+  // sample of a kind not yet merged for the series is appended after the
+  // series' other kinds, so kinds keep the order they first appear in.
+  Snapshot merged;
+  std::vector<std::size_t> head(parts.size(), 0);
+  for (;;) {
+    const MetricSample* next = nullptr;
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      const auto& samples = parts[p].samples;
+      if (head[p] < samples.size() &&
+          (next == nullptr || series_less(samples[head[p]], *next))) {
+        next = &samples[head[p]];
       }
-      if (existing == nullptr) {
-        merged.samples.push_back(sample);
-        continue;
-      }
-      existing->value += sample.value;
-      existing->count += sample.count;
-      existing->sum += sample.sum;
-      if (!sample.buckets.empty()) {
-        // Merge cumulative bucket lists: union of bounds, counts summed.
-        // De-cumulate, add, re-cumulate over the merged bound set.
-        std::vector<HistogramBucket> out;
-        std::size_t i = 0, j = 0;
-        std::uint64_t prev_a = 0, prev_b = 0, cumulative = 0;
-        const auto& a = existing->buckets;
-        const auto& b = sample.buckets;
-        while (i < a.size() || j < b.size()) {
-          std::uint64_t bound = 0;
-          std::uint64_t delta = 0;
-          const bool take_a =
-              j >= b.size() ||
-              (i < a.size() && a[i].upper_bound <= b[j].upper_bound);
-          const bool take_b =
-              i >= a.size() ||
-              (j < b.size() && b[j].upper_bound <= a[i].upper_bound);
-          if (take_a) {
-            bound = a[i].upper_bound;
-            delta += a[i].cumulative_count - prev_a;
-            prev_a = a[i].cumulative_count;
-            ++i;
-          }
-          if (take_b) {
-            bound = b[j].upper_bound;
-            delta += b[j].cumulative_count - prev_b;
-            prev_b = b[j].cumulative_count;
-            ++j;
-          }
-          cumulative += delta;
-          out.push_back({bound, cumulative});
+    }
+    if (next == nullptr) break;
+    const std::size_t first = merged.samples.size();
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      const auto& samples = parts[p].samples;
+      for (; head[p] < samples.size() && same_series(samples[head[p]], *next);
+           ++head[p]) {
+        const MetricSample& sample = samples[head[p]];
+        const auto into = std::find_if(
+            merged.samples.begin() + static_cast<std::ptrdiff_t>(first),
+            merged.samples.end(),
+            [&sample](const MetricSample& m) { return m.kind == sample.kind; });
+        if (into == merged.samples.end()) {
+          merged.samples.push_back(sample);
+          continue;
         }
-        existing->buckets = std::move(out);
+        into->value += sample.value;
+        into->count += sample.count;
+        into->sum += sample.sum;
+        if (!sample.buckets.empty()) merge_buckets(into->buckets, sample.buckets);
       }
     }
   }
-  std::sort(merged.samples.begin(), merged.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              if (a.name != b.name) return a.name < b.name;
-              return a.labels < b.labels;
-            });
   return merged;
 }
 

@@ -191,6 +191,10 @@ class MetricsRegistry {
   /// Merges snapshots from several registries (e.g. one per fleet switch):
   /// samples with the same (name, labels, kind) are summed — counters,
   /// gauges, and histograms alike (gauge sums are the fleet-wide level).
+  /// Every part must be sorted by (name, labels), as snapshot() leaves it,
+  /// and so is the result. A merged sample keeps its first part's help;
+  /// samples of one (name, labels) but different kinds stay apart, in the
+  /// order their kinds first appear.
   static Snapshot aggregate(const std::vector<Snapshot>& parts);
 
  private:

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "asic/cuckoo_table.h"
@@ -88,6 +90,42 @@ TEST(DigestCuckooTable, AllInsertedRemainFindable) {
     const auto hit = table.lookup(flows[i]);
     ASSERT_TRUE(hit.has_value()) << "flow " << i << " lost after moves";
   }
+}
+
+TEST(DigestCuckooTable, SlotOrderVisitSeesExactlyTheIndexedEntries) {
+  DigestCuckooTable table(small_config());
+  std::map<std::uint32_t, std::uint32_t> live;  // client -> value
+  // 97% of capacity forces cuckoo moves; then every third flow goes.
+  for (std::uint32_t i = 0; i < table.capacity() * 97 / 100; ++i) {
+    if (table.insert(make_flow(i), i % 64).inserted) live[i] = i % 64;
+  }
+  ASSERT_GT(table.total_moves(), 0u);
+  for (std::uint32_t i = 0; i < table.capacity(); i += 3) {
+    if (live.erase(i) == 1) {
+      ASSERT_TRUE(table.erase(make_flow(i)));
+    }
+  }
+  std::map<std::uint32_t, std::uint32_t> visited;
+  std::tuple<std::uint32_t, std::uint32_t, std::uint32_t> last{0, 0, 0};
+  bool first = true;
+  const std::size_t used = table.for_each_used_slot(
+      [&](const net::FiveTuple& key, std::uint32_t value) {
+        EXPECT_TRUE(table.contains(key));
+        EXPECT_EQ(table.exact_value(key), value);
+        const std::uint32_t client = key.src.ip.v4_value() - 0x0B000000;
+        EXPECT_TRUE(visited.emplace(client, value).second)
+            << "client " << client << " visited twice";
+        // In slot order: (stage, bucket, way) only grows.
+        const auto hit = table.lookup(key);
+        ASSERT_TRUE(hit.has_value());
+        ASSERT_FALSE(table.is_false_positive(key, hit->slot));
+        const std::tuple slot{hit->slot.stage, hit->slot.bucket, hit->slot.way};
+        EXPECT_TRUE(first || last < slot);
+        last = slot;
+        first = false;
+      });
+  EXPECT_EQ(used, table.size());
+  EXPECT_EQ(visited, live);
 }
 
 TEST(DigestCuckooTable, InsertFailsWhenFull) {

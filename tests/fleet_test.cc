@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 #include "deploy/fleet.h"
@@ -190,6 +192,149 @@ TEST(SilkRoadFleet, AllDownMeansUnrouted) {
   fleet.fail_switch(1);
   EXPECT_FALSE(fleet.route_of(packet_of(1).flow).has_value());
   EXPECT_FALSE(fleet.process_packet(packet_of(1, true)).dip.has_value());
+}
+
+/// MetricsRegistry::aggregate as it was before the k-way merge: each
+/// incoming sample is found in the merged list by a linear scan, then the
+/// list is sorted. The reference the merge is held to.
+obs::Snapshot reference_aggregate(const std::vector<obs::Snapshot>& parts) {
+  obs::Snapshot merged;
+  for (const auto& part : parts) {
+    for (const auto& sample : part.samples) {
+      obs::MetricSample* existing = nullptr;
+      for (auto& candidate : merged.samples) {
+        if (candidate.name == sample.name &&
+            candidate.labels == sample.labels &&
+            candidate.kind == sample.kind) {
+          existing = &candidate;
+          break;
+        }
+      }
+      if (existing == nullptr) {
+        merged.samples.push_back(sample);
+        continue;
+      }
+      existing->value += sample.value;
+      existing->count += sample.count;
+      existing->sum += sample.sum;
+      if (!sample.buckets.empty()) {
+        std::vector<obs::HistogramBucket> out;
+        std::size_t i = 0, j = 0;
+        std::uint64_t prev_a = 0, prev_b = 0, cumulative = 0;
+        const auto& a = existing->buckets;
+        const auto& b = sample.buckets;
+        while (i < a.size() || j < b.size()) {
+          std::uint64_t bound = 0;
+          std::uint64_t delta = 0;
+          const bool take_a =
+              j >= b.size() ||
+              (i < a.size() && a[i].upper_bound <= b[j].upper_bound);
+          const bool take_b =
+              i >= a.size() ||
+              (j < b.size() && b[j].upper_bound <= a[i].upper_bound);
+          if (take_a) {
+            bound = a[i].upper_bound;
+            delta += a[i].cumulative_count - prev_a;
+            prev_a = a[i].cumulative_count;
+            ++i;
+          }
+          if (take_b) {
+            bound = b[j].upper_bound;
+            delta += b[j].cumulative_count - prev_b;
+            prev_b = b[j].cumulative_count;
+            ++j;
+          }
+          cumulative += delta;
+          out.push_back({bound, cumulative});
+        }
+        existing->buckets = std::move(out);
+      }
+    }
+  }
+  std::sort(merged.samples.begin(), merged.samples.end(),
+            [](const obs::MetricSample& a, const obs::MetricSample& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.labels < b.labels;
+            });
+  return merged;
+}
+
+void expect_same_snapshot(const obs::Snapshot& got, const obs::Snapshot& want) {
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  for (std::size_t i = 0; i < got.samples.size(); ++i) {
+    const obs::MetricSample& g = got.samples[i];
+    const obs::MetricSample& w = want.samples[i];
+    SCOPED_TRACE(w.name + "{" + w.labels + "}");
+    EXPECT_EQ(g.name, w.name);
+    EXPECT_EQ(g.labels, w.labels);
+    EXPECT_EQ(g.help, w.help);
+    EXPECT_EQ(g.kind, w.kind);
+    // Bit for bit: the sums must be taken in the same order.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.value),
+              std::bit_cast<std::uint64_t>(w.value));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.sum),
+              std::bit_cast<std::uint64_t>(w.sum));
+    EXPECT_EQ(g.count, w.count);
+    ASSERT_EQ(g.buckets.size(), w.buckets.size());
+    for (std::size_t b = 0; b < g.buckets.size(); ++b) {
+      EXPECT_EQ(g.buckets[b].upper_bound, w.buckets[b].upper_bound);
+      EXPECT_EQ(g.buckets[b].cumulative_count, w.buckets[b].cumulative_count);
+    }
+  }
+}
+
+TEST(SilkRoadFleet, MetricsSnapshotMergesLikeTheReference) {
+  sim::Simulator sim;
+  SilkRoadFleet fleet(sim, small_config(), 4);
+  constexpr std::uint32_t kVips = 16;
+  const auto vip = [](std::uint32_t v) {
+    return net::Endpoint{net::IpAddress::v4(0x14000001 + v), 80};
+  };
+  for (std::uint32_t v = 0; v < kVips; ++v) {
+    std::vector<net::Endpoint> dips;
+    for (std::uint32_t d = 0; d < 24; ++d) {
+      dips.push_back({net::IpAddress::v4(0x0A000000 + v * 256 + d), 20});
+    }
+    fleet.add_vip(vip(v), dips);
+  }
+  const auto packet = [&vip](std::uint32_t client, bool syn, bool fin) {
+    net::Packet p;
+    p.flow = net::FiveTuple{{net::IpAddress::v4(0x0B000000 + client), 1234},
+                            vip(client % kVips),
+                            net::Protocol::kTcp};
+    p.syn = syn;
+    p.fin = fin;
+    p.size_bytes = 100;
+    return p;
+  };
+  // Traffic fills the per-switch counters, gauges and histograms; an
+  // update and some FINs give the update and erase series values too.
+  for (std::uint32_t client = 0; client < 4000; ++client) {
+    fleet.process_packet(packet(client, true, false));
+  }
+  sim.run();
+  workload::DipUpdate update;
+  update.at = sim.now();
+  update.vip = vip(3);
+  update.dip = {net::IpAddress::v4(0x0A000000 + 3 * 256), 20};
+  update.action = workload::UpdateAction::kRemoveDip;
+  fleet.request_update(update);
+  for (std::uint32_t client = 0; client < 4000; client += 3) {
+    fleet.process_packet(packet(client, false, true));
+  }
+  sim.run();
+
+  const obs::Snapshot merged = fleet.metrics_snapshot();
+  std::vector<obs::Snapshot> parts;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    parts.push_back(fleet.switch_at(i).metrics().snapshot());
+  }
+  // The fleet's own registry is private; the merged snapshot stands in
+  // for it as a fifth part that overlaps every series of the switches.
+  parts.push_back(merged);
+  EXPECT_GT(merged.samples.size(), parts.front().samples.size());
+  expect_same_snapshot(obs::MetricsRegistry::aggregate(parts),
+                       reference_aggregate(parts));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "net/flat_map.h"
 #include "net/hash.h"
 #include "net/ip_address.h"
+#include "net/slab.h"
 #include "sim/random.h"
 
 namespace silkroad::net {
@@ -600,6 +601,67 @@ TEST(FlatMap, GrowsOnDemandAndClears) {
   EXPECT_EQ(flat.capacity(), capacity);
   EXPECT_EQ(flat.begin(), flat.end());
   EXPECT_FALSE(flat.contains(make_tuple(1, 2)));
+}
+
+// ---------------------------------------------------------------------------
+// Slab
+// ---------------------------------------------------------------------------
+
+TEST(Slab, GrowsPastChunksWithoutMovingElements) {
+  using Ids = Slab<std::uint64_t>;
+  // Past two chunk boundaries, into the third chunk.
+  const std::size_t n = 2 * Ids::kChunkSize + 7;
+  Ids slab;
+  EXPECT_EQ(slab.size(), 0u);
+  EXPECT_EQ(slab.begin(), slab.end());
+  std::uint64_t& first = slab.emplace_back(1000);
+  const std::uint64_t* first_address = &first;
+  for (std::size_t i = 1; i < n; ++i) {
+    // Ids are dense from 0: element i is the i-th appended.
+    EXPECT_EQ(slab.size(), i);
+    const std::uint64_t* appended = &slab.emplace_back(1000 + i);
+    EXPECT_EQ(appended, &slab[i]);
+  }
+  EXPECT_EQ(slab.size(), n);
+  EXPECT_EQ(&first, first_address);
+  EXPECT_EQ(&slab[0], first_address);
+  EXPECT_EQ(first, 1000u);
+  std::uint64_t expected = 1000;
+  for (const std::uint64_t value : slab) EXPECT_EQ(value, expected++);
+  EXPECT_EQ(expected, 1000 + n);
+  // Writes through operator[] land where the references point.
+  slab[Ids::kChunkSize] = 7;
+  const Ids& read = slab;
+  EXPECT_EQ(read[Ids::kChunkSize], 7u);
+}
+
+/// Counts its constructions and destructions.
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  explicit Counted(int v) : value(v) { ++constructed; }
+  Counted(const Counted&) = delete;
+  Counted& operator=(const Counted&) = delete;
+  ~Counted() { ++destroyed; }
+  int value;
+};
+
+TEST(Slab, ConstructsEachElementOnceInPlace) {
+  Counted::constructed = 0;
+  Counted::destroyed = 0;
+  const std::size_t n = Slab<Counted>::kChunkSize + 3;
+  {
+    Slab<Counted> slab;
+    for (std::size_t i = 0; i < n; ++i) {
+      slab.emplace_back(static_cast<int>(i));
+      // Nothing past size() is constructed, nothing is copied or moved.
+      EXPECT_EQ(Counted::constructed, static_cast<int>(i + 1));
+    }
+    EXPECT_EQ(Counted::destroyed, 0);
+    EXPECT_EQ(slab[n - 1].value, static_cast<int>(n - 1));
+  }
+  EXPECT_EQ(Counted::constructed, static_cast<int>(n));
+  EXPECT_EQ(Counted::destroyed, static_cast<int>(n));
 }
 
 }  // namespace

@@ -285,6 +285,36 @@ TEST(Aggregate, EmptySnapshotsMergeToIdentity) {
   EXPECT_EQ(merged.value_of("pkts"), 9);
 }
 
+TEST(Aggregate, KindsOfOneSeriesStayApartInTheOrderTheyAppear) {
+  MetricsRegistry a, b, c;
+  a.counter("x", "from a")->inc(2);
+  b.gauge("x", "from b")->set(0.5);
+  c.counter("x", "from c")->inc(3);
+  const Snapshot merged =
+      MetricsRegistry::aggregate({a.snapshot(), b.snapshot(), c.snapshot()});
+  ASSERT_EQ(merged.samples.size(), 2u);
+  EXPECT_EQ(merged.samples[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(merged.samples[0].value, 5);
+  EXPECT_EQ(merged.samples[0].help, "from a");  // the first part's help
+  EXPECT_EQ(merged.samples[1].kind, MetricKind::kGauge);
+  EXPECT_EQ(merged.samples[1].value, 0.5);
+  const Snapshot reversed =
+      MetricsRegistry::aggregate({b.snapshot(), c.snapshot(), a.snapshot()});
+  ASSERT_EQ(reversed.samples.size(), 2u);
+  EXPECT_EQ(reversed.samples[0].kind, MetricKind::kGauge);
+  EXPECT_EQ(reversed.samples[1].kind, MetricKind::kCounter);
+  EXPECT_EQ(reversed.samples[1].help, "from c");
+}
+
+TEST(AggregateDeathTest, RefusesAPartNotSortedByNameAndLabels) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Snapshot unsorted;
+  unsorted.samples.resize(2);
+  unsorted.samples[0].name = "b";
+  unsorted.samples[1].name = "a";
+  EXPECT_DEATH(MetricsRegistry::aggregate({unsorted}), "sorted");
+}
+
 TEST(Aggregate, HistogramBucketsMergeCumulatively) {
   MetricsRegistry a, b;
   Histogram* ha = a.histogram("lat");
